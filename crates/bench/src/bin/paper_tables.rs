@@ -13,7 +13,7 @@ use bench_suite::corpus::{
     deep_document, entity_document, wide_document, xmark_auction, XmarkScale,
 };
 use bench_suite::scenario::{self, OpClass, ScenarioConfig};
-use bench_suite::{call_graph, it_workload, loc, marker_loc, set_fault_rate, Workload};
+use bench_suite::{call_graph, it_workload, loc, marker_loc, percentile, set_fault_rate, Workload};
 use docgen::batch::{generate_batch_with, BatchJob, CompiledPipeline, GeneratorKind};
 use docgen::xq::{Phase, XqGenerator};
 use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc, Template};
@@ -264,10 +264,10 @@ fn check_obs() {
             on.items_streamed > 0,
             "{name}: streamed run did not count its pulls: {on:?}"
         );
-        for (counter, value) in off.stream_counters() {
+        for (counter, value) in off.opt_counters() {
             assert_eq!(
                 value, 0,
-                "{name}: counter {counter} must be zero with streaming off"
+                "{name}: counter {counter} must be zero with runtime_opt off"
             );
         }
         println!(
@@ -384,12 +384,12 @@ fn check_obs() {
     println!("  all observability counters check out (and zero out with XQ_OPT=0)");
 }
 
-/// Runs one query on a fresh engine with the cursor runtime on or off and
-/// returns its counter block — the before/after pair behind the 10x
-/// allocation claims.
-fn stream_probe(doc_xml: &str, src: &str, stream: bool) -> EvalStats {
+/// Runs one query on a fresh engine with the runtime optimiser (and so the
+/// cursor runtime) on or off and returns its counter block — the
+/// before/after pair behind the 10x allocation claims.
+fn stream_probe(doc_xml: &str, src: &str, runtime_opt: bool) -> EvalStats {
     let mut engine = Engine::with_options(EngineOptions {
-        stream,
+        runtime_opt,
         ..Default::default()
     });
     let doc = engine
@@ -747,12 +747,6 @@ fn qps_round(addr: SocketAddr, tenant: &str, make_query: &QpsPick) -> (f64, Vec<
     ((QPS_THREADS * QPS_PER_THREAD) as f64 / wall, latencies)
 }
 
-/// Nearest-rank percentile over an ascending-sorted sample.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let ix = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[ix]
-}
-
 /// [`Stats`] over already-collected per-round samples.
 fn stats_of(mut samples: Vec<f64>) -> Stats {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
@@ -780,9 +774,9 @@ fn qps_row(addr: SocketAddr, tenant: &str, make_query: QpsPick) -> QpsRow {
         let (q, mut latencies) = qps_round(addr, tenant, &make_query);
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         qps.push(q);
-        p50.push(percentile(&latencies, 0.50));
-        p95.push(percentile(&latencies, 0.95));
-        p99.push(percentile(&latencies, 0.99));
+        p50.push(percentile(&latencies, 50.0));
+        p95.push(percentile(&latencies, 95.0));
+        p99.push(percentile(&latencies, 99.0));
     }
     QpsRow {
         qps: stats_of(qps),

@@ -7,6 +7,17 @@ pub mod scenario;
 use awb::workload::{it_architecture, it_metamodel, ItScale};
 use awb::{Metamodel, Model, PropValue};
 
+/// Nearest-rank percentile (`p` in 0–100) over an ascending-sorted sample
+/// set: the smallest sample with at least `p`% of the set at or below it.
+/// Zero for an empty set.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
+
 /// A model+metamodel pair sized for an experiment.
 pub struct Workload {
     pub meta: Metamodel,

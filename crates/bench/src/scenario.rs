@@ -12,7 +12,7 @@
 //! the same operations against the same bytes.
 
 use crate::corpus::{xmark_auction, XmarkScale};
-use crate::it_workload;
+use crate::{it_workload, percentile};
 use docgen::batch::{generate_batch_with, BatchJob, CompiledPipeline, GeneratorKind};
 use docgen::{GenInputs, Template};
 use qsvc::{Client, Service, ServiceConfig};
@@ -123,15 +123,6 @@ impl ScenarioReport {
             .find(|r| r.class == class)
             .expect("every class appears in a report")
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample set.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 fn summarize(samples: Vec<(OpClass, f64)>, total_ms: f64) -> ScenarioReport {

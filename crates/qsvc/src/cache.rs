@@ -8,7 +8,7 @@
 //! * A plan is keyed by the **query text AND the full
 //!   [`EngineOptions::cache_key`](xquery::EngineOptions) fingerprint**. Two
 //!   tenants submitting byte-identical text under different engine
-//!   configurations (quirks mode, optimiser toggles, streaming) get two
+//!   configurations (quirks mode, optimiser toggles) get two
 //!   plans. Sharing across configs is how a quirks tenant's dead-code
 //!   elimination would leak into a strict tenant's results.
 //! * A document entry owns one [`TreeSnapshot`] `Arc`. Eviction drops *the

@@ -374,7 +374,6 @@ impl Connection {
             "optimize" => set_bool(value, &mut options.optimize),
             "static_typing" => set_bool(value, &mut options.static_typing),
             "runtime_opt" => set_bool(value, &mut options.runtime_opt),
-            "stream" => set_bool(value, &mut options.stream),
             "recursion_limit" => match value.parse::<usize>() {
                 Ok(n) => {
                     options.recursion_limit = n;

@@ -19,38 +19,54 @@ fn test_config() -> ServiceConfig {
     }
 }
 
-/// The same seven configurations the engine's differential suite runs:
-/// each as (name, OPTION verb settings, locally-built equivalent).
-fn seven_configs() -> Vec<(
-    &'static str,
-    Vec<(&'static str, &'static str)>,
-    EngineOptions,
-)> {
+/// One `OPTION name value` request.
+type OptionSetting = (&'static str, &'static str);
+
+/// The same six configurations the engine's differential suite runs:
+/// each as (name, OPTION verb settings, locally-built equivalent). The
+/// "on" configs set `runtime_opt` explicitly, so an exported `XQ_OPT=0`
+/// cannot fold them into their "off" twins.
+fn engine_configs() -> Vec<(&'static str, Vec<OptionSetting>, EngineOptions)> {
+    let on = EngineOptions {
+        runtime_opt: true,
+        ..Default::default()
+    };
     vec![
         (
             "standard",
-            vec![("preset", "default"), ("dup_attr_policy", "error")],
+            vec![
+                ("preset", "default"),
+                ("runtime_opt", "true"),
+                ("dup_attr_policy", "error"),
+            ],
             EngineOptions {
                 dup_attr_policy: DupAttrPolicy::Error,
-                ..Default::default()
+                ..on.clone()
             },
         ),
         (
             "galax-quirks",
-            vec![("preset", "galax")],
-            EngineOptions::galax(),
+            vec![("preset", "galax"), ("runtime_opt", "true")],
+            EngineOptions {
+                runtime_opt: true,
+                ..EngineOptions::galax()
+            },
         ),
         (
             "default",
-            vec![("preset", "default")],
-            EngineOptions::default(),
+            vec![("preset", "default"), ("runtime_opt", "true")],
+            on.clone(),
         ),
         (
             "unoptimized",
-            vec![("preset", "default"), ("optimize", "false")],
+            vec![
+                ("preset", "default"),
+                ("runtime_opt", "true"),
+                ("optimize", "false"),
+            ],
             EngineOptions {
                 optimize: false,
-                ..Default::default()
+                ..on.clone()
             },
         ),
         (
@@ -58,7 +74,7 @@ fn seven_configs() -> Vec<(
             vec![("preset", "default"), ("runtime_opt", "false")],
             EngineOptions {
                 runtime_opt: false,
-                ..Default::default()
+                ..on.clone()
             },
         ),
         (
@@ -71,15 +87,7 @@ fn seven_configs() -> Vec<(
             EngineOptions {
                 optimize: false,
                 runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "stream-off",
-            vec![("preset", "default"), ("stream", "false")],
-            EngineOptions {
-                stream: false,
-                ..Default::default()
+                ..on
             },
         ),
     ]
@@ -145,14 +153,14 @@ fn service_outcome(client: &mut Client, query: &str, with_doc: bool) -> Outcome 
 /// come back from the service byte-identical (result or error — code,
 /// position, message) to a fresh single-use engine. This is the direct
 /// "no cross-config plan leakage" proof: the same query texts flow through
-/// the one shared plan cache under all seven fingerprints.
+/// the one shared plan cache under all six fingerprints.
 #[test]
-fn seven_config_differential_through_the_service() {
+fn every_config_differential_through_the_service() {
     let service = Service::spawn(test_config()).unwrap();
     let mut loader = Client::connect(service.addr(), Some("loader")).unwrap();
     loader.load("doc", DOC).unwrap();
 
-    for (name, settings, options) in seven_configs() {
+    for (name, settings, options) in engine_configs() {
         let mut client = Client::connect(service.addr(), Some(name)).unwrap();
         let mut fingerprint = String::new();
         for (k, v) in settings {
@@ -177,7 +185,7 @@ fn seven_config_differential_through_the_service() {
     // grow by the uncacheable compile error (one per config), while every
     // other probe hits.
     let (_, misses_before, _, entries_before) = service.plan_cache_counters();
-    for (name, settings, _) in seven_configs() {
+    for (name, settings, _) in engine_configs() {
         let mut client = Client::connect(service.addr(), Some(name)).unwrap();
         for (k, v) in settings {
             client.set_option(k, v).unwrap();
@@ -193,11 +201,11 @@ fn seven_config_differential_through_the_service() {
     );
     assert_eq!(
         misses_after - misses_before,
-        7,
+        6,
         "only the compile-error query (never cached) may miss again, once per config"
     );
-    // Five cacheable queries under seven mutually distinct fingerprints.
-    assert_eq!(entries_after, 5 * 7, "one plan per (text, config) pair");
+    // Five cacheable queries under six mutually distinct fingerprints.
+    assert_eq!(entries_after, 5 * 6, "one plan per (text, config) pair");
 }
 
 /// The paper-motivated number: a service looping over a small hot set of
@@ -329,7 +337,10 @@ fn reload_and_option_change_remount_correctly() {
         "4",
         "the stale mount must be replaced after a re-LOAD"
     );
-    client.set_option("stream", "false").unwrap();
+    // The cursor runtime has no option of its own: `runtime_opt` owns it.
+    let gone = client.set_option("stream", "false").unwrap_err();
+    assert_eq!(gone.service().expect("structured error").code, "PROTO");
+    client.set_option("runtime_opt", "false").unwrap();
     assert_eq!(
         client.query("doc", "count(//item)").unwrap(),
         "4",

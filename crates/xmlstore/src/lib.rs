@@ -39,7 +39,7 @@ pub mod sym;
 pub use error::{XmlError, XmlErrorKind};
 pub use frozen::TreeSnapshot;
 pub use qname::QName;
-pub use store::{Descendants, NodeId, NodeKind, OrderKey, Store, StoreStats};
+pub use store::{Descendants, NameSpan, NodeId, NodeKind, OrderKey, Store, StoreStats};
 pub use sym::{intern, Sym};
 
 #[cfg(test)]

@@ -2229,77 +2229,6 @@ impl Store {
         Store::interval_slice(named, &ix.entries, e).to_vec()
     }
 
-    /// Streams the name-index candidates of
-    /// [`Store::descendant_elements_by_local`] through `visit` in document
-    /// order, without cloning the index range, stopping (and returning
-    /// `true`) as soon as the visitor returns `true`. Existence probes over
-    /// the index short-circuit this way instead of materialising the whole
-    /// candidate vector.
-    ///
-    /// The visitor runs while the index lock is held: it may read node data
-    /// (`kind`, `children`, `attributes`, plain axis walks) but must not
-    /// call back into any index-backed query, which would self-deadlock.
-    pub fn any_descendant_element_by_local(
-        &self,
-        scope: NodeId,
-        local: Sym,
-        mut visit: impl FnMut(NodeId) -> bool,
-    ) -> bool {
-        if let Some((m, pos)) = self.floc(scope) {
-            let mount = self.mount(m);
-            let end = mount.tree.recs[pos as usize].subtree_end;
-            let named = mount.tree.elements_by_local(local);
-            self.bump(&self.stats.arena_slice_scans);
-            return Store::pos_interval(named, pos, end)
-                .iter()
-                .any(|&p| visit(mount.ids[p as usize]));
-        }
-        let mut ix = self.index();
-        let e = self.ensure_entry(&mut ix, scope);
-        let Some(named) = ix
-            .trees
-            .get(&e.root)
-            .and_then(|t| t.elements_by_local.get(&local))
-        else {
-            return false;
-        };
-        Store::interval_slice(named, &ix.entries, e)
-            .iter()
-            .any(|&n| visit(n))
-    }
-
-    /// Streaming twin of [`Store::descendant_or_self_attributes_by_local`],
-    /// with the same visitor contract as
-    /// [`Store::any_descendant_element_by_local`].
-    pub fn any_descendant_or_self_attribute_by_local(
-        &self,
-        scope: NodeId,
-        local: Sym,
-        mut visit: impl FnMut(NodeId) -> bool,
-    ) -> bool {
-        if let Some((m, pos)) = self.floc(scope) {
-            let mount = self.mount(m);
-            let end = mount.tree.recs[pos as usize].subtree_end;
-            let named = mount.tree.attributes_by_local(local);
-            self.bump(&self.stats.arena_slice_scans);
-            return Store::pos_interval(named, pos, end)
-                .iter()
-                .any(|&p| visit(mount.ids[p as usize]));
-        }
-        let mut ix = self.index();
-        let e = self.ensure_entry(&mut ix, scope);
-        let Some(named) = ix
-            .trees
-            .get(&e.root)
-            .and_then(|t| t.attributes_by_local.get(&local))
-        else {
-            return false;
-        };
-        Store::interval_slice(named, &ix.entries, e)
-            .iter()
-            .any(|&n| visit(n))
-    }
-
     /// Attributes with local symbol `local` on `scope` or any descendant of
     /// it, in document order (the fused `//@name` lookup: attributes number
     /// inside their element's interval).
@@ -2323,41 +2252,34 @@ impl Store {
         Store::interval_slice(named, &ix.entries, e).to_vec()
     }
 
-    /// [`Store::descendant_elements_by_local`] with the full-QName test
-    /// pushed into the store: the frozen substrate answers from the per-tree
-    /// full-name map, so a match costs a map hit plus an interval copy — no
-    /// per-node record read or id round-trip through the slot table.
-    pub fn descendant_elements_by_name(&self, scope: NodeId, name: &QName) -> Vec<NodeId> {
+    /// The elements named `name` strictly below `scope` — or, with
+    /// `attributes`, the attributes named `name` on `scope` or below it — as
+    /// a window of the per-tree name index, in document order. On the frozen
+    /// substrate the window is two binary searches over the full-name map:
+    /// its length and any one entry cost no subtree walk and no id copy. The
+    /// thawed substrate copies the local-name interval once, filtered on the
+    /// full [`QName`].
+    pub fn name_span(&self, scope: NodeId, name: &QName, attributes: bool) -> NameSpan {
         if let Some((m, pos)) = self.floc(scope) {
-            let mount = self.mount(m);
-            let end = mount.tree.recs[pos as usize].subtree_end;
-            let named = mount.tree.elements_by_name(name);
+            let tree = &self.mount(m).tree;
+            let end = tree.recs[pos as usize].subtree_end;
+            let range = Store::pos_range(named_positions(tree, name, attributes), pos, end);
             self.bump(&self.stats.arena_slice_scans);
-            return mount.resolve_all(Store::pos_interval(named, pos, end));
+            return NameSpan(SpanSrc::Frozen {
+                mount: m,
+                lo: range.start as u32,
+                hi: range.end as u32,
+                name: *name,
+                attributes,
+            });
         }
-        let mut out = self.descendant_elements_by_local(scope, name.local_sym());
-        out.retain(|&d| self.name(d) == Some(name));
-        out
-    }
-
-    /// [`Store::descendant_or_self_attributes_by_local`] with the full-QName
-    /// test pushed into the store, mirroring
-    /// [`Store::descendant_elements_by_name`].
-    pub fn descendant_or_self_attributes_by_name(
-        &self,
-        scope: NodeId,
-        name: &QName,
-    ) -> Vec<NodeId> {
-        if let Some((m, pos)) = self.floc(scope) {
-            let mount = self.mount(m);
-            let end = mount.tree.recs[pos as usize].subtree_end;
-            let named = mount.tree.attributes_by_name(name);
-            self.bump(&self.stats.arena_slice_scans);
-            return mount.resolve_all(Store::pos_interval(named, pos, end));
-        }
-        let mut out = self.descendant_or_self_attributes_by_local(scope, name.local_sym());
-        out.retain(|&d| self.name(d) == Some(name));
-        out
+        let mut ids = if attributes {
+            self.descendant_or_self_attributes_by_local(scope, name.local_sym())
+        } else {
+            self.descendant_elements_by_local(scope, name.local_sym())
+        };
+        ids.retain(|&d| self.name(d) == Some(name));
+        NameSpan(SpanSrc::Thawed(ids))
     }
 
     /// Elements strictly below `scope` carrying an attribute whose name has
@@ -2428,9 +2350,13 @@ impl Store {
     /// `scope_pos+1 .. scope_end`. The scope's own attributes sit in that
     /// range, which is exactly what the attribute queries want.
     fn pos_interval(named: &[u32], scope_pos: u32, scope_end: u32) -> &[u32] {
+        &named[Store::pos_range(named, scope_pos, scope_end)]
+    }
+
+    /// The index range [`Store::pos_interval`] slices.
+    fn pos_range(named: &[u32], scope_pos: u32, scope_end: u32) -> std::ops::Range<usize> {
         let start = named.partition_point(|&p| p <= scope_pos);
-        let end = start + named[start..].partition_point(|&p| p < scope_end);
-        &named[start..end]
+        start..start + named[start..].partition_point(|&p| p < scope_end)
     }
 
     // ------------------------------------------------------------------
@@ -2536,6 +2462,90 @@ impl Iterator for Descendants<'_> {
 pub struct OrderKey {
     root: NodeId,
     pre: u32,
+}
+
+/// See [`Store::name_span`]: a document-ordered window of one name in one
+/// tree's name index.
+#[derive(Debug, Clone)]
+pub struct NameSpan(SpanSrc);
+
+#[derive(Debug, Clone)]
+enum SpanSrc {
+    /// Entries `lo..hi` of a mount's per-name position list.
+    Frozen {
+        mount: u32,
+        lo: u32,
+        hi: u32,
+        name: QName,
+        attributes: bool,
+    },
+    Thawed(Vec<NodeId>),
+}
+
+/// A frozen tree's ascending positions of the elements (or attributes)
+/// with the full name `name`.
+fn named_positions<'t>(tree: &'t FrozenTree, name: &QName, attributes: bool) -> &'t [u32] {
+    if attributes {
+        tree.attributes_by_name(name)
+    } else {
+        tree.elements_by_name(name)
+    }
+}
+
+impl NameSpan {
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            SpanSrc::Frozen { lo, hi, .. } => (hi - lo) as usize,
+            SpanSrc::Thawed(ids) => ids.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th node of the window, resolving just that one id.
+    pub fn get(&self, store: &Store, i: usize) -> Option<NodeId> {
+        match &self.0 {
+            SpanSrc::Frozen {
+                mount,
+                lo,
+                hi,
+                name,
+                attributes,
+            } => {
+                let at = *lo as usize + i;
+                if at >= *hi as usize {
+                    return None;
+                }
+                let mount = store.mount(*mount);
+                let pos = named_positions(&mount.tree, name, *attributes)[at];
+                Some(match mount.contig_base {
+                    Some(base) => NodeId(base + pos),
+                    None => mount.ids[pos as usize],
+                })
+            }
+            SpanSrc::Thawed(ids) => ids.get(i).copied(),
+        }
+    }
+
+    /// Every node of the window, in document order.
+    pub fn nodes(self, store: &Store) -> Vec<NodeId> {
+        match self.0 {
+            SpanSrc::Frozen {
+                mount,
+                lo,
+                hi,
+                name,
+                attributes,
+            } => {
+                let mount = store.mount(mount);
+                let named = named_positions(&mount.tree, &name, attributes);
+                mount.resolve_all(&named[lo as usize..hi as usize])
+            }
+            SpanSrc::Thawed(ids) => ids,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2951,6 +2961,52 @@ mod tests {
         // The detached subtree is a tree of its own now and still finds its
         // own item (fresh numbering, fresh value map).
         assert_eq!(s.elements_with_attr_value(wrapper, k, "v"), vec![gone]);
+    }
+
+    #[test]
+    fn name_span_matches_a_walk_on_both_substrates() {
+        let xml = "<r k='0'><a k='1' p:k='2'><p:a k='3'/><a/></a><b k='4'/></r>";
+        for thaw in [false, true] {
+            let mut s = Store::new();
+            let doc = s
+                .parse_str(xml, &crate::parser::ParseOptions::default())
+                .unwrap();
+            if thaw {
+                s.thaw(doc);
+            }
+            assert_eq!(s.is_frozen(doc), !thaw);
+            let root = s.child_elements(doc)[0];
+            let names = [
+                QName::from("a"),
+                QName::prefixed("p", "a"),
+                QName::from("k"),
+            ];
+            for scope in [doc, root, s.child_elements(root)[0]] {
+                for name in &names {
+                    for attributes in [false, true] {
+                        // Elements strictly below the scope; attributes on
+                        // the scope itself or below it.
+                        let mut want: Vec<NodeId> = Vec::new();
+                        for n in std::iter::once(scope).chain(s.descendants_iter(scope)) {
+                            if attributes {
+                                want.extend(
+                                    s.attributes(n).iter().filter(|&&a| s.name(a) == Some(name)),
+                                );
+                            } else if n != scope && s.is_element(n) && s.name(n) == Some(name) {
+                                want.push(n);
+                            }
+                        }
+                        let span = s.name_span(scope, name, attributes);
+                        assert_eq!(span.len(), want.len(), "{name:?} attrs={attributes}");
+                        let got: Vec<NodeId> =
+                            (0..span.len()).map(|i| span.get(&s, i).unwrap()).collect();
+                        assert_eq!(got, want, "{name:?} attrs={attributes} thaw={thaw}");
+                        assert_eq!(span.get(&s, want.len()), None);
+                        assert_eq!(span.nodes(&s), want);
+                    }
+                }
+            }
+        }
     }
 
     /// Index-free reference for [`Store::descendant_elements_by_local`].

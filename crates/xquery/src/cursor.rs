@@ -1,13 +1,12 @@
 //! The pull-based cursor runtime: streaming evaluation of qualifying path
 //! expressions, one item per `next()` call, no intermediate sequences.
 //!
-//! PR 4's "streamed existence" special case proved that a depth-first walk
-//! can answer `exists(//a/b)` without materialising any step. This module
-//! generalises that one-off into a protocol the runner ([`crate::run`])
-//! evaluates whole consumer positions against: `for $x in PATH` pulls
-//! bindings, `count(PATH)` pulls and discards, `subsequence(PATH, 2, 3)`
-//! and `(//item)[3]` stop pulling as soon as the prefix they need is out,
-//! and `PATH = v` stops at the first comparison hit.
+//! The runner ([`crate::run`]) evaluates whole consumer positions against
+//! this protocol: `exists(PATH)` (and every EBV position) is one pull,
+//! `for $x in PATH` pulls bindings, `count(PATH)` pulls and discards,
+//! `subsequence(PATH, 2, 3)` and `(//item)[3]` stop pulling as soon as the
+//! prefix they need is out, and `PATH = v` stops at the first comparison
+//! hit.
 //!
 //! ## Which paths stream
 //!
@@ -32,6 +31,11 @@
 //! a whole sequence at once (sorting, set operations, general `=` against
 //! a multi-item side) call [`PathCursor::materialize`].
 //!
+//! A lone predicate-free `//name` or `//@name` step does not walk at all:
+//! the cursor reads the store's per-tree name index
+//! ([`Store::name_span`]), so `count` is the window's length and existence
+//! is its first entry.
+//!
 //! ## The step NFA
 //!
 //! A `//`-step may consume context nodes at any depth, so one tree node can
@@ -54,8 +58,8 @@
 //! consumer work (a FLWOR `return`, a quantifier body) is unobservable, and
 //! abandoning a cursor early changes no output, no error, and no trace.
 //! The differential corpus pins this under every engine config, including
-//! the `XQ_STREAM=0` mirror that forces every consumer back onto the
-//! materialised evaluator.
+//! `runtime_opt: false` (`XQ_OPT=0`), which forces every consumer back onto
+//! the materialised evaluator.
 
 use crate::ast::{Axis, CmpOp};
 use crate::functions::Builtin;
@@ -63,30 +67,40 @@ use crate::lower::{LExpr, LNodeTest, LPathStep};
 use crate::obs::EvalStats;
 use crate::run::node_test_matches;
 use crate::value::{Atomic, Item, Sequence};
-use xmlstore::{NodeId, NodeKind, Store};
+use xmlstore::{NameSpan, NodeId, NodeKind, QName, Store};
 
 /// Positional bounds stay far below 2^53 so the generic predicate rule
 /// (`predicate_outcome` compares positions as `f64`) and the streamed
 /// counter comparison (exact `i64`) cannot disagree on any reachable
 /// position.
-const MAX_POS_LITERAL: i64 = 1 << 50;
+const MAX_POS_LITERAL: u64 = 1 << 50;
 
 /// More steps than `avail` has bits; no real query gets close.
 const MAX_STEPS: usize = 48;
 
-/// One step of a classified streamable chain.
-struct PlanStep<'p> {
-    test: &'p LNodeTest,
-    double_slash: bool,
+/// An integer literal within the positional bound — the only window or
+/// position argument the cursor consumers take over (the generic dispatch
+/// goes through `f64`, which is exact here).
+pub(crate) fn int_literal(e: &LExpr) -> Option<i64> {
+    match e {
+        LExpr::Literal(Atomic::Int(n)) if n.unsigned_abs() <= MAX_POS_LITERAL => Some(*n),
+        _ => None,
+    }
 }
 
-/// A step chain admitted for streaming: the per-step node tests, whether
-/// the final step runs on the attribute axis, and its positional predicate
-/// (as a comparison the per-origin match counter is checked against).
+/// A step chain admitted for streaming: the steps themselves, whether the
+/// final step runs on the attribute axis, its positional predicate (as a
+/// comparison the per-origin match counter is checked against), which
+/// steps are `//` abbreviations, and — for a lone predicate-free `//name`
+/// or `//@name` step — the name the store's index answers.
 pub(crate) struct StreamPlan<'p> {
-    steps: Vec<PlanStep<'p>>,
+    steps: &'p [LPathStep],
     attr_final: bool,
     pos: Option<(CmpOp, i64)>,
+    /// Bit `j` set: `steps[j]` is a `//` abbreviation, so its context bit
+    /// is inherited by every frame below the one that owns it.
+    ds_mask: u64,
+    name_index: Option<QName>,
 }
 
 impl StreamPlan<'_> {
@@ -95,29 +109,33 @@ impl StreamPlan<'_> {
     pub(crate) fn has_positional(&self) -> bool {
         self.pos.is_some()
     }
-}
 
-/// Per-step streamability, computed once at lowering time and stored on
-/// [`LPathStep::streamable`]: could this step appear *somewhere* in a
-/// streamable chain? [`classify_steps`] re-checks the position-dependent
-/// constraints (only the final step may sit on the attribute axis or carry
-/// the positional predicate), so the flag is a cheap hint that can never
-/// admit a chain the authoritative classification rejects.
-pub(crate) fn step_streamable(expr: &LExpr) -> bool {
-    let LExpr::AxisStep {
-        axis, predicates, ..
-    } = expr
-    else {
-        return false;
-    };
-    match axis {
-        Axis::Child | Axis::Attribute => {}
-        _ => return false,
+    /// Is this a lone `//name` / `//@name` step read from the name index?
+    pub(crate) fn reads_name_index(&self) -> bool {
+        self.name_index.is_some()
     }
-    match predicates.as_slice() {
-        [] => true,
-        [p] => positional_predicate(p).is_some(),
-        _ => false,
+
+    /// Does the per-origin match counter satisfy the positional predicate?
+    fn pos_ok(&self, cnt: i64) -> bool {
+        match self.pos {
+            None => true,
+            Some((op, n)) => match op {
+                CmpOp::Eq => cnt == n,
+                CmpOp::Ne => cnt != n,
+                CmpOp::Lt => cnt < n,
+                CmpOp::Le => cnt <= n,
+                CmpOp::Gt => cnt > n,
+                CmpOp::Ge => cnt >= n,
+            },
+        }
+    }
+
+    /// The node test of `steps[j]` (every admitted step is an axis step).
+    fn test(&self, j: usize) -> &LNodeTest {
+        match &self.steps[j].expr {
+            LExpr::AxisStep { test, .. } => test,
+            _ => unreachable!("classify_steps admits only axis steps"),
+        }
     }
 }
 
@@ -129,12 +147,6 @@ pub(crate) fn step_streamable(expr: &LExpr) -> bool {
 /// trace-free singleton comparison, so evaluating it as a counter check is
 /// unobservable.
 pub(crate) fn positional_predicate(pred: &LExpr) -> Option<(CmpOp, i64)> {
-    fn int_literal(e: &LExpr) -> Option<i64> {
-        match e {
-            LExpr::Literal(Atomic::Int(n)) if n.abs() <= MAX_POS_LITERAL => Some(*n),
-            _ => None,
-        }
-    }
     fn is_position_call(e: &LExpr) -> bool {
         matches!(
             e,
@@ -156,7 +168,7 @@ pub(crate) fn positional_predicate(pred: &LExpr) -> Option<(CmpOp, i64)> {
         }
     }
     match pred {
-        LExpr::Literal(Atomic::Int(n)) if n.abs() <= MAX_POS_LITERAL => Some((CmpOp::Eq, *n)),
+        LExpr::Literal(_) => int_literal(pred).map(|n| (CmpOp::Eq, n)),
         LExpr::GeneralCmp(op, l, r) | LExpr::ValueCmp(op, l, r) => {
             if is_position_call(l) {
                 int_literal(r).map(|n| (*op, n))
@@ -173,20 +185,22 @@ pub(crate) fn positional_predicate(pred: &LExpr) -> Option<(CmpOp, i64)> {
 /// Admits a step chain for streaming, or `None` for the materialised
 /// evaluator. This is the authoritative gate — the runner, the
 /// `explain()` annotations, and the lopt plan stats all call it, so the
-/// plan a user reads matches what the runner does.
+/// plan a user reads matches what the runner does. It allocates nothing:
+/// existence checks call it on every evaluation.
 pub(crate) fn classify_steps(steps: &[LPathStep]) -> Option<StreamPlan<'_>> {
     if steps.is_empty() || steps.len() > MAX_STEPS {
         return None;
     }
-    if !steps.iter().all(|s| s.streamable) {
-        return None;
-    }
     let (last, init) = steps.split_last().expect("non-empty");
-    let mut plan = Vec::with_capacity(steps.len());
+    let mut ds_mask = 0u64;
+    for (j, s) in steps.iter().enumerate() {
+        if s.double_slash {
+            ds_mask |= 1 << j;
+        }
+    }
     for s in init {
         let LExpr::AxisStep {
             axis: Axis::Child,
-            test,
             predicates,
             ..
         } = &s.expr
@@ -196,10 +210,6 @@ pub(crate) fn classify_steps(steps: &[LPathStep]) -> Option<StreamPlan<'_>> {
         if !predicates.is_empty() {
             return None;
         }
-        plan.push(PlanStep {
-            test,
-            double_slash: s.double_slash,
-        });
     }
     let LExpr::AxisStep {
         axis,
@@ -220,14 +230,16 @@ pub(crate) fn classify_steps(steps: &[LPathStep]) -> Option<StreamPlan<'_>> {
         [p] => Some(positional_predicate(p)?),
         _ => return None,
     };
-    plan.push(PlanStep {
-        test,
-        double_slash: last.double_slash,
-    });
+    let name_index = match (init, test, pos) {
+        ([], LNodeTest::Name(name), None) if last.double_slash => Some(*name),
+        _ => None,
+    };
     Some(StreamPlan {
-        steps: plan,
+        steps,
         attr_final,
         pos,
+        ds_mask,
+        name_index,
     })
 }
 
@@ -262,6 +274,20 @@ impl DfsFrame {
     }
 }
 
+/// Where the cursor's items come from.
+enum Walk {
+    /// A pre-order walk: the start node's frame sits inline in `root`, and
+    /// only descents below it push onto `stack` — so a one-level walk
+    /// (`$n/a`, `$n/@a`, the common existence shapes) never touches the
+    /// heap. `root` is `None` once the walk is exhausted.
+    Dfs {
+        root: Option<DfsFrame>,
+        stack: Vec<DfsFrame>,
+    },
+    /// A name-index window and the next entry to hand out.
+    Index { span: NameSpan, next: usize },
+}
+
 /// A pull-based cursor over one streamable path from one start node.
 /// `next()` emits result nodes in document order, each exactly once;
 /// [`materialize`](PathCursor::materialize) drains into a sequence for
@@ -269,116 +295,58 @@ impl DfsFrame {
 /// records an abandoned (non-exhausted) walk in the stats.
 pub(crate) struct PathCursor<'p> {
     plan: StreamPlan<'p>,
-    /// Bit `j` set: `steps[j]` is a `//` abbreviation, so its context bit
-    /// is inherited by every frame below the one that owns it.
-    ds_mask: u64,
-    /// `1 << (k - 1)`: the context bit the final step consumes.
-    final_bit: u64,
-    stack: Vec<DfsFrame>,
+    walk: Walk,
 }
 
 impl<'p> PathCursor<'p> {
-    pub(crate) fn new(plan: StreamPlan<'p>, start: NodeId) -> PathCursor<'p> {
-        let mut ds_mask = 0u64;
-        for (j, s) in plan.steps.iter().enumerate() {
-            if s.double_slash {
-                ds_mask |= 1 << j;
+    pub(crate) fn new(
+        plan: StreamPlan<'p>,
+        start: NodeId,
+        store: &Store,
+        stats: &mut EvalStats,
+    ) -> PathCursor<'p> {
+        let walk = match &plan.name_index {
+            Some(name) => {
+                stats.index_hits += 1;
+                Walk::Index {
+                    span: store.name_span(start, name, plan.attr_final),
+                    next: 0,
+                }
             }
-        }
-        let final_bit = 1u64 << (plan.steps.len() - 1);
-        PathCursor {
-            plan,
-            ds_mask,
-            final_bit,
-            stack: vec![DfsFrame::new(start, 1)],
-        }
-    }
-
-    /// Does the per-origin match counter satisfy the positional predicate?
-    fn pos_ok(&self, cnt: i64) -> bool {
-        match self.plan.pos {
-            None => true,
-            Some((op, n)) => match op {
-                CmpOp::Eq => cnt == n,
-                CmpOp::Ne => cnt != n,
-                CmpOp::Lt => cnt < n,
-                CmpOp::Le => cnt <= n,
-                CmpOp::Gt => cnt > n,
-                CmpOp::Ge => cnt >= n,
+            None => Walk::Dfs {
+                root: Some(DfsFrame::new(start, 1)),
+                stack: Vec::new(),
             },
-        }
+        };
+        PathCursor { plan, walk }
     }
 
     /// The next result node in document order, or `None` when the walk is
     /// exhausted. Infallible and effect-free — see the module contract.
     pub(crate) fn next(&mut self, store: &Store, stats: &mut EvalStats) -> Option<Item> {
-        let k = self.plan.steps.len();
-        let child_steps = if self.plan.attr_final { k - 1 } else { k };
-        loop {
-            let top = self.stack.len().checked_sub(1)?;
-            // Attribute phase first: an element's attributes precede its
-            // children in document order.
-            if self.plan.attr_final && !self.stack[top].attrs_done {
-                if self.stack[top].avail & self.final_bit != 0 {
-                    loop {
-                        let (node, i) = {
-                            let f = &self.stack[top];
-                            (f.node, f.next_attr as usize)
-                        };
-                        let Some(&a) = store.nth_attribute(node, i) else {
-                            break;
-                        };
-                        self.stack[top].next_attr += 1;
-                        let test = self.plan.steps[k - 1].test;
-                        if node_test_matches(test, Axis::Attribute, a, store) {
-                            self.stack[top].matched += 1;
-                            if self.pos_ok(self.stack[top].matched) {
-                                stats.items_streamed += 1;
-                                return Some(Item::Node(a));
-                            }
-                        }
-                    }
-                }
-                self.stack[top].attrs_done = true;
+        let node = match &mut self.walk {
+            Walk::Index { span, next } => {
+                let n = span.get(store, *next)?;
+                *next += 1;
+                n
             }
-            let (node, avail, i) = {
-                let f = &self.stack[top];
-                (f.node, f.avail, f.next_child as usize)
-            };
-            let Some(&c) = store.nth_child(node, i) else {
-                self.stack.pop();
-                continue;
-            };
-            self.stack[top].next_child += 1;
-            let mut child_avail = avail & self.ds_mask;
-            let mut emits = false;
-            for (j, step) in self.plan.steps[..child_steps].iter().enumerate() {
-                if avail & (1 << j) != 0 && node_test_matches(step.test, Axis::Child, c, store) {
-                    if j + 1 == k {
-                        emits = true;
-                    } else {
-                        child_avail |= 1 << (j + 1);
-                    }
-                }
-            }
-            let mut out = None;
-            if emits {
-                self.stack[top].matched += 1;
-                if self.pos_ok(self.stack[top].matched) {
-                    out = Some(Item::Node(c));
-                }
-            }
-            // Descend only where some step can still consume: push before
-            // returning so the emitted node's subtree is scanned next
-            // (pre-order = document order).
-            if child_avail != 0 && matches!(store.kind(c), NodeKind::Element(_)) {
-                self.stack.push(DfsFrame::new(c, child_avail));
-            }
-            if let Some(item) = out {
-                stats.items_streamed += 1;
-                return Some(item);
-            }
+            Walk::Dfs { root, stack } => dfs_next(&self.plan, root, stack, store)?,
+        };
+        stats.items_streamed += 1;
+        Some(Item::Node(node))
+    }
+
+    /// Drains the remaining walk and returns how many items it held. A
+    /// name-index window answers with its length, resolving no ids.
+    pub(crate) fn count(mut self, store: &Store, stats: &mut EvalStats) -> usize {
+        if let Walk::Index { span, next } = &self.walk {
+            return span.len() - next;
         }
+        let mut n = 0;
+        while self.next(store, stats).is_some() {
+            n += 1;
+        }
+        n
     }
 
     /// Drains the remaining walk into a sequence — the escape hatch for
@@ -392,12 +360,86 @@ impl<'p> PathCursor<'p> {
     }
 
     /// Records an abandoned walk: the consumer decided it needs no more
-    /// items while the cursor still had frames to scan. Deterministic for a
-    /// given (program, store) pair, so it is safe to compare across worker
-    /// counts like every other counter.
+    /// items while the cursor still had frames (or index entries) left.
+    /// Deterministic for a given (program, store) pair, so it is safe to
+    /// compare across worker counts like every other counter.
     pub(crate) fn finish_early(&self, stats: &mut EvalStats) {
-        if !self.stack.is_empty() {
+        let live = match &self.walk {
+            Walk::Dfs { root, .. } => root.is_some(),
+            Walk::Index { span, next } => *next < span.len(),
+        };
+        if live {
             stats.cursor_early_exits += 1;
+        }
+    }
+}
+
+/// One step of the pre-order walk: the next node the plan emits. The
+/// frame being scanned is the top of `stack`, or `root` once the stack is
+/// empty.
+fn dfs_next(
+    plan: &StreamPlan,
+    root: &mut Option<DfsFrame>,
+    stack: &mut Vec<DfsFrame>,
+    store: &Store,
+) -> Option<NodeId> {
+    let k = plan.steps.len();
+    let final_bit = 1u64 << (k - 1);
+    let child_steps = if plan.attr_final { k - 1 } else { k };
+    loop {
+        let f = match stack.last_mut() {
+            Some(f) => f,
+            None => root.as_mut()?,
+        };
+        // Attribute phase first: an element's attributes precede its
+        // children in document order.
+        if plan.attr_final && !f.attrs_done {
+            if f.avail & final_bit != 0 {
+                while let Some(&a) = store.nth_attribute(f.node, f.next_attr as usize) {
+                    f.next_attr += 1;
+                    if node_test_matches(plan.test(k - 1), Axis::Attribute, a, store) {
+                        f.matched += 1;
+                        if plan.pos_ok(f.matched) {
+                            return Some(a);
+                        }
+                    }
+                }
+            }
+            f.attrs_done = true;
+        }
+        let Some(&c) = store.nth_child(f.node, f.next_child as usize) else {
+            if stack.pop().is_none() {
+                *root = None;
+            }
+            continue;
+        };
+        f.next_child += 1;
+        let mut child_avail = f.avail & plan.ds_mask;
+        let mut emits = false;
+        for j in 0..child_steps {
+            if f.avail & (1 << j) != 0 && node_test_matches(plan.test(j), Axis::Child, c, store) {
+                if j + 1 == k {
+                    emits = true;
+                } else {
+                    child_avail |= 1 << (j + 1);
+                }
+            }
+        }
+        let mut out = None;
+        if emits {
+            f.matched += 1;
+            if plan.pos_ok(f.matched) {
+                out = Some(c);
+            }
+        }
+        // Descend only where some step can still consume: push before
+        // returning so the emitted node's subtree is scanned next
+        // (pre-order = document order).
+        if child_avail != 0 && matches!(store.kind(c), NodeKind::Element(_)) {
+            stack.push(DfsFrame::new(c, child_avail));
+        }
+        if out.is_some() {
+            return out;
         }
     }
 }

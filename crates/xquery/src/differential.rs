@@ -434,9 +434,9 @@ fn join_corpus_matches_reference_unoptimized() {
 
 #[test]
 fn all_corpora_match_reference_with_runtime_opt_off() {
-    // The same three corpora with the lowered-plan optimiser forced off:
-    // no hoisting, no hash join, no streamed existence — the plain lowered
-    // program must still match the walker everywhere.
+    // Every corpus with the runtime optimiser forced off: no hoisting, no
+    // hash join, no cursor — every consumer materialises eagerly, and the
+    // plain lowered program must still match the walker everywhere.
     let mut e = Engine::with_options(EngineOptions {
         runtime_opt: false,
         ..Default::default()
@@ -445,6 +445,8 @@ fn all_corpora_match_reference_with_runtime_opt_off() {
         (DOC, CORPUS),
         (DEEP_DOC, AXIS_CORPUS),
         (JOIN_DOC, JOIN_CORPUS),
+        (STREAM_DOC, STREAM_CORPUS),
+        (CURSOR_DOC, CURSOR_CORPUS),
     ] {
         let doc = e.load_document(doc_xml).unwrap();
         for src in corpus {
@@ -529,6 +531,67 @@ const STREAM_CORPUS: &[&str] = &[
     "for $i in //item return (trace('t=', string($i/@k)), $i/@k idiv 2)",
     "(for $i in //item return trace('w=', string($i/@k)))[2]",
     "some $i in //item satisfies ($i/@k idiv 2) = 0",
+    // An `i64::MIN` position folds to one literal whose magnitude no i64
+    // holds: every positional consumer must refuse it, not overflow.
+    "(//item)[-9223372036854775807 - 1]",
+    "//item[-9223372036854775807 - 1]",
+    "subsequence(//item, -9223372036854775807 - 1, 3)",
+];
+
+/// A document for the shapes existence and name-index counts take on the
+/// cursor: prefixed element and attribute names next to unprefixed ones
+/// with the same local part (the thawed substrate's name index is keyed
+/// by local name), and elements that carry their own `k` above
+/// descendants that carry one too.
+const CURSOR_DOC: &str = "<r k='root'>\
+    <x:item k='p' x:k='q'><item k='in'/></x:item>\
+    <item k='a'><item k='b'/><x:item x:k='r'/></item>\
+    <gap/>\
+</r>";
+
+/// Existence over single-node, multi-node, atomic and empty starts;
+/// `//@k` from an element with its own `k`; prefixed name tests; and every
+/// existence consumer (`exists`, `empty`, `boolean`, `not`, EBV).
+const CURSOR_CORPUS: &[&str] = &[
+    // Single-node starts: one cursor pull.
+    "exists(/r/item/item)",
+    "empty(/r/item/@k)",
+    "boolean(//item/@zz)",
+    "not(/r/gap/item)",
+    "if (//gap) then 'y' else 'n'",
+    "for $i in //item where $i/item return string($i/@k)",
+    // Multi-node starts finish on the materialised loop.
+    "let $s := //item return exists($s/item)",
+    "let $s := //item return (empty($s/@k), boolean($s/missing), not($s//@x:k))",
+    "let $s := /r/* return if ($s/item) then count($s//item) else -1",
+    "for $i in 1 to 2 let $s := //item where $s/@k return $i",
+    // Atomic starts raise XPTY0019 with the step's position.
+    "let $a := 'x' return exists($a/item)",
+    "let $a := (1, 2) return empty($a/@k)",
+    "let $a := (//item)[1] return boolean(($a, 1)/item)",
+    "let $a := (1, 2) return exists($a//item)",
+    "let $a := 3 return count($a//@k)",
+    // Empty starts.
+    "let $e := () return (exists($e/item), empty($e//@k), count($e//item))",
+    "let $e := //missing return (boolean($e/item), not($e//item))",
+    // `//@k` from elements carrying their own `k`.
+    "count(/r//@k)",
+    "exists(/r//@k)",
+    "let $i := (//item)[2] return (count($i//@k), string-join(for $a in $i//@k return string($a), ','))",
+    "for $i in //item return count($i//@k)",
+    "(/r//@k)[1]",
+    "count((//@k)[1]//@k)",
+    // Prefixed name tests against the local-name index.
+    "count(//x:item)",
+    "count(//item)",
+    "exists(//x:item)",
+    "count(//@x:k)",
+    "empty(//@y:k)",
+    "count(//y:item)",
+    "for $i in //x:item return string($i/@k)",
+    "string-join(for $a in //@x:k return string($a), ',')",
+    "subsequence(//x:item, 2, 1)",
+    "(//@k)[3]",
 ];
 
 #[test]
@@ -565,37 +628,17 @@ fn stream_corpus_matches_reference_unoptimized() {
 }
 
 #[test]
-fn all_corpora_match_reference_with_stream_off() {
-    // The `XQ_OPT=0` mirror for the cursor runtime: every corpus with
-    // streaming forced off must match the walker — and, via the
-    // `stream-off` entry in `engine_configs()`, byte-match the streamed
-    // run everywhere else in this file.
-    let mut e = Engine::with_options(EngineOptions {
-        stream: false,
-        ..Default::default()
-    });
-    for (doc_xml, corpus) in [
-        (DOC, CORPUS),
-        (DEEP_DOC, AXIS_CORPUS),
-        (JOIN_DOC, JOIN_CORPUS),
-        (STREAM_DOC, STREAM_CORPUS),
-    ] {
-        let doc = e.load_document(doc_xml).unwrap();
-        for src in corpus {
-            assert_equivalent(&mut e, src, Some(doc)).unwrap();
-        }
-    }
-}
-
-#[test]
 fn stream_corpus_streamed_and_materialised_traces_are_identical() {
     // Beyond walker equivalence: the streamed lowered run and the
-    // stream-off lowered run must produce the same display output AND the
-    // same `fn:trace` event order, with the streamed side never
+    // `runtime_opt: false` lowered run must produce the same display output
+    // AND the same `fn:trace` event order, with the streamed side never
     // allocating more than the materialised side.
-    let mut on = Engine::new();
+    let mut on = Engine::with_options(EngineOptions {
+        runtime_opt: true,
+        ..Default::default()
+    });
     let mut off = Engine::with_options(EngineOptions {
-        stream: false,
+        runtime_opt: false,
         ..Default::default()
     });
     let doc_on = on.load_document(STREAM_DOC).unwrap();
@@ -631,8 +674,8 @@ fn stream_corpus_streamed_and_materialised_traces_are_identical() {
             on.last_stats().items_allocated,
             off.last_stats().items_allocated
         );
-        for (name, value) in off.last_stats().stream_counters() {
-            assert_eq!(value, 0, "counter {name} must be zero with streaming off");
+        for (name, value) in off.last_stats().opt_counters() {
+            assert_eq!(value, 0, "counter {name} must be zero with runtime_opt off");
         }
     }
 }
@@ -1089,7 +1132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random streamable paths, wrapped in every cursor-served consumer,
-    /// against a force-materialised twin (`stream: false`): the displayed
+    /// against a force-materialised twin (`runtime_opt: false`): the displayed
     /// value must be identical and the streamed run must never allocate
     /// more items than the materialised one — the cursor is a pure
     /// evaluation-order change, visible only in the counters.
@@ -1108,9 +1151,12 @@ proptest! {
             4 => format!("for $i in {path} return string($i)"),
             _ => format!("some $i in {path} satisfies string-length(string($i)) > {l}"),
         };
-        let mut on = Engine::new();
+        let mut on = Engine::with_options(EngineOptions {
+            runtime_opt: true,
+            ..Default::default()
+        });
         let mut off = Engine::with_options(EngineOptions {
-            stream: false,
+            runtime_opt: false,
             ..Default::default()
         });
         let doc_on = on.load_document(STREAM_DOC).unwrap();
@@ -1130,8 +1176,8 @@ proptest! {
             on.last_stats().items_allocated,
             off.last_stats().items_allocated
         );
-        for (name, value) in off.last_stats().stream_counters() {
-            prop_assert_eq!(value, 0, "counter {} must be zero with streaming off", name);
+        for (name, value) in off.last_stats().opt_counters() {
+            prop_assert_eq!(value, 0, "counter {} must be zero with runtime_opt off", name);
         }
     }
 
@@ -1221,9 +1267,9 @@ use crate::engine::{CompiledQuery, DupAttrPolicy, StackPool};
 use std::sync::Arc;
 
 /// The engine configurations the serial corpus tests above run under, plus
-/// the three opt-out variants: AST optimizer off, the lowered-plan passes
-/// (hoisting, hash join, streamed existence) off, and the cursor runtime
-/// off (everything materialises eagerly, the `XQ_STREAM=0` shape).
+/// the opt-out variants: AST optimizer off, the runtime optimiser
+/// (hoisting, hash join, cursor runtime) off so everything materialises
+/// eagerly, and both off.
 fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
     vec![
         (
@@ -1257,13 +1303,6 @@ fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
                 ..Default::default()
             },
         ),
-        (
-            "stream-off",
-            EngineOptions {
-                stream: false,
-                ..Default::default()
-            },
-        ),
     ]
 }
 
@@ -1283,6 +1322,9 @@ fn corpus_cases() -> Vec<(Option<&'static str>, &'static str)> {
     }
     for src in STREAM_CORPUS {
         cases.push((Some(STREAM_DOC), *src));
+    }
+    for src in CURSOR_CORPUS {
+        cases.push((Some(CURSOR_DOC), *src));
     }
     for src in XMARK_CORPUS {
         cases.push((Some(xmark_mini_doc()), *src));
@@ -1380,6 +1422,12 @@ const EDIT_CORPUS: &[&str] = &[
     "string-join(//author, \",\")",
     "//book[position() = last()]/title/string(.)",
     "if (//note) then \"has\" else \"none\"",
+    "exists(//note)",
+    "empty(/lib/note)",
+    "count(//author)",
+    "count(//@year)",
+    "exists(//book/@year)",
+    "for $b in //book where $b/author return count($b//@year)",
 ];
 
 /// Runs the scripted edit/query interleaving: each step mutates the live

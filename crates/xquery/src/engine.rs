@@ -63,29 +63,22 @@ pub struct EngineOptions {
     /// single-query path observably identical to the pre-pool engine; batch
     /// drivers ([`StackPool::run_batch`]) raise this to overlap documents.
     pub eval_workers: usize,
-    /// Enable the lowered-program optimisation layer: the loop-invariant
-    /// hoisting pass over the lowered [`Program`], the hash-join existential
-    /// general comparison, and the streaming existence short-circuits in the
-    /// runner. All of these are gated rewrites that must be observably
-    /// identical to the plain paths (the differential suite runs with this
-    /// both on and off); the flag exists so CI can pin that claim and so a
-    /// regression can be bisected at runtime. Defaults to `true`; setting
-    /// the `XQ_OPT=0` environment variable forces it off. Distinct from
-    /// [`EngineOptions::optimize`], which is the paper-faithful *AST*
-    /// optimizer whose quirks-mode trace-DCE is itself under test.
+    /// Enable the runtime optimisation layer: the loop-invariant hoisting
+    /// pass over the lowered [`Program`], the hash join and hashed
+    /// existential general comparison, literal positional picks, and the
+    /// pull-based cursor runtime ([`crate::cursor`]) — existence checks,
+    /// FLWOR `for` bindings, quantifiers, positional filters, and the
+    /// prefix-consuming builtins pull items instead of materialising every
+    /// intermediate sequence. All of these are gated rewrites that must be
+    /// observably identical to the plain paths (the differential suite runs
+    /// with this both on and off); the flag exists so CI can pin that claim
+    /// and so a regression can be bisected at runtime. Off, every consumer
+    /// materialises eagerly through the generic step loop. Defaults to
+    /// `true`; setting the `XQ_OPT=0` environment variable forces it off.
+    /// Distinct from [`EngineOptions::optimize`], which is the
+    /// paper-faithful *AST* optimizer whose quirks-mode trace-DCE is itself
+    /// under test.
     pub runtime_opt: bool,
-    /// Enable the pull-based cursor runtime: qualifying paths, FLWOR `for`
-    /// bindings, and prefix-consuming builtins evaluate by pulling items
-    /// through [`crate::cursor`] instead of materialising every
-    /// intermediate sequence. Streamed pulls are effect-free and
-    /// infallible by construction (the gate admits only predicate-free or
-    /// positionally-predicated child/attribute steps), so the toggle must
-    /// be observably invisible; the differential suite runs with it both
-    /// on and off. Defaults to `true`; setting the `XQ_STREAM=0`
-    /// environment variable forces it off — the streaming mirror of
-    /// `XQ_OPT=0` above, and independent of it so CI covers all four
-    /// combinations.
-    pub stream: bool,
 }
 
 impl Default for EngineOptions {
@@ -99,7 +92,6 @@ impl Default for EngineOptions {
             eval_stack_bytes: 256 * 1024 * 1024,
             eval_workers: 1,
             runtime_opt: std::env::var("XQ_OPT").map_or(true, |v| v != "0"),
-            stream: std::env::var("XQ_STREAM").map_or(true, |v| v != "0"),
         }
     }
 }
@@ -117,7 +109,7 @@ impl EngineOptions {
     /// A stable fingerprint of every option that can change what a compiled
     /// plan *is* (`galax_quirks` steers the AST optimizer, `optimize`,
     /// `static_typing`, and `runtime_opt` gate whole passes) or what running
-    /// it observably does (`dup_attr_policy`, `recursion_limit`, `stream`).
+    /// it observably does (`dup_attr_policy`, `recursion_limit`).
     /// A plan cache MUST key on this next to the query text: two tenants
     /// submitting identical text under different configurations would
     /// otherwise share one plan and leak each other's semantics.
@@ -128,14 +120,13 @@ impl EngineOptions {
     /// pools is the point of caching them.
     pub fn cache_key(&self) -> String {
         format!(
-            "gq={} opt={} dup={:?} rec={} st={} ropt={} stream={}",
+            "gq={} opt={} dup={:?} rec={} st={} ropt={}",
             self.galax_quirks as u8,
             self.optimize as u8,
             self.dup_attr_policy,
             self.recursion_limit,
             self.static_typing as u8,
             self.runtime_opt as u8,
-            self.stream as u8,
         )
     }
 }
@@ -1238,32 +1229,37 @@ mod tests {
 
     #[test]
     fn cache_key_separates_every_semantics_config() {
-        // The seven configurations the differential suite sweeps must all
+        // The six configurations the differential suite sweeps must all
         // fingerprint differently — sharing a plan across any pair of them
         // is the cross-tenant leak the service plan cache exists to prevent.
+        // `runtime_opt` is pinned so an exported `XQ_OPT=0` cannot fold the
+        // "on" configs into their "off" twins.
+        let on = EngineOptions {
+            runtime_opt: true,
+            ..Default::default()
+        };
         let configs = [
             EngineOptions {
                 dup_attr_policy: DupAttrPolicy::Error,
-                ..Default::default()
+                ..on.clone()
             },
-            EngineOptions::galax(),
-            EngineOptions::default(),
+            EngineOptions {
+                runtime_opt: true,
+                ..EngineOptions::galax()
+            },
+            on.clone(),
             EngineOptions {
                 optimize: false,
-                ..Default::default()
+                ..on.clone()
             },
             EngineOptions {
                 runtime_opt: false,
-                ..Default::default()
+                ..on.clone()
             },
             EngineOptions {
                 optimize: false,
                 runtime_opt: false,
-                ..Default::default()
-            },
-            EngineOptions {
-                stream: false,
-                ..Default::default()
+                ..on.clone()
             },
         ];
         let keys: Vec<String> = configs.iter().map(EngineOptions::cache_key).collect();

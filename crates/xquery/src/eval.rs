@@ -1,5 +1,11 @@
 //! The tree-walking evaluator.
 //!
+//! This is the reference the lowered runner ([`crate::run`]) is checked
+//! against, so it stays a plain, spec-shaped interpreter: every path step
+//! walks its axis and tests each candidate. It consults none of the
+//! store's name or attribute-value indexes, and so cannot share a bug with
+//! the runner's index steps.
+//!
 //! Element construction implements the content rules the paper dissects:
 //! adjacent atomized values join with single spaces, nodes are deep-copied,
 //! and attribute nodes *fold into the parent* — but only when they appear
@@ -268,19 +274,6 @@ pub fn eval(expr: &Expr, env: &mut EvalEnv, ctx: &mut DynamicContext) -> Result<
                     .at(position.0, position.1))
                 }
             };
-            if let Some(step) = fused_attr_eq_step(*axis, test, predicates) {
-                // Same shape as the generic path: no candidates → empty,
-                // predicates (and their errors) never reached.
-                if !has_child_element_named(env.store, node, &step.fused.child) {
-                    return Ok(Sequence::empty());
-                }
-                let rhs = eval(step.rhs, env, ctx)?;
-                if let Some(matched) = fused_attr_eq_candidates(node, &step.fused, &rhs, env.store)
-                {
-                    let filtered = apply_predicates_nodes(matched, step.rest, env, ctx)?;
-                    return Ok(filtered.into_iter().map(Item::Node).collect());
-                }
-            }
             let candidates = axis_candidates(*axis, node, env.store);
             let tested: Vec<NodeId> = candidates
                 .into_iter()
@@ -294,10 +287,6 @@ pub fn eval(expr: &Expr, env: &mut EvalEnv, ctx: &mut DynamicContext) -> Result<
             let mut current = eval(start, env, ctx)?;
             for step in steps {
                 if step.double_slash {
-                    if let Some(fused) = fused_double_slash_step(&step.expr) {
-                        current = eval_fused_descendant_step(&current, fused, env.store)?;
-                        continue;
-                    }
                     current = expand_descendant_or_self(&current, env.store)?;
                 }
                 current = map_step(&current, &step.expr, env, ctx)?;
@@ -697,183 +686,6 @@ pub(crate) fn expand_descendant_or_self(current: &Sequence, store: &Store) -> Re
     Ok(unique.into_iter().map(Item::Node).collect())
 }
 
-/// A `//`-step that can be answered from the store's per-tree name index:
-/// `//name` (child axis) or `//@name` (attribute axis), with no predicates.
-/// Predicates would observe per-parent position/size groupings, which the
-/// fused lookup doesn't reconstruct, so they take the generic path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FusedStep {
-    ChildNamed(QName),
-    AttrNamed(QName),
-}
-
-/// Evaluates `descendant-or-self::node()/child::name` (or `attribute::name`)
-/// for the whole context sequence from the name index: per context node one
-/// binary-searched range scan instead of materializing the subtree. Raises
-/// the same `XPTY0019` as [`expand_descendant_or_self`] on atomic items, so
-/// the fused and generic paths are observably identical.
-pub(crate) fn eval_fused_descendant_step(
-    current: &Sequence,
-    fused: FusedStep,
-    store: &Store,
-) -> Result<Sequence> {
-    let mut out: Vec<NodeId> = Vec::new();
-    for item in current.iter() {
-        let n = item
-            .as_node()
-            .ok_or_else(|| Error::new(ErrorCode::XPTY0019, "'//' applied to an atomic value"))?;
-        match fused {
-            FusedStep::ChildNamed(want) => {
-                out.extend(store.descendant_elements_by_name(n, &want));
-            }
-            FusedStep::AttrNamed(want) => {
-                out.extend(store.descendant_or_self_attributes_by_name(n, &want));
-            }
-        }
-    }
-    let unique = dedup_sorted(out, store);
-    Ok(unique.into_iter().map(Item::Node).collect())
-}
-
-/// A child step whose first predicate equates an attribute of the candidate
-/// with a focus-free expression — `child[@attr = RHS]` — answerable from the
-/// store's attribute-value index when RHS atomizes to strings only. Both
-/// names are unprefixed (the only case where the walker's display-string
-/// test coincides with `QName` equality).
-pub(crate) struct FusedAttrEq {
-    pub child: QName,
-    pub attr: QName,
-}
-
-/// Does `node` have at least one child element named `name`? The generic
-/// step evaluates predicates only when the name test admits a candidate, so
-/// the fused path must not touch the predicate's RHS before establishing
-/// the same — this check is that gate, allocation- and evaluation-free.
-pub(crate) fn has_child_element_named(store: &Store, node: NodeId, name: &QName) -> bool {
-    store
-        .children(node)
-        .iter()
-        .any(|&c| matches!(store.kind(c), NodeKind::Element(q) if q == name))
-}
-
-/// The index-backed half of the fused `child[@attr = RHS]` step: `rhs` is
-/// the predicate's already-evaluated comparand. Returns `None` — caller
-/// falls back to the generic scan — unless every atom of `rhs` is a string
-/// or untyped value, the one case where the engine's general `=` degenerates
-/// to exact string equality and an exact-value probe is sound. Owners found
-/// through the local-name-keyed index are re-verified against the full
-/// attribute `QName` and value (an element may carry `x:id` next to `id`,
-/// and Galax-quirks construction allows duplicate attribute names).
-pub(crate) fn fused_attr_eq_candidates(
-    node: NodeId,
-    fused: &FusedAttrEq,
-    rhs: &Sequence,
-    store: &Store,
-) -> Option<Vec<NodeId>> {
-    let atoms = atomize(rhs, store);
-    let mut values: Vec<&str> = Vec::with_capacity(atoms.len());
-    for a in &atoms {
-        match a {
-            Atomic::Str(s) | Atomic::Untyped(s) => values.push(s),
-            // Numeric or boolean comparand: `=` casts the untyped attribute
-            // instead of comparing strings, so the index can't answer it.
-            _ => return None,
-        }
-    }
-    let mut matched = Vec::new();
-    for v in &values {
-        for owner in store.elements_with_attr_value(node, fused.attr.local_sym(), v) {
-            let verified = store.parent(owner) == Some(node)
-                && matches!(store.kind(owner), NodeKind::Element(q) if *q == fused.child)
-                && store.attributes(owner).iter().any(|&a| {
-                    matches!(store.kind(a), NodeKind::Attribute(q, val) if *q == fused.attr && **val == **v)
-                });
-            if verified {
-                matched.push(owner);
-            }
-        }
-    }
-    // Children of one node: document order is sibling order, and repeated
-    // RHS values can surface an owner twice.
-    Some(dedup_sorted(matched, store))
-}
-
-/// Focus-free in the shallow sense the fused predicate needs: the value
-/// cannot depend on the candidate node, and evaluating it once instead of
-/// per candidate is unobservable (no calls — hence no `fn:trace` — and no
-/// constructors anywhere in the subtree; path steps rebind their own focus
-/// and are predicate-free, so they admit only axis navigation).
-fn is_focus_free_simple(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(_) | Expr::VarRef(..) => true,
-        Expr::Comma(es) => es.iter().all(is_focus_free_simple),
-        Expr::Path { start, steps } => is_focus_free_simple(start)
-            && steps.iter().all(
-                |s| matches!(&s.expr, Expr::AxisStep { predicates, .. } if predicates.is_empty()),
-            ),
-        _ => false,
-    }
-}
-
-/// `@name` with no predicates and no prefix, as one side of the fused
-/// equality.
-fn attr_step_name(e: &Expr) -> Option<QName> {
-    match e {
-        Expr::AxisStep {
-            axis: Axis::Attribute,
-            test: NodeTest::Name(a),
-            predicates,
-            ..
-        } if predicates.is_empty() && !a.contains(':') => Some(QName::unprefixed(a)),
-        _ => None,
-    }
-}
-
-/// Detection result: the fused lookup plus the predicate's comparand and the
-/// remaining (generically applied) predicates.
-struct FusedAttrEqStep<'a> {
-    fused: FusedAttrEq,
-    rhs: &'a Expr,
-    rest: &'a [Expr],
-}
-
-/// Recognizes `child::name[@attr = RHS]…` (either operand order) on the
-/// child axis with colon-free names. Later predicates stay generic; the
-/// first predicate never consults `position()`/`last()` (it's a comparison),
-/// so skipping the per-candidate focus for it is unobservable.
-fn fused_attr_eq_step<'a>(
-    axis: Axis,
-    test: &NodeTest,
-    predicates: &'a [Expr],
-) -> Option<FusedAttrEqStep<'a>> {
-    if axis != Axis::Child {
-        return None;
-    }
-    let NodeTest::Name(want) = test else {
-        return None;
-    };
-    if want.contains(':') {
-        return None;
-    }
-    let (first, rest) = predicates.split_first()?;
-    let Expr::GeneralCmp(CmpOp::Eq, l, r) = first else {
-        return None;
-    };
-    let (attr, rhs) = match (attr_step_name(l), attr_step_name(r)) {
-        (Some(a), None) if is_focus_free_simple(r) => (a, &**r),
-        (None, Some(a)) if is_focus_free_simple(l) => (a, &**l),
-        _ => return None,
-    };
-    Some(FusedAttrEqStep {
-        fused: FusedAttrEq {
-            child: QName::unprefixed(want),
-            attr,
-        },
-        rhs,
-        rest,
-    })
-}
-
 /// Evaluates one path step for every item of `current`, with the usual
 /// node-set semantics (dedup + document order when all results are nodes).
 fn map_step(
@@ -970,34 +782,6 @@ pub(crate) fn axis_candidates(axis: Axis, node: NodeId, store: &Store) -> Vec<No
                 }
             }
         }
-    }
-}
-
-/// Recognizes a `//`-step the name index can answer (see [`FusedStep`]). The
-/// walker compares name tests as display strings; restricting to colon-free
-/// names makes `QName` equality in the fused lookup coincide exactly with
-/// that comparison (prefixed tests take the generic path).
-fn fused_double_slash_step(expr: &Expr) -> Option<FusedStep> {
-    let Expr::AxisStep {
-        axis,
-        test,
-        predicates,
-        ..
-    } = expr
-    else {
-        return None;
-    };
-    if !predicates.is_empty() {
-        return None;
-    }
-    match (axis, test) {
-        (Axis::Child, NodeTest::Name(want)) if !want.contains(':') => {
-            Some(FusedStep::ChildNamed(QName::unprefixed(want)))
-        }
-        (Axis::Attribute, NodeTest::Name(want)) if !want.contains(':') => {
-            Some(FusedStep::AttrNamed(QName::unprefixed(want)))
-        }
-        _ => None,
     }
 }
 

@@ -244,11 +244,6 @@ pub struct LOrderSpec {
 pub struct LPathStep {
     pub double_slash: bool,
     pub expr: LExpr,
-    /// Could this step appear in a streamable chain? Computed once at
-    /// lowering time ([`crate::cursor::step_streamable`]); the runner's
-    /// `classify_steps` re-checks the position-dependent constraints, so
-    /// this is a cheap early-out, not the authoritative gate.
-    pub streamable: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -596,14 +591,9 @@ impl Lowerer {
                 start: self.lower_box(start, r),
                 steps: steps
                     .iter()
-                    .map(|s| {
-                        let expr = self.lower(&s.expr, r);
-                        let streamable = crate::cursor::step_streamable(&expr);
-                        LPathStep {
-                            double_slash: s.double_slash,
-                            expr,
-                            streamable,
-                        }
+                    .map(|s| LPathStep {
+                        double_slash: s.double_slash,
+                        expr: self.lower(&s.expr, r),
                     })
                     .collect(),
             },

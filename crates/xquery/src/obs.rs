@@ -16,8 +16,8 @@
 //!   effect instead of a bare string push. Events carry the query position
 //!   and the traced value, and survive every *runtime* pass by
 //!   construction: the lopt hoister never caches calls, the hash join
-//!   refuses operands containing calls, and the streamed-existence gate
-//!   rejects predicates — so the only thing that can delete a trace is the
+//!   refuses operands containing calls, and the cursor gate admits only
+//!   positional predicates — so the only thing that can delete a trace is the
 //!   paper-faithful quirks-mode AST optimiser, which is itself under test.
 //! * [`explain`] — renders the lowered-and-optimised [`Program`] as an
 //!   annotated plan tree: which `for` clause got the hash-join mark (and
@@ -26,8 +26,10 @@
 //!   store's indexes.
 
 use crate::ast::Axis;
+use crate::cursor::{classify_steps, int_literal};
 use crate::lopt::{self, PlanStats};
 use crate::lower::{LExpr, LFlworClause, Program};
+use crate::run::name_index_step;
 use std::collections::HashMap;
 
 // ----------------------------------------------------------------------
@@ -41,12 +43,14 @@ use std::collections::HashMap;
 /// those comparisons (see [`EvalStats::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Index-backed fast paths taken: fused `//name` / `//@name` steps,
-    /// the `count(//name)` range answer, and fused `[@attr = v]` probes
-    /// served by the attribute-value index.
+    /// Index-backed steps taken by the lowered runner: `//name` / `//@name`
+    /// steps read from the per-tree name index (by the materialised step
+    /// loop, or as one cursor window — which is how `count(//name)` becomes
+    /// a window length), and fused `[@attr = v]` probes served by the
+    /// attribute-value index. The reference walker uses no index.
     pub index_hits: u64,
-    /// Gated index fast paths that bailed to the generic scan (non-string
-    /// comparand, non-singleton scope node, …).
+    /// Fused `[@attr = v]` probes that bailed to the generic scan because
+    /// the comparand was not all strings.
     pub index_misses: u64,
     /// Hash tables built for the FLWOR join (at most one per distinct
     /// final-clause sequence per FLWOR evaluation).
@@ -62,8 +66,7 @@ pub struct EvalStats {
     /// resets combined).
     pub cache_resets: u64,
     /// `exists`/`empty`/`boolean`/`not` calls (and `where`/EBV positions)
-    /// answered by the streamed existence walk without materialising the
-    /// path.
+    /// answered by one cursor pull, without materialising the path.
     pub streamed_existence: u64,
     /// Items appended to materialised sequences by the runner: FLWOR tuple
     /// output, per-step path results (descendant expansions, step maps,
@@ -112,10 +115,11 @@ impl EvalStats {
         }
     }
 
-    /// The counters attributable to the runtime optimisation layer; all
-    /// zero when [`EngineOptions::runtime_opt`](crate::EngineOptions) is
-    /// off.
-    pub fn opt_counters(&self) -> [(&'static str, u64); 6] {
+    /// The counters attributable to the runtime optimisation layer (the
+    /// hash join, `CacheOnce` cells, and the cursor runtime); all zero when
+    /// [`EngineOptions::runtime_opt`](crate::EngineOptions) is off, which
+    /// `check-obs` pins.
+    pub fn opt_counters(&self) -> [(&'static str, u64); 8] {
         [
             ("join_builds", self.join_builds),
             ("join_probes", self.join_probes),
@@ -123,14 +127,6 @@ impl EvalStats {
             ("cache_hits", self.cache_hits),
             ("cache_resets", self.cache_resets),
             ("streamed_existence", self.streamed_existence),
-        ]
-    }
-
-    /// The counters attributable to the streaming cursor runtime; all zero
-    /// when [`EngineOptions::stream`](crate::EngineOptions) is off (the
-    /// `XQ_STREAM=0` toggle), which `check-obs` pins.
-    pub fn stream_counters(&self) -> [(&'static str, u64); 2] {
-        [
             ("items_streamed", self.items_streamed),
             ("cursor_early_exits", self.cursor_early_exits),
         ]
@@ -354,58 +350,35 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
         },
         LExpr::CallBuiltin { builtin, args, .. } => {
             use crate::functions::Builtin as B;
-            if args.len() == 1 {
-                if let LExpr::Path { steps, .. } = &args[0] {
-                    let existence = matches!(builtin, B::Exists | B::Empty | B::Boolean | B::Not);
-                    if existence && crate::run::streamable_steps(steps) {
-                        out.push(
-                            "streamed existence: early-exit walk, no materialisation".to_string(),
-                        );
+            let plan = match args.first() {
+                Some(LExpr::Path { steps, .. }) => classify_steps(steps),
+                _ => None,
+            };
+            if let Some(plan) = plan {
+                match builtin {
+                    B::Exists | B::Empty | B::Boolean | B::Not if args.len() == 1 => {
+                        out.push("streamed existence: one cursor pull, no materialisation".into())
                     }
-                    if matches!(builtin, B::Count) {
-                        let mut fused = false;
-                        if let [step] = &steps[..] {
-                            if step.double_slash
-                                && crate::run::fused_double_slash_step(&step.expr).is_some()
-                            {
-                                fused = true;
-                                out.push(
-                                    "index-range count: answered from the per-tree name index"
-                                        .to_string(),
-                                );
-                            }
-                        }
-                        if !fused && crate::cursor::classify_steps(steps).is_some() {
-                            out.push(
-                                "streamed count: items pulled and discarded, never materialised"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-            }
-            if matches!(builtin, B::Subsequence) {
-                if let Some(LExpr::Path { steps, .. }) = args.first() {
-                    if crate::cursor::classify_steps(steps).is_some()
-                        && args[1..]
-                            .iter()
-                            .all(|a| matches!(a, LExpr::Literal(crate::value::Atomic::Int(_))))
+                    B::Count if args.len() == 1 && plan.reads_name_index() => out
+                        .push("index-range count: the per-tree name index window's length".into()),
+                    B::Count if args.len() == 1 => out.push(
+                        "streamed count: items pulled and discarded, never materialised".into(),
+                    ),
+                    B::Subsequence
+                        if args.len() >= 2
+                            && args[1..].iter().all(|a| int_literal(a).is_some()) =>
                     {
-                        out.push("streamed subsequence: stops pulling past the window".to_string());
+                        out.push("streamed subsequence: stops pulling past the window".into())
                     }
+                    _ => {}
                 }
             }
         }
         LExpr::Path { steps, .. } => {
-            if steps
-                .iter()
-                .any(|s| s.double_slash && crate::run::fused_double_slash_step(&s.expr).is_some())
-            {
+            if classify_steps(steps).is_some_and(|plan| plan.has_positional()) {
+                out.push("streamed path: pull cursor with positional early-exit".to_string());
+            } else if steps.iter().any(|s| name_index_step(s).is_some()) {
                 out.push("`//` step answered from the per-tree name index".to_string());
-            } else if let Some(plan) = crate::cursor::classify_steps(steps) {
-                if plan.has_positional() {
-                    out.push("streamed path: pull cursor with positional early-exit".to_string());
-                }
             }
         }
         LExpr::AxisStep {
@@ -413,7 +386,7 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
             test,
             predicates,
             ..
-        } if crate::run::is_fused_attr_eq(*axis, test, predicates) => {
+        } if crate::run::fused_attr_eq_step(*axis, test, predicates).is_some() => {
             out.push("[@attr = v] probe against the attribute-value index".to_string());
         }
         _ => {}
@@ -456,7 +429,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
                             "  [hash join: build side; key = {side:?} operand of `where`]"
                         ));
                     } else if let LExpr::Path { steps, .. } = seq {
-                        if crate::cursor::classify_steps(steps).is_some() {
+                        if classify_steps(steps).is_some() {
                             head.push_str("  [streamed binding: tuples pulled from a cursor]");
                         }
                     }

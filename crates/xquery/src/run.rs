@@ -30,14 +30,13 @@ use crate::compare::{
     string_family, value_compare,
 };
 use crate::context::{DynamicContext, Focus};
-use crate::cursor::{classify_steps, positional_predicate, PathCursor};
+use crate::cursor::{classify_steps, int_literal, positional_predicate, PathCursor};
 use crate::engine::EngineOptions;
 use crate::error::{Error, ErrorCode, Result};
 use crate::eval::{
-    arith, axis_candidates, compare_order_keys, dedup_sorted, eval_fused_descendant_step,
-    expand_descendant_or_self, fused_attr_eq_candidates, has_child_element_named, internal,
+    arith, axis_candidates, compare_order_keys, dedup_sorted, expand_descendant_or_self, internal,
     join_atomized, predicate_outcome, singleton_integer, singleton_number, ContentBuilder,
-    FusedAttrEq, FusedStep, NumOperand,
+    NumOperand,
 };
 use crate::functions::{dispatch_builtin, Builtin, CallCtx};
 use crate::lower::{
@@ -179,29 +178,9 @@ pub fn run(
         }
 
         LExpr::GeneralCmp(op, l, r) => {
-            // Existential semantics stop at the first hit, so a streamable
-            // path operand compared against a singleton pulls one item at a
-            // time and abandons the walk on success. Effect order is the
-            // generic one: the left operand (or, for a streamed right side,
-            // the whole left) is evaluated before the right, and cursor
-            // pulls themselves are effect-free.
-            if env.options.stream {
-                if let LExpr::Path { start, steps } = &**l {
-                    if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                        let rv = run(r, env, frame, ctx)?;
-                        let b = stream_compare(stream, *op, &rv, false, env);
-                        return Ok(Atomic::Bool(b).into());
-                    }
-                } else if let LExpr::Path { start, steps } = &**r {
-                    // Classify structurally *before* evaluating the left
-                    // operand so the fallback path still runs l-then-r.
-                    if classify_steps(steps).is_some() {
-                        let lv = run(l, env, frame, ctx)?;
-                        let stream = open_path_stream(start, steps, env, frame, ctx)?
-                            .expect("classified above and streaming is on");
-                        let b = stream_compare(stream, *op, &lv, true, env);
-                        return Ok(Atomic::Bool(b).into());
-                    }
+            if env.options.runtime_opt {
+                if let Some(b) = stream_general_cmp(*op, l, r, env, frame, ctx)? {
+                    return Ok(Atomic::Bool(b).into());
                 }
             }
             let l = run(l, env, frame, ctx)?;
@@ -366,12 +345,11 @@ pub fn run(
             if let Some(step) = fused_attr_eq_step(*axis, test, predicates) {
                 // Same shape as the generic path: no candidates → empty,
                 // predicates (and their errors) never reached.
-                if !has_child_element_named(env.store, node, &step.fused.child) {
+                if !has_child_element_named(env.store, node, &step.child) {
                     return Ok(Sequence::empty());
                 }
                 let rhs = run(step.rhs, env, frame, ctx)?;
-                if let Some(matched) = fused_attr_eq_candidates(node, &step.fused, &rhs, env.store)
-                {
+                if let Some(matched) = fused_attr_eq_candidates(node, &step, &rhs, env.store) {
                     env.stats.index_hits += 1;
                     let filtered = apply_predicates_nodes(matched, step.rest, env, frame, ctx)?;
                     return Ok(filtered.into_iter().map(Item::Node).collect());
@@ -388,22 +366,8 @@ pub fn run(
         }
 
         LExpr::Path { start, steps } => {
-            // A bare path must materialise its whole result anyway, so the
-            // cursor only takes over when the final step carries a
-            // positional predicate — the shape where the generic evaluator
-            // expands every descendant-or-self context first (thousands of
-            // nodes for a handful kept). Predicate-free paths keep the name
-            // index fast paths of the step loop.
-            if env.options.stream && classify_steps(steps).is_some_and(|p| p.has_positional()) {
-                if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                    let out = match stream {
-                        PathStream::Cursor(mut cur) => {
-                            let out = cur.materialize(env.store, env.stats);
-                            env.stats.items_allocated += out.len() as u64;
-                            out
-                        }
-                        PathStream::Done(seq) => seq,
-                    };
+            if env.options.runtime_opt {
+                if let Some(out) = stream_positional_path(start, steps, env, frame, ctx)? {
                     return Ok(out);
                 }
             }
@@ -412,16 +376,9 @@ pub fn run(
         }
 
         LExpr::Filter(base, predicates) => {
-            // `(PATH)[3]`-style filters select by *global* position, so the
-            // cursor stops pulling the moment the window is closed — the
-            // early-exit shape the paper's prefix queries want.
-            if env.options.stream {
-                if let (LExpr::Path { start, steps }, [p]) = (&**base, predicates.as_slice()) {
-                    if let Some((op, n)) = positional_predicate(p) {
-                        if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                            return Ok(stream_filter_positional(stream, op, n, env));
-                        }
-                    }
+            if env.options.runtime_opt {
+                if let Some(out) = stream_filter_positional(base, predicates, env, frame, ctx)? {
+                    return Ok(out);
                 }
             }
             let seq = run(base, env, frame, ctx)?;
@@ -433,65 +390,9 @@ pub fn run(
             args,
             position,
         } => {
-            // `exists`/`empty`/`boolean`/`not` over a predicate-free axis
-            // path only need existence, which the streamed walk answers
-            // without materialising any intermediate step. (For such a path
-            // every result item is a node, so EBV and existence coincide.)
-            if env.options.runtime_opt && args.len() == 1 {
-                let invert = match builtin {
-                    Builtin::Exists | Builtin::Boolean => Some(false),
-                    Builtin::Empty | Builtin::Not => Some(true),
-                    _ => None,
-                };
-                if let (Some(invert), LExpr::Path { start, steps }) = (invert, &args[0]) {
-                    if streamable_steps(steps) {
-                        let found = path_exists(start, steps, env, frame, ctx)?;
-                        return Ok(Atomic::Bool(found != invert).into());
-                    }
-                }
-                // `count` over one fused `//name` (or `//@name`) step: the
-                // per-tree name index answers with a range length, no
-                // sequence materialised. A single scope node yields its
-                // index range dedup-free; larger contexts (overlapping
-                // subtrees) finish on the shared fused evaluator, which is
-                // also what raises the path's own `XPTY0019` on atomics.
-                if matches!(builtin, Builtin::Count) {
-                    if let LExpr::Path { start, steps } = &args[0] {
-                        if let [step] = &steps[..] {
-                            if step.double_slash {
-                                if let Some(fused) = fused_double_slash_step(&step.expr) {
-                                    let start_seq = run(start, env, frame, ctx)?;
-                                    let n = match (start_seq.as_singleton(), &fused) {
-                                        (Some(Item::Node(n)), _) => Some(*n),
-                                        _ => None,
-                                    };
-                                    let count = match (n, fused) {
-                                        (Some(n), FusedStep::ChildNamed(want)) => {
-                                            env.stats.index_hits += 1;
-                                            env.store.descendant_elements_by_name(n, &want).len()
-                                        }
-                                        (Some(n), FusedStep::AttrNamed(want)) => {
-                                            env.stats.index_hits += 1;
-                                            env.store
-                                                .descendant_or_self_attributes_by_name(n, &want)
-                                                .len()
-                                        }
-                                        (None, fused) => {
-                                            env.stats.index_misses += 1;
-                                            eval_fused_descendant_step(
-                                                &start_seq, fused, env.store,
-                                            )?
-                                            .len()
-                                        }
-                                    };
-                                    return Ok(Atomic::Int(count as i64).into());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if env.options.stream {
+            if env.options.runtime_opt
+                && matches!(args.first(), Some(LExpr::Path { .. } | LExpr::Flwor { .. }))
+            {
                 if let Some(out) = stream_builtin(*builtin, args, env, frame, ctx)? {
                     return Ok(out);
                 }
@@ -727,19 +628,17 @@ pub fn run(
     }
 }
 
-/// Effective boolean value of an expression, with the streaming existence
-/// short-circuit for qualifying paths (see [`streamable_steps`]).
+/// Effective boolean value of an expression; a streamable path answers
+/// with one cursor pull (see [`stream_exists`]).
 fn run_ebv(
     expr: &LExpr,
     env: &mut RunEnv,
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<bool> {
-    if env.options.runtime_opt {
-        if let LExpr::Path { start, steps } = expr {
-            if streamable_steps(steps) {
-                return path_exists(start, steps, env, frame, ctx);
-            }
+    if let LExpr::Path { start, steps } = expr {
+        if let Some(found) = stream_exists(start, steps, env, frame, ctx)? {
+            return Ok(found);
         }
     }
     let v = run(expr, env, frame, ctx)?;
@@ -966,42 +865,38 @@ fn flwor_tuples(
                         }
                     }
                 }
-                if env.options.stream && join.is_none() {
+                if join.is_none() {
                     if let LExpr::Path { start, steps } = seq {
-                        match open_path_stream(start, steps, env, frame, ctx)? {
-                            Some(PathStream::Done(v)) => break 'materialized v,
-                            Some(PathStream::Cursor(mut cur)) => {
-                                let mut i = 0i64;
-                                while let Some(item) = cur.next(env.store, env.stats) {
-                                    env.stats.cache_resets += reset_iter.len() as u64;
-                                    for slot in reset_iter {
-                                        frame.clear(*slot);
-                                    }
-                                    frame.set(*var, Arc::new(Sequence::singleton(item)));
-                                    if let Some(at_slot) = at {
-                                        frame.set(
-                                            *at_slot,
-                                            Arc::new(Sequence::singleton(Item::integer(i + 1))),
-                                        );
-                                    }
-                                    flwor_tuples(
-                                        clauses,
-                                        idx + 1,
-                                        where_,
-                                        order_by,
-                                        return_,
-                                        env,
-                                        frame,
-                                        ctx,
-                                        keyed,
-                                        out,
-                                        jstate,
-                                    )?;
-                                    i += 1;
+                        if let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? {
+                            let mut i = 0i64;
+                            while let Some(item) = stream.next(env) {
+                                env.stats.cache_resets += reset_iter.len() as u64;
+                                for slot in reset_iter {
+                                    frame.clear(*slot);
                                 }
-                                return Ok(());
+                                frame.set(*var, Arc::new(Sequence::singleton(item)));
+                                if let Some(at_slot) = at {
+                                    frame.set(
+                                        *at_slot,
+                                        Arc::new(Sequence::singleton(Item::integer(i + 1))),
+                                    );
+                                }
+                                flwor_tuples(
+                                    clauses,
+                                    idx + 1,
+                                    where_,
+                                    order_by,
+                                    return_,
+                                    env,
+                                    frame,
+                                    ctx,
+                                    keyed,
+                                    out,
+                                    jstate,
+                                )?;
+                                i += 1;
                             }
-                            None => {}
+                            return Ok(());
                         }
                     }
                 }
@@ -1245,43 +1140,27 @@ fn quantified(
     // Quantifiers are the ideal cursor consumer: `some` stops at the first
     // satisfying binding, `every` at the first failing one, and with a
     // streamed binding sequence the abandoned remainder was never built.
-    let items = 'materialized: {
-        if env.options.stream {
-            if let LExpr::Path { start, steps } = seq_expr {
-                match open_path_stream(start, steps, env, frame, ctx)? {
-                    Some(PathStream::Done(v)) => break 'materialized v,
-                    Some(PathStream::Cursor(mut cur)) => {
-                        while let Some(item) = cur.next(env.store, env.stats) {
-                            frame.set(*slot, Arc::new(Sequence::singleton(item)));
-                            let hit = quantified(
-                                quantifier,
-                                bindings,
-                                satisfies,
-                                idx + 1,
-                                env,
-                                frame,
-                                ctx,
-                            )?;
-                            match quantifier {
-                                Quantifier::Some if hit => {
-                                    cur.finish_early(env.stats);
-                                    return Ok(true);
-                                }
-                                Quantifier::Every if !hit => {
-                                    cur.finish_early(env.stats);
-                                    return Ok(false);
-                                }
-                                _ => {}
-                            }
-                        }
-                        return Ok(matches!(quantifier, Quantifier::Every));
+    if let LExpr::Path { start, steps } = seq_expr {
+        if let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? {
+            while let Some(item) = stream.next(env) {
+                frame.set(*slot, Arc::new(Sequence::singleton(item)));
+                let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
+                match quantifier {
+                    Quantifier::Some if hit => {
+                        stream.finish_early(env.stats);
+                        return Ok(true);
                     }
-                    None => {}
+                    Quantifier::Every if !hit => {
+                        stream.finish_early(env.stats);
+                        return Ok(false);
+                    }
+                    _ => {}
                 }
             }
+            return Ok(matches!(quantifier, Quantifier::Every));
         }
-        run(seq_expr, env, frame, ctx)?
-    };
+    }
+    let items = run(seq_expr, env, frame, ctx)?;
     for item in items.into_items() {
         frame.set(*slot, Arc::new(Sequence::singleton(item)));
         let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
@@ -1295,71 +1174,39 @@ fn quantified(
 }
 
 // ----------------------------------------------------------------------
-// Paths, predicates
-// ----------------------------------------------------------------------
-
-/// Does this step list qualify for the streamed existence walk? Every step
-/// must be a predicate-free axis step (axis steps over nodes cannot raise
-/// and yield only nodes, so visiting order and early exit are unobservable
-/// for a boolean); `//` abbreviations are only handled for the child and
-/// attribute axes, where descendant-or-self composition has a direct
-/// streaming form.
-pub(crate) fn streamable_steps(steps: &[LPathStep]) -> bool {
-    !steps.is_empty()
-        && steps.iter().all(|s| match &s.expr {
-            LExpr::AxisStep {
-                axis, predicates, ..
-            } => {
-                predicates.is_empty()
-                    && (!s.double_slash || matches!(axis, Axis::Child | Axis::Attribute))
-            }
-            _ => false,
-        })
-}
-
-/// "Does this path yield anything", for a path whose steps pass
-/// [`streamable_steps`]. The start expression is evaluated normally (its
-/// errors and traces are the path's own), then the steps are walked
-/// depth-first with early exit instead of materialising each intermediate.
-///
-/// If the start sequence contains an atomic item the plain evaluation would
-/// raise `XPTY0019` while mapping the first step; in that case fall back to
-/// materialized stepping *from the already-evaluated start* (never
-/// re-running the start expression) so the error surfaces identically.
-fn path_exists(
-    start: &LExpr,
-    steps: &[LPathStep],
-    env: &mut RunEnv,
-    frame: &mut Frame,
-    ctx: &mut DynamicContext,
-) -> Result<bool> {
-    let start_seq = run(start, env, frame, ctx)?;
-    let nodes: Option<Vec<NodeId>> = start_seq.iter().map(|i| i.as_node()).collect();
-    match nodes {
-        Some(nodes) => {
-            env.stats.streamed_existence += 1;
-            Ok(nodes.iter().any(|&n| step_any(env.store, n, steps)))
-        }
-        None => {
-            let current = finish_path_from(start_seq, steps, env, frame, ctx)?;
-            Ok(!current.is_empty())
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
 // The cursor runtime (see crate::cursor for the protocol)
 // ----------------------------------------------------------------------
 
 /// One opened path: either a live cursor (streamable steps, singleton node
-/// start) or the materialised result of finishing the path generically.
+/// start) or the materialised result of finishing the path generically,
+/// with the position of the next item to hand out. Consumers pull from
+/// both the same way; only a live cursor counts pulls and early exits.
 enum PathStream<'p> {
     Cursor(PathCursor<'p>),
-    Done(Sequence),
+    Done(Sequence, usize),
+}
+
+impl PathStream<'_> {
+    fn next(&mut self, env: &mut RunEnv) -> Option<Item> {
+        match self {
+            PathStream::Cursor(cur) => cur.next(env.store, env.stats),
+            PathStream::Done(seq, next) => {
+                let item = seq.items().get(*next).cloned();
+                *next += 1;
+                item
+            }
+        }
+    }
+
+    fn finish_early(&self, stats: &mut EvalStats) {
+        if let PathStream::Cursor(cur) = self {
+            cur.finish_early(stats);
+        }
+    }
 }
 
 /// Opens a path for streaming. Classification is pure, so nothing is
-/// evaluated on the `None` (not streamable / streaming off) return and the
+/// evaluated on the `None` (not streamable / `runtime_opt` off) return and the
 /// caller proceeds exactly as before. Otherwise the start expression is
 /// evaluated exactly once — its errors and traces are the path's own and
 /// fire here, in source order — and a singleton node start yields a cursor.
@@ -1374,7 +1221,7 @@ fn open_path_stream<'p>(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<Option<PathStream<'p>>> {
-    if !env.options.stream {
+    if !env.options.runtime_opt {
         return Ok(None);
     }
     let Some(plan) = classify_steps(steps) else {
@@ -1382,10 +1229,36 @@ fn open_path_stream<'p>(
     };
     let start_seq = run(start, env, frame, ctx)?;
     if let Some(Item::Node(n)) = start_seq.as_singleton() {
-        return Ok(Some(PathStream::Cursor(PathCursor::new(plan, *n))));
+        let cursor = PathCursor::new(plan, *n, env.store, env.stats);
+        return Ok(Some(PathStream::Cursor(cursor)));
     }
     let done = finish_path_from(start_seq, steps, env, frame, ctx)?;
-    Ok(Some(PathStream::Done(done)))
+    Ok(Some(PathStream::Done(done, 0)))
+}
+
+/// "Does this path yield anything" for `exists`/`empty`/`boolean`/`not`
+/// and EBV positions: one pull off the cursor, or `None` when the path
+/// does not stream. A streamable path yields only nodes, so EBV and
+/// existence coincide.
+fn stream_exists(
+    start: &LExpr,
+    steps: &[LPathStep],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Option<bool>> {
+    let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+        return Ok(None);
+    };
+    Ok(Some(match stream {
+        PathStream::Cursor(mut cur) => {
+            env.stats.streamed_existence += 1;
+            let found = cur.next(env.store, env.stats).is_some();
+            cur.finish_early(env.stats);
+            found
+        }
+        PathStream::Done(seq, _) => !seq.is_empty(),
+    }))
 }
 
 /// The generic materialised step loop, from an already-evaluated start.
@@ -1400,13 +1273,13 @@ fn finish_path_from(
 ) -> Result<Sequence> {
     let mut current = start_seq;
     for step in steps {
+        if let Some((name, attributes)) = name_index_step(step) {
+            env.stats.index_hits += 1;
+            current = eval_name_index_step(&current, name, attributes, env.store)?;
+            env.stats.items_allocated += current.len() as u64;
+            continue;
+        }
         if step.double_slash {
-            if let Some(fused) = fused_double_slash_step(&step.expr) {
-                env.stats.index_hits += 1;
-                current = eval_fused_descendant_step(&current, fused, env.store)?;
-                env.stats.items_allocated += current.len() as u64;
-                continue;
-            }
             current = expand_descendant_or_self(&current, env.store)?;
             env.stats.items_allocated += current.len() as u64;
         }
@@ -1415,55 +1288,115 @@ fn finish_path_from(
     Ok(current)
 }
 
+/// `PATH = v` / `v = PATH` with a streamable path operand, or `None` for
+/// the generic comparison. Existential semantics stop at the first hit, so
+/// the path is pulled one item at a time and abandoned on success. Effect
+/// order is the generic one: the left operand (or, for a streamed right
+/// side, the whole left) is evaluated before the right, and cursor pulls
+/// themselves are effect-free.
+///
+/// The cursor consumers below are kept out of line: their `PathStream`
+/// temporaries would otherwise sit in every recursive [`run`] frame.
+#[inline(never)]
+fn stream_general_cmp(
+    op: CmpOp,
+    l: &LExpr,
+    r: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Option<bool>> {
+    if let LExpr::Path { start, steps } = l {
+        if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
+            let rv = run(r, env, frame, ctx)?;
+            return Ok(Some(stream_compare(stream, op, &rv, false, env)));
+        }
+    } else if let LExpr::Path { start, steps } = r {
+        // Classify structurally *before* evaluating the left operand so
+        // the fallback path still runs l-then-r.
+        if classify_steps(steps).is_some() {
+            let lv = run(l, env, frame, ctx)?;
+            let stream = open_path_stream(start, steps, env, frame, ctx)?
+                .expect("classified above and runtime_opt is on");
+            return Ok(Some(stream_compare(stream, op, &lv, true, env)));
+        }
+    }
+    Ok(None)
+}
+
+/// A bare path whose final step carries a positional predicate, drained
+/// off the cursor — or `None` for the step loop. A bare path must
+/// materialise its whole result anyway, so the cursor only takes over for
+/// the shape where the generic evaluator expands every
+/// descendant-or-self context first (thousands of nodes for a handful
+/// kept). Predicate-free paths keep the name index steps of the step loop.
+#[inline(never)]
+fn stream_positional_path(
+    start: &LExpr,
+    steps: &[LPathStep],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Option<Sequence>> {
+    if !classify_steps(steps).is_some_and(|p| p.has_positional()) {
+        return Ok(None);
+    }
+    let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+        return Ok(None);
+    };
+    Ok(Some(match stream {
+        PathStream::Cursor(mut cur) => {
+            let out = cur.materialize(env.store, env.stats);
+            env.stats.items_allocated += out.len() as u64;
+            out
+        }
+        PathStream::Done(seq, _) => seq,
+    }))
+}
+
 /// Existential general comparison with one side streamed. Against an empty
-/// or singleton other side the cursor is pulled item by item and abandoned
+/// or singleton other side the stream is pulled item by item and abandoned
 /// at the first hit; against a longer side the per-pull rescan would buy
-/// nothing, so the walk is drained and the generic (hashed under
-/// `runtime_opt`) comparison runs. `cursor_is_right` keeps the operand
-/// order straight for the asymmetric operators (`<`, `>=`, …).
+/// nothing, so the walk is drained and the hashed comparison runs.
+/// `cursor_is_right` keeps the operand order straight for the asymmetric
+/// operators (`<`, `>=`, …).
 fn stream_compare(
-    stream: PathStream,
+    mut stream: PathStream,
     op: CmpOp,
     other: &Sequence,
     cursor_is_right: bool,
     env: &mut RunEnv,
 ) -> bool {
-    let seq = match stream {
-        PathStream::Done(seq) => seq,
-        PathStream::Cursor(mut cur) => {
-            if other.is_empty() {
-                // No pair to compare: false regardless of the walk.
-                cur.finish_early(env.stats);
-                return false;
+    if other.is_empty() {
+        // No pair to compare: false regardless of the walk.
+        stream.finish_early(env.stats);
+        return false;
+    }
+    if other.len() == 1 {
+        while let Some(item) = stream.next(env) {
+            let single = Sequence::singleton(item);
+            let hit = if cursor_is_right {
+                general_compare(op, other, &single, env.store)
+            } else {
+                general_compare(op, &single, other, env.store)
+            };
+            if hit {
+                stream.finish_early(env.stats);
+                return true;
             }
-            if other.len() == 1 {
-                while let Some(item) = cur.next(env.store, env.stats) {
-                    let single = Sequence::singleton(item);
-                    let hit = if cursor_is_right {
-                        general_compare(op, other, &single, env.store)
-                    } else {
-                        general_compare(op, &single, other, env.store)
-                    };
-                    if hit {
-                        cur.finish_early(env.stats);
-                        return true;
-                    }
-                }
-                return false;
-            }
-            cur.materialize(env.store, env.stats)
         }
+        return false;
+    }
+    let seq = match stream {
+        PathStream::Done(seq, _) => seq,
+        PathStream::Cursor(mut cur) => cur.materialize(env.store, env.stats),
     };
     let (l, r) = if cursor_is_right {
         (other, &seq)
     } else {
         (&seq, other)
     };
-    if env.options.runtime_opt {
-        general_compare_hashed(op, l, r, env.store)
-    } else {
-        general_compare(op, l, r, env.store)
-    }
+    general_compare_hashed(op, l, r, env.store)
 }
 
 /// Does global position `p` satisfy `position() OP n`? Exact integer
@@ -1481,48 +1414,48 @@ fn pos_matches(op: CmpOp, p: i64, n: i64) -> bool {
 }
 
 /// `(PATH)[position() OP n]` with the position taken over the whole path
-/// result: pull, keep the matching positions, and stop pulling as soon as
-/// no later position can match (`=`, `<`, `<=`).
-fn stream_filter_positional(stream: PathStream, op: CmpOp, n: i64, env: &mut RunEnv) -> Sequence {
-    let out = match stream {
-        PathStream::Done(seq) => {
-            let items: Vec<Item> = seq
-                .into_items()
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| pos_matches(op, *i as i64 + 1, n))
-                .map(|(_, item)| item)
-                .collect();
-            Sequence::from_items(items)
-        }
-        PathStream::Cursor(mut cur) => {
-            let limit = match op {
-                CmpOp::Eq | CmpOp::Le => Some(n),
-                CmpOp::Lt => Some(n - 1),
-                CmpOp::Ne | CmpOp::Gt | CmpOp::Ge => None,
-            };
-            let mut out = Sequence::empty();
-            let mut p = 0i64;
-            loop {
-                if let Some(limit) = limit {
-                    if p >= limit {
-                        cur.finish_early(env.stats);
-                        break;
-                    }
-                }
-                let Some(item) = cur.next(env.store, env.stats) else {
-                    break;
-                };
-                p += 1;
-                if pos_matches(op, p, n) {
-                    out.push(item);
-                }
-            }
-            out
-        }
+/// result — the early-exit shape the paper's prefix queries want: pull,
+/// keep the matching positions, and stop pulling as soon as no later
+/// position can match (`=`, `<`, `<=`). `None` for any other filter.
+#[inline(never)]
+fn stream_filter_positional(
+    base: &LExpr,
+    predicates: &[LExpr],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Option<Sequence>> {
+    let (LExpr::Path { start, steps }, [p]) = (base, predicates) else {
+        return Ok(None);
     };
+    let Some((op, n)) = positional_predicate(p) else {
+        return Ok(None);
+    };
+    let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+        return Ok(None);
+    };
+    let limit = match op {
+        CmpOp::Eq | CmpOp::Le => Some(n),
+        CmpOp::Lt => Some(n - 1),
+        CmpOp::Ne | CmpOp::Gt | CmpOp::Ge => None,
+    };
+    let mut out = Sequence::empty();
+    let mut p = 0i64;
+    loop {
+        if limit.is_some_and(|limit| p >= limit) {
+            stream.finish_early(env.stats);
+            break;
+        }
+        let Some(item) = stream.next(env) else {
+            break;
+        };
+        p += 1;
+        if pos_matches(op, p, n) {
+            out.push(item);
+        }
+    }
     env.stats.items_allocated += out.len() as u64;
-    out
+    Ok(Some(out))
 }
 
 /// Atoms of one hash-join operand (build key or probe). A streamable path
@@ -1545,17 +1478,12 @@ fn key_atoms(
         other => other,
     };
     if let LExpr::Path { start, steps } = bare {
-        if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-            return Ok(match stream {
-                PathStream::Cursor(mut cur) => {
-                    let mut atoms = Vec::new();
-                    while let Some(item) = cur.next(env.store, env.stats) {
-                        atoms.push(atomize_item(&item, env.store));
-                    }
-                    atoms
-                }
-                PathStream::Done(seq) => atomize(&seq, env.store),
-            });
+        if let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? {
+            let mut atoms = Vec::new();
+            while let Some(item) = stream.next(env) {
+                atoms.push(atomize_item(&item, env.store));
+            }
+            return Ok(atoms);
         }
     }
     let v = run(e, env, frame, ctx)?;
@@ -1567,8 +1495,10 @@ fn key_atoms(
 /// bounds are integer literals — evaluated-argument order is unchanged
 /// because literals are effect-free):
 ///
-/// * `count(PATH)` — pull and discard; `count(FLWOR)` without `order by`
-///   runs the pipeline with a counting sink ([`FlworOut::Count`]).
+/// * `exists`/`empty`/`boolean`/`not` — one pull ([`stream_exists`]).
+/// * `count(PATH)` — pull and discard, or a name-index window's length;
+///   `count(FLWOR)` without `order by` runs the pipeline with a counting
+///   sink ([`FlworOut::Count`]).
 /// * `subsequence(PATH, s[, l])` — stops pulling past the window's end.
 /// * `remove(PATH, n)` / `insert-before(PATH, n, SEQ)` — single-pass
 ///   splice, no intermediate target sequence.
@@ -1581,29 +1511,25 @@ fn stream_builtin(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<Option<Sequence>> {
-    fn int_literal(e: &LExpr) -> Option<i64> {
-        match e {
-            // The same bound as the cursor's positional predicates: the
-            // generic dispatch goes through `f64`, which is exact here.
-            LExpr::Literal(Atomic::Int(n)) if n.abs() <= (1 << 50) => Some(*n),
-            _ => None,
-        }
-    }
     match builtin {
+        Builtin::Exists | Builtin::Boolean | Builtin::Empty | Builtin::Not if args.len() == 1 => {
+            let LExpr::Path { start, steps } = &args[0] else {
+                return Ok(None);
+            };
+            let Some(found) = stream_exists(start, steps, env, frame, ctx)? else {
+                return Ok(None);
+            };
+            let invert = matches!(builtin, Builtin::Empty | Builtin::Not);
+            Ok(Some(Atomic::Bool(found != invert).into()))
+        }
         Builtin::Count if args.len() == 1 => {
             if let LExpr::Path { start, steps } = &args[0] {
                 if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
                     let n = match stream {
-                        PathStream::Cursor(mut cur) => {
-                            let mut n = 0i64;
-                            while cur.next(env.store, env.stats).is_some() {
-                                n += 1;
-                            }
-                            n
-                        }
-                        PathStream::Done(seq) => seq.len() as i64,
+                        PathStream::Cursor(cur) => cur.count(env.store, env.stats),
+                        PathStream::Done(seq, _) => seq.len(),
                     };
-                    return Ok(Some(Atomic::Int(n).into()));
+                    return Ok(Some(Atomic::Int(n as i64).into()));
                 }
             }
             if let LExpr::Flwor {
@@ -1634,47 +1560,27 @@ fn stream_builtin(
                     None => return Ok(None),
                 },
             };
-            let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+            let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? else {
                 return Ok(None);
             };
             // Keep positions p with p >= s and, when a length is given,
             // p < s + l — the generic filter, in exact arithmetic.
             let hi = len.map(|l| s.saturating_add(l));
-            let out = match stream {
-                PathStream::Done(seq) => {
-                    let items: Vec<Item> = seq
-                        .into_items()
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(i, _)| {
-                            let p = *i as i64 + 1;
-                            p >= s && hi.is_none_or(|hi| p < hi)
-                        })
-                        .map(|(_, item)| item)
-                        .collect();
-                    Sequence::from_items(items)
+            let mut out = Sequence::empty();
+            let mut p = 0i64;
+            loop {
+                if hi.is_some_and(|hi| p + 1 >= hi) {
+                    stream.finish_early(env.stats);
+                    break;
                 }
-                PathStream::Cursor(mut cur) => {
-                    let mut out = Sequence::empty();
-                    let mut p = 0i64;
-                    loop {
-                        if let Some(hi) = hi {
-                            if p + 1 >= hi {
-                                cur.finish_early(env.stats);
-                                break;
-                            }
-                        }
-                        let Some(item) = cur.next(env.store, env.stats) else {
-                            break;
-                        };
-                        p += 1;
-                        if p >= s {
-                            out.push(item);
-                        }
-                    }
-                    out
+                let Some(item) = stream.next(env) else {
+                    break;
+                };
+                p += 1;
+                if p >= s {
+                    out.push(item);
                 }
-            };
+            }
             env.stats.items_allocated += out.len() as u64;
             Ok(Some(out))
         }
@@ -1685,32 +1591,17 @@ fn stream_builtin(
             let Some(pos) = int_literal(&args[1]) else {
                 return Ok(None);
             };
-            let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+            let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? else {
                 return Ok(None);
             };
-            let out = match stream {
-                PathStream::Done(seq) => {
-                    let items: Vec<Item> = seq
-                        .into_items()
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i as i64 + 1 != pos)
-                        .map(|(_, item)| item)
-                        .collect();
-                    Sequence::from_items(items)
+            let mut out = Sequence::empty();
+            let mut p = 0i64;
+            while let Some(item) = stream.next(env) {
+                p += 1;
+                if p != pos {
+                    out.push(item);
                 }
-                PathStream::Cursor(mut cur) => {
-                    let mut out = Sequence::empty();
-                    let mut p = 0i64;
-                    while let Some(item) = cur.next(env.store, env.stats) {
-                        p += 1;
-                        if p != pos {
-                            out.push(item);
-                        }
-                    }
-                    out
-                }
-            };
+            }
             env.stats.items_allocated += out.len() as u64;
             Ok(Some(out))
         }
@@ -1721,7 +1612,7 @@ fn stream_builtin(
             let Some(pos) = int_literal(&args[1]) else {
                 return Ok(None);
             };
-            let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? else {
+            let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? else {
                 return Ok(None);
             };
             // Same effect order as the generic call: target first (the
@@ -1729,33 +1620,20 @@ fn stream_builtin(
             let inserts = run(&args[2], env, frame, ctx)?;
             let inserts_len = inserts.len();
             let at = (pos.max(1) - 1) as usize;
-            let out = match stream {
-                PathStream::Done(seq) => {
-                    let mut items = seq.into_items();
-                    let at = at.min(items.len());
-                    let tail = items.split_off(at);
-                    items.extend(inserts.into_items());
-                    items.extend(tail);
-                    Sequence::from_items(items)
+            let mut out = Sequence::empty();
+            let mut p = 0usize;
+            let mut inserted = false;
+            while let Some(item) = stream.next(env) {
+                if p == at {
+                    out.push_seq(inserts.clone());
+                    inserted = true;
                 }
-                PathStream::Cursor(mut cur) => {
-                    let mut out = Sequence::empty();
-                    let mut p = 0usize;
-                    let mut inserted = false;
-                    while let Some(item) = cur.next(env.store, env.stats) {
-                        if p == at {
-                            out.push_seq(inserts.clone());
-                            inserted = true;
-                        }
-                        out.push(item);
-                        p += 1;
-                    }
-                    if !inserted {
-                        out.push_seq(inserts);
-                    }
-                    out
-                }
-            };
+                out.push(item);
+                p += 1;
+            }
+            if !inserted {
+                out.push_seq(inserts);
+            }
             // Count only the target items: the inserts were accounted for
             // by their own evaluation, and the materialised run books just
             // the path expansion — same ledger either way.
@@ -1766,68 +1644,9 @@ fn stream_builtin(
     }
 }
 
-/// Depth-first existence walk: does any node reachable from `node` through
-/// the remaining steps survive? The first hit short-circuits every level.
-fn step_any(store: &Store, node: NodeId, steps: &[LPathStep]) -> bool {
-    let Some((step, rest)) = steps.split_first() else {
-        return true;
-    };
-    let LExpr::AxisStep { axis, test, .. } = &step.expr else {
-        unreachable!("streamable_steps admits only axis steps");
-    };
-    if step.double_slash {
-        return match axis {
-            // descendant-or-self::node()/child::T visits exactly the
-            // descendants of `node`; for a trailing unprefixed name test the
-            // store's name index answers without walking the subtree
-            // (candidates are local-name keyed, so the full-QName check
-            // stays in the visitor).
-            Axis::Child => {
-                if rest.is_empty() {
-                    if let LNodeTest::Name(want) = test {
-                        if want.prefix_sym().is_none() {
-                            return store.any_descendant_element_by_local(
-                                node,
-                                want.local_sym(),
-                                |n| node_test_matches(test, Axis::Child, n, store),
-                            );
-                        }
-                    }
-                }
-                store.descendants_iter(node).any(|d| {
-                    node_test_matches(test, Axis::Child, d, store) && step_any(store, d, rest)
-                })
-            }
-            Axis::Attribute => {
-                if rest.is_empty() {
-                    if let LNodeTest::Name(want) = test {
-                        if want.prefix_sym().is_none() {
-                            return store.any_descendant_or_self_attribute_by_local(
-                                node,
-                                want.local_sym(),
-                                |n| node_test_matches(test, Axis::Attribute, n, store),
-                            );
-                        }
-                    }
-                }
-                std::iter::once(node)
-                    .chain(store.descendants_iter(node))
-                    .any(|d| {
-                        axis_candidates(Axis::Attribute, d, store)
-                            .into_iter()
-                            .any(|a| {
-                                node_test_matches(test, Axis::Attribute, a, store)
-                                    && step_any(store, a, rest)
-                            })
-                    })
-            }
-            _ => unreachable!("streamable_steps gates double-slash axes"),
-        };
-    }
-    axis_candidates(*axis, node, store)
-        .into_iter()
-        .any(|c| node_test_matches(test, *axis, c, store) && step_any(store, c, rest))
-}
+// ----------------------------------------------------------------------
+// Paths, predicates
+// ----------------------------------------------------------------------
 
 fn map_step(
     current: &Sequence,
@@ -1867,39 +1686,54 @@ fn map_step(
         .collect())
 }
 
-/// The lowered node test: names were parsed to `QName`s at compile time, so
-/// matching is symbol equality, never a string render.
-/// Lowered mirror of the walker's `fused_double_slash_step`: name tests are
-/// already interned `QName`s here, so any simple predicate-free `//name` or
-/// `//@name` step qualifies for the index lookup.
-pub(crate) fn fused_double_slash_step(expr: &LExpr) -> Option<FusedStep> {
+/// A predicate-free `//name` or `//@name` step: the name, and whether it
+/// names attributes. The per-tree name index answers such a step outright
+/// — the materialised loop per context node, the cursor as one window.
+pub(crate) fn name_index_step(step: &LPathStep) -> Option<(QName, bool)> {
     let LExpr::AxisStep {
         axis,
-        test,
+        test: LNodeTest::Name(name),
         predicates,
         ..
-    } = expr
+    } = &step.expr
     else {
         return None;
     };
-    if !predicates.is_empty() {
+    if !step.double_slash || !predicates.is_empty() {
         return None;
     }
-    match (axis, test) {
-        (Axis::Child, LNodeTest::Name(want)) if want.prefix_sym().is_none() => {
-            Some(FusedStep::ChildNamed(*want))
-        }
-        (Axis::Attribute, LNodeTest::Name(want)) if want.prefix_sym().is_none() => {
-            Some(FusedStep::AttrNamed(*want))
-        }
+    match axis {
+        Axis::Child => Some((*name, false)),
+        Axis::Attribute => Some((*name, true)),
         _ => None,
     }
 }
 
-/// Lowered mirror of the walker's `is_focus_free_simple`: the comparand may
-/// not depend on the candidate node, and evaluating it once instead of per
-/// candidate must be unobservable — no calls (hence no `fn:trace`), no
-/// constructors; path steps rebind their own focus and are predicate-free.
+/// Evaluates `descendant-or-self::node()/child::name` (or `attribute::name`)
+/// for the whole context sequence from the name index: per context node one
+/// binary-searched window instead of materialising the subtree. Raises the
+/// same `XPTY0019` as [`expand_descendant_or_self`] on atomic items.
+fn eval_name_index_step(
+    current: &Sequence,
+    name: QName,
+    attributes: bool,
+    store: &Store,
+) -> Result<Sequence> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for item in current.iter() {
+        let n = item
+            .as_node()
+            .ok_or_else(|| Error::new(ErrorCode::XPTY0019, "'//' applied to an atomic value"))?;
+        out.extend(store.name_span(n, &name, attributes).nodes(store));
+    }
+    let unique = dedup_sorted(out, store);
+    Ok(unique.into_iter().map(Item::Node).collect())
+}
+
+/// The comparand may not depend on the candidate node, and evaluating it
+/// once instead of per candidate must be unobservable — no calls (hence no
+/// `fn:trace`), no constructors; path steps rebind their own focus and are
+/// predicate-free.
 fn is_focus_free_simple(e: &LExpr) -> bool {
     match e {
         LExpr::Literal(_) | LExpr::LocalRef(_) | LExpr::GlobalRef(..) => true,
@@ -1930,27 +1764,27 @@ fn attr_step_name(e: &LExpr) -> Option<QName> {
     }
 }
 
-/// Lowered detection result for the fused `child[@attr = RHS]` step.
-struct FusedAttrEqStep<'a> {
-    fused: FusedAttrEq,
+/// A child step whose first predicate equates an attribute of the candidate
+/// with a focus-free expression — `child[@attr = RHS]…` — answerable from
+/// the store's attribute-value index when RHS atomizes to strings only.
+/// Both names are unprefixed. Later predicates stay generic; the first
+/// predicate never consults `position()`/`last()` (it's a comparison), so
+/// skipping the per-candidate focus for it is unobservable.
+pub(crate) struct FusedAttrEq<'a> {
+    child: QName,
+    attr: QName,
     rhs: &'a LExpr,
     rest: &'a [LExpr],
 }
 
-/// Would this axis step take the fused `child[@attr = RHS]` index probe?
-/// Exposed for [`crate::obs::explain`] so the plan annotation matches the
-/// runner's gate exactly.
-pub(crate) fn is_fused_attr_eq(axis: Axis, test: &LNodeTest, predicates: &[LExpr]) -> bool {
-    fused_attr_eq_step(axis, test, predicates).is_some()
-}
-
-/// Lowered mirror of the walker's `fused_attr_eq_step`: names are already
-/// interned `QName`s here, so the unprefixed restriction is a symbol check.
-fn fused_attr_eq_step<'a>(
+/// The fused `child[@attr = RHS]` index probe this axis step takes, if
+/// any. [`crate::obs::explain`] calls it too, so the plan annotation
+/// matches the runner's gate exactly.
+pub(crate) fn fused_attr_eq_step<'a>(
     axis: Axis,
     test: &LNodeTest,
     predicates: &'a [LExpr],
-) -> Option<FusedAttrEqStep<'a>> {
+) -> Option<FusedAttrEq<'a>> {
     if axis != Axis::Child {
         return None;
     }
@@ -1969,13 +1803,69 @@ fn fused_attr_eq_step<'a>(
         (None, Some(a)) if is_focus_free_simple(l) => (a, &**l),
         _ => return None,
     };
-    Some(FusedAttrEqStep {
-        fused: FusedAttrEq { child: *want, attr },
+    Some(FusedAttrEq {
+        child: *want,
+        attr,
         rhs,
         rest,
     })
 }
 
+/// Does `node` have at least one child element named `name`? The generic
+/// step evaluates predicates only when the name test admits a candidate, so
+/// the fused path must not touch the predicate's RHS before establishing
+/// the same — this check is that gate, allocation- and evaluation-free.
+fn has_child_element_named(store: &Store, node: NodeId, name: &QName) -> bool {
+    store
+        .children(node)
+        .iter()
+        .any(|&c| matches!(store.kind(c), NodeKind::Element(q) if q == name))
+}
+
+/// The index-backed half of the fused `child[@attr = RHS]` step: `rhs` is
+/// the predicate's already-evaluated comparand. Returns `None` — caller
+/// falls back to the generic scan — unless every atom of `rhs` is a string
+/// or untyped value, the one case where the engine's general `=` degenerates
+/// to exact string equality and an exact-value probe is sound. Owners found
+/// through the local-name-keyed index are re-verified against the full
+/// attribute `QName` and value (an element may carry `x:id` next to `id`,
+/// and Galax-quirks construction allows duplicate attribute names).
+fn fused_attr_eq_candidates(
+    node: NodeId,
+    fused: &FusedAttrEq,
+    rhs: &Sequence,
+    store: &Store,
+) -> Option<Vec<NodeId>> {
+    let atoms = atomize(rhs, store);
+    let mut values: Vec<&str> = Vec::with_capacity(atoms.len());
+    for a in &atoms {
+        match a {
+            Atomic::Str(s) | Atomic::Untyped(s) => values.push(s),
+            // Numeric or boolean comparand: `=` casts the untyped attribute
+            // instead of comparing strings, so the index can't answer it.
+            _ => return None,
+        }
+    }
+    let mut matched = Vec::new();
+    for v in &values {
+        for owner in store.elements_with_attr_value(node, fused.attr.local_sym(), v) {
+            let verified = store.parent(owner) == Some(node)
+                && matches!(store.kind(owner), NodeKind::Element(q) if *q == fused.child)
+                && store.attributes(owner).iter().any(|&a| {
+                    matches!(store.kind(a), NodeKind::Attribute(q, val) if *q == fused.attr && **val == **v)
+                });
+            if verified {
+                matched.push(owner);
+            }
+        }
+    }
+    // Children of one node: document order is sibling order, and repeated
+    // RHS values can surface an owner twice.
+    Some(dedup_sorted(matched, store))
+}
+
+/// The lowered node test: names were parsed to `QName`s at compile time, so
+/// matching is symbol equality, never a string render.
 pub(crate) fn node_test_matches(test: &LNodeTest, axis: Axis, node: NodeId, store: &Store) -> bool {
     let kind = store.kind(node);
     match test {
