@@ -107,8 +107,8 @@ impl ItScale {
 /// The production-shape corpus scale (ROADMAP: "100k+-node seeded AWB
 /// models"): ~100,000 nodes in the usual IT-architecture proportions.
 /// Pair it with [`it_architecture`] and a fixed seed for a deterministic
-/// benchmark corpus — `paper_tables -- bench-edit` reports its
-/// edit-to-fresh-doc latency as the BENCH_9 100k row.
+/// benchmark corpus — the bench registry's `edit_*_100k` rows report its
+/// edit-to-fresh-doc latency.
 pub fn production_scale() -> ItScale {
     ItScale::about(100_000)
 }

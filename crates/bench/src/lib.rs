@@ -2,6 +2,7 @@
 //! injection, line counting (E6), and the type-metastasis analysis (E8).
 
 pub mod corpus;
+pub mod rows;
 pub mod scenario;
 
 use awb::workload::{it_architecture, it_metamodel, ItScale};
@@ -9,13 +10,16 @@ use awb::{Metamodel, Model, PropValue};
 
 /// Nearest-rank percentile (`p` in 0–100) over an ascending-sorted sample
 /// set: the smallest sample with at least `p`% of the set at or below it.
-/// Zero for an empty set.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// `None` unless the set holds at least `100 / (100 − p)` samples (p95
+/// needs 20, p99 needs 100): below that the nearest rank is the maximum,
+/// and printing it as a tail percentile would be a claim the data cannot
+/// back.
+pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
+    if (sorted.len() as f64) * (100.0 - p) < 100.0 {
+        return None;
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
 /// A model+metamodel pair sized for an experiment.
@@ -306,6 +310,17 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_needs_the_samples_to_back_it() {
+        let ramp = |n: usize| (1..=n).map(|i| i as f64).collect::<Vec<_>>();
+        assert_eq!(percentile(&ramp(1), 50.0), None);
+        assert_eq!(percentile(&ramp(2), 50.0), Some(1.0));
+        assert_eq!(percentile(&ramp(19), 95.0), None);
+        assert_eq!(percentile(&ramp(20), 95.0), Some(19.0));
+        assert_eq!(percentile(&ramp(99), 99.0), None);
+        assert_eq!(percentile(&ramp(100), 99.0), Some(99.0));
+    }
 
     #[test]
     fn loc_skips_blank_and_comment_lines() {
