@@ -107,6 +107,12 @@ const OBS_PROBES: &[(&str, &str)] = &[
     ),
     ("streamed_existence", "exists(//leaf)"),
     ("cursor_pick", "(//item)[3]"),
+    (
+        "split_prefix_hoist",
+        "declare function local:odd($k) { ends-with($k, '1') or ends-with($k, '3') }; \
+         let $d := /root return count(for $i in (0, 1, 2, 3) \
+           return $d/item[local:odd(string(@k))][@g = concat('g', $i)])",
+    ),
 ];
 
 /// Runs every probe on one engine and returns its counter block per probe.
@@ -128,7 +134,8 @@ fn obs_probe_rows(runtime_opt: bool) -> Vec<(&'static str, EvalStats)> {
 
 /// `paper_tables -- check-obs` — asserts that every fast path the engine
 /// claims (hash join, index range, attribute-index probe, CacheOnce,
-/// streamed existence) reports non-zero counters on its probe query, and
+/// streamed existence, the split-prefix hoist through a pure function)
+/// reports non-zero counters on its probe query, and
 /// that with the runtime passes off the same queries report zero for every
 /// optimisation counter. Panics (non-zero exit) on any violation, so CI can
 /// run it directly.
@@ -166,6 +173,27 @@ fn check_obs() {
     assert!(
         stream.streamed_existence > 0,
         "streamed-existence path did not count: {stream:?}"
+    );
+    let split = get("split_prefix_hoist");
+    assert!(
+        split.cache_hits > 0 && split.cache_resets > 0,
+        "split-prefix hoist did not count: {split:?}"
+    );
+    let split_src = OBS_PROBES
+        .iter()
+        .find(|(n, _)| *n == "split_prefix_hoist")
+        .map(|(_, src)| *src)
+        .expect("probe row");
+    let plan = Engine::with_options(EngineOptions {
+        runtime_opt: true,
+        ..Default::default()
+    })
+    .compile(split_src)
+    .expect("obs probe compiles")
+    .plan_stats;
+    assert_eq!(
+        plan.split_prefixes, 1,
+        "the pure-call prefix was not split: {plan:?}"
     );
     let pick = get("cursor_pick");
     assert!(

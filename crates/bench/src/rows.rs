@@ -11,7 +11,8 @@ use crate::{it_workload, Workload};
 use awb::workload::{it_architecture, it_metamodel, production_scale};
 use awb::{xmlio, NodeRef, PropValue, Query};
 use docgen::batch::{generate_batch_with, BatchJob, CompiledPipeline, GeneratorKind};
-use docgen::{native, EditFootprint, GenInputs, IncrementalDoc, Template};
+use docgen::xq::XqGenerator;
+use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc, Template};
 use qsvc::{Client, Service, ServiceConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -38,6 +39,8 @@ const MICRO: usize = 41;
 const PARSE: usize = 11;
 /// Samples per batch row: these run for hundreds of milliseconds.
 const BATCH: usize = 5;
+/// Samples per single-document render row: tens of milliseconds each.
+const RENDER: usize = 21;
 /// Rounds per service-throughput row.
 const ROUNDS: usize = 5;
 /// Scenario runs per scenario row.
@@ -265,6 +268,7 @@ pub fn registry() -> Vec<Row> {
     e1_rows(&mut rows);
     query_rows(&mut rows);
     batch_rows(&mut rows);
+    docgen_rows(&mut rows);
     qps_rows(&mut rows);
     edit_rows(&mut rows);
     corpus_rows(&mut rows);
@@ -741,6 +745,52 @@ fn batch_rows(rows: &mut Vec<Row>) {
             per_doc,
         ));
     }
+}
+
+// ----------------------------------------------------------------------
+// Document generation rows.
+// ----------------------------------------------------------------------
+
+/// One seeded IT model of about 100 nodes rendered through the System
+/// Context template by the five-phase XQuery pipeline, compiled once —
+/// the E5 render, and the op the `docgen` perfbench workload times. The
+/// fixture first checks the document against the native generator's.
+fn docgen_rows(rows: &mut Vec<Row>) {
+    rows.push(row(
+        "docgen_system_context_xq",
+        Layer::Eval,
+        "one IT model of n=100 through the System Context template, XQuery pipeline compiled once",
+        RENDER,
+        Gate::None,
+        || {
+            let w = it_workload(100, 7);
+            let template = Template::parse(lopsided::templates::SYSTEM_CONTEXT)
+                .expect("System Context template parses");
+            let pipeline = CompiledPipeline::standard().expect("docgen pipeline compiles");
+            let nat = native::generate(&GenInputs {
+                model: &w.model,
+                meta: &w.meta,
+                template: &template,
+            })
+            .expect("native generator renders");
+            let render = move || {
+                let inputs = GenInputs {
+                    model: &w.model,
+                    meta: &w.meta,
+                    template: &template,
+                };
+                XqGenerator::with_compiled(&inputs, &pipeline)
+                    .and_then(|mut g| g.run())
+                    .expect("XQuery pipeline renders")
+            };
+            let xq = render();
+            assert!(
+                normalized_equal(&nat.to_xml(), &xq.xml) && nat.trouble_count == xq.trouble_count,
+                "XQuery and native System Context documents differ"
+            );
+            Box::new(move || ms(|| drop(render())))
+        },
+    ));
 }
 
 // ----------------------------------------------------------------------

@@ -625,6 +625,29 @@ mod tests {
     }
 
     #[test]
+    fn generator_hoists_the_table_and_follow_prefixes() {
+        // The awb-table cell and both `follow` directions filter
+        // `$model/relation` by the recursive `local:is-rel-subtype` before
+        // their per-tuple predicates. The runtime pass splits each of the
+        // three steps there and hoists the invariant prefix out of its
+        // loop — three hoists on top of the one the generator had before
+        // pure calls were cacheable.
+        let engine = Engine::with_options(xquery::EngineOptions {
+            runtime_opt: true,
+            ..Default::default()
+        });
+        let q = engine.compile(GEN_XQ).unwrap();
+        assert!(q.plan_stats.split_prefixes >= 3, "{:?}", q.plan_stats);
+        assert!(q.plan_stats.hoisted_invariant >= 4, "{:?}", q.plan_stats);
+        let plan = engine.explain(&q);
+        assert!(plan.contains("local:is-rel-subtype  [pure]"), "{plan}");
+        assert!(
+            plan.contains("local:err  [impure: constructs nodes]"),
+            "{plan}"
+        );
+    }
+
+    #[test]
     fn awb_table_renders() {
         let m = tiny_model();
         let out = gen(

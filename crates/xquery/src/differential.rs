@@ -1308,29 +1308,26 @@ fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
 
 /// Every (document, query) case the serial corpus tests cover: both corpora
 /// against their documents plus the context-free runs.
-fn corpus_cases() -> Vec<(Option<&'static str>, &'static str)> {
+fn corpus_cases() -> Vec<(Option<&'static str>, String)> {
     let mut cases = Vec::new();
     for src in CORPUS {
-        cases.push((Some(DOC), *src));
-        cases.push((None, *src));
+        cases.push((Some(DOC), src.to_string()));
+        cases.push((None, src.to_string()));
     }
-    for src in AXIS_CORPUS {
-        cases.push((Some(DEEP_DOC), *src));
+    for (doc, corpus) in [
+        (DEEP_DOC, AXIS_CORPUS),
+        (JOIN_DOC, JOIN_CORPUS),
+        (STREAM_DOC, STREAM_CORPUS),
+        (CURSOR_DOC, CURSOR_CORPUS),
+        (xmark_mini_doc(), XMARK_CORPUS),
+        (deep_chain_doc(), DEEP_CHAIN_CORPUS),
+    ] {
+        for src in corpus {
+            cases.push((Some(doc), src.to_string()));
+        }
     }
-    for src in JOIN_CORPUS {
-        cases.push((Some(JOIN_DOC), *src));
-    }
-    for src in STREAM_CORPUS {
-        cases.push((Some(STREAM_DOC), *src));
-    }
-    for src in CURSOR_CORPUS {
-        cases.push((Some(CURSOR_DOC), *src));
-    }
-    for src in XMARK_CORPUS {
-        cases.push((Some(xmark_mini_doc()), *src));
-    }
-    for src in DEEP_CHAIN_CORPUS {
-        cases.push((Some(deep_chain_doc()), *src));
+    for (body, _) in PURE_CORPUS {
+        cases.push((Some(PURE_DOC), pure_source(body)));
     }
     cases
 }
@@ -1359,14 +1356,14 @@ fn pooled_corpus_is_byte_identical_to_serial_under_all_configs() {
     for (name, options) in engine_configs() {
         let serial: Vec<String> = cases
             .iter()
-            .map(|&(doc, src)| case_outcome(options.clone(), None, doc, src))
+            .map(|(doc, src)| case_outcome(options.clone(), None, *doc, src))
             .collect();
         let jobs: Vec<_> = cases
             .iter()
-            .map(|&(doc, src)| {
-                let options = options.clone();
+            .map(|(doc, src)| {
+                let (options, doc, src) = (options.clone(), *doc, src.clone());
                 let pool = Arc::clone(&pool);
-                move || case_outcome(options, Some(pool), doc, src)
+                move || case_outcome(options, Some(pool), doc, &src)
             })
             .collect();
         let pooled = pool.run_batch(jobs);
@@ -1383,7 +1380,7 @@ fn substrate_sweep_frozen_matches_thawed_under_all_configs() {
     // every optimisation switched off.
     let cases = corpus_cases();
     for (name, options) in engine_configs() {
-        for &(doc_xml, src) in &cases {
+        for (doc_xml, src) in &cases {
             let frozen = {
                 let mut e = Engine::with_options(options.clone());
                 let doc = doc_xml.map(|xml| e.load_document(xml).unwrap());
@@ -1921,4 +1918,211 @@ fn deep_chain_corpus_matches_reference_under_all_configs() {
                 .unwrap_or_else(|d| panic!("{name}: {src}: {d}"));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Pure calls: hoisting through them, and splitting a step at its
+// invariant predicate prefix
+// ---------------------------------------------------------------------
+
+/// A model with a relation-type hierarchy (`reads` < `calls` < `uses`), its
+/// relations spread over two groups so a path has two context nodes, two
+/// deliberately bad attributes (`w='x'` in the second group, `v='bad'` in
+/// the first) for the error-order cases, and nodes with zero, one and two
+/// `val` children for the join fallback.
+const PURE_DOC: &str = "<m>\
+    <types><t name='uses'/><t name='calls' parent='uses'/><t name='reads' parent='calls'/><t name='likes'/></types>\
+    <g id='g1'>\
+      <rel type='calls' src='a' dst='b' w='1' v='5'/>\
+      <rel type='likes' src='a' dst='c' w='2' v='bad'/>\
+      <rel type='reads' src='c' dst='b' w='3' v='7'/>\
+    </g>\
+    <g id='g2'>\
+      <rel type='uses' src='b' dst='a' w='4' v='1'/>\
+      <rel type='reads' src='a' dst='a' w='x' v='2'/>\
+      <rel type='bogus' src='c' dst='c' w='5' v='3'/>\
+      <rel type='calls' src='b' dst='c' w='6' v='9'/>\
+    </g>\
+    <node id='a' kind='app'><val>p</val><val>q</val></node>\
+    <node id='b' kind='db'><val>q</val></node>\
+    <node id='c' kind='app'/>\
+</m>";
+
+/// The recursive subtype test every hoisting case below calls.
+const PURE_PROLOG: &str = "declare variable $m := /m; \
+    declare function local:sub($s, $sup) { \
+      if ($s = $sup) then true() \
+      else let $p := string(($m/types/t[@name = $s])[1]/@parent) \
+           return if ($p = '') then false() else local:sub($p, $sup) }; \
+    declare function local:w($s) { $s cast as xs:integer }; \
+    declare function local:mk($s) { <w k='{$s}'><x/><y/></w> }; \
+    declare function local:seen($s) { trace('seen', $s) }; ";
+
+/// Each case with the plan the runtime passes must make of it: how many
+/// steps are split at an invariant prefix.
+const PURE_CORPUS: &[(&str, usize)] = &[
+    // A recursive pure function as the first predicate inside nested
+    // `for`s: the prefix hoists out of both loops.
+    (
+        "for $a in $m/node for $b in $m/node \
+         return count($m/g/rel[local:sub(string(@type), 'uses')][@src = $a/@id][@dst = $b/@id])",
+        1,
+    ),
+    // Nested `for`s: the outer loop's variable in the middle predicate
+    // stays out of the prefix hoisted above that loop.
+    (
+        "for $a in $m/node return for $b in $m/node \
+         return count($m/g/rel[local:sub(string(@type), 'uses')][@src = $a/@id][@dst = $b/@id])",
+        1,
+    ),
+    // The same prefix whole, as a `for` binding, beside its split twin.
+    (
+        "for $a in $m/node return ($a/@id/string(), \
+           for $r in $m/g/rel[local:sub(string(@type), 'calls')][@src = $a/@id] return string($r/@dst))",
+        1,
+    ),
+    // A constructing function is impure: each call makes a fresh node, so
+    // hoisting it would make `is` and `<<` lie.
+    (
+        "for $i in (1, 2) for $j in (1, 2) \
+         return (local:mk('a') is local:mk('a'), count(local:mk('a') | local:mk('a')), \
+                 try { local:mk($i)/x << local:mk($i)/y } catch { 'two trees' })",
+        0,
+    ),
+    (
+        "for $a in $m/node return count($m/g/rel[local:mk(@type) instance of element(w)][@src = $a/@id])",
+        0,
+    ),
+    // A function that calls trace is impure: the events fire per call, in
+    // order, with their positions.
+    (
+        "for $i in (1, 2) return count($m/node[local:seen(string(@id)) != ''][$i = 1])",
+        0,
+    ),
+    (
+        "for $a in $m/node return count($m/g/rel[local:sub(string(@type), 'uses')][local:seen(@src) = $a/@id])",
+        0,
+    ),
+    // Positional suffixes are per context node: never split.
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v != $i][2] \
+         return string($r/@dst)",
+        0,
+    ),
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v != $i][last()] \
+         return string($r/@dst)",
+        0,
+    ),
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][$i] \
+         return string($r/@dst)",
+        0,
+    ),
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][position() = $i] \
+         return string($r/@dst)",
+        0,
+    ),
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v > $i][position() < 2] \
+         return string($r/@dst)",
+        0,
+    ),
+    // The same shape with a boolean suffix splits.
+    (
+        "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v > $i] \
+         return string($r/@dst)",
+        1,
+    ),
+    // The prefix raises on a node of the second group while the suffix
+    // raises on a node of the first: the unsplit program reports the
+    // suffix's error (first group first), and so must the split one.
+    (
+        "for $i in (1, 2) return count($m/g/rel[local:w(string(@w)) > 0][(string(@v) cast as xs:integer) > $i])",
+        1,
+    ),
+    // Only the prefix raises: its own error, every time.
+    (
+        "for $i in (1, 2) return count($m/g/rel[local:w(string(@w)) > 0][@src = $i])",
+        1,
+    ),
+    // A hoisted cell whose first read raises inside try/catch: never
+    // filled, so every read raises again and is caught again.
+    (
+        "for $i in (1, 2, 3) return try { count($m/g/rel[local:w(string(@w)) > 0][@src != $i]) } catch { 'caught' }",
+        1,
+    ),
+    // The hash join now admits pure calls; a key that raises on a later
+    // item must not pre-empt the trace the scan's earlier match fires.
+    (
+        "for $n in ('q') for $r in reverse($m/node) where string($r/val) = $n \
+         return trace('hit', string($r/@id))",
+        0,
+    ),
+];
+
+fn pure_source(body: &str) -> String {
+    format!("{PURE_PROLOG}{body}")
+}
+
+#[test]
+fn pure_corpus_splits_only_where_safe() {
+    let e = Engine::with_options(EngineOptions {
+        runtime_opt: true,
+        ..Default::default()
+    });
+    for (body, splits) in PURE_CORPUS {
+        let q = e.compile(&pure_source(body)).unwrap();
+        assert_eq!(
+            q.plan_stats.split_prefixes, *splits,
+            "{body}: {:?}",
+            q.plan_stats
+        );
+        if *splits > 0 {
+            assert!(q.plan_stats.hoisted_invariant >= *splits, "{body}");
+        }
+    }
+    // The constructing call is never cached, anywhere in its query.
+    let (mk, _) = PURE_CORPUS
+        .iter()
+        .find(|(body, _)| body.contains("local:mk('a') is"))
+        .unwrap();
+    let q = e.compile(&pure_source(mk)).unwrap();
+    let plan = e.explain(&q);
+    assert!(!plan.contains("cache-once"), "{plan}");
+    assert!(
+        plan.contains("local:mk  [impure: constructs nodes]"),
+        "{plan}"
+    );
+    assert!(
+        plan.contains("local:seen  [impure: calls fn:trace]"),
+        "{plan}"
+    );
+    assert!(plan.contains("local:sub  [pure]"), "{plan}");
+}
+
+#[test]
+fn pure_corpus_trace_events_keep_their_positions() {
+    // Trace events — labels, values and call positions — are identical
+    // with the runtime passes on, with them off, and on the walker.
+    let mut runs = Vec::new();
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        let doc = e.load_document(PURE_DOC).unwrap();
+        for (body, _) in PURE_CORPUS {
+            let q = e.compile(&pure_source(body)).unwrap();
+            let _ = e.evaluate(&q, Some(doc));
+            let lowered = e.take_trace_events();
+            let _ = e.evaluate_reference(&q, Some(doc));
+            assert_eq!(lowered, e.take_trace_events(), "{body}");
+            runs.push(lowered);
+        }
+    }
+    let (on, off) = runs.split_at(PURE_CORPUS.len());
+    assert_eq!(on, off);
+    assert!(on.iter().any(|events| !events.is_empty()));
 }

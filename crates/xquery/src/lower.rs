@@ -81,7 +81,7 @@ pub struct CompiledGlobal {
 
 /// A lowered expression. Mirrors [`Expr`] shape-for-shape, with all names
 /// resolved (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LExpr {
     Literal(Atomic),
     /// A statically resolved local: read this frame slot.
@@ -189,11 +189,26 @@ pub enum LExpr {
         slot: u32,
         expr: Box<LExpr>,
     },
+    /// A path split at its loop-invariant predicate prefix, introduced only
+    /// by [`crate::lopt`]: `start/step[p1..pk][pk+1..pn]` runs as `suffix`
+    /// (`pk+1..pn`) filtering `prefix`, a [`LExpr::CacheOnce`] cell holding
+    /// `start/step[p1..pk]`. The suffix predicates are pure, statically
+    /// boolean, and never ask for `position()`/`last()`, so filtering the
+    /// whole cached sequence keeps exactly the nodes the per-context step
+    /// would. If the split form raises, `unsplit` — the original path —
+    /// runs instead and its outcome is returned: both halves are pure, so
+    /// the re-run shows only as time, and error codes and positions stay
+    /// those of the unhoisted program.
+    SplitPath {
+        prefix: Box<LExpr>,
+        suffix: Vec<LExpr>,
+        unsplit: Box<LExpr>,
+    },
 }
 
 /// A lowered FLWOR clause: binding names become slots. `let` keeps its
 /// source name for the type-check diagnostic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LFlworClause {
     For {
         var: u32,
@@ -233,33 +248,33 @@ pub enum JoinSide {
     Right,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LOrderSpec {
     pub key: LExpr,
     pub descending: bool,
     pub empty_least: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LPathStep {
     pub double_slash: bool,
     pub expr: LExpr,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LTypeCase {
     pub var: Option<u32>,
     pub ty: SeqType,
     pub body: LExpr,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LAttrPart {
     Literal(String),
     Enclosed(LExpr),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LContentPart {
     Literal(String),
     Enclosed(LExpr),
@@ -268,7 +283,7 @@ pub enum LContentPart {
 
 /// A lowered constructor name: literal names become `QName`s at compile
 /// time, computed ones stay expressions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LConstructorName {
     Literal(QName),
     Computed(Box<LExpr>),

@@ -15,19 +15,21 @@
 //! * [`TraceSink`] / [`TraceEvent`] — `fn:trace` becomes a routed side
 //!   effect instead of a bare string push. Events carry the query position
 //!   and the traced value, and survive every *runtime* pass by
-//!   construction: the lopt hoister never caches calls, the hash join
-//!   refuses operands containing calls, and the cursor gate admits only
-//!   positional predicates — so the only thing that can delete a trace is the
+//!   construction: the lopt hoister caches only pure calls (never `trace`,
+//!   nor a user function that reaches it), the hash join refuses operands
+//!   containing impure calls, and the cursor gate admits only positional
+//!   predicates — so the only thing that can delete a trace is the
 //!   paper-faithful quirks-mode AST optimiser, which is itself under test.
 //! * [`explain`] — renders the lowered-and-optimised [`Program`] as an
 //!   annotated plan tree: which `for` clause got the hash-join mark (and
 //!   why a candidate `where` was refused), which subexpressions were
-//!   hoisted into `CacheOnce` cells, which calls stream or answer from the
-//!   store's indexes.
+//!   hoisted into `CacheOnce` cells (whole, or as the invariant prefix of
+//!   a split step), which user functions the pass judged pure, which calls
+//!   stream or answer from the store's indexes.
 
 use crate::ast::Axis;
 use crate::cursor::{classify_steps, int_literal};
-use crate::lopt::{self, PlanStats};
+use crate::lopt::{self, PlanStats, Purity};
 use crate::lower::{LExpr, LFlworClause, Program};
 use crate::run::name_index_step;
 use std::collections::HashMap;
@@ -209,10 +211,13 @@ enum ResetKind {
 /// Every lopt rewrite is visible: `for` clauses carry their hash-join mark
 /// (or the reason the mark was refused when the `where` looked like a
 /// candidate), `CacheOnce` cells say whether they are loop-invariant hoists
-/// or per-tuple caches, and calls that the runner will stream or answer
-/// from an index are flagged. A program compiled with `runtime_opt` off
-/// renders the same tree with none of the annotations — diffing the two is
-/// the intended way to see what the layer did.
+/// or per-tuple caches, split steps show their cached prefix apart from
+/// their per-read suffix, each user function is marked `[pure]` or
+/// `[impure: why]`, and calls that the runner will stream or answer from an
+/// index are flagged. A program compiled with `runtime_opt` off
+/// renders the same tree with none of the rewrite annotations (the purity
+/// marks, an analysis rather than a rewrite, appear in both) — diffing the
+/// two is the intended way to see what the layer did.
 pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
@@ -223,18 +228,24 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
         collect_resets(&g.expr, &mut resets);
     }
     let mut out = format!(
-        "plan: {} hash join(s), {} invariant hoist(s), {} per-tuple cache(s), {} streamable binding(s)\n",
+        "plan: {} hash join(s), {} invariant hoist(s) ({} split prefix(es)), {} per-tuple cache(s), {} streamable binding(s)\n",
         plan_stats.hash_joins,
         plan_stats.hoisted_invariant,
+        plan_stats.split_prefixes,
         plan_stats.cached_per_tuple,
         plan_stats.streamable_bindings
     );
+    let purity = Purity::analyse(&program.functions);
     let cx = ExplainCx {
         program,
         resets: &resets,
+        purity: &purity,
     };
-    for f in &program.functions {
-        out.push_str(&format!("function {}:\n", f.name));
+    for (i, f) in program.functions.iter().enumerate() {
+        match purity.reason(&program.functions, i) {
+            None => out.push_str(&format!("function {}  [pure]:\n", f.name)),
+            Some(why) => out.push_str(&format!("function {}  [impure: {why}]:\n", f.name)),
+        }
         render(&f.body, 1, &cx, &mut out);
     }
     for g in &program.globals {
@@ -248,6 +259,7 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
 struct ExplainCx<'a> {
     program: &'a Program,
     resets: &'a HashMap<u32, ResetKind>,
+    purity: &'a Purity,
 }
 
 fn collect_resets(e: &LExpr, map: &mut HashMap<u32, ResetKind>) {
@@ -330,6 +342,7 @@ fn label(e: &LExpr, cx: &ExplainCx) -> String {
         LExpr::CastAs(..) => "cast".to_string(),
         LExpr::CastableAs(..) => "castable".to_string(),
         LExpr::CacheOnce { slot, .. } => format!("cache-once @{slot}"),
+        LExpr::SplitPath { .. } => "split path".to_string(),
     }
 }
 
@@ -409,7 +422,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
         return_,
     } = e
     {
-        let fallback = lopt::join_fallback_reason(clauses, where_);
+        let fallback = lopt::join_fallback_reason(clauses, where_, cx.purity);
         for c in clauses {
             match c {
                 LFlworClause::For {
@@ -475,6 +488,41 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
         }
         line(depth + 1, "return", out);
         render(return_, depth + 2, cx, out);
+        return;
+    }
+    if let LExpr::SplitPath {
+        prefix,
+        suffix,
+        unsplit,
+    } = e
+    {
+        let mut head = label(prefix, cx);
+        if let LExpr::CacheOnce { slot, expr } = &**prefix {
+            let refill = match cx.resets.get(slot) {
+                Some(ResetKind::Entry) => "refills once per loop entry",
+                Some(ResetKind::Iter) => "refills once per tuple",
+                None => "filled once per evaluation",
+            };
+            head.push_str(&format!(
+                "  [split-prefix hoist: the step's invariant leading predicates; {refill}]"
+            ));
+            line(depth + 1, &head, out);
+            render(expr, depth + 2, cx, out);
+        }
+        line(
+            depth + 1,
+            "suffix  [predicates re-applied to the cached prefix on every read]",
+            out,
+        );
+        for p in suffix {
+            render(p, depth + 2, cx, out);
+        }
+        line(
+            depth + 1,
+            "unsplit  [evaluated instead if the split form raises]",
+            out,
+        );
+        render(unsplit, depth + 2, cx, out);
         return;
     }
     lopt::for_each_child_ref(e, &mut |c| render(c, depth + 1, cx, out));
@@ -546,13 +594,36 @@ mod tests {
 
     #[test]
     fn explain_names_the_refusal_reason() {
-        // string($r) is a call: the join gate refuses it, and the plan says so.
+        // trace(…) is an impure call: the join gate refuses it, and the
+        // plan says so.
         let e = Engine::new();
         let q = e
-            .compile("for $n in (1, 2) for $r in (3, 4) where string($r) = $n return $r")
+            .compile("for $n in (1, 2) for $r in (3, 4) where trace('r', $r) = $n return $r")
             .unwrap();
         let plan = e.explain(&q);
         assert!(plan.contains("hash join not applied"), "{plan}");
+        assert!(plan.contains("impure calls"), "{plan}");
+    }
+
+    #[test]
+    fn explain_sets_split_prefix_cells_apart() {
+        let e = Engine::with_options(EngineOptions {
+            runtime_opt: true,
+            ..Default::default()
+        });
+        let q = e
+            .compile(
+                "declare function local:odd($k) { ends-with($k, '1') }; \
+                 let $d := <r><a k='1' g='1'/><a k='21' g='2'/></r> \
+                 return for $i in (1, 2) return count($d/a[local:odd(string(@k))][@g = $i])",
+            )
+            .unwrap();
+        let plan = e.explain(&q);
+        assert!(plan.contains("(1 split prefix(es))"), "{plan}");
+        assert!(plan.contains("function local:odd  [pure]:"), "{plan}");
+        assert!(plan.contains("split-prefix hoist"), "{plan}");
+        assert!(!plan.contains("hoisted loop-invariant"), "{plan}");
+        assert!(plan.contains("unsplit  [evaluated instead"), "{plan}");
     }
 
     #[test]

@@ -625,6 +625,18 @@ pub fn run(
             frame.set(*slot, Arc::new(v.clone()));
             Ok(v)
         }
+
+        LExpr::SplitPath {
+            prefix,
+            suffix,
+            unsplit,
+        } => {
+            // Both halves are pure: on error, the unsplit path decides
+            // which error the program raises, and where.
+            run(prefix, env, frame, ctx)
+                .and_then(|seq| apply_predicates_items(seq, suffix, env, frame, ctx))
+                .or_else(|_| run(unsplit, env, frame, ctx))
+        }
     }
 }
 
@@ -981,9 +993,12 @@ fn flwor_tuples(
 /// deterministic and effect-free, so which errors *can* fire is fixed; the
 /// scan's first action for a tuple is `key(item 1)` then the probe side,
 /// and the build evaluates in that same order before touching later items.
-/// When the table cannot decide membership (some key or probe atom outside
-/// the string family) the tuple falls back to the plain scan below, which
-/// re-evaluates `where` per item in source order.
+/// A key that raises on a *later* item abandons the table: the scan would
+/// run `return` for the earlier matches first (and their errors or traces
+/// would come first), so the tuple falls back to it. So does a tuple whose
+/// table cannot decide membership (some key or probe atom outside the
+/// string family): the plain scan below re-evaluates `where` per item in
+/// source order.
 #[allow(clippy::too_many_arguments)]
 fn join_for(
     items: Sequence,
@@ -1042,7 +1057,10 @@ fn join_for(
         if insert(&mut table, &first, 0) {
             for i in 1..items.len() {
                 bind(frame, &mut *env.stats, &items.items()[i]);
-                let atoms = key_atoms(key_e, env, frame, ctx)?;
+                let Ok(atoms) = key_atoms(key_e, env, frame, ctx) else {
+                    table = None;
+                    break;
+                };
                 if !insert(&mut table, &atoms, i) {
                     break;
                 }
@@ -1742,9 +1760,9 @@ fn is_focus_free_simple(e: &LExpr) -> bool {
             && steps.iter().all(
                 |s| matches!(&s.expr, LExpr::AxisStep { predicates, .. } if predicates.is_empty()),
             ),
-        // The hoisting pass only wraps focus-free, call-free subtrees, so a
-        // cache cell is as focus-free as what it caches — without this arm
-        // hoisting a fused-eq comparand would silently un-fuse the step.
+        // The hoisting pass wraps only focus-free subtrees, so a cache cell
+        // is as focus-free as what it caches — without this arm hoisting a
+        // fused-eq comparand would silently un-fuse the step.
         LExpr::CacheOnce { expr, .. } => is_focus_free_simple(expr),
         _ => false,
     }
