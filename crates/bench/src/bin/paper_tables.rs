@@ -2,17 +2,17 @@
 //! the paper as text, in the paper's own layout.
 //!
 //! Usage: `cargo run --release -p bench-suite --bin paper_tables [-- IDS…]`
-//! where IDS are any of `t1 b1 b2 b3 e1 e2 e3 e4 e5 e6 e7 e8` (default all).
+//! where IDS are any of `t1 b1 b2 b3 e1 e2 e3 e4 e5 e6 e7 e8 e9 morals`
+//! (default all).
 //!
-//! Wall-clock numbers here are single-shot indications; the statistically
-//! careful versions live in `cargo bench`.
+//! Every time E1–E5 print is the median, minimum and maximum of one
+//! `bench_suite::rows` registry row, measured over its declared samples.
 
-use awb::{xmlio, Query};
-use bench_suite::rows::{self, axis_bench_doc, Gate};
+use bench_suite::rows::{self, axis_bench_doc, Gate, Stats};
 use bench_suite::{call_graph, it_workload, loc, marker_loc, set_fault_rate};
-use docgen::xq::{Phase, XqGenerator};
+use docgen::xq::XqGenerator;
 use docgen::{native, normalized_equal, GenInputs, Template};
-use std::time::Instant;
+use lopsided::templates::FAULTY_DOCUMENT_LIST;
 use xmlstore::parser::ParseOptions;
 use xmlstore::QName;
 use xquery::{Engine, EngineOptions, EvalStats};
@@ -616,123 +616,110 @@ fn b3_quirks() {
     );
 }
 
-fn e1_calculus() {
-    header("E1 — the query calculus: native vs. compiled-to-XQuery\n     (\"preposterously inefficient\"; one-shot timings, see `cargo bench` for statistics)");
+/// Measures the rows behind the E-section `id`'s timed table and prints
+/// it: one line per swept point, one `median [min–max]` cell per column,
+/// then `extra`'s cells for that line (given its index and its cells).
+fn timed_table(id: &str, extra_head: &str, extra: impl Fn(usize, &[Stats]) -> String) {
+    let table = rows::paper_tables()
+        .into_iter()
+        .find(|t| t.id == id)
+        .expect("an E-section table");
+    let registry = rows::registry();
+    let row = |name: &str| {
+        registry
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("{id} names {name}, which the registry lacks"))
+    };
+    let samples = row(&table.row_name(&table.points[0], &table.columns[0])).samples;
     println!(
-        "{:>6} {:>8} {:>14} {:>14} {:>14} {:>9}",
-        "nodes", "results", "native", "xq (prepared)", "xq (full)", "slowdown"
+        "  median [min–max] of each cell's registry row, {samples} samples after a warm-up, \
+         host_cpus {}",
+        rows::host_cpus()
     );
-    for n in [50usize, 200, 800] {
-        let w = it_workload(n, 42);
-        let q = Query::from_type("user")
-            .follow("likes")
-            .follow_to("uses", "Program")
-            .dedup()
-            .sort_by_label();
-
-        let t = Instant::now();
-        let native = q.run_native(&w.model, &w.meta);
-        let native_t = t.elapsed();
-
-        let mut engine = Engine::new();
-        let doc = xmlio::export_to_store(&w.model, engine.store_mut());
-        engine.register_document("awb-model", doc);
-        let pq = q.prepare_xquery(&engine, &w.meta).unwrap();
-        let t = Instant::now();
-        let prepared = pq.run(&mut engine, &w.model).unwrap();
-        let prepared_t = t.elapsed();
-        assert_eq!(native, prepared);
-
-        let t = Instant::now();
-        let full = q.run_xquery(&w.model, &w.meta).unwrap();
-        let full_t = t.elapsed();
-        assert_eq!(native, full);
-
-        println!(
-            "{:>6} {:>8} {:>14.3?} {:>14.3?} {:>14.3?} {:>8.0}x",
-            n,
-            native.len(),
-            native_t,
-            prepared_t,
-            full_t,
-            prepared_t.as_secs_f64() / native_t.as_secs_f64().max(1e-12)
-        );
+    let mut head = format!("  {:<6}", "");
+    for column in &table.columns {
+        head.push_str(&format!(" | {column:<24}"));
     }
+    println!("{head} | {extra_head}");
+    for (i, point) in table.points.iter().enumerate() {
+        let stats: Vec<Stats> = table
+            .columns
+            .iter()
+            .map(|column| row(&table.row_name(point, column)).measure())
+            .collect();
+        let mut line = format!("  {point:<6}");
+        for s in &stats {
+            line.push_str(&format!(" | {:<24}", cell(s)));
+        }
+        println!("{line} | {}", extra(i, &stats));
+    }
+}
+
+/// `median [min–max] unit`, in the unit that suits the median.
+fn cell(s: &Stats) -> String {
+    let (scale, unit, digits) = match s.median {
+        m if m < 1.0 => (1e3, "µs", 1),
+        m if m < 1e3 => (1.0, "ms", 2),
+        _ => (1e-3, "s", 2),
+    };
+    format!(
+        "{:.digits$} [{:.digits$}–{:.digits$}] {unit}",
+        s.median * scale,
+        s.min * scale,
+        s.max * scale
+    )
+}
+
+fn e1_calculus() {
+    header("E1 — the query calculus: native vs. compiled-to-XQuery (\"preposterously inefficient\")\n     \
+            native: the calculus on the graph; lowered: the optimised runner, query prepared;\n     \
+            reference: the index-free walker, query prepared; full: export + compile + eval per call");
+    timed_table(
+        "e1",
+        "results | reference/native | lowered/native",
+        |i, s| {
+            let w = it_workload(rows::E1_SIZES[i], 42);
+            let results = rows::e1_query().run_native(&w.model, &w.meta).len();
+            format!(
+                "{results:>7} | {:>15.0}x | {:>13.1}x",
+                s[2].median / s[0].median,
+                s[1].median / s[0].median
+            )
+        },
+    );
 }
 
 fn e2_phases() {
-    header("E2 — multi-phase copying vs. in-place mutation (§Mutability vs. Functionality)");
-    let w = it_workload(60, 7);
-    println!(
-        "{:>9} | {:>12} | {:>12} per extra phase | bytes copied per phase",
-        "sections", "native", "xquery"
+    header(
+        "E2 — multi-phase copying vs. in-place mutation (§Mutability vs. Functionality)\n     \
+            xq_pN: the XQuery pipeline with its first N copying phases",
     );
-    for sections in [5usize, 25] {
-        let template_src = {
-            let mut t = String::from("<template>\n  <table-of-contents/>\n");
-            for i in 0..sections {
-                t.push_str(&format!(
-                    "  <section heading=\"Section {i}\">\n    <for nodes=\"all.user\"><p><label/></p></for>\n  </section>\n"
-                ));
-            }
-            t.push_str("  <table-of-omissions types=\"Document\"/>\n</template>\n");
-            t
-        };
-        let template = Template::parse(&template_src).unwrap();
-        let inputs = GenInputs {
-            model: &w.model,
-            meta: &w.meta,
-            template: &template,
-        };
-        let t = Instant::now();
-        let _ = native::generate(&inputs).unwrap();
-        let native_t = t.elapsed();
-
-        let mut generator = XqGenerator::with_phases(&inputs, &Phase::ALL).unwrap();
-        let t = Instant::now();
-        let out = generator.run().unwrap();
-        let xq_t = t.elapsed();
-
-        println!(
-            "{:>9} | {:>12.3?} | {:>12.3?} (all phases)    | {:?}",
-            sections, native_t, xq_t, out.phase_sizes
-        );
-    }
+    timed_table("e2", "bytes after each phase", |i, _| {
+        let f = rows::e2_fixture(rows::E2_SECTIONS[i]);
+        let out = docgen::xq::generate(&f.inputs()).expect("XQuery pipeline renders");
+        format!("{:?}", out.phase_sizes)
+    });
 }
 
 fn e3_errors() {
-    header("E3 — error handling under fault injection (§Error Detection and Handling)");
-    let template = Template::parse(
-        r#"<template><h1>Documents</h1><for nodes="all.Document"><p><label/> is at version <value-of property="version"/>.</p></for></template>"#,
-    )
-    .unwrap();
-    println!(
-        "{:>7} | {:>9} | {:>12} | {:>12} | notes equal?",
-        "faults", "notes", "native", "xquery"
+    header(
+        "E3 — error handling under fault injection (§Error Detection and Handling)\n     \
+            f<p>: p% of the documents lack the version the template reads",
     );
-    for percent in [0usize, 10, 50] {
-        let mut w = it_workload(150, 5);
-        set_fault_rate(&mut w.model, &w.meta, percent as f64 / 100.0);
-        let inputs = GenInputs {
-            model: &w.model,
-            meta: &w.meta,
-            template: &template,
-        };
-        let t = Instant::now();
-        let nat = native::generate(&inputs).unwrap();
-        let native_t = t.elapsed();
-        let t = Instant::now();
-        let xq = docgen::xq::generate(&inputs).unwrap();
-        let xq_t = t.elapsed();
-        println!(
-            "{:>6}% | {:>9} | {:>12.3?} | {:>12.3?} | {}",
-            percent,
-            nat.trouble_count,
-            native_t,
-            xq_t,
-            nat.trouble_count == xq.trouble_count
-        );
-    }
+    timed_table("e3", "notes | notes equal?", |i, _| {
+        let f = rows::e3_fixture(rows::E3_FAULTS[i]);
+        let inputs = f.inputs();
+        let notes = native::generate(&inputs)
+            .expect("native generator renders")
+            .trouble_count;
+        let error_values = docgen::xq::generate(&inputs).expect("XQuery pipeline renders");
+        let try_catch = XqGenerator::new_try_catch(&inputs)
+            .and_then(|mut g| g.run())
+            .expect("try/catch pipeline renders");
+        let equal = error_values.trouble_count == notes && try_catch.trouble_count == notes;
+        format!("{notes:>5} | {equal}")
+    });
     // Code-expansion factor: the paper's "half-dozen lines of code" per
     // fallible call. In the error-value convention every guarded call costs
     // an if/then/else around an is-err test; with exceptions/`Result` the
@@ -757,17 +744,8 @@ fn e4_trace_dce() {
     header("E4 — trace vs. dead-code elimination (§Debugging XQuery)");
     let src = "let $x := 6 * 7 let $dummy := trace(\"x=\", $x) return $x";
     println!("  program: {src}");
-    for (name, mut engine) in [
-        ("galax".to_string(), Engine::galax()),
-        ("fixed".to_string(), Engine::new()),
-        (
-            "unoptimized".to_string(),
-            Engine::with_options(EngineOptions {
-                optimize: false,
-                ..Default::default()
-            }),
-        ),
-    ] {
+    for (name, engine) in rows::E4_ENGINES {
+        let mut engine = engine();
         let q = engine.compile(src).unwrap();
         engine.evaluate(&q, None).unwrap();
         let traces = engine.take_trace();
@@ -776,91 +754,21 @@ fn e4_trace_dce() {
             q.stats.dead_lets_removed, q.stats.traces_removed, traces
         );
     }
-
-    // The timing side: k dead traces in a loop body.
     println!("\n  runtime with k dead trace-lets inside a 100-iteration loop:");
-    println!(
-        "  {:>4} | {:>12} | {:>12} | {:>12}",
-        "k", "galax (DCE)", "fixed", "unoptimized"
-    );
-    for k in [0usize, 8, 32] {
-        let mut body = String::from("for $i in 1 to 100 return (let $x := $i * 2 ");
-        for j in 0..k {
-            body.push_str(&format!("let $dummy{j} := trace(\"p{j}\", $x + {j}) "));
-        }
-        body.push_str("return $x)");
-        let mut row = Vec::new();
-        for mut engine in [
-            Engine::galax(),
-            Engine::new(),
-            Engine::with_options(EngineOptions {
-                optimize: false,
-                ..Default::default()
-            }),
-        ] {
-            let q = engine.compile(&body).unwrap();
-            // warm
-            engine.evaluate(&q, None).unwrap();
-            engine.take_trace();
-            let t = Instant::now();
-            for _ in 0..10 {
-                engine.evaluate(&q, None).unwrap();
-                engine.take_trace();
-            }
-            row.push(t.elapsed() / 10);
-        }
-        println!(
-            "  {:>4} | {:>12.3?} | {:>12.3?} | {:>12.3?}",
-            k, row[0], row[1], row[2]
-        );
-    }
+    timed_table("e4", "fixed/galax", |_, s| {
+        format!("{:.1}x", s[1].median / s[0].median)
+    });
 }
 
 fn e5_tables() {
-    header("E5 — the row/column table: skeleton-fill vs. all-at-once (§Mutability in Java)");
-    println!(
-        "{:>8} | {:>12} | {:>12} | same output?",
-        "size", "native", "xquery"
+    header(
+        "E5 — the row/column table: skeleton-fill vs. all-at-once (§Mutability in Java)\n     \
+            servers x programs; xq: the whole XQuery pipeline, compiled once",
     );
-    for (rows, cols) in [(5usize, 5usize), (20, 10), (40, 20)] {
-        let meta = awb::workload::it_metamodel();
-        let mut model = awb::Model::new();
-        let servers: Vec<_> = (0..rows)
-            .map(|i| model.add_node("Server", format!("s{i:03}")))
-            .collect();
-        let programs: Vec<_> = (0..cols)
-            .map(|j| model.add_node("Program", format!("p{j:03}")))
-            .collect();
-        for (i, &s) in servers.iter().enumerate() {
-            for (j, &p) in programs.iter().enumerate() {
-                if (i + j) % 3 == 0 {
-                    model.add_relation("runs", s, p);
-                }
-            }
-        }
-        let template = Template::parse(
-            r#"<template><awb-table rows="all.Server" cols="all.Program" relation="runs" corner="r\c"/></template>"#,
-        )
-        .unwrap();
-        let inputs = GenInputs {
-            model: &model,
-            meta: &meta,
-            template: &template,
-        };
-        let t = Instant::now();
-        let nat = native::generate(&inputs).unwrap();
-        let native_t = t.elapsed();
-        let t = Instant::now();
-        let xq = docgen::xq::generate(&inputs).unwrap();
-        let xq_t = t.elapsed();
-        println!(
-            "{:>8} | {:>12.3?} | {:>12.3?} | {}",
-            format!("{rows}x{cols}"),
-            native_t,
-            xq_t,
-            normalized_equal(&nat.to_xml(), &xq.xml)
-        );
-    }
+    timed_table("e5", "xq/native", |_, s| {
+        format!("{:.0}x", s[1].median / s[0].median)
+    });
+    println!("  (each xq row's fixture asserts its document equals the native one, normalized)");
 }
 
 fn e6_loc() {
@@ -1004,10 +912,7 @@ fn e9_output_streams() {
     header("E9 — output streams (§Output Streams): one XQuery output, split by XSLT");
     let mut w = it_workload(80, 11);
     set_fault_rate(&mut w.model, &w.meta, 0.2);
-    let template = Template::parse(
-        r#"<template><h1>Documents</h1><for nodes="all.Document"><p><label/> is at version <value-of property="version"/>.</p></for></template>"#,
-    )
-    .unwrap();
+    let template = Template::parse(FAULTY_DOCUMENT_LIST).unwrap();
     let inputs = GenInputs {
         model: &w.model,
         meta: &w.meta,

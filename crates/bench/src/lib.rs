@@ -36,6 +36,30 @@ pub fn it_workload(n: usize, seed: u64) -> Workload {
     }
 }
 
+/// E5's model: `servers` servers, `programs` programs, and a sparse `runs`
+/// relation between them (server `i` runs program `j` when `i + j` is a
+/// multiple of 3).
+pub fn table_model(servers: usize, programs: usize) -> Workload {
+    let mut model = Model::new();
+    let server_nodes: Vec<_> = (0..servers)
+        .map(|i| model.add_node("Server", format!("server-{i:03}")))
+        .collect();
+    let program_nodes: Vec<_> = (0..programs)
+        .map(|j| model.add_node("Program", format!("program-{j:03}")))
+        .collect();
+    for (i, &s) in server_nodes.iter().enumerate() {
+        for (j, &p) in program_nodes.iter().enumerate() {
+            if (i + j) % 3 == 0 {
+                model.add_relation("runs", s, p);
+            }
+        }
+    }
+    Workload {
+        meta: it_metamodel(),
+        model,
+    }
+}
+
 /// Rewrites the documents of `model` so that exactly `rate` (0.0–1.0) of
 /// them are missing their version property — the fault-injection knob of
 /// experiment E3.

@@ -7,15 +7,17 @@
 
 use crate::corpus::{deep_document, entity_document, wide_document, xmark_auction, XmarkScale};
 use crate::scenario::{self, Mode, OpClass, ScenarioConfig, ScenarioReport};
-use crate::{it_workload, Workload};
+use crate::{it_workload, set_fault_rate, table_model, Workload};
 use awb::workload::{it_architecture, it_metamodel, production_scale};
 use awb::{xmlio, NodeRef, PropValue, Query};
 use docgen::batch::{generate_batch_with, BatchJob, CompiledPipeline, GeneratorKind};
-use docgen::xq::XqGenerator;
+use docgen::xq::{Phase, XqGenerator, GEN_TC_XQ, GEN_XQ};
 use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc, Template};
+use lopsided::templates::{scaling_template, FAULTY_DOCUMENT_LIST};
 use qsvc::{Client, Service, ServiceConfig};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::net::SocketAddr;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -23,7 +25,7 @@ use std::time::Instant;
 use xmlstore::parser::ParseOptions;
 use xmlstore::serializer::SerializeOptions;
 use xmlstore::{QName, Store};
-use xquery::{CompiledQuery, Engine, StackPool};
+use xquery::{CompiledQuery, Engine, EngineOptions, Item, Sequence, StackPool};
 
 /// The snapshot `bench-json` writes and `bench-gate` reads.
 pub const SNAPSHOT: &str = "BENCH_11.json";
@@ -237,9 +239,14 @@ impl Row {
     }
 }
 
+/// The CPUs this host offers the process, as every timing records them.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The snapshot text around the row lines `bench-json` measured.
 pub fn snapshot(lines: &[String]) -> String {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = host_cpus();
     format!(
         "{{\n  \"units\": \"each row: median/min/max of its samples after one warm-up sample \
          (scenario rows: none, the first run is recorded), in its unit (ms: milliseconds, \
@@ -273,6 +280,8 @@ pub fn registry() -> Vec<Row> {
     edit_rows(&mut rows);
     corpus_rows(&mut rows);
     scenario_rows(&mut rows);
+    paper_rows(&mut rows);
+    xml_rows(&mut rows);
     rows
 }
 
@@ -309,7 +318,7 @@ fn ms(f: impl FnOnce()) -> f64 {
 
 /// The E1 calculus query: the programs used by what users like, deduped
 /// and sorted.
-fn e1_query() -> Query {
+pub fn e1_query() -> Query {
     Query::from_type("user")
         .follow("likes")
         .follow_to("uses", "Program")
@@ -317,9 +326,25 @@ fn e1_query() -> Query {
         .sort_by_label()
 }
 
+/// E1's model sizes.
+pub const E1_SIZES: [usize; 3] = [50, 200, 800];
+
+/// The IT model of about `n` nodes and the E1 query, once the native
+/// evaluator and the compiled XQuery have returned the same nodes on it.
+fn e1_fixture(n: usize) -> (Workload, Query) {
+    let (w, q) = (it_workload(n, 42), e1_query());
+    assert_eq!(
+        q.run_native(&w.model, &w.meta),
+        q.run_xquery(&w.model, &w.meta).expect("E1 query runs"),
+        "E1 native and XQuery results differ at n={n}"
+    );
+    (w, q)
+}
+
 /// An engine holding the IT model of about `n` nodes as `awb-model`, and
-/// the E1 query compiled on it.
-fn e1_engine(n: usize) -> (Engine, CompiledQuery) {
+/// the E1 query compiled on it, once `layer`'s evaluator has returned the
+/// native evaluator's node ids.
+fn e1_engine(n: usize, layer: Layer) -> (Engine, CompiledQuery) {
     let w = it_workload(n, 42);
     let mut engine = Engine::new();
     let doc = xmlio::export_to_store(&w.model, engine.store_mut());
@@ -327,11 +352,30 @@ fn e1_engine(n: usize) -> (Engine, CompiledQuery) {
     let q = engine
         .compile(&e1_query().to_xquery(&w.meta))
         .expect("E1 query compiles");
+    let out = evaluate(&mut engine, layer, &q, None);
+    let got: Vec<String> = out
+        .iter()
+        .map(|item| match item {
+            Item::Atomic(a) => a.to_text(),
+            Item::Node(id) => engine.store().string_value(*id),
+        })
+        .collect();
+    let want: Vec<String> = e1_query()
+        .run_native(&w.model, &w.meta)
+        .into_iter()
+        .map(|node| w.model.node_id_string(node))
+        .collect();
+    assert_eq!(
+        got,
+        want,
+        "E1 {} results differ from native at n={n}",
+        layer.name()
+    );
     (engine, q)
 }
 
 fn e1_rows(rows: &mut Vec<Row>) {
-    for n in [50usize, 200, 800] {
+    for n in E1_SIZES {
         let workload = format!("E1 calculus query over the IT model, n={n}");
         rows.push(row(
             format!("e1_n{n}_native"),
@@ -340,7 +384,7 @@ fn e1_rows(rows: &mut Vec<Row>) {
             MICRO,
             Gate::None,
             move || {
-                let (w, q) = (it_workload(n, 42), e1_query());
+                let (w, q) = e1_fixture(n);
                 Box::new(move || {
                     ms(|| {
                         q.run_native(&w.model, &w.meta);
@@ -361,39 +405,83 @@ fn e1_rows(rows: &mut Vec<Row>) {
                 MICRO,
                 gate,
                 move || {
-                    let (mut engine, q) = e1_engine(n);
-                    Box::new(move || ms(|| evaluate(&mut engine, layer, &q, None)))
+                    let (mut engine, q) = e1_engine(n, layer);
+                    Box::new(move || ms(|| drop(evaluate(&mut engine, layer, &q, None))))
                 },
             ));
         }
+        // What the UI would have paid per query: a fresh engine, the model
+        // exported into it, the query compiled, then evaluated.
+        rows.push(row(
+            format!("e1_n{n}_full"),
+            Layer::EndToEnd,
+            format!("E1 calculus query over the IT model, n={n}, export + compile + eval per call"),
+            MICRO,
+            Gate::None,
+            move || {
+                let (w, q) = e1_fixture(n);
+                Box::new(move || {
+                    ms(|| {
+                        q.run_xquery(&w.model, &w.meta).expect("E1 query runs");
+                    })
+                })
+            },
+        ));
     }
-    rows.push(row(
-        "e1_compile",
+    rows.push(compile_row("e1_compile", "E1 calculus query text", || {
+        e1_query().to_xquery(&it_metamodel())
+    }));
+}
+
+/// Compile-only rows beside `e1_compile`: the biggest shipped module and a
+/// small FLWOR.
+const COMPILE_MICRO: &[(&str, &str, &str)] = &[
+    (
+        "compile_generator_module",
+        "gen.xq, the phase-1 document generator module",
+        GEN_XQ,
+    ),
+    (
+        "compile_small_flwor",
+        "one-line FLWOR with let and where",
+        "for $x in 1 to 10 let $y := $x * 2 where $y > 5 return $y",
+    ),
+];
+
+/// A row timing `Engine::compile` (parse, optimize, lower) of the text
+/// `src` builds.
+fn compile_row(name: &str, workload: &str, src: impl Fn() -> String + 'static) -> Row {
+    row(
+        name,
         Layer::Compile,
-        "E1 calculus query text",
+        workload,
         MICRO,
         Gate::None,
-        || {
-            let src = e1_query().to_xquery(&it_metamodel());
-            let engine = Engine::new();
+        move || {
+            let (src, engine) = (src(), Engine::new());
             Box::new(move || {
                 ms(|| {
-                    engine.compile(&src).expect("E1 query compiles");
+                    engine.compile(&src).expect("bench query compiles");
                 })
             })
         },
-    ));
+    )
 }
 
 /// Evaluates `q` on the lowered runner, or on the reference walker for a
 /// [`Layer::Reference`] row.
-fn evaluate(engine: &mut Engine, layer: Layer, q: &CompiledQuery, doc: Option<xmlstore::NodeId>) {
+fn evaluate(
+    engine: &mut Engine,
+    layer: Layer,
+    q: &CompiledQuery,
+    doc: Option<xmlstore::NodeId>,
+) -> Sequence {
     if layer == Layer::Reference {
         engine.evaluate_reference(q, doc)
     } else {
         engine.evaluate(q, doc)
     }
-    .expect("bench query runs");
+    .expect("bench query runs")
 }
 
 /// Variable-heavy micro rows: the walker resolves every `$v` by a linear
@@ -439,6 +527,35 @@ const AXIS_MICRO: &[(&str, &str)] = &[
     ("stream_pick3", "(//item)[3]"),
     ("stream_subseq", "subsequence(//item, 2, 3)"),
 ];
+
+/// Path, FLWOR and constructor micro rows over [`library_doc`].
+const LIBRARY_MICRO: &[(&str, &str)] = &[
+    ("count_descendants", "count(//book)"),
+    ("predicate_scan", "count(/library/book[@year = \"1983\"])"),
+    (
+        "flwor_sort",
+        "for $b in /library/book order by string($b/title) descending return $b/pages",
+    ),
+    (
+        "construct",
+        "<index>{ for $b in /library/book return <e y=\"{$b/@year}\"/> }</index>",
+    ),
+];
+
+/// Document backing [`LIBRARY_MICRO`]: `n` books with a year, a title and
+/// a page count.
+fn library_doc(n: usize) -> String {
+    let mut s = String::from("<library>");
+    for i in 0..n {
+        s.push_str(&format!(
+            "<book year=\"{}\"><title>Book {i}</title><pages>{}</pages></book>",
+            1950 + (i % 70),
+            100 + i
+        ));
+    }
+    s.push_str("</library>");
+    s
+}
 
 /// Document backing [`AXIS_MICRO`]: a wide fan-out of attributed `item`
 /// elements plus one 200-deep `d` chain ending in a marked `leaf`.
@@ -539,6 +656,37 @@ fn query_rows(rows: &mut Vec<Row>) {
             Gate::None,
             doc,
             src,
+            10,
+        ));
+    }
+    for &(name, workload, src) in COMPILE_MICRO {
+        rows.push(compile_row(name, workload, move || src.to_string()));
+    }
+    let libraries: [(usize, Make<String>); 2] =
+        [(100, || library_doc(100)), (1000, || library_doc(1000))];
+    for (n, doc) in libraries {
+        let workload = format!("library doc: {n} books, 10 calls per sample");
+        for &(name, src) in LIBRARY_MICRO {
+            rows.push(query_row(
+                format!("library_{name}_n{n}"),
+                Layer::Eval,
+                &workload,
+                Gate::None,
+                Some(doc),
+                src,
+                10,
+            ));
+        }
+    }
+    // The existential `=` as a membership test on a widening sequence.
+    for n in [10usize, 1000] {
+        rows.push(query_row(
+            format!("general_eq_membership_n{n}"),
+            Layer::Eval,
+            "no document, 10 calls per sample",
+            Gate::None,
+            None,
+            &format!("(1 to {n}) = {n}"),
             10,
         ));
     }
@@ -791,6 +939,397 @@ fn docgen_rows(rows: &mut Vec<Row>) {
             Box::new(move || ms(|| drop(render())))
         },
     ));
+}
+
+// ----------------------------------------------------------------------
+// The paper's E2–E5: generator renders and traced loops.
+// ----------------------------------------------------------------------
+
+/// E2's document sizes, in template sections.
+pub const E2_SECTIONS: [usize; 2] = [5, 25];
+/// E3's fault-injection rates, in percent.
+pub const E3_FAULTS: [usize; 3] = [0, 10, 50];
+/// E4's dead trace-lets per loop body.
+const E4_TRACES: [usize; 3] = [0, 8, 32];
+/// E5's table sizes, servers × programs.
+const E5_TABLES: [(usize, usize); 3] = [(5, 5), (20, 10), (40, 20)];
+
+/// The engines E4 compares, by column name: Galax's optimizer deletes the
+/// dead trace-lets, the fixed one keeps them, and the third does not
+/// optimize at all.
+pub const E4_ENGINES: [(&str, Make<Engine>); 3] = [
+    ("galax", Engine::galax),
+    ("fixed", Engine::new),
+    ("unoptimized", || {
+        Engine::with_options(EngineOptions {
+            optimize: false,
+            ..Default::default()
+        })
+    }),
+];
+
+/// A model and the template a render row generates from it.
+pub struct RenderFixture {
+    pub w: Workload,
+    pub template: Template,
+}
+
+impl RenderFixture {
+    pub fn inputs(&self) -> GenInputs<'_> {
+        GenInputs {
+            model: &self.w.model,
+            meta: &self.w.meta,
+            template: &self.template,
+        }
+    }
+}
+
+/// E2's fixture: the IT model of about 60 nodes and the scaling template
+/// of `sections` sections.
+pub fn e2_fixture(sections: usize) -> RenderFixture {
+    RenderFixture {
+        w: it_workload(60, 7),
+        template: Template::parse(&scaling_template(sections)).expect("scaling template parses"),
+    }
+}
+
+/// E3's fixture: the IT model of about 150 nodes with `percent`% of its
+/// documents missing their version, and the template that reads it.
+pub fn e3_fixture(percent: usize) -> RenderFixture {
+    let mut w = it_workload(150, 5);
+    set_fault_rate(&mut w.model, &w.meta, percent as f64 / 100.0);
+    RenderFixture {
+        w,
+        template: Template::parse(FAULTY_DOCUMENT_LIST).expect("faulty template parses"),
+    }
+}
+
+/// E5's fixture: the `servers` × `programs` table model and the template
+/// that renders its `runs` relation as one table.
+fn e5_fixture(servers: usize, programs: usize) -> RenderFixture {
+    RenderFixture {
+        w: table_model(servers, programs),
+        template: Template::parse(
+            r#"<template><awb-table rows="all.Server" cols="all.Program" relation="runs" corner="server\program"/></template>"#,
+        )
+        .expect("table template parses"),
+    }
+}
+
+/// The generator a render row times.
+#[derive(Clone, Copy)]
+enum Generator {
+    Native,
+    /// The XQuery pipeline: a phase-1 source and its first `phases` copying
+    /// phases, compiled once per fixture.
+    Xq {
+        source: &'static str,
+        phases: usize,
+    },
+}
+
+/// What a render row's fixture checks of one untimed XQuery run against
+/// the native generator's document, before any sample.
+#[derive(Clone, Copy)]
+enum Agree {
+    /// Both generators run without error.
+    Runs,
+    /// Both report the same number of error notes.
+    TroubleCount,
+    /// Both documents are equal after whitespace normalization.
+    Output,
+}
+
+/// One render of the fixture `fixture` builds by `generator`, per sample.
+fn render_row(
+    name: String,
+    workload: String,
+    fixture: impl Fn() -> RenderFixture + 'static,
+    generator: Generator,
+    agree: Agree,
+) -> Row {
+    let row_name = name.clone();
+    row(name, Layer::Eval, workload, RENDER, Gate::None, move || {
+        let f = fixture();
+        let native = native::generate(&f.inputs()).expect("native generator renders");
+        let Generator::Xq { source, phases } = generator else {
+            return Box::new(move || {
+                ms(|| drop(native::generate(&f.inputs()).expect("native generator renders")))
+            });
+        };
+        let mut xq = XqGenerator::with_generator(&f.inputs(), source, &Phase::ALL[..phases])
+            .expect("XQuery pipeline compiles");
+        let out = xq.run().expect("XQuery pipeline renders");
+        match agree {
+            Agree::Runs => {}
+            Agree::TroubleCount => assert_eq!(
+                out.trouble_count, native.trouble_count,
+                "{row_name}: the generators report different error notes"
+            ),
+            Agree::Output => assert!(
+                normalized_equal(&native.to_xml(), &out.xml),
+                "{row_name}: the generators' documents differ"
+            ),
+        }
+        Box::new(move || ms(|| drop(xq.run().expect("XQuery pipeline renders"))))
+    })
+}
+
+/// `k` dead trace-lets in the body of a 100-iteration loop.
+fn e4_program(k: usize) -> String {
+    let mut body = String::from("for $i in 1 to 100 return (let $x := $i * 2 ");
+    for j in 0..k {
+        body.push_str(&format!("let $dummy{j} := trace(\"p{j}\", $x + {j}) "));
+    }
+    body.push_str("return $x)");
+    body
+}
+
+fn paper_rows(rows: &mut Vec<Row>) {
+    let all = Phase::ALL.len();
+    for s in E2_SECTIONS {
+        let workload = |by: &str| format!("E2: IT model n=60, {s}-section scaling template, {by}");
+        rows.push(render_row(
+            format!("e2_s{s}_native"),
+            workload("native generator"),
+            move || e2_fixture(s),
+            Generator::Native,
+            Agree::Runs,
+        ));
+        for phases in 0..=all {
+            rows.push(render_row(
+                format!("e2_s{s}_xq_p{phases}"),
+                workload(&format!("XQuery pipeline with {phases} copying phases")),
+                move || e2_fixture(s),
+                Generator::Xq {
+                    source: GEN_XQ,
+                    phases,
+                },
+                Agree::Runs,
+            ));
+        }
+    }
+    for p in E3_FAULTS {
+        let workload =
+            |by: &str| format!("E3: IT model n=150, {p}% of documents unversioned, {by}");
+        rows.push(render_row(
+            format!("e3_f{p}_native"),
+            workload("native generator"),
+            move || e3_fixture(p),
+            Generator::Native,
+            Agree::Runs,
+        ));
+        for (column, source, by) in [
+            ("xq_error_values", GEN_XQ, "XQuery pipeline, error values"),
+            ("xq_try_catch", GEN_TC_XQ, "XQuery pipeline, try/catch"),
+        ] {
+            rows.push(render_row(
+                format!("e3_f{p}_{column}"),
+                workload(by),
+                move || e3_fixture(p),
+                Generator::Xq {
+                    source,
+                    phases: all,
+                },
+                Agree::TroubleCount,
+            ));
+        }
+    }
+    for k in E4_TRACES {
+        for (column, engine) in E4_ENGINES {
+            rows.push(row(
+                format!("e4_k{k}_{column}"),
+                Layer::Eval,
+                format!("E4: {k} dead trace-lets in a 100-iteration loop"),
+                MICRO,
+                Gate::None,
+                move || {
+                    let mut engine = engine();
+                    let q = engine.compile(&e4_program(k)).expect("E4 program compiles");
+                    Box::new(move || {
+                        ms(|| {
+                            engine.evaluate(&q, None).expect("E4 program runs");
+                            engine.take_trace();
+                        })
+                    })
+                },
+            ));
+        }
+    }
+    for (servers, programs) in E5_TABLES {
+        let size = format!("{servers}x{programs}");
+        let workload = |by: &str| format!("E5: {size} server-by-program table, {by}");
+        rows.push(render_row(
+            format!("e5_{size}_native"),
+            workload("native skeleton-fill"),
+            move || e5_fixture(servers, programs),
+            Generator::Native,
+            Agree::Runs,
+        ));
+        rows.push(render_row(
+            format!("e5_{size}_xq"),
+            workload("XQuery pipeline, all at once"),
+            move || e5_fixture(servers, programs),
+            Generator::Xq {
+                source: GEN_XQ,
+                phases: all,
+            },
+            Agree::Output,
+        ));
+    }
+}
+
+/// One timed table of a `paper_tables` E-section: the cell at `point` and
+/// `column` prints the registry row [`PaperTable::row_name`].
+pub struct PaperTable {
+    /// The section id `paper_tables` takes on its command line.
+    pub id: &'static str,
+    pub points: Vec<String>,
+    pub columns: Vec<String>,
+}
+
+impl PaperTable {
+    pub fn row_name(&self, point: &str, column: &str) -> String {
+        format!("{}_{point}_{column}", self.id)
+    }
+}
+
+/// The timed tables of E1–E5, in section order.
+pub fn paper_tables() -> Vec<PaperTable> {
+    let table = |id, points: Vec<String>, columns: Vec<String>| PaperTable {
+        id,
+        points,
+        columns,
+    };
+    let names = |names: &[&str]| names.iter().map(|c| c.to_string()).collect();
+    let phases = (0..=Phase::ALL.len()).map(|p| format!("xq_p{p}"));
+    vec![
+        table(
+            "e1",
+            E1_SIZES.iter().map(|n| format!("n{n}")).collect(),
+            names(&["native", "xq_lowered", "xq_reference", "full"]),
+        ),
+        table(
+            "e2",
+            E2_SECTIONS.iter().map(|s| format!("s{s}")).collect(),
+            std::iter::once("native".to_string())
+                .chain(phases)
+                .collect(),
+        ),
+        table(
+            "e3",
+            E3_FAULTS.iter().map(|p| format!("f{p}")).collect(),
+            names(&["native", "xq_error_values", "xq_try_catch"]),
+        ),
+        table(
+            "e4",
+            E4_TRACES.iter().map(|k| format!("k{k}")).collect(),
+            E4_ENGINES.iter().map(|(c, _)| c.to_string()).collect(),
+        ),
+        table(
+            "e5",
+            E5_TABLES.iter().map(|(r, c)| format!("{r}x{c}")).collect(),
+            names(&["native", "xq"]),
+        ),
+    ]
+}
+
+// ----------------------------------------------------------------------
+// XML substrate micro rows.
+// ----------------------------------------------------------------------
+
+/// A parsed [`markup_doc`], its document element, and every node under it.
+struct MarkupFixture {
+    xml: String,
+    store: Store,
+    doc: xmlstore::NodeId,
+    root: xmlstore::NodeId,
+    nodes: Vec<xmlstore::NodeId>,
+}
+
+/// Document backing [`XML_MICRO`]: `n` books with attributes, an entity
+/// reference, and mixed content.
+fn markup_doc(n: usize) -> String {
+    let mut s = String::from("<library>");
+    for i in 0..n {
+        s.push_str(&format!(
+            "<book year=\"{}\" id=\"b{i}\"><title>Book &amp; Volume {i}</title><blurb>text {i} with <em>markup</em> inside</blurb></book>",
+            1950 + (i % 70)
+        ));
+    }
+    s.push_str("</library>");
+    s
+}
+
+/// One store operation over a [`MarkupFixture`].
+type XmlOp = fn(&MarkupFixture);
+
+/// The store operations under both document generators.
+const XML_MICRO: &[(&str, Layer, XmlOp)] = &[
+    ("parse", Layer::Parse, |f| {
+        Store::new()
+            .parse_str(&f.xml, &ParseOptions::default())
+            .expect("markup doc parses");
+    }),
+    ("serialize", Layer::Store, |f| {
+        black_box(f.store.to_xml(f.doc));
+    }),
+    ("serialize_pretty", Layer::Store, |f| {
+        black_box(f.store.to_pretty_xml(f.doc));
+    }),
+    ("deep_copy", Layer::Store, |f| {
+        let mut scratch = f.store.clone();
+        black_box(scratch.deep_copy(f.root).expect("deep copy"));
+    }),
+    ("descendants", Layer::Store, |f| {
+        black_box(f.store.descendants(f.root).len());
+    }),
+    ("doc_order_sort", Layer::Store, |f| {
+        let mut shuffled: Vec<_> = f.nodes.iter().rev().copied().collect();
+        shuffled.sort_by_cached_key(|&id| f.store.order_key(id));
+        black_box(shuffled);
+    }),
+    ("string_value", Layer::Store, |f| {
+        black_box(f.store.string_value(f.root).len());
+    }),
+];
+
+fn xml_rows(rows: &mut Vec<Row>) {
+    for n in [100usize, 1000] {
+        let workload = format!("markup doc: {n} books, 10 calls per sample");
+        for &(name, layer, op) in XML_MICRO {
+            rows.push(row(
+                format!("xml_{name}_n{n}"),
+                layer,
+                &workload,
+                MICRO,
+                Gate::None,
+                move || {
+                    let xml = markup_doc(n);
+                    let mut store = Store::new();
+                    let doc = store
+                        .parse_str(&xml, &ParseOptions::default())
+                        .expect("markup doc parses");
+                    let root = store.document_element(doc).expect("a document element");
+                    let nodes = store.descendants(root);
+                    let f = MarkupFixture {
+                        xml,
+                        store,
+                        doc,
+                        root,
+                        nodes,
+                    };
+                    Box::new(move || {
+                        ms(|| {
+                            for _ in 0..10 {
+                                op(&f);
+                            }
+                        }) / 10.0
+                    })
+                },
+            ));
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1386,6 +1925,61 @@ mod tests {
                 row.name
             );
         }
+    }
+
+    #[test]
+    fn every_paper_table_cell_names_a_registry_row() {
+        let rows = registry();
+        for table in paper_tables() {
+            for point in &table.points {
+                for column in &table.columns {
+                    let name = table.row_name(point, column);
+                    assert!(
+                        rows.iter().any(|r| r.name == name),
+                        "{} names {name}, which the registry lacks",
+                        table.id
+                    );
+                }
+            }
+        }
+    }
+
+    /// Builds every row of `section`'s table, which runs its fixture's
+    /// agreement checks, and takes one sample.
+    fn smoke(section: &str) {
+        let rows = registry();
+        let table = paper_tables()
+            .into_iter()
+            .find(|t| t.id == section)
+            .expect("a paper table");
+        for point in &table.points {
+            for column in &table.columns {
+                let name = table.row_name(point, column);
+                let row = rows.iter().find(|r| r.name == name).expect("a row");
+                let sample = (row.setup)()();
+                assert!(sample.is_finite() && sample >= 0.0, "{name}: {sample}");
+            }
+        }
+    }
+
+    #[test]
+    fn e2_rows_build_and_sample() {
+        smoke("e2");
+    }
+
+    #[test]
+    fn e3_rows_build_and_sample() {
+        smoke("e3");
+    }
+
+    #[test]
+    fn e4_rows_build_and_sample() {
+        smoke("e4");
+    }
+
+    #[test]
+    fn e5_rows_build_and_sample() {
+        smoke("e5");
     }
 
     #[test]
