@@ -854,7 +854,7 @@ mod tests {
         let scale = XmarkScale::about(100_000);
         let n = scale.node_count();
         assert!(
-            n >= 100_000 && n < 140_000,
+            (100_000..140_000).contains(&n),
             "about(100k) should land a little above 100k records, got {n}"
         );
     }

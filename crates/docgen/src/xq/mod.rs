@@ -256,12 +256,6 @@ impl XqGenerator {
         result
     }
 
-    /// Runs only phase 1 (used by benches isolating generation cost).
-    pub fn run_phase1(&mut self) -> Result<NodeId, GenTrouble> {
-        let gen_query = self.gen_query.clone();
-        self.eval_to_element(&gen_query, None)
-    }
-
     fn eval_to_element(
         &mut self,
         query: &CompiledQuery,

@@ -44,7 +44,7 @@
 //! [`decode_subframes`] are the two ends of that.
 
 use std::io::{self, BufRead, Read, Write};
-use xquery::error::{Error, ErrorCode};
+use xquery::error::Error;
 
 /// Upper bound on any single payload. Large enough for a hefty document,
 /// small enough that a corrupt length header cannot OOM the server.
@@ -188,11 +188,6 @@ impl WireError {
             position: e.position,
             message: e.message.clone(),
         }
-    }
-
-    /// `true` when this wire code is the rendering of `code`.
-    pub fn is_code(&self, code: ErrorCode) -> bool {
-        self.code == code.to_string()
     }
 
     /// The `ERR` payload bytes.

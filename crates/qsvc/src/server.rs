@@ -34,13 +34,17 @@
 //! picked up while an unchanged document costs nothing. Evicting a cache
 //! entry only drops the cache's `Arc`; mounts and in-flight snapshots keep
 //! the tree alive (see [`crate::cache`]).
+//!
+//! QUERY and every BATCH job take one evaluate step on the connection's
+//! engine; a BATCH shares one document resolve and one store-reset check.
+//! `doc()` sees every uri this connection has resolved as a context.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store, TreeSnapshot};
@@ -109,6 +113,55 @@ struct Shared {
     next_conn_id: AtomicU64,
 }
 
+impl Shared {
+    fn new(config: ServiceConfig) -> Shared {
+        Shared {
+            pool: Arc::new(StackPool::new(config.eval_workers, config.eval_stack_bytes)),
+            plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
+            docs: Mutex::new(DocCache::new(config.doc_cache_bytes)),
+            tenants: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
+            config,
+        }
+    }
+
+    /// `(hits, misses, evictions, entries)`.
+    fn plan_cache_counters(&self) -> (u64, u64, u64, usize) {
+        let p = lock(&self.plans);
+        (p.hits, p.misses, p.evictions, p.len())
+    }
+
+    /// `(hits, misses, evictions, rejections, used_bytes, entries)`.
+    fn doc_cache_counters(&self) -> (u64, u64, u64, u64, usize, usize) {
+        let d = lock(&self.docs);
+        (
+            d.hits,
+            d.misses,
+            d.evictions,
+            d.rejections,
+            d.used_bytes(),
+            d.len(),
+        )
+    }
+
+    /// A copy of a tenant's stats with `doc_used_bytes` joined against the
+    /// doc cache now: an evicted document stops counting against its
+    /// tenants immediately.
+    fn tenant_snapshot(&self, tenant: &str) -> Option<TenantStats> {
+        let mut t = lock(&self.tenants).get(tenant).cloned()?;
+        let d = lock(&self.docs);
+        t.doc_used_bytes = t
+            .doc_uris
+            .iter()
+            .filter_map(|u| d.bytes_of(u))
+            .map(|b| b as u64)
+            .sum();
+        Some(t)
+    }
+}
+
 /// A running service. Dropping the handle without [`ServiceHandle::shutdown`]
 /// leaves the accept thread running until process exit.
 pub struct Service {
@@ -122,16 +175,7 @@ impl Service {
     pub fn spawn(config: ServiceConfig) -> io::Result<Service> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            pool: Arc::new(StackPool::new(config.eval_workers, config.eval_stack_bytes)),
-            plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
-            docs: Mutex::new(DocCache::new(config.doc_cache_bytes)),
-            tenants: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config));
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("qsvc-accept".to_string())
@@ -149,7 +193,7 @@ impl Service {
                     let _ = stream.set_nodelay(true);
                     let conn_id = accept_shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
                     if let Ok(clone) = stream.try_clone() {
-                        accept_shared.conns.lock().unwrap().insert(conn_id, clone);
+                        lock(&accept_shared.conns).insert(conn_id, clone);
                     }
                     let conn_shared = Arc::clone(&accept_shared);
                     let handle = std::thread::Builder::new()
@@ -157,7 +201,7 @@ impl Service {
                         .spawn(move || {
                             let _ = Connection::new(Arc::clone(&conn_shared)).serve(stream);
                             // Drop this connection's shutdown handle with it.
-                            conn_shared.conns.lock().unwrap().remove(&conn_id);
+                            lock(&conn_shared.conns).remove(&conn_id);
                         });
                     if let Ok(handle) = handle {
                         handlers.push(handle);
@@ -181,43 +225,26 @@ impl Service {
 
     /// Global plan-cache counters `(hits, misses, evictions, entries)`.
     pub fn plan_cache_counters(&self) -> (u64, u64, u64, usize) {
-        let p = self.shared.plans.lock().unwrap();
-        (p.hits, p.misses, p.evictions, p.len())
+        self.shared.plan_cache_counters()
     }
 
     /// Global doc-cache counters `(hits, misses, evictions, rejections,
     /// used_bytes, entries)`.
     pub fn doc_cache_counters(&self) -> (u64, u64, u64, u64, usize, usize) {
-        let d = self.shared.docs.lock().unwrap();
-        (
-            d.hits,
-            d.misses,
-            d.evictions,
-            d.rejections,
-            d.used_bytes(),
-            d.len(),
-        )
+        self.shared.doc_cache_counters()
     }
 
     /// A tenant's aggregated stats, if it has connected. `doc_used_bytes`
     /// is joined against the cache at call time, like the `STATS` verb does.
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
-        let mut t = self.shared.tenants.lock().unwrap().get(tenant).cloned()?;
-        let d = self.shared.docs.lock().unwrap();
-        t.doc_used_bytes = t
-            .doc_uris
-            .iter()
-            .filter_map(|u| d.bytes_of(u))
-            .map(|b| b as u64)
-            .sum();
-        Some(t)
+        self.shared.tenant_snapshot(tenant)
     }
 
     /// Live connections currently tracked for shutdown. Handlers prune
     /// their entry on exit, so finished connections do not count (or hold
     /// an fd).
     pub fn live_connections(&self) -> usize {
-        self.shared.conns.lock().unwrap().len()
+        lock(&self.shared.conns).len()
     }
 
     /// Stops accepting, severs every live connection, and joins all handler
@@ -226,7 +253,7 @@ impl Service {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for (_, conn) in self.shared.conns.lock().unwrap().drain() {
+        for (_, conn) in lock(&self.shared.conns).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         if let Some(accept) = self.accept.take() {
@@ -328,7 +355,7 @@ impl Connection {
     }
 
     fn handle(&mut self, frame: &Frame) -> Reply {
-        match frame.verb() {
+        let reply = match frame.verb() {
             "HELLO" => self.do_hello(frame),
             "OPTION" => self.do_option(frame),
             "LOAD" => self.do_load(frame),
@@ -339,7 +366,11 @@ impl Connection {
             "CRASH" => self.do_crash(frame),
             "QUIT" => Reply::Quit,
             other => Reply::Err(WireError::new("PROTO", format!("unknown verb {other:?}"))),
-        }
+        };
+        // The wire has no channel for `fn:trace` events, so they go with
+        // the request instead of accreting for the connection's life.
+        self.engine.take_trace_events();
+        reply
     }
 
     fn do_hello(&mut self, frame: &Frame) -> Reply {
@@ -360,46 +391,26 @@ impl Connection {
         let mut options = self.options.clone();
         let parsed = match name.as_str() {
             "preset" => match value.as_str() {
-                "galax" => {
-                    options = EngineOptions::galax();
-                    true
-                }
-                "default" => {
-                    options = EngineOptions::default();
-                    true
-                }
-                _ => false,
-            },
+                "galax" => Some(EngineOptions::galax()),
+                "default" => Some(EngineOptions::default()),
+                _ => None,
+            }
+            .map(|preset| options = preset)
+            .is_some(),
             "galax_quirks" => set_bool(value, &mut options.galax_quirks),
             "optimize" => set_bool(value, &mut options.optimize),
             "static_typing" => set_bool(value, &mut options.static_typing),
             "runtime_opt" => set_bool(value, &mut options.runtime_opt),
-            "recursion_limit" => match value.parse::<usize>() {
-                Ok(n) => {
-                    options.recursion_limit = n;
-                    true
-                }
-                Err(_) => false,
-            },
+            "recursion_limit" => value.parse().map(|n| options.recursion_limit = n).is_ok(),
             "dup_attr_policy" => match value.as_str() {
-                "error" => {
-                    options.dup_attr_policy = DupAttrPolicy::Error;
-                    true
-                }
-                "first" => {
-                    options.dup_attr_policy = DupAttrPolicy::KeepFirst;
-                    true
-                }
-                "last" => {
-                    options.dup_attr_policy = DupAttrPolicy::KeepLast;
-                    true
-                }
-                "both" => {
-                    options.dup_attr_policy = DupAttrPolicy::KeepBoth;
-                    true
-                }
-                _ => false,
-            },
+                "error" => Some(DupAttrPolicy::Error),
+                "first" => Some(DupAttrPolicy::KeepFirst),
+                "last" => Some(DupAttrPolicy::KeepLast),
+                "both" => Some(DupAttrPolicy::KeepBoth),
+                _ => None,
+            }
+            .map(|policy| options.dup_attr_policy = policy)
+            .is_some(),
             _ => return Reply::Err(WireError::new("PROTO", format!("unknown option {name:?}"))),
         };
         if !parsed {
@@ -468,7 +479,7 @@ impl Connection {
         // Evictions forced by this admit are charged to the tenant that
         // needed the room, even when the victims belong to someone else.
         let (admitted, evicted) = {
-            let mut docs = self.shared.docs.lock().unwrap();
+            let mut docs = lock(&self.shared.docs);
             let before = docs.evictions;
             let admitted = docs.insert(uri, snapshot);
             let evicted = docs.evictions - before;
@@ -494,7 +505,7 @@ impl Connection {
         if uri == "-" {
             return Ok(None);
         }
-        let snapshot = self.shared.docs.lock().unwrap().get(uri);
+        let snapshot = lock(&self.shared.docs).get(uri);
         let Some(snapshot) = snapshot else {
             self.with_tenant(|t| t.doc_misses += 1);
             return Err(WireError::new(
@@ -546,24 +557,43 @@ impl Connection {
             Ok(context) => context,
             Err(err) => return self.fail(err),
         };
+        let reply = match self.evaluate(&plan, context) {
+            Ok(payload) => Reply::Ok(payload),
+            Err(err) => Reply::Err(err),
+        };
+        self.maybe_reset_store();
+        reply
+    }
+
+    /// The one evaluate step, taken by QUERY and by every BATCH job: run
+    /// the plan on this connection's engine (which hands it to a pool
+    /// worker) under `catch_unwind`, fold its counters into the tenant, and
+    /// serialize. A failure counts as a tenant error.
+    fn evaluate(
+        &mut self,
+        plan: &CompiledQuery,
+        context: Option<NodeId>,
+    ) -> Result<Vec<u8>, WireError> {
         let outcome = {
             let engine = &mut self.engine;
-            catch_unwind(AssertUnwindSafe(|| engine.evaluate(&plan, context)))
+            catch_unwind(AssertUnwindSafe(|| engine.evaluate(plan, context)))
         };
         // Even a failed evaluation's counters feed the tenant aggregate —
         // they are often the diagnostic.
         let stats = *self.engine.last_stats();
         self.with_tenant(|t| t.absorb_eval(&stats));
-        // Serialize BEFORE the store-reset guard: the sequence's NodeIds
-        // point into this engine's store, and rebuild_engine would drop the
-        // mounts they reference out from under them.
-        let reply = match outcome {
-            Ok(Ok(seq)) => Reply::Ok(self.engine.display_sequence(&seq).into_bytes()),
-            Ok(Err(e)) => self.fail(WireError::from_engine(&e)),
-            Err(payload) => self.fail(WireError::new("PANIC", panic_text(payload.as_ref()))),
+        // Serialized here, before any caller runs the store-reset guard:
+        // the sequence's NodeIds point into this engine's store, and
+        // rebuild_engine would drop the mounts they reference.
+        let result = match outcome {
+            Ok(Ok(seq)) => Ok(self.engine.display_sequence(&seq).into_bytes()),
+            Ok(Err(e)) => Err(WireError::from_engine(&e)),
+            Err(payload) => Err(WireError::new("PANIC", panic_text(payload.as_ref()))),
         };
-        self.maybe_reset_store();
-        reply
+        if result.is_err() {
+            self.with_tenant(|t| t.errors += 1);
+        }
+        result
     }
 
     /// Looks the plan up under `(text, options fingerprint)`, compiling and
@@ -571,7 +601,7 @@ impl Connection {
     /// the compiler) and are never cached.
     fn cached_plan(&mut self, text: &str) -> Result<CompiledQuery, WireError> {
         let key = PlanCache::key(text, &self.options.cache_key());
-        let cached = self.shared.plans.lock().unwrap().get(&key);
+        let cached = lock(&self.shared.plans).get(&key);
         if let Some(plan) = cached {
             self.with_tenant(|t| t.plan_hits += 1);
             return Ok(plan);
@@ -581,15 +611,15 @@ impl Connection {
             .engine
             .compile(text)
             .map_err(|e| WireError::from_engine(&e))?;
-        self.shared.plans.lock().unwrap().insert(key, plan.clone());
+        lock(&self.shared.plans).insert(key, plan.clone());
         Ok(plan)
     }
 
     /// `BATCH <count> <uri|->`: payload carries `count` query sub-frames;
-    /// the reply is exactly `count` OK/ERR frames, in job order. Engine
-    /// errors get a `job N: ` message prefix (position preserved); a worker
-    /// panic taints the whole batch with the pool's own `batch job N: `
-    /// tagged payload.
+    /// the reply is exactly `count` OK/ERR frames, in job order. The jobs
+    /// run one after another through QUERY's evaluate step, over one
+    /// document resolve. Errors, a panic included, answer for their own
+    /// job only, with a `job N: ` message prefix (position preserved).
     fn do_batch(&mut self, frame: &Frame) -> Reply {
         let (Some(count), Some(uri)) = (frame.words.get(1), frame.words.get(2)) else {
             return Reply::Err(WireError::new("PROTO", "BATCH needs a count and a uri"));
@@ -612,147 +642,60 @@ impl Connection {
         }
         self.with_tenant(|t| t.queries += count as u64);
 
-        // Compile every job through the shared cache up front (hits counted
-        // per job), then resolve the document once.
-        let mut plans = Vec::with_capacity(count);
-        for q in &queries {
-            plans.push(self.cached_plan(&String::from_utf8_lossy(q)));
-        }
-        let snapshot = if uri == "-" {
-            None
-        } else {
-            let snapshot = self.shared.docs.lock().unwrap().get(uri.as_str());
-            match snapshot {
-                Some(s) => {
-                    self.with_tenant(|t| {
-                        t.doc_hits += 1;
-                        t.doc_uris.insert(uri.to_string());
-                    });
-                    Some(s)
-                }
-                None => {
-                    self.with_tenant(|t| t.doc_misses += 1);
-                    let err =
-                        WireError::new("NODOC", format!("no document loaded under uri {uri:?}"));
-                    self.with_tenant(|t| t.errors += count as u64);
-                    return Reply::Batch(
-                        (0..count)
-                            .map(|i| {
-                                let mut e = err.clone();
-                                e.message = format!("job {i}: {}", e.message);
-                                Err(e)
-                            })
-                            .collect(),
-                    );
-                }
+        // Every job's plan goes through the shared cache (hits counted per
+        // job), then the document resolves once for the whole batch.
+        let plans: Vec<_> = queries
+            .iter()
+            .map(|q| self.cached_plan(&String::from_utf8_lossy(q)))
+            .collect();
+        let context = match self.resolve_doc(uri) {
+            Ok(context) => context,
+            Err(err) => {
+                self.with_tenant(|t| t.errors += count as u64);
+                return Reply::Batch((0..count).map(|i| Err(job_error(i, err.clone()))).collect());
             }
         };
-
-        // Fan the compiled jobs across the pool: each job gets its own
-        // engine (sharing the pool — evaluate re-enters inline on the
-        // worker) with the document adopted from the shared snapshot.
-        let options = self.options.clone();
-        let pool = Arc::clone(&self.shared.pool);
-        let jobs: Vec<_> = plans
+        let results = plans
             .into_iter()
-            .map(|plan| {
-                let options = options.clone();
-                let pool = Arc::clone(&pool);
-                let snapshot = snapshot.clone();
-                move || -> (Result<String, WireError>, xquery::EvalStats) {
-                    let plan = match plan {
-                        Ok(plan) => plan,
-                        Err(e) => return (Err(e), xquery::EvalStats::default()),
-                    };
-                    let mut engine = Engine::with_pool(options, pool);
-                    let context = match snapshot {
-                        Some(s) => match engine.store_mut().adopt(&s) {
-                            Ok(root) => Some(root),
-                            Err(e) => {
-                                return (
-                                    Err(WireError::new("NODOC", e.to_string())),
-                                    xquery::EvalStats::default(),
-                                )
-                            }
-                        },
-                        None => None,
-                    };
-                    let result = engine
-                        .evaluate(&plan, context)
-                        .map(|seq| engine.display_sequence(&seq))
-                        .map_err(|e| WireError::from_engine(&e));
-                    (result, *engine.last_stats())
-                }
+            .enumerate()
+            .map(|(i, plan)| {
+                let result = match plan {
+                    Ok(plan) => self.evaluate(&plan, context),
+                    Err(err) => {
+                        self.with_tenant(|t| t.errors += 1);
+                        Err(err)
+                    }
+                };
+                result.map_err(|err| job_error(i, err))
             })
             .collect();
-        let ran = catch_unwind(AssertUnwindSafe(|| pool.run_batch(jobs)));
-        match ran {
-            Ok(results) => Reply::Batch(
-                results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (result, stats))| {
-                        self.with_tenant(|t| t.absorb_eval(&stats));
-                        match result {
-                            Ok(text) => Ok(text.into_bytes()),
-                            Err(mut e) => {
-                                self.with_tenant(|t| t.errors += 1);
-                                e.message = format!("job {i}: {}", e.message);
-                                Err(e)
-                            }
-                        }
-                    })
-                    .collect(),
-            ),
-            Err(payload) => {
-                // run_batch drained the whole batch, then re-raised the first
-                // panic with its job index tagged in ("batch job N: ...").
-                // Every job's result is gone, so every slot reports the
-                // tagged panic — the client still reads exactly `count`
-                // frames.
-                self.with_tenant(|t| t.errors += count as u64);
-                let err = WireError::new("PANIC", panic_text(payload.as_ref()));
-                Reply::Batch((0..count).map(|_| Err(err.clone())).collect())
-            }
-        }
+        self.maybe_reset_store();
+        Reply::Batch(results)
     }
 
     fn do_stats(&mut self) -> Reply {
         let mut body = String::new();
-        {
-            let mut t = {
-                let tenants = self.shared.tenants.lock().unwrap();
-                tenants.get(&self.tenant).cloned().unwrap_or_default()
-            };
-            // doc_used_bytes is a point-in-time join of the tenant's touched
-            // uris against what is still resident — an evicted document stops
-            // counting against its tenants immediately.
-            {
-                let d = self.shared.docs.lock().unwrap();
-                t.doc_used_bytes = t
-                    .doc_uris
-                    .iter()
-                    .filter_map(|u| d.bytes_of(u))
-                    .map(|b| b as u64)
-                    .sum();
-            }
-            t.render(&mut body);
-        }
-        {
-            let p = self.shared.plans.lock().unwrap();
-            body.push_str(&format!("global.plan_cache.hits {}\n", p.hits));
-            body.push_str(&format!("global.plan_cache.misses {}\n", p.misses));
-            body.push_str(&format!("global.plan_cache.evictions {}\n", p.evictions));
-            body.push_str(&format!("global.plan_cache.entries {}\n", p.len()));
-        }
-        {
-            let d = self.shared.docs.lock().unwrap();
-            body.push_str(&format!("global.doc_cache.hits {}\n", d.hits));
-            body.push_str(&format!("global.doc_cache.misses {}\n", d.misses));
-            body.push_str(&format!("global.doc_cache.evictions {}\n", d.evictions));
-            body.push_str(&format!("global.doc_cache.rejections {}\n", d.rejections));
-            body.push_str(&format!("global.doc_cache.used_bytes {}\n", d.used_bytes()));
-            body.push_str(&format!("global.doc_cache.entries {}\n", d.len()));
+        self.shared
+            .tenant_snapshot(&self.tenant)
+            .unwrap_or_default()
+            .render(&mut body);
+        let (p_hits, p_misses, p_evictions, p_entries) = self.shared.plan_cache_counters();
+        let (d_hits, d_misses, d_evictions, d_rejections, d_used, d_entries) =
+            self.shared.doc_cache_counters();
+        let globals = [
+            ("plan_cache.hits", p_hits),
+            ("plan_cache.misses", p_misses),
+            ("plan_cache.evictions", p_evictions),
+            ("plan_cache.entries", p_entries as u64),
+            ("doc_cache.hits", d_hits),
+            ("doc_cache.misses", d_misses),
+            ("doc_cache.evictions", d_evictions),
+            ("doc_cache.rejections", d_rejections),
+            ("doc_cache.used_bytes", d_used as u64),
+            ("doc_cache.entries", d_entries as u64),
+        ];
+        for (key, value) in globals {
+            body.push_str(&format!("global.{key} {value}\n"));
         }
         Reply::Ok(body.into_bytes())
     }
@@ -780,7 +723,7 @@ impl Connection {
     }
 
     fn with_tenant(&self, f: impl FnOnce(&mut TenantStats)) {
-        let mut tenants = self.shared.tenants.lock().unwrap();
+        let mut tenants = lock(&self.shared.tenants);
         f(tenants.entry(self.tenant.clone()).or_default())
     }
 
@@ -800,23 +743,27 @@ enum QueryMode {
     Explain,
 }
 
-fn parse_bool(value: &str) -> Option<bool> {
-    match value {
-        "true" | "1" => Some(true),
-        "false" | "0" => Some(false),
-        _ => None,
-    }
+/// The service's one lock rule: a poisoned guard is recovered, not
+/// propagated. Every critical section leaves its data consistent between
+/// statements, so one panic must not take a cache down for every tenant.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Prefixes a BATCH job's error message with `job N: `.
+fn job_error(index: usize, mut err: WireError) -> WireError {
+    err.message = format!("job {index}: {}", err.message);
+    err
 }
 
 /// Writes a parsed boolean into `slot`; `false` means the value was bad.
 fn set_bool(value: &str, slot: &mut bool) -> bool {
-    match parse_bool(value) {
-        Some(b) => {
-            *slot = b;
-            true
-        }
-        None => false,
+    match value {
+        "true" | "1" => *slot = true,
+        "false" | "0" => *slot = false,
+        _ => return false,
     }
+    true
 }
 
 /// The text of a panic payload (`String` or `&str`), or a placeholder for
@@ -831,4 +778,44 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
                 .map(|s| s.to_string())
         })
         .unwrap_or_else(|| "evaluation worker panicked (non-text payload)".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frame(words: &[&str], payload: &[u8]) -> Frame {
+        Frame {
+            words: words.iter().map(|w| w.to_string()).collect(),
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// `fn:trace` events have no channel over the wire, so every request
+    /// drops its own instead of growing the connection engine's buffer.
+    #[test]
+    fn trace_events_are_drained_after_every_request() {
+        let mut conn = Connection::new(Arc::new(Shared::new(ServiceConfig {
+            eval_workers: 1,
+            eval_stack_bytes: 16 * 1024 * 1024,
+            ..ServiceConfig::default()
+        })));
+        let text = "trace('x', 1) + 1";
+        let jobs = crate::proto::encode_subframes(&[text.as_bytes(), text.as_bytes()]);
+        for request in [
+            frame(&["QUERY", "-"], text.as_bytes()),
+            frame(&["BATCH", "2", "-"], &jobs),
+        ] {
+            match conn.handle(&request) {
+                Reply::Ok(payload) => assert_eq!(payload, b"2"),
+                Reply::Batch(results) => assert_eq!(results, vec![Ok(b"2".to_vec()); 2]),
+                _ => panic!("{request:?} failed"),
+            }
+            assert!(conn.engine.take_trace_events().is_empty());
+        }
+        // The same text on the same engine does trace, so the drain is what
+        // emptied the buffer.
+        conn.engine.evaluate_str(text, None).unwrap();
+        assert_eq!(conn.engine.take_trace_events().len(), 1);
+    }
 }

@@ -48,7 +48,7 @@ struct Mounted {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn interleaved_insert_evict_query_matches_uncached_twin(

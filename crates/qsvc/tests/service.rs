@@ -302,6 +302,57 @@ fn errors_cross_the_socket_with_position_and_tag() {
     assert_eq!(client.query("bad", "count(//item)").unwrap(), "2");
 }
 
+/// An `ERR` payload exactly as it crossed the wire.
+fn wire_text(e: &qsvc::WireError) -> String {
+    String::from_utf8(e.encode()).expect("ERR payloads are UTF-8")
+}
+
+/// BATCH is a loop over the QUERY path: on one connection, every job
+/// answers byte-for-byte what QUERY answers for the same text and uri,
+/// apart from its `job N: ` prefix. The cases: a value, `doc()` of a uri
+/// this connection has resolved, a compile error and a mid-pull runtime
+/// error, both with their positions.
+#[test]
+fn batch_jobs_answer_what_query_answers() {
+    let service = Service::spawn(test_config()).unwrap();
+    let mut client = Client::connect(service.addr(), Some("same")).unwrap();
+    client.load("u", DOC).unwrap();
+    client
+        .load("bad", r#"<doc><item n="1"/><item n="x"/></doc>"#)
+        .unwrap();
+    let cases: [(&str, &[&str]); 2] = [
+        ("u", &["count(//item)", "count(doc('u')//item)", "1 +"]),
+        (
+            "bad",
+            &[
+                "sum(for $i in //item return xs:integer($i/@n))",
+                "count(doc('u')//item)",
+            ],
+        ),
+    ];
+    for (uri, texts) in cases {
+        let jobs = client.batch(uri, texts).unwrap();
+        assert_eq!(jobs.len(), texts.len());
+        for (i, (text, job)) in texts.iter().zip(jobs).enumerate() {
+            let job = job.map_err(|mut e| {
+                e.message = e
+                    .message
+                    .strip_prefix(&format!("job {i}: "))
+                    .unwrap_or_else(|| panic!("{:?} lacks its job prefix", e.message))
+                    .to_string();
+                wire_text(&e)
+            });
+            let query = client.query(uri, text).map_err(|e| {
+                wire_text(
+                    e.service()
+                        .unwrap_or_else(|| panic!("transport error for {text:?}: {e}")),
+                )
+            });
+            assert_eq!(job, query, "uri {uri}, job {i}: {text:?}");
+        }
+    }
+}
+
 /// EXPLAIN rides the same cached-plan path as QUERY.
 #[test]
 fn explain_uses_the_plan_cache() {

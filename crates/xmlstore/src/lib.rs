@@ -27,7 +27,6 @@
 //! assert_eq!(store.string_value(root), "Lopsided");
 //! ```
 
-pub mod builder;
 pub mod error;
 mod frozen;
 pub mod parser;

@@ -58,12 +58,6 @@ impl QName {
         self.prefix
     }
 
-    /// The local part. Named `local` on the constructor; this accessor is
-    /// the conventional XPath `local-name()`.
-    pub fn local_part(&self) -> &'static str {
-        self.local.as_str()
-    }
-
     /// Convenience alias used throughout the workspace.
     pub fn local(&self) -> &'static str {
         self.local.as_str()

@@ -553,23 +553,11 @@ impl Store {
         self.children(id).get(i)
     }
 
-    /// The number of children of `id`. O(1) on both substrates.
-    #[inline]
-    pub fn child_count(&self, id: NodeId) -> usize {
-        self.children(id).len()
-    }
-
     /// The `i`-th attribute node of `id`, or `None` past the end. O(1) on
     /// both substrates; the cursor counterpart of [`Store::nth_child`].
     #[inline]
     pub fn nth_attribute(&self, id: NodeId, i: usize) -> Option<&NodeId> {
         self.attributes(id).get(i)
-    }
-
-    /// The number of attribute nodes of `id`. O(1) on both substrates.
-    #[inline]
-    pub fn attr_count(&self, id: NodeId) -> usize {
-        self.attributes(id).len()
     }
 
     /// The name of an element or attribute node.
@@ -619,17 +607,6 @@ impl Store {
             .iter()
             .find_map(|&a| match self.kind(a) {
                 NodeKind::Attribute(n, v) if n.display_is(name) => Some(&v[..]),
-                _ => None,
-            })
-    }
-
-    /// Like [`Store::attribute_value`] with a pre-interned name: the scan
-    /// compares symbols, no text at all.
-    pub fn attribute_value_q(&self, el: NodeId, name: QName) -> Option<&str> {
-        self.attributes(el)
-            .iter()
-            .find_map(|&a| match self.kind(a) {
-                NodeKind::Attribute(n, v) if *n == name => Some(&v[..]),
                 _ => None,
             })
     }
@@ -2122,11 +2099,6 @@ impl Store {
                 Some(ea.pre.cmp(&eb.pre))
             }
         }
-    }
-
-    /// `true` when `a` strictly precedes `b` in document order (same tree).
-    pub fn is_before(&self, a: NodeId, b: NodeId) -> bool {
-        self.doc_order(a, b) == Some(std::cmp::Ordering::Less)
     }
 
     /// `true` when `anc` is a proper ancestor of `desc` (same tree): the

@@ -97,16 +97,6 @@ pub enum Axis {
     PrecedingSibling,
 }
 
-impl Axis {
-    /// Is this a reverse axis (positions count backwards in predicates)?
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf | Axis::PrecedingSibling
-        )
-    }
-}
-
 /// A node test within an axis step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeTest {

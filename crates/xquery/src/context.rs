@@ -48,10 +48,6 @@ impl VarStack {
         self.entries.push((name.into(), Arc::new(value)));
     }
 
-    pub fn bind_rc(&mut self, name: impl Into<String>, value: Arc<Sequence>) {
-        self.entries.push((name.into(), value));
-    }
-
     pub fn lookup(&self, name: &str) -> Option<&Arc<Sequence>> {
         self.entries
             .iter()

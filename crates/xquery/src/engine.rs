@@ -329,38 +329,18 @@ impl StackPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        self.run_batch_timed(jobs)
-            .into_iter()
-            .map(|(value, _)| value)
-            .collect()
-    }
-
-    /// [`StackPool::run_batch`] with each job's [`PoolTiming`] alongside its
-    /// result.
-    pub fn run_batch_timed<T, F>(&self, jobs: Vec<F>) -> Vec<(T, PoolTiming)>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
         if IS_EVAL_WORKER.with(|flag| flag.get()) {
             return jobs
                 .into_iter()
                 .enumerate()
-                .map(|(index, f)| {
-                    let started = Instant::now();
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-                        Ok(value) => (
-                            value,
-                            PoolTiming {
-                                queue_wait_ns: 0,
-                                on_worker_ns: started.elapsed().as_nanos() as u64,
-                            },
-                        ),
+                .map(
+                    |(index, f)| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+                        Ok(value) => value,
                         Err(payload) => {
                             std::panic::resume_unwind(tag_batch_payload(index, payload))
                         }
-                    }
-                })
+                    },
+                )
                 .collect();
         }
         let n = jobs.len();
@@ -368,35 +348,27 @@ impl StackPool {
         let sender = self.sender();
         for (index, f) in jobs.into_iter().enumerate() {
             let tx = tx.clone();
-            let submitted = Instant::now();
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let started = Instant::now();
-                let queue_wait_ns = started.duration_since(submitted).as_nanos() as u64;
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                let timing = PoolTiming {
-                    queue_wait_ns,
-                    on_worker_ns: started.elapsed().as_nanos() as u64,
-                };
-                let _ = tx.send((index, result, timing));
+                let _ = tx.send((index, result));
             });
             let job: Job = unsafe { std::mem::transmute(job) };
             sender.send(job).expect("the evaluation pool is gone");
         }
         drop(tx);
-        let mut slots: Vec<Option<(std::thread::Result<T>, PoolTiming)>> = Vec::with_capacity(n);
+        let mut slots: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         for _ in 0..n {
             match rx.recv() {
-                Ok((index, result, timing)) => slots[index] = Some((result, timing)),
+                Ok((index, result)) => slots[index] = Some(result),
                 Err(_) => panic!("an evaluation worker died mid-batch"),
             }
         }
         let mut results = Vec::with_capacity(n);
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         for (index, slot) in slots.into_iter().enumerate() {
-            let (result, timing) = slot.expect("every batch job reports exactly once");
-            match result {
-                Ok(value) => results.push((value, timing)),
+            match slot.expect("every batch job reports exactly once") {
+                Ok(value) => results.push(value),
                 Err(payload) => {
                     if first_panic.is_none() {
                         first_panic = Some(tag_batch_payload(index, payload));
@@ -551,13 +523,6 @@ impl Engine {
             .map_err(|e| Error::internal(format!("XML parse error: {e}")))
     }
 
-    /// Parses an XML document keeping all whitespace.
-    pub fn load_document_verbatim(&mut self, xml: &str) -> Result<NodeId> {
-        self.store
-            .parse_str(xml, &ParseOptions::default())
-            .map_err(|e| Error::internal(format!("XML parse error: {e}")))
-    }
-
     /// Registers a document node under a URI for `fn:doc($uri)`.
     pub fn register_document(&mut self, uri: impl Into<String>, doc: NodeId) {
         self.docs.insert(uri.into(), doc);
@@ -645,32 +610,6 @@ impl Engine {
         let this = &mut *self;
         let (result, timing) =
             pool.run_timed(move || this.evaluate_on_this_thread(query, context_node));
-        self.record_timing(timing);
-        result
-    }
-
-    /// Like [`Engine::evaluate`] but with a full focus (context item,
-    /// position, size) — what an XSLT-style caller iterating a node list
-    /// needs for `position()`/`last()` to be meaningful.
-    pub fn evaluate_with_focus(
-        &mut self,
-        query: &CompiledQuery,
-        item: Item,
-        position: usize,
-        size: usize,
-    ) -> Result<Sequence> {
-        let pool = Arc::clone(&self.pool);
-        let this = &mut *self;
-        let (result, timing) = pool.run_timed(move || {
-            this.evaluate_impl(
-                query,
-                Some(Focus {
-                    item,
-                    position,
-                    size,
-                }),
-            )
-        });
         self.record_timing(timing);
         result
     }
@@ -923,11 +862,6 @@ impl Engine {
     /// traces live instead of draining them after the fact.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.extra_sink = Some(sink);
-    }
-
-    /// Removes the extra sink installed by [`Engine::set_trace_sink`].
-    pub fn clear_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.extra_sink.take()
     }
 
     /// Routes a caller-made event through the same path `fn:trace` uses —

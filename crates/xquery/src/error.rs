@@ -116,11 +116,6 @@ impl Error {
         Error::new(ErrorCode::XPST0003, message).at(line, column)
     }
 
-    /// Type error helper.
-    pub fn type_err(message: impl Into<String>) -> Self {
-        Error::new(ErrorCode::XPTY0004, message)
-    }
-
     /// Internal invariant failure.
     pub fn internal(message: impl Into<String>) -> Self {
         Error::new(ErrorCode::Internal, message)

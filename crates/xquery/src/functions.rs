@@ -19,7 +19,7 @@ use crate::context::DynamicContext;
 use crate::error::{Error, ErrorCode, Result};
 use crate::eval::{join_atomized, EvalEnv};
 use crate::obs::{TraceEvent, TraceSink};
-use crate::value::{format_double, Atomic, Item, Sequence};
+use crate::value::{Atomic, Item, Sequence};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use xmlstore::{NodeId, Store};
@@ -830,9 +830,4 @@ fn fold_numeric(atoms: &[Atomic], what: &str) -> Result<Atomic> {
         Some(i) => Atomic::Int(i),
         None => Atomic::Dbl(dbl_total),
     })
-}
-
-/// `format_double` re-export used by the engine's display layer.
-pub fn _format_double(d: f64) -> String {
-    format_double(d)
 }
