@@ -345,7 +345,9 @@ fn check_obs() {
         );
         let froot = f.child_elements(fdoc)[0];
         let first = f.child_elements(froot)[0];
-        f.set_attribute(first, "k", "edited").expect("edit");
+        // A new attribute changes the attribute list: structural, so the
+        // tree thaws and the next freeze must splice.
+        f.set_attribute(first, "edited", "yes").expect("edit");
         let mut cold = f.clone();
         f.freeze(fdoc).expect("incremental freeze");
         assert_eq!(
@@ -362,6 +364,26 @@ fn check_obs() {
         println!(
             "  incremental refreeze: remount and splice counted; provenance-free clone rebuilt"
         );
+
+        // A value overwrite is shape-preserving: one record write, and the
+        // tree never leaves the frozen form.
+        let before = f.stats();
+        f.set_attribute(first, "k", "edited").expect("overwrite");
+        let after = f.stats();
+        assert!(
+            f.is_frozen(fdoc),
+            "an attribute overwrite must leave the tree frozen"
+        );
+        assert_eq!(
+            after.frozen_value_edits,
+            before.frozen_value_edits + 1,
+            "an attribute overwrite must write the frozen record in place"
+        );
+        assert_eq!(
+            after.trees_thawed, before.trees_thawed,
+            "an attribute overwrite must not thaw the tree"
+        );
+        println!("  frozen value edit: written in place, no thaw");
     }
 
     println!("  all observability counters check out (and zero out with XQ_OPT=0)");

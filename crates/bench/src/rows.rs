@@ -1678,17 +1678,7 @@ fn edit_rows(rows: &mut Vec<Row>) {
     ] {
         let workload = "one-attribute edit, then freeze, 20k-item flat doc";
         rows.push(row(name, Layer::Store, workload, MICRO, gate, move || {
-            let xml: String = (0..20_000)
-                .map(|i| format!("<item k='k{}'><sub/></item>", i % 50))
-                .collect();
-            let mut s = Store::new();
-            let doc = s
-                .parse_str(
-                    &format!("<root>{xml}</root>"),
-                    &ParseOptions::data_oriented(),
-                )
-                .expect("refreeze doc parses");
-            let root = s.child_elements(doc)[0];
+            let (mut s, doc, root) = flat_items_doc();
             let mut serial = 0usize;
             Box::new(move || {
                 serial += 1;
@@ -1717,6 +1707,61 @@ fn edit_rows(rows: &mut Vec<Row>) {
             })
         }));
     }
+
+    // The shape-preserving twin of the rows above: an existing attribute's
+    // value overwritten on the same doc, then `freeze`, then the value read
+    // back through the attribute-value map. The overwrite writes one frozen
+    // record, so the tree never thaws and `freeze` has nothing to do.
+    let workload = "attribute overwrite, freeze, value read back, 20k-item flat doc";
+    rows.push(row(
+        "value_edit_read",
+        Layer::Store,
+        workload,
+        MICRO,
+        Gate::None,
+        move || {
+            let (mut s, doc, root) = flat_items_doc();
+            let items = s.child_elements(root);
+            let k = xmlstore::intern("k");
+            let mut serial = 0usize;
+            Box::new(move || {
+                serial += 1;
+                let target = items[(serial * 37) % items.len()];
+                let value = format!("edited{serial}");
+                let before = s.stats().trees_thawed;
+                let sample = ms(|| {
+                    s.set_attribute(target, "k", value.as_str())
+                        .expect("overwrite");
+                    s.freeze(doc).expect("freeze");
+                    assert_eq!(s.elements_with_attr_value(doc, k, &value), [target]);
+                });
+                assert_eq!(
+                    s.stats().trees_thawed,
+                    before,
+                    "an attribute overwrite must not thaw the tree"
+                );
+                sample
+            })
+        },
+    ));
+}
+
+/// The 20k-item flat doc of the store edit rows, parsed (so frozen):
+/// `<root><item k='k0'><sub/></item>…</root>`. Returns the store, the
+/// document node and the root element.
+fn flat_items_doc() -> (Store, xmlstore::NodeId, xmlstore::NodeId) {
+    let xml: String = (0..20_000)
+        .map(|i| format!("<item k='k{}'><sub/></item>", i % 50))
+        .collect();
+    let mut s = Store::new();
+    let doc = s
+        .parse_str(
+            &format!("<root>{xml}</root>"),
+            &ParseOptions::data_oriented(),
+        )
+        .expect("flat items doc parses");
+    let root = s.child_elements(doc)[0];
+    (s, doc, root)
 }
 
 // ----------------------------------------------------------------------
@@ -1980,6 +2025,19 @@ mod tests {
     #[test]
     fn e5_rows_build_and_sample() {
         smoke("e5");
+    }
+
+    #[test]
+    fn store_edit_rows_build_and_sample() {
+        let rows = registry();
+        for name in ["refreeze_incremental", "value_edit_read"] {
+            let row = rows.iter().find(|r| r.name == name).expect("a row");
+            let mut sampler = (row.setup)();
+            for _ in 0..3 {
+                let sample = sampler();
+                assert!(sample.is_finite() && sample >= 0.0, "{name}: {sample}");
+            }
+        }
     }
 
     #[test]

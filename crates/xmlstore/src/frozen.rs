@@ -1,4 +1,4 @@
-//! The frozen half of the store: immutable, contiguous pre-order node
+//! The frozen half of the store: fixed-shape, contiguous pre-order node
 //! tables.
 //!
 //! A [`FrozenTree`] is one XML tree laid out as a single `Vec` of records in
@@ -18,9 +18,12 @@
 //! into another store never copies text.
 //!
 //! Name lookups get per-tree maps (local symbol → ascending positions) built
-//! lazily on first use; a frozen tree is immutable, so they are built at most
-//! once and are never invalidated — unlike the stamp-guarded `StoreIndex`
-//! that mutable (thawed) trees still use.
+//! lazily on first use. A tree's *shape* never changes once frozen; the only
+//! edits a frozen table takes are shape-preserving payload writes
+//! ([`FrozenTree::write_record`]). A value overwrite drops one attribute
+//! name's value map and a rename drops the name maps, so the next lookup
+//! rebuilds them from the records. Mutable (thawed) trees use the
+//! stamp-guarded `StoreIndex` instead.
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::qname::QName;
@@ -70,8 +73,10 @@ struct NameMaps {
     attributes_by_name: HashMap<QName, Vec<u32>>,
 }
 
-/// An immutable XML tree as a contiguous pre-order record table. Shared by
-/// `Arc`: the same `FrozenTree` can be mounted in any number of stores.
+/// An XML tree of fixed shape as a contiguous pre-order record table. Shared
+/// by `Arc`: the same `FrozenTree` can be mounted in any number of stores,
+/// and a shared table is never written ([`FrozenTree::write_record`] needs
+/// the only reference).
 #[derive(Debug)]
 pub(crate) struct FrozenTree {
     pub recs: Vec<FrozenRec>,
@@ -80,7 +85,8 @@ pub(crate) struct FrozenTree {
     pub kids: Vec<u32>,
     maps: OnceLock<NameMaps>,
     /// Per attribute local name, exact value → owner-element positions in
-    /// ascending order. Built lazily per name; immutable once built.
+    /// ascending order. Built lazily per name; an overwrite of one of that
+    /// name's values drops the name's entry.
     #[allow(clippy::type_complexity)]
     attr_values: Mutex<HashMap<Sym, Arc<HashMap<Arc<str>, Vec<u32>>>>>,
 }
@@ -234,6 +240,32 @@ impl FrozenTree {
             .get(name)
             .map(Vec::as_slice)
             .unwrap_or_default()
+    }
+
+    /// Writes `kind` over the payload of record `pos` — a shape-preserving
+    /// edit: an attribute value overwrite, new text or comment content, or an
+    /// element rename. `kind` must be the same node kind as the record (and,
+    /// for an attribute, carry the same name), so positions, parents, child
+    /// lists and attribute runs all stay valid. The caches follow the edit:
+    /// an attribute write drops only its local name's value map, a text write
+    /// touches no map, and a rename drops the name maps (the next name lookup
+    /// rebuilds them).
+    pub fn write_record(&mut self, pos: u32, kind: NodeKind) {
+        let rec = &mut self.recs[pos as usize];
+        match (&rec.kind, &kind) {
+            (NodeKind::Attribute(old, _), NodeKind::Attribute(new, _)) => {
+                debug_assert_eq!(old, new, "an attribute write keeps its name");
+                self.attr_values
+                    .get_mut()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .remove(&old.local_sym());
+            }
+            (NodeKind::Text(_), NodeKind::Text(_))
+            | (NodeKind::Comment(_), NodeKind::Comment(_)) => {}
+            (NodeKind::Element(_), NodeKind::Element(_)) => self.maps = OnceLock::new(),
+            _ => unreachable!("a record write must keep the node kind"),
+        }
+        rec.kind = kind;
     }
 
     /// The value → owner-element-positions map for attribute name `local`,
@@ -397,5 +429,70 @@ impl TreeSnapshot {
     /// the witness that snapshotting copied nothing.
     pub fn ptr_eq(a: &TreeSnapshot, b: &TreeSnapshot) -> bool {
         Arc::ptr_eq(&a.tree, &b.tree)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sym::intern;
+
+    /// `<r a='1' b='2'><x a='1'/><y/><x/></r>`: `r` at 0, its attributes
+    /// at 1 and 2, then `x` at 3 (attribute at 4), `y` at 5 and `x` at 6.
+    fn small() -> FrozenTree {
+        let mut b = FrozenBuilder::new();
+        b.open_element("r".into()).unwrap();
+        b.attribute("a".into(), "1".into()).unwrap();
+        b.attribute("b".into(), "2".into()).unwrap();
+        b.open_element("x".into()).unwrap();
+        b.attribute("a".into(), "1".into()).unwrap();
+        b.close();
+        b.open_element("y".into()).unwrap();
+        b.close();
+        b.open_element("x".into()).unwrap();
+        b.close();
+        b.close();
+        b.finish().unwrap()
+    }
+
+    fn cached_value_names(t: &mut FrozenTree) -> Vec<Sym> {
+        let mut names: Vec<Sym> = t.attr_values.get_mut().unwrap().keys().copied().collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn attribute_write_drops_only_its_names_value_map() {
+        let mut t = small();
+        assert_eq!(t.attr_value_owners(intern("a"))["1"], [0, 3]);
+        assert_eq!(t.attr_value_owners(intern("b"))["2"], [0]);
+        t.write_record(1, NodeKind::Attribute("a".into(), "9".into()));
+        assert_eq!(cached_value_names(&mut t), [intern("b")]);
+        assert_eq!(t.attr_value_owners(intern("a"))["1"], [3]);
+        assert_eq!(t.attr_value_owners(intern("a"))["9"], [0]);
+    }
+
+    #[test]
+    fn rename_keeps_the_name_maps_equal_to_a_rebuild() {
+        let mut t = small();
+        assert_eq!(t.elements_by_local(intern("x")), [3, 6]);
+        t.write_record(6, NodeKind::Element("y".into()));
+        t.write_record(3, NodeKind::Element("z".into()));
+        let rebuilt = FrozenTree::from_recs(t.recs.clone());
+        for name in ["r", "x", "y", "z"] {
+            assert_eq!(
+                t.elements_by_local(intern(name)),
+                rebuilt.elements_by_local(intern(name)),
+                "{name}"
+            );
+            let q = QName::from(name);
+            assert_eq!(
+                t.elements_by_name(&q),
+                rebuilt.elements_by_name(&q),
+                "{name}"
+            );
+        }
+        assert_eq!(t.elements_by_local(intern("y")), [5, 6]);
+        assert!(!t.maps().elements_by_local.contains_key(&intern("x")));
     }
 }

@@ -64,7 +64,8 @@ impl Store {
     /// Parses `input` into a new document tree inside this store and returns
     /// the document node. The parser emits pre-order events straight into a
     /// frozen record table, so a parsed document lands frozen — contiguous,
-    /// immutable, snapshot-ready. Mutating it later thaws it transparently.
+    /// fixed-shape, snapshot-ready. A value edit later writes one record in
+    /// place; a structural edit thaws it transparently.
     pub fn parse_str(&mut self, input: &str, options: &ParseOptions) -> Result<NodeId, XmlError> {
         let tree = Parser::new(input, options).parse()?;
         self.mount_tree(Arc::new(tree))

@@ -2,7 +2,8 @@
 //! document-order laws on randomly generated trees.
 
 use crate::parser::ParseOptions;
-use crate::store::{NodeId, Store};
+use crate::qname::QName;
+use crate::store::{NodeId, NodeKind, Store};
 use proptest::prelude::*;
 
 /// A recipe for building a random XML tree deterministically.
@@ -341,7 +342,8 @@ proptest! {
     }
 
     /// Freeze/edit/thaw interleavings never change what the tree looks like:
-    /// a store that freezes (and auto-thaws on edit) at random points stays
+    /// a store that freezes at random points (a structural edit auto-thaws
+    /// it, a value overwrite writes the frozen record in place) stays
     /// deep-equal to a never-frozen shadow store fed the same edits, and the
     /// frozen-arena order/traversal answers match the walk-based reference.
     #[test]
@@ -470,7 +472,8 @@ proptest! {
                     let vb = b.set_attribute(target, "p", format!("q{i}")).unwrap();
                     prop_assert_eq!(va, vb);
                 }
-                // Refreeze A; the next edit auto-thaws. B never freezes.
+                // Refreeze A; the next structural edit auto-thaws. B never
+                // freezes.
                 _ => { a.freeze(el_a).unwrap(); }
             }
             prop_assert_eq!(a.to_xml(el_a), b.to_xml(el_b));
@@ -485,6 +488,120 @@ proptest! {
             "an interval-local edit discarded the live index (repatches: {})",
             a.stats().index_repatches
         );
+    }
+
+    /// Shape-preserving edits (attribute overwrite, `set_text`, `set_name`)
+    /// written into a frozen tree's records give the same answers as the
+    /// same edits on a never-frozen twin: serialization, the name window of
+    /// every name in the tree, and the attribute-value probe both before and
+    /// after each overwrite. The tree stays frozen unless a snapshot or a
+    /// `Store::clone` shares its table: then the edit thaws instead (and the
+    /// tree is refrozen), and the held copy keeps the old tree.
+    #[test]
+    fn shape_preserving_edits_on_frozen_records_match_a_thawed_twin(
+        spec in tree_strategy(),
+        ops in prop::collection::vec((0u8..3, any::<u8>(), 0u8..4), 1..12),
+    ) {
+        let spec = root_element(spec);
+        let mut a = Store::new();
+        let mut b = Store::new();
+        let (doc_a, doc_b) = (a.create_document().unwrap(), b.create_document().unwrap());
+        let (el_a, el_b) = (build(&mut a, &spec), build(&mut b, &spec));
+        a.append_child(doc_a, el_a).unwrap();
+        b.append_child(doc_b, el_b).unwrap();
+        prop_assert_eq!((doc_a, el_a), (doc_b, el_b));
+        a.freeze(doc_a).unwrap();
+
+        for (i, &(kind, pick, share)) in ops.iter().enumerate() {
+            let nodes: Vec<NodeId> = b.descendants(doc_b);
+            let elements: Vec<NodeId> = nodes.iter().copied().filter(|&n| b.is_element(n)).collect();
+            let attrs: Vec<NodeId> = elements.iter().flat_map(|&e| b.attributes(e).to_vec()).collect();
+            let texts: Vec<NodeId> = nodes.iter().copied().filter(|&n| b.is_text(n)).collect();
+            let target = match kind {
+                0 => attrs.get(pick as usize % attrs.len().max(1)).copied(),
+                1 => texts.get(pick as usize % texts.len().max(1)).copied(),
+                _ => Some(elements[pick as usize % elements.len()]),
+            };
+            let Some(target) = target else { continue };
+
+            let held_xml = a.to_xml(doc_a);
+            let before = a.stats();
+            let held_snapshot = (share == 0).then(|| a.snapshot(doc_a).unwrap());
+            let held_store = (share == 1).then(|| a.clone());
+
+            match kind {
+                0 => {
+                    let owner = b.parent(target).unwrap();
+                    let (name, old) = match b.kind(target) {
+                        NodeKind::Attribute(q, v) => (*q, v.to_string()),
+                        _ => unreachable!("an attribute was picked"),
+                    };
+                    let value = ["x".to_string(), old.clone(), format!("v{i}")][pick as usize % 3].clone();
+                    for probe in [&old, &value] {
+                        prop_assert_eq!(
+                            a.elements_with_attr_value(doc_a, name.local_sym(), probe),
+                            b.elements_with_attr_value(doc_b, name.local_sym(), probe)
+                        );
+                    }
+                    a.set_attribute(owner, name, value.as_str()).unwrap();
+                    b.set_attribute(owner, name, value.as_str()).unwrap();
+                    for probe in [&old, &value] {
+                        prop_assert_eq!(
+                            a.elements_with_attr_value(doc_a, name.local_sym(), probe),
+                            b.elements_with_attr_value(doc_b, name.local_sym(), probe)
+                        );
+                    }
+                }
+                1 => {
+                    a.set_text(target, format!("t{i}")).unwrap();
+                    b.set_text(target, format!("t{i}")).unwrap();
+                }
+                _ => {
+                    let other = elements[(pick as usize / 3) % elements.len()];
+                    let name = if pick % 2 == 0 { QName::from("ren") } else { *b.name(other).unwrap() };
+                    a.set_name(target, name).unwrap();
+                    b.set_name(target, name).unwrap();
+                }
+            }
+
+            let after = a.stats();
+            let shared = held_snapshot.is_some() || held_store.is_some();
+            prop_assert_eq!(a.is_frozen(doc_a), !shared);
+            prop_assert_eq!(after.trees_thawed, before.trees_thawed + u64::from(shared));
+            prop_assert_eq!(
+                after.frozen_value_edits,
+                before.frozen_value_edits + u64::from(!shared)
+            );
+            if let Some(snap) = held_snapshot {
+                let mut other = Store::new();
+                let adopted = other.adopt(&snap).unwrap();
+                prop_assert_eq!(other.to_xml(adopted), held_xml.clone());
+            }
+            if let Some(held) = held_store {
+                prop_assert_eq!(held.to_xml(doc_a), held_xml);
+            }
+            if shared {
+                a.freeze(doc_a).unwrap();
+            }
+
+            prop_assert_eq!(a.to_xml(doc_a), b.to_xml(doc_b));
+            let mut names: Vec<(QName, bool)> = Vec::new();
+            for n in b.descendants(doc_b) {
+                if let Some(q) = b.name(n) {
+                    names.push((*q, false));
+                }
+                for &at in b.attributes(n) {
+                    names.push((*b.name(at).unwrap(), true));
+                }
+            }
+            names.push((QName::from("ren"), false));
+            for (q, attributes) in names {
+                prop_assert_eq!(
+                    a.name_span(doc_a, &q, attributes).nodes(&a),
+                    b.name_span(doc_b, &q, attributes).nodes(&b)
+                );
+            }
+        }
     }
 }
 

@@ -24,6 +24,20 @@
 //! (attribute overwrite, `set_text`) keep the index. The walk-based
 //! comparison survives as [`Store::doc_order_by_walk`], the reference
 //! implementation the property tests check the index against.
+//!
+//! ## Editing a frozen tree
+//!
+//! Parsed and adopted trees are frozen ([`crate::frozen`]): their layout
+//! answers order and name queries with no index at all. The rule for editing
+//! one: **shape-preserving edits write the record; structural edits thaw and
+//! splice.** An edit that changes no child or attribute list — an attribute
+//! value overwrite, [`Store::set_text`], [`Store::set_name`] — writes one
+//! record in place and the tree stays frozen, provided this store's mount
+//! holds the only reference to the record table. Every other edit, and a
+//! shape-preserving edit of a table a snapshot, clone or other mount shares,
+//! thaws the whole tree into the mutable overlay above, and the next
+//! [`Store::freeze`] splices the edited subtree's records back into the old
+//! table.
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::frozen::{FrozenRec, FrozenTree, TreeSnapshot, NO_PARENT};
@@ -206,6 +220,7 @@ struct StatCells {
     index_repatches: AtomicU64,
     index_full_rebuilds: AtomicU64,
     trees_refrozen_incremental: AtomicU64,
+    frozen_value_edits: AtomicU64,
 }
 
 /// A point-in-time copy of the store's flat-substrate counters.
@@ -235,6 +250,9 @@ pub struct StoreStats {
     /// remounting an untouched tree verbatim or splicing only the edited
     /// subtree's records into the shared prefix/suffix.
     pub trees_refrozen_incremental: u64,
+    /// Shape-preserving edits (attribute value overwrite, `set_text`,
+    /// `set_name`) written straight into a frozen record, tree kept frozen.
+    pub frozen_value_edits: u64,
 }
 
 /// One node's slot in the structural index. Valid only while the owning
@@ -443,6 +461,7 @@ impl Store {
                 .stats
                 .trees_refrozen_incremental
                 .load(AtomicOrdering::Relaxed),
+            frozen_value_edits: self.stats.frozen_value_edits.load(AtomicOrdering::Relaxed),
         }
     }
 
@@ -717,13 +736,37 @@ impl Store {
         false
     }
 
-    /// Thaws the tree containing `id` if it is frozen. Every mutator calls
-    /// this first: edits happen on the pointer-shaped overlay, and the tree
-    /// can be [`Store::freeze`]-d again afterwards.
+    /// Thaws the tree containing `id` if it is frozen. Every structural
+    /// mutator calls this first: edits that change a child or attribute list
+    /// happen on the pointer-shaped overlay, and the tree can be
+    /// [`Store::freeze`]-d again afterwards.
     fn thaw_tree_of(&mut self, id: NodeId) {
         if self.floc(id).is_some() {
             self.thaw(id);
         }
+    }
+
+    /// The shape-preserving edit of a frozen tree: when `id` lives in a
+    /// frozen table this mount holds alone, writes `kind` over its record
+    /// (see [`FrozenTree::write_record`]) and keeps the tree frozen; the
+    /// mount's ids and child lists stay valid. Otherwise — `id` is thawed,
+    /// or a [`TreeSnapshot`], another store's mount or a `Store::clone`
+    /// shares the table — thaws the tree and hands `kind` back for the
+    /// overlay edit, so the other holders keep the old table.
+    fn write_frozen(&mut self, id: NodeId, kind: NodeKind) -> Result<(), NodeKind> {
+        let Some((m, pos)) = self.floc(id) else {
+            return Err(kind);
+        };
+        let mount = self.mounts[m as usize]
+            .as_mut()
+            .expect("live mount (was this node's tree released with release_mount?)");
+        let Some(tree) = Arc::get_mut(&mut mount.tree) else {
+            self.thaw(id);
+            return Err(kind);
+        };
+        tree.write_record(pos, kind);
+        self.bump(&self.stats.frozen_value_edits);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1255,22 +1298,24 @@ impl Store {
                 "set_attribute target is not an element",
             ));
         }
-        self.thaw_tree_of(el);
         let existing = self
             .attributes(el)
             .iter()
             .copied()
             .find(|&a| matches!(self.kind(a), NodeKind::Attribute(n, _) if *n == name));
         if let Some(attr) = existing {
-            // Value-only overwrite: order and names unchanged, so the
-            // numbering stays — only the value → owners maps go stale.
-            if let NodeKind::Attribute(_, v) = &mut self.node_mut(attr).kind {
-                *v = value;
-            }
+            // Value-only overwrite: order and names unchanged. A frozen
+            // tree takes it as one record write; a thawed one keeps its
+            // numbering and drops only the value → owners maps.
+            let Err(kind) = self.write_frozen(attr, NodeKind::Attribute(name, value)) else {
+                return Ok(attr);
+            };
+            self.node_mut(attr).kind = kind;
             self.invalidate_attr_values_of(el);
             self.origin_value(attr);
             Ok(attr)
         } else {
+            self.thaw_tree_of(el);
             let attr = self.create_attribute(name, value)?;
             self.node_mut(attr).parent = Some(el);
             self.node_mut(el).attributes.push(attr);
@@ -1346,36 +1391,38 @@ impl Store {
         Some(attr)
     }
 
-    /// Overwrites the content of a text/comment node. Value-only: the
-    /// structural index is untouched (a frozen tree still thaws — its
-    /// records are immutable).
+    /// Overwrites the content of a text/comment node. Value-only: a frozen
+    /// tree stays frozen (one record write), and a thawed tree's structural
+    /// index is untouched.
     pub fn set_text(&mut self, id: NodeId, text: impl Into<Arc<str>>) -> Result<(), XmlError> {
-        if !matches!(self.kind(id), NodeKind::Text(_) | NodeKind::Comment(_)) {
-            return Err(XmlError::structural(
-                "set_text target is not a text or comment node",
-            ));
-        }
-        self.thaw_tree_of(id);
-        match &mut self.node_mut(id).kind {
-            NodeKind::Text(t) | NodeKind::Comment(t) => {
-                *t = text.into();
-                self.origin_value(id);
-                Ok(())
+        let kind = match self.kind(id) {
+            NodeKind::Text(_) => NodeKind::Text(text.into()),
+            NodeKind::Comment(_) => NodeKind::Comment(text.into()),
+            _ => {
+                return Err(XmlError::structural(
+                    "set_text target is not a text or comment node",
+                ))
             }
-            _ => Err(XmlError::structural(
-                "set_text target is not a text or comment node",
-            )),
-        }
+        };
+        let Err(kind) = self.write_frozen(id, kind) else {
+            return Ok(());
+        };
+        self.node_mut(id).kind = kind;
+        self.origin_value(id);
+        Ok(())
     }
 
     /// Renames an element. Moves it between the per-name index vectors; the
-    /// numbering is untouched (a rename changes no ranks).
+    /// numbering is untouched (a rename changes no ranks), and a frozen tree
+    /// stays frozen (one record write).
     pub fn set_name(&mut self, id: NodeId, name: impl Into<QName>) -> Result<(), XmlError> {
         if !self.is_element(id) {
             return Err(XmlError::structural("set_name target is not an element"));
         }
-        self.thaw_tree_of(id);
         let new: QName = name.into();
+        if self.write_frozen(id, NodeKind::Element(new)).is_ok() {
+            return Ok(());
+        }
         let old = match &mut self.node_mut(id).kind {
             NodeKind::Element(n) => std::mem::replace(n, new),
             _ => unreachable!("checked above"),
@@ -3372,6 +3419,82 @@ mod tests {
         assert!(s.is_frozen(doc));
         assert_eq!(s.to_xml(doc), expected);
         assert_eq!(s.stats().trees_frozen, 2);
+    }
+
+    #[test]
+    fn shape_preserving_edits_write_the_frozen_record_in_place() {
+        let mut s = Store::new();
+        let doc = richer_tree(&mut s);
+        s.freeze(doc).unwrap();
+        let root = s.document_element(doc).unwrap();
+        let (a, b) = (s.child_elements(root)[0], s.child_elements(root)[1]);
+        let t = s.children(a)[0];
+        // Warm the name and value maps, so the writes must keep them right.
+        assert_eq!(s.elements_with_attr_value(doc, "k".into(), "v"), [a]);
+        assert_eq!(s.descendant_elements_by_local(doc, "b".into()), [b]);
+        let before = s.stats();
+
+        s.set_attribute(a, "k", "w").unwrap();
+        s.set_text(t, "bye").unwrap();
+        s.set_name(b, "bee").unwrap();
+        let after = s.stats();
+        assert!(
+            s.is_frozen(doc),
+            "shape-preserving edits keep the tree frozen"
+        );
+        assert_eq!(after.frozen_value_edits, before.frozen_value_edits + 3);
+        assert_eq!(after.trees_thawed, before.trees_thawed);
+        assert_eq!(
+            s.to_xml(doc),
+            "<root id=\"r1\"><a k=\"w\">bye</a><bee><c/></bee></root>"
+        );
+        assert!(s.elements_with_attr_value(doc, "k".into(), "v").is_empty());
+        assert_eq!(s.elements_with_attr_value(doc, "k".into(), "w"), [a]);
+        assert_eq!(s.elements_with_attr_value(doc, "id".into(), "r1"), [root]);
+        assert!(s.descendant_elements_by_local(doc, "b".into()).is_empty());
+        assert_eq!(s.descendant_elements_by_local(doc, "bee".into()), [b]);
+        assert_eq!(s.name_span(doc, &QName::from("bee"), false).len(), 1);
+
+        // A new attribute changes the attribute list: structural, so it thaws.
+        s.set_attribute(a, "fresh", "1").unwrap();
+        assert!(!s.is_frozen(doc));
+        assert_eq!(s.stats().trees_thawed, before.trees_thawed + 1);
+    }
+
+    #[test]
+    fn shape_preserving_edit_of_a_shared_table_thaws_instead() {
+        let mut s = Store::new();
+        let doc = richer_tree(&mut s);
+        s.freeze(doc).unwrap();
+        let xml = s.to_xml(doc);
+        let held = s.snapshot(doc).unwrap();
+        let twin = s.clone();
+        let root = s.document_element(doc).unwrap();
+        let a = s.child_elements(root)[0];
+        let before = s.stats();
+
+        s.set_attribute(a, "k", "w").unwrap();
+        assert!(!s.is_frozen(doc), "a shared table is never written");
+        assert_eq!(s.stats().trees_thawed, before.trees_thawed + 1);
+        assert_eq!(s.stats().frozen_value_edits, before.frozen_value_edits);
+        assert_eq!(s.to_xml(doc), xml.replace("k=\"v\"", "k=\"w\""));
+        // The snapshot and the clone keep the old table, byte for byte.
+        let mut other = Store::new();
+        let adopted = other.adopt(&held).unwrap();
+        assert_eq!(other.to_xml(adopted), xml);
+        assert!(TreeSnapshot::ptr_eq(
+            &held,
+            &other.snapshot(adopted).unwrap()
+        ));
+        assert_eq!(twin.to_xml(doc), xml);
+
+        // Refrozen, the table is this mount's own: the next write goes in
+        // place.
+        s.freeze(doc).unwrap();
+        s.set_text(s.children(a)[0], "bye").unwrap();
+        assert!(s.is_frozen(doc));
+        assert_eq!(s.stats().frozen_value_edits, before.frozen_value_edits + 1);
+        assert_eq!(other.to_xml(adopted), xml);
     }
 
     #[test]

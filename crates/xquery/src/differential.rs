@@ -1425,23 +1425,28 @@ const EDIT_CORPUS: &[&str] = &[
     "count(//@year)",
     "exists(//book/@year)",
     "for $b in //book where $b/author return count($b//@year)",
+    "for $v in //volume return concat(name($v), \":\", string-join($v/author, \",\"))",
 ];
 
 /// Runs the scripted edit/query interleaving: each step mutates the live
-/// document through the store (auto-thawing the frozen parse), puts it back
-/// on the requested substrate, and reruns [`EDIT_CORPUS`] through both the
-/// lowered runner and the tree-walking reference. Returns the per-step
-/// outcome lines the cross-config assertions compare.
+/// document through the store, puts it back on the requested substrate, and
+/// reruns [`EDIT_CORPUS`] through both the lowered runner and the
+/// tree-walking reference. Structural steps thaw a frozen document; the
+/// shape-preserving ones (attribute overwrite, text overwrite, rename) must
+/// write its records in place, which each such step checks. Returns the
+/// per-step outcome lines the cross-config assertions compare.
 fn edited_outcomes(options: EngineOptions, thaw_between: bool) -> Vec<String> {
     use xmlstore::intern;
     let mut e = Engine::with_options(options);
     let doc = e.load_document(DOC).unwrap();
     let mut out = Vec::new();
-    for step in 0..5 {
+    for step in 0..7 {
         {
             let s = e.store_mut();
             let lib = s.document_element(doc).unwrap();
             let books = s.descendant_elements_by_local(doc, intern("book"));
+            let was_frozen = s.is_frozen(doc);
+            let before = s.stats();
             match step {
                 // Attribute overwrite on an existing element.
                 0 => {
@@ -1467,12 +1472,31 @@ fn edited_outcomes(options: EngineOptions, thaw_between: bool) -> Vec<String> {
                     s.detach(note);
                 }
                 // Grow inside an existing subtree.
-                _ => {
+                4 => {
                     let a = s.create_element("author").unwrap();
                     let txt = s.create_text("W").unwrap();
                     s.append_child(a, txt).unwrap();
                     s.append_child(books[2], a).unwrap();
                 }
+                // Text overwrite: the 2010 book gets a new title.
+                5 => {
+                    let title = s.child_element_named(books[0], "title").unwrap();
+                    s.set_text(s.children(title)[0], "A2").unwrap();
+                }
+                // Rename: the book that gained an author becomes a volume.
+                _ => {
+                    s.set_name(books[2], "volume").unwrap();
+                }
+            }
+            if was_frozen && matches!(step, 0 | 2 | 5 | 6) {
+                let after = s.stats();
+                assert!(s.is_frozen(doc), "step {step} must not thaw");
+                assert_eq!(after.trees_thawed, before.trees_thawed, "step {step}");
+                assert_eq!(
+                    after.frozen_value_edits,
+                    before.frozen_value_edits + 1,
+                    "step {step} must write the frozen record in place"
+                );
             }
             if thaw_between {
                 s.thaw(doc);
@@ -1491,15 +1515,16 @@ fn edited_outcomes(options: EngineOptions, thaw_between: bool) -> Vec<String> {
 #[test]
 fn edit_interleaved_differential_under_all_configs() {
     // The same edit script must read back byte-identically under every
-    // engine config, on both substrates: refrozen after each edit (the
+    // engine config, on both substrates: refrozen after each edit (value
+    // edits write frozen records in place, structural ones take the
     // incremental splice path) and left thawed (the live-index patch path).
     let reference = edited_outcomes(EngineOptions::default(), false);
-    assert!(
-        reference
-            .iter()
-            .any(|o| o.contains("ok: 2010") || o.contains("2010")),
-        "the edit script must be visible in the outcomes: {reference:?}"
-    );
+    for edited in ["2010", "A2", "volume:W"] {
+        assert!(
+            reference.iter().any(|o| o.contains(edited)),
+            "the edit script must be visible in the outcomes ({edited}): {reference:?}"
+        );
+    }
     for (name, options) in engine_configs() {
         assert_eq!(
             edited_outcomes(options.clone(), false),
