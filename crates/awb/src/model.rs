@@ -142,10 +142,16 @@ impl Model {
             .insert(name.into(), value);
     }
 
+    /// The node's type, fixed at [`Model::add_node`]: there is no setter.
+    /// Incremental document generation relies on that and does not record
+    /// type reads; a setter must come with docgen recording them.
     pub fn node_type(&self, node: NodeRef) -> &str {
         &self.nodes[node.0 as usize].type_name
     }
 
+    /// The node's label, fixed at [`Model::add_node`]: there is no setter.
+    /// Incremental document generation relies on that and does not record
+    /// label reads; a setter must come with docgen recording them.
     pub fn label(&self, node: NodeRef) -> &str {
         &self.nodes[node.0 as usize].label
     }

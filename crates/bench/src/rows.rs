@@ -1618,6 +1618,62 @@ fn edit_rows(rows: &mut Vec<Row>) {
         ));
     }
 
+    // The perfbench `edit` op in process: a program's `language` edit under
+    // the System Context template, whose Deployment chunk holds the
+    // server x program relation table. That table lists every program but
+    // reads only labels, so the edit must leave it alone.
+    rows.push(row(
+        "edit_system_context_n800",
+        Layer::EndToEnd,
+        "one `language` edit, System Context over the IT model, n=800, apply_edit + to_xml",
+        MICRO,
+        Gate::None,
+        || {
+            let mut w = it_workload(800, 42);
+            let template = Template::parse(lopsided::templates::SYSTEM_CONTEXT)
+                .expect("System Context template parses");
+            let programs = w.model.nodes_of_type("Program", &w.meta);
+            let mut doc = IncrementalDoc::generate(&GenInputs {
+                model: &w.model,
+                meta: &w.meta,
+                template: &template,
+            })
+            .expect("System Context generates");
+            let mut serial = 0usize;
+            let mut edit = move |check: bool| {
+                serial += 1;
+                let program = programs[(serial * 7) % programs.len()];
+                let lang = PropValue::Str(format!("lang-{serial}"));
+                w.model.set_prop(program, "language", lang);
+                let inputs = GenInputs {
+                    model: &w.model,
+                    meta: &w.meta,
+                    template: &template,
+                };
+                let footprint = EditFootprint::new().touch_node(program);
+                let t = Instant::now();
+                let reran = doc.apply_edit(&inputs, &footprint).expect("edit applies");
+                let xml = doc.to_xml();
+                let sample = t.elapsed().as_secs_f64() * 1e3;
+                assert!(
+                    reran <= 2,
+                    "a language edit re-ran {reran} chunks; the relation table must stay put"
+                );
+                if check {
+                    let fresh = native::generate(&inputs).expect("full run generates");
+                    assert_eq!(
+                        xml,
+                        fresh.to_xml(),
+                        "incremental output diverged from full regeneration"
+                    );
+                }
+                sample
+            };
+            edit(true);
+            Box::new(move || edit(false))
+        },
+    ));
+
     // The same localized edit plus an index-served query, against a warm
     // store whose live index is patched in place, and against a cold clone:
     // the pre-incremental world, where the next query rebuilt from scratch.
@@ -2030,7 +2086,11 @@ mod tests {
     #[test]
     fn store_edit_rows_build_and_sample() {
         let rows = registry();
-        for name in ["refreeze_incremental", "value_edit_read"] {
+        for name in [
+            "refreeze_incremental",
+            "value_edit_read",
+            "edit_system_context_n800",
+        ] {
             let row = rows.iter().find(|r| r.name == name).expect("a row");
             let mut sampler = (row.setup)();
             for _ in 0..3 {

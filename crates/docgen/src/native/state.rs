@@ -24,9 +24,15 @@ pub struct TocEntry {
 /// field here cannot change what that run produced — that disjointness test
 /// is exactly how [`super::incremental::IncrementalDoc`] decides which
 /// chunks a model edit dirties.
+///
+/// Only reads an edit can change are recorded. A node's label and type are
+/// fixed at `awb::Model::add_node` and nodes are never removed, so reading a
+/// label or a type records nothing per node; whether a node exists is the
+/// business of `types` and `any_node`.
 #[derive(Debug, Default, Clone)]
 pub struct ChunkDeps {
-    /// Nodes whose label, properties, type, or edges were read.
+    /// Nodes whose mutable facets — properties or incident edges — were
+    /// read. Calculus queries record every node they visit.
     pub nodes: HashSet<NodeRef>,
     /// Node types enumerated (`all.TYPE` specs, query starts and filters).
     /// An edit that adds or removes a node of a *subtype* also matters, so

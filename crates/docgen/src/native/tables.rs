@@ -66,13 +66,9 @@ pub fn build_awb_table(
     // Pass 5: the values — "no need to mingle the computations of row titles
     // and cell values."
     for (i, &row) in rows.iter().enumerate() {
+        let targets = inputs.model.follow_forward(row, relation, inputs.meta);
         for (j, &col) in cols.iter().enumerate() {
-            let count = inputs
-                .model
-                .follow_forward(row, relation, inputs.meta)
-                .into_iter()
-                .filter(|&t| t == col)
-                .count();
+            let count = targets.iter().filter(|&&t| t == col).count();
             if count > 0 {
                 set_text(out, cells[i + 1][j + 1], count.to_string())?;
             }

@@ -174,15 +174,26 @@ impl Walker<'_, '_> {
             .map_err(|e| self.out_err(e))
     }
 
-    /// Resolves an `all.TYPE` spec, folding the type and the resolved nodes
-    /// into the chunk's read set.
+    /// Resolves an `all.TYPE` spec, folding the type into the chunk's read
+    /// set. The resolved nodes are not recorded: enumerating them reads only
+    /// the population (covered by the type) and their fixed labels and types.
+    /// A directive that then reads a node's properties or edges records the
+    /// node itself.
     fn nodes_of_spec_dep(&mut self, spec: &str) -> Gen<Vec<NodeRef>> {
         let nodes = nodes_of_all_spec(spec, self.inputs, &self.path_string())?;
         if let Some(ty) = parse_all_spec(spec) {
             self.state.deps.types.insert(ty.to_string());
         }
-        self.state.deps.nodes.extend(nodes.iter().copied());
         Ok(nodes)
+    }
+
+    /// The focus node, recorded in the read set because the caller is about
+    /// to read its properties. Recorded before the read, so the error note a
+    /// missing property produces is covered too.
+    fn focus_props_dep(&mut self, what: &str) -> Gen<NodeRef> {
+        let focus = self.required_focus(what)?;
+        self.state.deps.nodes.insert(focus);
+        Ok(focus)
     }
 
     /// Runs a calculus query, folding everything it read — the types and
@@ -352,7 +363,7 @@ impl Walker<'_, '_> {
             }
             "has-property" => {
                 let prop = self.required_attr(cond, "name")?;
-                let focus = self.required_focus("has-property")?;
+                let focus = self.focus_props_dep("has-property")?;
                 Ok(self
                     .inputs
                     .model
@@ -362,7 +373,7 @@ impl Walker<'_, '_> {
             "property-equals" => {
                 let prop = self.required_attr(cond, "name")?;
                 let value = self.required_attr(cond, "value")?;
-                let focus = self.required_focus("property-equals")?;
+                let focus = self.focus_props_dep("property-equals")?;
                 Ok(self
                     .inputs
                     .model
@@ -388,7 +399,7 @@ impl Walker<'_, '_> {
 
     fn gen_value_of(&mut self, el: NodeId, out_parent: NodeId) -> Gen {
         let prop = self.required_attr(el, "property")?;
-        let focus = self.required_focus("value-of")?;
+        let focus = self.focus_props_dep("value-of")?;
         let text = match self.inputs.model.prop(focus, &prop) {
             Some(v) => v.to_text(),
             None => match self.tpl().attribute_value(el, "default") {
@@ -454,7 +465,10 @@ impl Walker<'_, '_> {
             .to_string();
         let mut rows = self.nodes_of_spec_dep(&rows_spec)?;
         let mut cols = self.nodes_of_spec_dep(&cols_spec)?;
+        // Every cell follows its row's `relation` edges; columns are only
+        // compared by identity and labelled.
         self.state.deps.relations.insert(relation.clone());
+        self.state.deps.nodes.extend(rows.iter().copied());
         let model = self.inputs.model;
         rows.sort_by(|a, b| model.label(*a).cmp(model.label(*b)).then(a.cmp(b)));
         cols.sort_by(|a, b| model.label(*a).cmp(model.label(*b)).then(a.cmp(b)));

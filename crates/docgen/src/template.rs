@@ -4,6 +4,67 @@ use std::fmt;
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store};
 
+/// The "System Context" work product for IT-architecture models: exercises
+/// every directive — sections and the table of contents, per-type loops,
+/// conditionals, property values with and without defaults, the relation
+/// table, query-driven lists, omissions, and marker replacement.
+pub const SYSTEM_CONTEXT: &str = r#"<template>
+  <h1>System Context</h1>
+  <table-of-contents/>
+  <section heading="The System">
+    <for nodes="all.SystemBeingDesigned">
+      <p>This document describes <b><label/></b> (tier <value-of property="tier" default="?"/>).</p>
+      <p><value-of property="description" default=""/></p>
+    </for>
+  </section>
+  <section heading="Users">
+    <ol>
+      <for nodes="all.user">
+        <li>
+          <if>
+            <test> <focus-is-type type="superuser"/> </test>
+            <then> <b> <label/> </b> </then>
+            <else> <label/> </else>
+          </if>
+        </li>
+      </for>
+    </ol>
+  </section>
+  <section heading="Programs by language">
+    <for nodes="all.Program">
+      <if>
+        <test> <property-equals name="language" value="xquery"/> </test>
+        <then> <p class="little-language"><label/></p> </then>
+        <else> <p><label/> (<value-of property="language" default="unknown"/>)</p> </else>
+      </if>
+    </for>
+  </section>
+  <section heading="Deployment">
+    <p>Where programs run: SERVER-TABLE-GOES-HERE as measured.</p>
+    <marker-content marker="SERVER-TABLE-GOES-HERE">
+      <awb-table rows="all.Server" cols="all.Program" relation="runs" corner="server\program"/>
+    </marker-content>
+  </section>
+  <section heading="Who likes what">
+    <list>
+      <query>
+        <start type="user"/>
+        <follow relation="likes"/>
+        <dedup/>
+        <sort-by-label/>
+      </query>
+    </list>
+  </section>
+  <section heading="Documents">
+    <for nodes="all.Document">
+      <p><label/> v<value-of property="version" default="MISSING"/></p>
+    </for>
+  </section>
+  <section heading="Omissions">
+    <table-of-omissions types="Document,PerformanceRequirement"/>
+  </section>
+</template>"#;
+
 /// A parsed template: its own store plus the `<template>` root element.
 pub struct Template {
     store: Store,
