@@ -101,10 +101,6 @@ struct Chunk {
     /// Marker replacements this chunk *defines* (content nodes are detached
     /// nodes in the output store, owned by this chunk's generation).
     defs: Vec<(String, Vec<NodeId>)>,
-    /// [`def_signature`] of `defs`, serialized at most once per run: when an
-    /// edit re-runs the chunk, or on its first re-run after
-    /// [`IncrementalDoc::generate`] (which does not pay for it up front).
-    def_sig: Option<DefSignature>,
     /// Markers whose text this chunk's output contained and had replaced.
     consumed: HashSet<String>,
 }
@@ -113,7 +109,6 @@ struct Chunk {
 struct ChunkRun {
     out_nodes: Vec<NodeId>,
     state: GenState,
-    def_sig: Option<DefSignature>,
 }
 
 impl Chunk {
@@ -128,7 +123,6 @@ impl Chunk {
             toc_placeholders: run.state.toc_placeholders,
             omission_placeholders: run.state.omission_placeholders,
             defs: run.state.replacements,
-            def_sig: run.def_sig,
             consumed: HashSet::new(),
         }
     }
@@ -225,18 +219,14 @@ impl IncrementalDoc {
             }
             let mut changed_markers: HashSet<String> = HashSet::new();
             for idx in pending {
-                let mut run = run_chunk(inputs, &mut self.store, self.chunks[idx].tpl_node)?;
+                let run = run_chunk(inputs, &mut self.store, self.chunks[idx].tpl_node)?;
+                let old_sig = def_signature(&self.store, &self.chunks[idx].defs);
                 let new_sig = def_signature(&self.store, &run.state.replacements);
-                let old = &mut self.chunks[idx];
-                let old_sig = old
-                    .def_sig
-                    .get_or_insert_with(|| def_signature(&self.store, &old.defs));
-                if *old_sig != new_sig {
-                    for (m, _) in old.defs.iter().chain(&run.state.replacements) {
+                if old_sig != new_sig {
+                    for (m, _) in self.chunks[idx].defs.iter().chain(&run.state.replacements) {
                         changed_markers.insert(m.clone());
                     }
                 }
-                run.def_sig = Some(new_sig);
                 new_runs.insert(idx, run);
             }
             if !changed_markers.is_empty() {
@@ -393,22 +383,13 @@ fn run_chunk(
     for &n in &out_nodes {
         store.detach(n);
     }
-    Ok(ChunkRun {
-        out_nodes,
-        state,
-        def_sig: None,
-    })
+    Ok(ChunkRun { out_nodes, state })
 }
 
 /// A comparable rendering of a chunk's marker definitions: marker names in
 /// order with their content serialized. Two runs with equal signatures
 /// splice identically into consumers.
-type DefSignature = Vec<(String, String)>;
-
-/// The [`DefSignature`] of `defs`. Definition content is detached from the
-/// document and never edited after its run (consumers get deep copies), so
-/// a chunk's signature stays valid until the chunk re-runs.
-fn def_signature(store: &Store, defs: &[(String, Vec<NodeId>)]) -> DefSignature {
+fn def_signature(store: &Store, defs: &[(String, Vec<NodeId>)]) -> Vec<(String, String)> {
     defs.iter()
         .map(|(m, content)| {
             let xml: String = content.iter().map(|&n| store.to_xml(n)).collect();
@@ -898,6 +879,25 @@ mod tests {
             .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
             .unwrap();
         assert!((1..=2).contains(&n), "re-ran {n} chunks");
+        assert_matches_full(&doc, &template, &m, &meta);
+    }
+
+    #[test]
+    fn row_property_edit_leaves_the_relation_table_alone() {
+        let (meta, mut m, template, mut doc) = system_context_n800();
+        // The table's rows are servers, and its cells read only their `runs`
+        // edges; nothing in the template reads a server's properties.
+        let server = m.nodes_of_type("Server", &meta)[3];
+        m.set_prop(server, "banner", PropValue::Str("rack 7".into()));
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        let n = doc
+            .apply_edit(&inputs, &EditFootprint::new().touch_node(server))
+            .unwrap();
+        assert_eq!(n, 0);
         assert_matches_full(&doc, &template, &m, &meta);
     }
 

@@ -32,7 +32,8 @@ pub struct TocEntry {
 #[derive(Debug, Default, Clone)]
 pub struct ChunkDeps {
     /// Nodes whose mutable facets — properties or incident edges — were
-    /// read. Calculus queries record every node they visit.
+    /// read. Calculus queries record every node they visit; `<awb-table>`
+    /// reads only edges of one relation and records that relation instead.
     pub nodes: HashSet<NodeRef>,
     /// Node types enumerated (`all.TYPE` specs, query starts and filters).
     /// An edit that adds or removes a node of a *subtype* also matters, so

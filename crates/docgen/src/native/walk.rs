@@ -465,10 +465,10 @@ impl Walker<'_, '_> {
             .to_string();
         let mut rows = self.nodes_of_spec_dep(&rows_spec)?;
         let mut cols = self.nodes_of_spec_dep(&cols_spec)?;
-        // Every cell follows its row's `relation` edges; columns are only
-        // compared by identity and labelled.
+        // Cells read only the rows' `relation` edges, and an edge change
+        // touches its relation; rows and columns are otherwise only
+        // labelled and compared by identity, so no node is recorded.
         self.state.deps.relations.insert(relation.clone());
-        self.state.deps.nodes.extend(rows.iter().copied());
         let model = self.inputs.model;
         rows.sort_by(|a, b| model.label(*a).cmp(model.label(*b)).then(a.cmp(b)));
         cols.sort_by(|a, b| model.label(*a).cmp(model.label(*b)).then(a.cmp(b)));
