@@ -32,8 +32,9 @@ pub struct TocEntry {
 #[derive(Debug, Default, Clone)]
 pub struct ChunkDeps {
     /// Nodes whose mutable facets — properties or incident edges — were
-    /// read. Calculus queries record every node they visit; `<awb-table>`
-    /// reads only edges of one relation and records that relation instead.
+    /// read. A calculus query records the nodes it visits only when a
+    /// `<filter-property>` step reads their properties; the edges it follows
+    /// are recorded as `relations`, like `<awb-table>`'s.
     pub nodes: HashSet<NodeRef>,
     /// Node types enumerated (`all.TYPE` specs, query starts and filters).
     /// An edit that adds or removes a node of a *subtype* also matters, so

@@ -196,11 +196,15 @@ impl Walker<'_, '_> {
         Ok(focus)
     }
 
-    /// Runs a calculus query, folding everything it read — the types and
-    /// relations it names structurally plus every node the evaluator
-    /// actually visited — into the chunk's read set.
+    /// Runs a calculus query, folding everything it read into the chunk's
+    /// read set: the types and relations it names structurally, plus every
+    /// node the evaluator visited when a `<filter-property>` step read their
+    /// properties. Without one the query reads only edges of the relations
+    /// it follows (an edge change touches its relation), labels and types
+    /// (fixed at `add_node`), so its visits record nothing.
     fn run_query_dep(&mut self, query: &Query) -> Vec<NodeRef> {
         let deps = &mut self.state.deps;
+        let mut reads_properties = false;
         match &query.start {
             StartSet::AllOfType(ty) => {
                 deps.types.insert(ty.clone());
@@ -223,10 +227,14 @@ impl Walker<'_, '_> {
                 QueryStep::FilterType(ty) => {
                     deps.types.insert(ty.clone());
                 }
-                _ => {}
+                QueryStep::FilterProperty { .. } => reads_properties = true,
+                QueryStep::Dedup | QueryStep::SortByLabel => {}
             }
         }
         let inputs = self.inputs;
+        if !reads_properties {
+            return query.run_native(inputs.model, inputs.meta);
+        }
         query.run_native_traced(inputs.model, inputs.meta, &mut |n| {
             deps.nodes.insert(n);
         })

@@ -1,7 +1,7 @@
 //! XML serialization: compact (exact) and pretty (indented) forms.
 
+use crate::qname::QName;
 use crate::store::{NodeId, NodeKind, Store};
-use std::fmt::Write as _;
 
 /// Serializer configuration.
 #[derive(Debug, Clone)]
@@ -37,15 +37,7 @@ impl SerializeOptions {
 /// line-end normalization would otherwise turn into LF on re-parse).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, false);
     out
 }
 
@@ -54,19 +46,48 @@ pub fn escape_text(s: &str) -> String {
 /// (`\n`, `\t`, `\r`) — as character references they round-trip exactly.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, true);
     out
+}
+
+/// Appends `s` to `out`, escaped as character data or (`attr`) as an
+/// attribute value. Every escaped character is ASCII, so the unescaped runs
+/// between them are copied whole, on `char` boundaries.
+fn push_escaped(out: &mut String, s: &str, attr: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let reference = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'\r' => "&#13;",
+            b'"' if attr => "&quot;",
+            b'\n' if attr => "&#10;",
+            b'\t' if attr => "&#9;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(reference);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends a name as written: `prefix:local` or `local`.
+fn push_name(out: &mut String, name: QName) {
+    if let Some(prefix) = name.prefix() {
+        out.push_str(prefix);
+        out.push(':');
+    }
+    out.push_str(name.local());
+}
+
+/// Appends `name="value"`, the value escaped.
+fn push_attribute(out: &mut String, name: QName, value: &str) {
+    push_name(out, name);
+    out.push_str("=\"");
+    push_escaped(out, value, true);
+    out.push('"');
 }
 
 impl Store {
@@ -80,6 +101,12 @@ impl Store {
     /// Compact serialization of `id` — the default exchange form.
     pub fn to_xml(&self, id: NodeId) -> String {
         self.serialize(id, &SerializeOptions::default())
+    }
+
+    /// Appends the compact serialization of `id` to `out`: [`Store::to_xml`]
+    /// into a buffer the caller already holds.
+    pub fn write_xml(&self, id: NodeId, out: &mut String) {
+        self.write_node(id, &SerializeOptions::default(), 0, out);
     }
 
     /// Pretty serialization of `id`.
@@ -116,7 +143,9 @@ impl Store {
                         }
                     }
                     if let NodeKind::Element(name) = self.kind(el) {
-                        let _ = write!(out, "</{name}>");
+                        out.push_str("</");
+                        push_name(out, *name);
+                        out.push('>');
                     }
                 }
                 Task::Node(n, depth) => match self.kind(n) {
@@ -129,10 +158,12 @@ impl Store {
                         }
                     }
                     NodeKind::Element(name) => {
-                        let _ = write!(out, "<{name}");
+                        out.push('<');
+                        push_name(out, *name);
                         for &a in self.attributes(n) {
                             if let NodeKind::Attribute(an, av) = self.kind(a) {
-                                let _ = write!(out, " {an}=\"{}\"", escape_attr(av));
+                                out.push(' ');
+                                push_attribute(out, *an, av);
                             }
                         }
                         let children = self.children(n);
@@ -162,18 +193,22 @@ impl Store {
                         // A detached attribute serialized on its own —
                         // matches how XQuery implementations print
                         // attribute items.
-                        let _ = write!(out, "{name}=\"{}\"", escape_attr(value));
+                        push_attribute(out, *name, value);
                     }
-                    NodeKind::Text(t) => out.push_str(&escape_text(t)),
+                    NodeKind::Text(t) => push_escaped(out, t, false),
                     NodeKind::Comment(t) => {
-                        let _ = write!(out, "<!--{t}-->");
+                        out.push_str("<!--");
+                        out.push_str(t);
+                        out.push_str("-->");
                     }
                     NodeKind::Pi(target, data) => {
-                        if data.is_empty() {
-                            let _ = write!(out, "<?{target}?>");
-                        } else {
-                            let _ = write!(out, "<?{target} {data}?>");
+                        out.push_str("<?");
+                        out.push_str(target);
+                        if !data.is_empty() {
+                            out.push(' ');
+                            out.push_str(data);
                         }
+                        out.push_str("?>");
                     }
                 },
             }
