@@ -33,5 +33,5 @@ pub mod xmlio;
 
 pub use calculus::{Direction, PreparedQuery, Query, QueryStep, StartSet};
 pub use meta::{Metamodel, PropType, Requirement};
-pub use model::{Model, NodeRef, PropValue, RelRef};
+pub use model::{Changes, Model, NodeRef, PropValue, RelRef};
 pub use omissions::{Omission, OmissionKind};

@@ -8,7 +8,7 @@
 //! our users, but troublesome at times in implementation."
 
 use crate::meta::Metamodel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Handle to a node in a [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,6 +67,56 @@ pub(crate) struct RelData {
     pub props: BTreeMap<String, PropValue>,
 }
 
+/// What the mutators changed: the latest version at which each node, node
+/// type and relation type changed. One stamp per thing, overwritten by the
+/// next change, so the record grows with the model, not with its edits.
+#[derive(Debug, Clone, Default)]
+struct Stamps {
+    /// Bumped by every mutator call; the stamp that call writes.
+    version: u64,
+    /// Indexed by node: added, or its properties or incident edges changed.
+    nodes: Vec<u64>,
+    /// A node of this type was added.
+    node_types: HashMap<String, u64>,
+    /// An edge of this relation type was added or had a property set.
+    relations: HashMap<String, u64>,
+}
+
+impl Stamps {
+    fn bump(&mut self) -> u64 {
+        self.version += 1;
+        self.version
+    }
+}
+
+fn stamp(map: &mut HashMap<String, u64>, key: &str, version: u64) {
+    if let Some(v) = map.get_mut(key) {
+        *v = version;
+    } else {
+        map.insert(key.to_string(), version);
+    }
+}
+
+fn stamped_after(map: &HashMap<String, u64>, version: u64) -> Vec<&str> {
+    map.iter()
+        .filter(|&(_, &v)| v > version)
+        .map(|(k, _)| k.as_str())
+        .collect()
+}
+
+/// What changed in a [`Model`] after some version: see
+/// [`Model::changes_since`]. Each thing appears once, however often it
+/// changed.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Changes<'a> {
+    /// Nodes added, or whose properties or incident edges changed.
+    pub nodes: Vec<NodeRef>,
+    /// Types of the nodes added.
+    pub node_types: Vec<&'a str>,
+    /// Relation types of the edges added, or whose properties changed.
+    pub relations: Vec<&'a str>,
+}
+
 /// The directed annotated multigraph.
 #[derive(Debug, Clone, Default)]
 pub struct Model {
@@ -74,6 +124,7 @@ pub struct Model {
     pub(crate) relations: Vec<RelData>,
     out_edges: Vec<Vec<RelRef>>,
     in_edges: Vec<Vec<RelRef>>,
+    stamps: Stamps,
 }
 
 impl Model {
@@ -94,8 +145,12 @@ impl Model {
     /// types the metamodel has never heard of.
     pub fn add_node(&mut self, type_name: impl Into<String>, label: impl Into<String>) -> NodeRef {
         let id = NodeRef(u32::try_from(self.nodes.len()).expect("model node capacity"));
+        let type_name = type_name.into();
+        let v = self.stamps.bump();
+        stamp(&mut self.stamps.node_types, &type_name, v);
+        self.stamps.nodes.push(v);
         self.nodes.push(NodeData {
-            type_name: type_name.into(),
+            type_name,
             label: label.into(),
             props: BTreeMap::new(),
         });
@@ -113,8 +168,13 @@ impl Model {
         target: NodeRef,
     ) -> RelRef {
         let id = RelRef(u32::try_from(self.relations.len()).expect("model relation capacity"));
+        let type_name = type_name.into();
+        let v = self.stamps.bump();
+        stamp(&mut self.stamps.relations, &type_name, v);
+        self.stamps.nodes[source.0 as usize] = v;
+        self.stamps.nodes[target.0 as usize] = v;
         self.relations.push(RelData {
-            type_name: type_name.into(),
+            type_name,
             source,
             target,
             props: BTreeMap::new(),
@@ -127,19 +187,50 @@ impl Model {
     /// Sets a property on a node. Works for properties the metamodel never
     /// declared ("a user can add a new property to a particular node").
     pub fn set_prop(&mut self, node: NodeRef, name: impl Into<String>, value: PropValue) {
+        self.stamps.nodes[node.0 as usize] = self.stamps.bump();
         self.nodes[node.0 as usize].props.insert(name.into(), value);
     }
 
     /// Removes a property from a node; returns the old value if present.
     pub fn remove_prop(&mut self, node: NodeRef, name: &str) -> Option<PropValue> {
+        self.stamps.nodes[node.0 as usize] = self.stamps.bump();
         self.nodes[node.0 as usize].props.remove(name)
     }
 
-    /// Sets a property on a relation object.
+    /// Sets a property on a relation object. It stamps the relation type,
+    /// as an edge change does. Incremental document generation reads no
+    /// relation property today, so the stamp re-runs what reads the
+    /// relation's edges; a template directive that reads relation
+    /// properties must come with docgen recording the relation it reads.
     pub fn set_rel_prop(&mut self, rel: RelRef, name: impl Into<String>, value: PropValue) {
-        self.relations[rel.0 as usize]
-            .props
-            .insert(name.into(), value);
+        let v = self.stamps.bump();
+        let data = &mut self.relations[rel.0 as usize];
+        stamp(&mut self.stamps.relations, &data.type_name, v);
+        data.props.insert(name.into(), value);
+    }
+
+    /// The model's version: it grows with every mutator call, starting at
+    /// 0 for an empty model. Pass it to [`Model::changes_since`] later.
+    pub fn version(&self) -> u64 {
+        self.stamps.version
+    }
+
+    /// Everything the mutators changed after `version`, in the terms they
+    /// change it: nodes, types of added nodes, and relation types. Costs a
+    /// scan of the node stamps, not of the edits.
+    pub fn changes_since(&self, version: u64) -> Changes<'_> {
+        Changes {
+            nodes: self
+                .stamps
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v > version)
+                .map(|(i, _)| NodeRef(i as u32))
+                .collect(),
+            node_types: stamped_after(&self.stamps.node_types, version),
+            relations: stamped_after(&self.stamps.relations, version),
+        }
     }
 
     /// The node's type, fixed at [`Model::add_node`]: there is no setter.
@@ -338,6 +429,40 @@ mod tests {
         let r = m.add_relation("likes", a, b);
         m.set_rel_prop(r, "since", PropValue::Int(1999));
         assert_eq!(m.rel_prop(r, "since"), Some(&PropValue::Int(1999)));
+    }
+
+    #[test]
+    fn mutators_stamp_what_they_change() {
+        let mut m = Model::new();
+        let a = m.add_node("Person", "A");
+        let b = m.add_node("Program", "B");
+        let c = m.add_node("Person", "C");
+        let v = m.version();
+        assert_eq!(v, 3);
+        assert_eq!(m.changes_since(v), Changes::default());
+
+        m.set_prop(a, "x", PropValue::Int(1));
+        m.remove_prop(a, "x");
+        let changes = m.changes_since(v);
+        assert_eq!(changes.nodes, vec![a], "one stamp per node");
+        assert!(changes.node_types.is_empty() && changes.relations.is_empty());
+
+        let r = m.add_relation("uses", c, b);
+        let changes = m.changes_since(v);
+        assert_eq!(changes.nodes, vec![a, b, c]);
+        assert_eq!(changes.relations, vec!["uses"]);
+
+        let v = m.version();
+        m.set_rel_prop(r, "since", PropValue::Int(1999));
+        let changes = m.changes_since(v);
+        assert!(changes.nodes.is_empty(), "{changes:?}");
+        assert_eq!(changes.relations, vec!["uses"]);
+
+        let d = m.add_node("Server", "D");
+        let changes = m.changes_since(v);
+        assert_eq!(changes.nodes, vec![d]);
+        assert_eq!(changes.node_types, vec!["Server"]);
+        assert_eq!(m.changes_since(0).node_types.len(), 3);
     }
 
     #[test]

@@ -1579,8 +1579,8 @@ fn edit_rows(rows: &mut Vec<Row>) {
                 let mut doc = IncrementalDoc::generate(&b.inputs()).expect("edit bench generates");
                 let chunks = doc.chunk_count();
                 b.edit();
-                let footprint = EditFootprint::new().touch_node(b.target);
-                doc.apply_edit(&b.inputs(), &footprint).expect("edit applies");
+                doc.apply_edit(&b.inputs(), &EditFootprint::new())
+                    .expect("edit applies");
                 let fresh = native::generate(&b.inputs()).expect("full run generates");
                 assert_eq!(
                     doc.to_xml(),
@@ -1590,7 +1590,9 @@ fn edit_rows(rows: &mut Vec<Row>) {
                 Box::new(move || {
                     b.edit();
                     let t = Instant::now();
-                    let reran = doc.apply_edit(&b.inputs(), &footprint).expect("edit applies");
+                    let reran = doc
+                        .apply_edit(&b.inputs(), &EditFootprint::new())
+                        .expect("edit applies");
                     let sample = t.elapsed().as_secs_f64() * 1e3;
                     assert!(
                         reran >= 1 && reran * 8 <= chunks,
@@ -1651,9 +1653,10 @@ fn edit_rows(rows: &mut Vec<Row>) {
                     meta: &w.meta,
                     template: &template,
                 };
-                let footprint = EditFootprint::new().touch_node(program);
                 let t = Instant::now();
-                let reran = doc.apply_edit(&inputs, &footprint).expect("edit applies");
+                let reran = doc
+                    .apply_edit(&inputs, &EditFootprint::new())
+                    .expect("edit applies");
                 let xml = doc.to_xml();
                 let sample = t.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(

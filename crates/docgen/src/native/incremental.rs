@@ -10,10 +10,11 @@
 //! (properties, incident edges) it read. A node's label and type are fixed
 //! at `awb::Model::add_node`, so reading only those records nothing: a
 //! relation table that lists every program as a column but reads only
-//! their labels is not dirtied by a program's property edit. A later model
-//! edit names its own footprint in the same vocabulary; chunks whose read
-//! set is disjoint from the footprint are provably unchanged and their
-//! output subtrees stay in place. Only the dirty chunks re-run.
+//! their labels is not dirtied by a program's property edit. The model
+//! stamps what each of its mutators changed in the same vocabulary, and
+//! [`IncrementalDoc::apply_edit`] reads the changes since the last run from
+//! it; chunks whose read set is disjoint from them are provably unchanged
+//! and their output subtrees stay in place. Only the dirty chunks re-run.
 //!
 //! Four pieces of a document are *not* chunk-local and are handled
 //! explicitly:
@@ -48,11 +49,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 use xmlstore::{NodeId, Store};
 
-/// What a model edit touched, in the same vocabulary as [`ChunkDeps`]. The
-/// *caller* builds this while (or after) mutating the model — the model has
-/// no change log, so honesty about the footprint is the caller's contract.
-/// Over-reporting costs regeneration time; under-reporting costs
-/// correctness.
+/// Changes a caller reports beside the ones the model stamps itself (see
+/// `awb::Model::changes_since`). [`IncrementalDoc::apply_edit`] unions it
+/// into what the model reports, so it can only add chunks to the re-run
+/// set, never hide one.
 #[derive(Debug, Default, Clone)]
 pub struct EditFootprint(pub ChunkDeps);
 
@@ -65,24 +65,6 @@ impl EditFootprint {
     /// and types are fixed when a node is added.)
     pub fn touch_node(mut self, n: NodeRef) -> EditFootprint {
         self.0.nodes.insert(n);
-        self
-    }
-
-    /// The edit added or removed a node of this type (population change).
-    pub fn touch_type(mut self, ty: impl Into<String>) -> EditFootprint {
-        self.0.types.insert(ty.into());
-        self
-    }
-
-    /// The edit added or removed an edge of this relation type.
-    pub fn touch_relation(mut self, r: impl Into<String>) -> EditFootprint {
-        self.0.relations.insert(r.into());
-        self
-    }
-
-    /// The edit is sweeping — treat every chunk that read anything as dirty.
-    pub fn touch_everything(mut self) -> EditFootprint {
-        self.0.any_node = true;
         self
     }
 }
@@ -166,6 +148,8 @@ pub struct IncrementalDoc {
     /// Total per-item troubles across all chunks, as of the last run.
     pub trouble_count: usize,
     chunks: Vec<Chunk>,
+    /// The model version the chunks were last generated against.
+    version: u64,
 }
 
 impl IncrementalDoc {
@@ -192,6 +176,7 @@ impl IncrementalDoc {
             root,
             trouble_count: 0,
             chunks,
+            version: inputs.model.version(),
         };
         let replacements = doc.global_replacements();
         for c in &mut doc.chunks {
@@ -207,17 +192,32 @@ impl IncrementalDoc {
         Ok(doc)
     }
 
-    /// Re-runs exactly the chunks `footprint` can have changed (plus
-    /// consumers of changed markers), splices their fresh output in place,
-    /// and refreshes the toc/omissions renderings. The *model edit itself
-    /// must already have been applied* to `inputs.model`. Returns how many
-    /// chunks were re-run.
+    /// Re-runs exactly the chunks the model's changes since the last run
+    /// can have changed (plus any `footprint` adds, plus consumers of
+    /// changed markers), splices their fresh output in place, and refreshes
+    /// the toc/omissions renderings. The *model edit itself must already
+    /// have been applied* to `inputs.model`, the model this document was
+    /// generated from. The metamodel and the template carry no version, so
+    /// they must be the ones [`Self::generate`] got. Returns how many chunks
+    /// were re-run.
     pub fn apply_edit(
         &mut self,
         inputs: &GenInputs,
         footprint: &EditFootprint,
     ) -> Result<usize, GenTrouble> {
         let meta = inputs.meta;
+        let model = inputs.model;
+        debug_assert!(
+            model.version() >= self.version,
+            "not the model generated from"
+        );
+        let mut edit = footprint.0.clone();
+        let changes = model.changes_since(self.version);
+        edit.nodes.extend(changes.nodes);
+        edit.types
+            .extend(changes.node_types.into_iter().map(String::from));
+        edit.relations
+            .extend(changes.relations.into_iter().map(String::from));
         let old_marker_names: HashSet<String> = self
             .chunks
             .iter()
@@ -228,7 +228,7 @@ impl IncrementalDoc {
             .chunks
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.deps.overlaps(&footprint.0, meta))
+            .filter(|(_, c)| c.deps.overlaps(&edit, meta))
             .map(|(i, _)| i)
             .collect();
 
@@ -316,6 +316,7 @@ impl IncrementalDoc {
 
         self.refill_placeholders(inputs)?;
         self.trouble_count = self.chunks.iter().map(|c| c.trouble_count).sum();
+        self.version = model.version();
         Ok(re_run.len())
     }
 
@@ -527,7 +528,7 @@ fn internal(e: xmlstore::XmlError) -> GenTrouble {
 mod tests {
     use super::*;
     use crate::template::Template;
-    use awb::{Metamodel, Model, PropValue};
+    use awb::{Metamodel, Model, PropValue, RelRef};
     use proptest::prelude::*;
 
     fn meta() -> Metamodel {
@@ -640,9 +641,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_matches_full(&doc, &template, &m, &meta);
         // Programs section, marker definer, marker consumer. The awb-table
         // lists the compiler as a column but reads only its label, which
@@ -673,9 +672,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(d))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 0, "no chunk read the spec document's properties");
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -702,18 +699,13 @@ mod tests {
             };
             IncrementalDoc::generate(&inputs).unwrap()
         };
-        let bob = m.add_node("user", "bob");
+        m.add_node("user", "bob");
         let inputs = GenInputs {
             model: &m,
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(
-                &inputs,
-                &EditFootprint::new().touch_node(bob).touch_type("user"),
-            )
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 1, "only the all.user loop re-runs");
         assert_matches_full(&doc, &template, &m, &meta);
         assert_eq!(doc.to_xml().matches("class=\"section\"").count(), 3);
@@ -739,18 +731,13 @@ mod tests {
             IncrementalDoc::generate(&inputs).unwrap()
         };
         // superuser is a subtype of user: the all.user loop must re-run.
-        let su = m.add_node("superuser", "admin");
+        m.add_node("superuser", "admin");
         let inputs = GenInputs {
             model: &m,
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(
-                &inputs,
-                &EditFootprint::new().touch_node(su).touch_type("superuser"),
-            )
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 1);
         assert_matches_full(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("admin"));
@@ -784,15 +771,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(
-                &inputs,
-                &EditFootprint::new()
-                    .touch_relation("uses")
-                    .touch_node(root_u)
-                    .touch_node(p),
-            )
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 2, "table chunk and query chunk, not the Document loop");
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -820,8 +799,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        doc.apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert!(
             doc.to_xml().contains("Banner: <b>hello</b>."),
             "{}",
@@ -837,8 +815,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        doc.apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert!(doc.to_xml().contains("Banner: XBANNERX."));
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -864,29 +841,20 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 3);
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("ocaml"));
 
         // A Document no chunk enumerates re-runs nothing, but joins the
         // omissions table: placeholder chunks are never served from cache.
-        let errata = m.add_node("Document", "errata");
+        m.add_node("Document", "errata");
         let inputs = GenInputs {
             model: &m,
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(
-                &inputs,
-                &EditFootprint::new()
-                    .touch_node(errata)
-                    .touch_type("Document"),
-            )
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 0);
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("errata"));
@@ -907,9 +875,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 1, "only the definer re-runs; the consumer is clean");
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("Banner: <b>hello</b>."));
@@ -919,36 +885,29 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        doc.apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("Banner: XBANNERX."));
     }
 
     #[test]
-    fn sweeping_footprint_reruns_every_reader() {
+    fn caller_footprint_only_adds_chunks() {
         let meta = meta();
-        let mut m = tiny_model();
+        let m = tiny_model();
         let template = Template::parse(RICH_TEMPLATE).unwrap();
-        let mut doc = {
-            let inputs = GenInputs {
-                model: &m,
-                meta: &meta,
-                template: &template,
-            };
-            IncrementalDoc::generate(&inputs).unwrap()
-        };
-        let p = m.node_by_label("compiler").unwrap();
-        m.set_prop(p, "language", PropValue::Str("ada".into()));
         let inputs = GenInputs {
             model: &m,
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_everything())
-            .unwrap();
-        assert!(n >= 4, "every model-reading chunk re-runs: {n}");
+        let mut doc = IncrementalDoc::generate(&inputs).unwrap();
+        assert_eq!(doc.apply_edit(&inputs, &EditFootprint::new()).unwrap(), 0);
+        // The model changed nothing; the caller's node alone dirties the
+        // Programs section and the marker definer, whose unchanged
+        // definition leaves its consumer clean.
+        let mut extra = EditFootprint::new();
+        extra.0.nodes.insert(m.node_by_label("compiler").unwrap());
+        assert_eq!(doc.apply_edit(&inputs, &extra).unwrap(), 2);
         assert_matches_full(&doc, &template, &m, &meta);
     }
 
@@ -968,20 +927,13 @@ mod tests {
         for i in 0..5 {
             let p = m.node_by_label("compiler").unwrap();
             m.set_prop(p, "language", PropValue::Str(format!("lang-{i}")));
-            let u = m.add_node("user", format!("user-{i}"));
+            m.add_node("user", format!("user-{i}"));
             let inputs = GenInputs {
                 model: &m,
                 meta: &meta,
                 template: &template,
             };
-            doc.apply_edit(
-                &inputs,
-                &EditFootprint::new()
-                    .touch_node(p)
-                    .touch_node(u)
-                    .touch_type("user"),
-            )
-            .unwrap();
+            doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
             assert_matches_full(&doc, &template, &m, &meta);
         }
     }
@@ -1015,9 +967,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 1);
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -1050,11 +1000,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let footprint = EditFootprint::new()
-            .touch_node(users[0])
-            .touch_node(p)
-            .touch_relation("likes");
-        let n = doc.apply_edit(&inputs, &footprint).unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         // The list (through `likes`) and the Programs section (which reads
         // the program's properties, so records it).
         assert_eq!(n, 2);
@@ -1092,9 +1038,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(p))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 2, "the Programs section and the filtered list");
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -1111,9 +1055,7 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let n = doc
-            .apply_edit(&inputs, &EditFootprint::new().touch_node(server))
-            .unwrap();
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_eq!(n, 0);
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -1130,12 +1072,11 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let footprint = EditFootprint::new()
-            .touch_node(server)
-            .touch_node(program)
-            .touch_relation("runs");
-        let n = doc.apply_edit(&inputs, &footprint).unwrap();
-        assert!(n >= 1);
+        // Nothing but the model reports the edge: the relation stamp dirties
+        // the table, the program's stamp the Programs section that reads its
+        // properties.
+        let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
+        assert_eq!(n, 2);
         // One cell of the table counts one more edge: the document moved,
         // and it moved to exactly what a full run produces.
         assert_ne!(doc.to_xml(), before);
@@ -1150,6 +1091,7 @@ mod tests {
         RemoveProp(usize, &'static str),
         AddNode(&'static str),
         AddRelation(&'static str, usize, usize),
+        SetRelProp(usize, &'static str),
     }
 
     const EDIT_PROPS: [&str; 3] = ["language", "version", "banner"];
@@ -1174,36 +1116,29 @@ mod tests {
                 0usize..1000
             )
                 .prop_map(|(r, s, t)| Edit::AddRelation(r, s, t)),
+            (0usize..1000, prop::sample::select(EDIT_VALUES))
+                .prop_map(|(r, v)| Edit::SetRelProp(r, v)),
         ]
     }
 
-    /// Applies `edit` to the model and returns its exact footprint under
-    /// the [`EditFootprint`] contract.
-    fn apply_model_edit(m: &mut Model, edit: &Edit) -> EditFootprint {
+    /// Applies `edit` to the model, which records what it changed.
+    fn apply_model_edit(m: &mut Model, edit: &Edit) {
         let count = m.node_count();
         let pick = |k: usize| NodeRef((k % count) as u32);
         match *edit {
-            Edit::SetProp(k, p, v) => {
-                let n = pick(k);
-                m.set_prop(n, p, PropValue::Str(v.into()));
-                EditFootprint::new().touch_node(n)
-            }
+            Edit::SetProp(k, p, v) => m.set_prop(pick(k), p, PropValue::Str(v.into())),
             Edit::RemoveProp(k, p) => {
-                let n = pick(k);
-                m.remove_prop(n, p);
-                EditFootprint::new().touch_node(n)
+                m.remove_prop(pick(k), p);
             }
             Edit::AddNode(ty) => {
-                let n = m.add_node(ty, format!("new {ty} {count}"));
-                EditFootprint::new().touch_node(n).touch_type(ty)
+                m.add_node(ty, format!("new {ty} {count}"));
             }
             Edit::AddRelation(r, s, t) => {
-                let (s, t) = (pick(s), pick(t));
-                m.add_relation(r, s, t);
-                EditFootprint::new()
-                    .touch_node(s)
-                    .touch_node(t)
-                    .touch_relation(r)
+                m.add_relation(r, pick(s), pick(t));
+            }
+            Edit::SetRelProp(k, v) => {
+                let rel = RelRef((k % m.relation_count()) as u32);
+                m.set_rel_prop(rel, "since", PropValue::Str(v.into()));
             }
         }
     }
@@ -1211,9 +1146,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Soundness of the read sets: after every step of a random edit
-        /// sequence, each reported with exactly its contract footprint, the
-        /// incremental document equals a fresh full run.
+        /// Soundness of the read sets and the model's stamps: after every
+        /// step of a random edit sequence, reported by the model alone, the
+        /// incremental document equals a fresh full run, and each chunk's
+        /// cached bytes equal the store's serialization of that chunk.
         #[test]
         fn random_edits_keep_the_document_equal_to_a_full_run(
             which in 0usize..3,
@@ -1231,14 +1167,28 @@ mod tests {
             })
             .unwrap();
             for (step, edit) in edits.iter().enumerate() {
-                let footprint = apply_model_edit(&mut m, edit);
+                apply_model_edit(&mut m, edit);
                 let inputs = GenInputs {
                     model: &m,
                     meta: &meta,
                     template: &template,
                 };
-                doc.apply_edit(&inputs, &footprint).unwrap();
+                doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
                 let xml = doc.to_xml();
+                for (i, c) in doc.chunks.iter().enumerate() {
+                    let mut fresh = String::new();
+                    c.write_xml(&doc.store, &mut fresh);
+                    let cached = c.xml.get().unwrap_or(&fresh);
+                    prop_assert_eq!(
+                        cached,
+                        &fresh,
+                        "chunk {} cache vs its own tree: template {}, step {}: {:?}",
+                        i,
+                        which,
+                        step,
+                        edit
+                    );
+                }
                 prop_assert_eq!(
                     &xml,
                     &doc.store.to_xml(doc.root),

@@ -20,10 +20,11 @@ pub struct TocEntry {
 }
 
 /// The read set one generation run (or one chunk of one) accumulated from
-/// the model. A later model edit whose footprint is disjoint from every
-/// field here cannot change what that run produced — that disjointness test
-/// is exactly how [`super::incremental::IncrementalDoc`] decides which
-/// chunks a model edit dirties.
+/// the model. A later model edit whose footprint — what `awb::Model`
+/// stamped, in the same terms — is disjoint from every field here cannot
+/// change what that run produced. That disjointness test is exactly how
+/// [`super::incremental::IncrementalDoc`] decides which chunks a model edit
+/// dirties.
 ///
 /// Only reads an edit can change are recorded. A node's label and type are
 /// fixed at `awb::Model::add_node` and nodes are never removed, so reading a
@@ -37,14 +38,15 @@ pub struct ChunkDeps {
     /// are recorded as `relations`, like `<awb-table>`'s.
     pub nodes: HashSet<NodeRef>,
     /// Node types enumerated (`all.TYPE` specs, query starts and filters).
-    /// An edit that adds or removes a node of a *subtype* also matters, so
-    /// the dirtiness test goes through `Metamodel::is_node_subtype`.
+    /// An edit that adds a node of a *subtype* also matters, so the
+    /// dirtiness test goes through `Metamodel::is_node_subtype`.
     pub types: HashSet<String>,
     /// Relation types followed (queries and `<awb-table relation=…>`).
     pub relations: HashSet<String>,
     /// The run enumerated or searched the whole node population (`<start/>`
-    /// with no type, `<start label=…>`): any change to the node *set*
-    /// dirties it, even when no traced node was touched.
+    /// with no type, `<start label=…>`): any changed node dirties it, even
+    /// one no traced read touched. Only read sets set it; an edit footprint
+    /// names its nodes.
     pub any_node: bool,
 }
 
@@ -52,18 +54,13 @@ impl ChunkDeps {
     /// Does an edit with this footprint possibly change a run that read
     /// `self`? (`other` is the edit's footprint, phrased in the same terms.)
     pub fn overlaps(&self, other: &ChunkDeps, meta: &awb::Metamodel) -> bool {
-        if self.any_node && (other.any_node || !other.nodes.is_empty()) {
-            return true;
-        }
-        // A sweeping edit (`any_node`) dirties every reader that looked at
-        // any node or population at all.
-        if other.any_node && !(self.nodes.is_empty() && self.types.is_empty()) {
+        if self.any_node && !other.nodes.is_empty() {
             return true;
         }
         if other.nodes.iter().any(|n| self.nodes.contains(n)) {
             return true;
         }
-        // The edit touched a node of type T: a reader that enumerated any
+        // The edit added a node of type T: a reader that enumerated any
         // supertype (or exactly T, or a subtype it filtered on that T sits
         // under) may see a different population.
         if other.types.iter().any(|et| {

@@ -319,4 +319,122 @@ impl Expr {
             _ => None,
         }
     }
+
+    /// The direct child expressions, in source order: the one enumeration
+    /// of an expression's children that analyses over the AST share.
+    pub fn subexpressions(&self) -> Vec<&Expr> {
+        let mut out: Vec<&Expr> = Vec::new();
+        match self {
+            Expr::Literal(_) | Expr::VarRef(..) | Expr::ContextItem(_) | Expr::Root(_) => {}
+            Expr::Comma(parts) => out.extend(parts.iter()),
+            Expr::Range(a, b)
+            | Expr::Arith(_, a, b)
+            | Expr::GeneralCmp(_, a, b)
+            | Expr::ValueCmp(_, a, b)
+            | Expr::NodeCmp(_, a, b)
+            | Expr::SetExpr(_, a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b) => {
+                out.push(a);
+                out.push(b);
+            }
+            Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => out.push(e),
+            Expr::If(c, t, e) => {
+                out.push(c);
+                out.push(t);
+                out.push(e);
+            }
+            Expr::Flwor {
+                clauses,
+                where_,
+                order_by,
+                return_,
+            } => {
+                for c in clauses {
+                    match c {
+                        FlworClause::For { seq, .. } => out.push(seq),
+                        FlworClause::Let { expr, .. } => out.push(expr),
+                    }
+                }
+                if let Some(w) = where_ {
+                    out.push(w);
+                }
+                for o in order_by {
+                    out.push(&o.key);
+                }
+                out.push(return_);
+            }
+            Expr::Quantified {
+                bindings,
+                satisfies,
+                ..
+            } => {
+                for (_, e) in bindings {
+                    out.push(e);
+                }
+                out.push(satisfies);
+            }
+            Expr::AxisStep { predicates, .. } => out.extend(predicates.iter()),
+            Expr::Path { start, steps } => {
+                out.push(start);
+                for s in steps {
+                    out.push(&s.expr);
+                }
+            }
+            Expr::Filter(base, predicates) => {
+                out.push(base);
+                out.extend(predicates.iter());
+            }
+            Expr::Call { args, .. } => out.extend(args.iter()),
+            Expr::DirectElement { attrs, content, .. } => {
+                for (_, parts) in attrs {
+                    for p in parts {
+                        if let AttrPart::Enclosed(e) = p {
+                            out.push(e);
+                        }
+                    }
+                }
+                for c in content {
+                    match c {
+                        ContentPart::Enclosed(e) | ContentPart::Node(e) => out.push(e),
+                        ContentPart::Literal(_) => {}
+                    }
+                }
+            }
+            Expr::CompElement { name, content, .. } => {
+                if let ConstructorName::Computed(e) = name {
+                    out.push(e);
+                }
+                if let Some(c) = content {
+                    out.push(c);
+                }
+            }
+            Expr::CompAttribute { name, value, .. } => {
+                if let ConstructorName::Computed(e) = name {
+                    out.push(e);
+                }
+                if let Some(v) = value {
+                    out.push(v);
+                }
+            }
+            Expr::TypeSwitch {
+                operand,
+                cases,
+                default,
+                ..
+            } => {
+                out.push(operand);
+                for c in cases {
+                    out.push(&c.body);
+                }
+                out.push(default);
+            }
+            Expr::TryCatch { try_, catch, .. } => {
+                out.push(try_);
+                out.push(catch);
+            }
+            Expr::InstanceOf(e, _) | Expr::CastAs(e, _, _) | Expr::CastableAs(e, _) => out.push(e),
+        }
+        out
+    }
 }

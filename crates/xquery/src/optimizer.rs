@@ -96,7 +96,7 @@ fn is_pure(expr: &Expr, cx: &Cx) -> bool {
             };
             self_ok && args.iter().all(|a| is_pure(a, cx))
         }
-        _ => subexpressions(expr).iter().all(|e| is_pure(e, cx)),
+        _ => expr.subexpressions().iter().all(|e| is_pure(e, cx)),
     }
 }
 
@@ -106,7 +106,8 @@ fn count_traces(expr: &Expr) -> usize {
         Expr::Call { name, .. } if name == "trace" || name == "fn:trace" => 1,
         _ => 0,
     };
-    own + subexpressions(expr)
+    own + expr
+        .subexpressions()
         .iter()
         .map(|e| count_traces(e))
         .sum::<usize>()
@@ -118,128 +119,7 @@ fn count_traces(expr: &Expr) -> usize {
 fn uses_var(expr: &Expr, name: &str) -> bool {
     match expr {
         Expr::VarRef(n, _) => n == name,
-        _ => subexpressions(expr).iter().any(|e| uses_var(e, name)),
-    }
-}
-
-/// All direct child expressions of `expr`.
-fn subexpressions(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    collect_subexpressions(expr, &mut out);
-    out
-}
-
-fn collect_subexpressions<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match expr {
-        Expr::Literal(_) | Expr::VarRef(..) | Expr::ContextItem(_) | Expr::Root(_) => {}
-        Expr::Comma(parts) => out.extend(parts.iter()),
-        Expr::Range(a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::GeneralCmp(_, a, b)
-        | Expr::ValueCmp(_, a, b)
-        | Expr::NodeCmp(_, a, b)
-        | Expr::SetExpr(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b) => {
-            out.push(a);
-            out.push(b);
-        }
-        Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => out.push(e),
-        Expr::If(c, t, e) => {
-            out.push(c);
-            out.push(t);
-            out.push(e);
-        }
-        Expr::Flwor {
-            clauses,
-            where_,
-            order_by,
-            return_,
-        } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { seq, .. } => out.push(seq),
-                    FlworClause::Let { expr, .. } => out.push(expr),
-                }
-            }
-            if let Some(w) = where_ {
-                out.push(w);
-            }
-            for o in order_by {
-                out.push(&o.key);
-            }
-            out.push(return_);
-        }
-        Expr::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            for (_, e) in bindings {
-                out.push(e);
-            }
-            out.push(satisfies);
-        }
-        Expr::AxisStep { predicates, .. } => out.extend(predicates.iter()),
-        Expr::Path { start, steps } => {
-            out.push(start);
-            for s in steps {
-                out.push(&s.expr);
-            }
-        }
-        Expr::Filter(base, predicates) => {
-            out.push(base);
-            out.extend(predicates.iter());
-        }
-        Expr::Call { args, .. } => out.extend(args.iter()),
-        Expr::DirectElement { attrs, content, .. } => {
-            for (_, parts) in attrs {
-                for p in parts {
-                    if let AttrPart::Enclosed(e) = p {
-                        out.push(e);
-                    }
-                }
-            }
-            for c in content {
-                match c {
-                    ContentPart::Enclosed(e) | ContentPart::Node(e) => out.push(e),
-                    ContentPart::Literal(_) => {}
-                }
-            }
-        }
-        Expr::CompElement { name, content, .. } => {
-            if let ConstructorName::Computed(e) = name {
-                out.push(e);
-            }
-            if let Some(c) = content {
-                out.push(c);
-            }
-        }
-        Expr::CompAttribute { name, value, .. } => {
-            if let ConstructorName::Computed(e) = name {
-                out.push(e);
-            }
-            if let Some(v) = value {
-                out.push(v);
-            }
-        }
-        Expr::TypeSwitch {
-            operand,
-            cases,
-            default,
-            ..
-        } => {
-            out.push(operand);
-            for c in cases {
-                out.push(&c.body);
-            }
-            out.push(default);
-        }
-        Expr::TryCatch { try_, catch, .. } => {
-            out.push(try_);
-            out.push(catch);
-        }
-        Expr::InstanceOf(e, _) | Expr::CastAs(e, _, _) | Expr::CastableAs(e, _) => out.push(e),
+        _ => expr.subexpressions().iter().any(|e| uses_var(e, name)),
     }
 }
 
