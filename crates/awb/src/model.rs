@@ -67,14 +67,15 @@ pub(crate) struct RelData {
     pub props: BTreeMap<String, PropValue>,
 }
 
-/// What the mutators changed: the latest version at which each node, node
-/// type and relation type changed. One stamp per thing, overwritten by the
-/// next change, so the record grows with the model, not with its edits.
+/// What the mutators changed: the latest version at which each node's
+/// properties, each node type's population and each relation type's edges
+/// changed. One stamp per thing, overwritten by the next change, so the
+/// record grows with the model, not with its edits.
 #[derive(Debug, Clone, Default)]
 struct Stamps {
     /// Bumped by every mutator call; the stamp that call writes.
     version: u64,
-    /// Indexed by node: added, or its properties or incident edges changed.
+    /// Indexed by node: its properties changed (0 if they never did).
     nodes: Vec<u64>,
     /// A node of this type was added.
     node_types: HashMap<String, u64>,
@@ -109,7 +110,7 @@ fn stamped_after(map: &HashMap<String, u64>, version: u64) -> Vec<&str> {
 /// changed.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Changes<'a> {
-    /// Nodes added, or whose properties or incident edges changed.
+    /// Nodes whose properties changed.
     pub nodes: Vec<NodeRef>,
     /// Types of the nodes added.
     pub node_types: Vec<&'a str>,
@@ -148,7 +149,7 @@ impl Model {
         let type_name = type_name.into();
         let v = self.stamps.bump();
         stamp(&mut self.stamps.node_types, &type_name, v);
-        self.stamps.nodes.push(v);
+        self.stamps.nodes.push(0);
         self.nodes.push(NodeData {
             type_name,
             label: label.into(),
@@ -171,8 +172,6 @@ impl Model {
         let type_name = type_name.into();
         let v = self.stamps.bump();
         stamp(&mut self.stamps.relations, &type_name, v);
-        self.stamps.nodes[source.0 as usize] = v;
-        self.stamps.nodes[target.0 as usize] = v;
         self.relations.push(RelData {
             type_name,
             source,
@@ -216,8 +215,9 @@ impl Model {
     }
 
     /// Everything the mutators changed after `version`, in the terms they
-    /// change it: nodes, types of added nodes, and relation types. Costs a
-    /// scan of the node stamps, not of the edits.
+    /// change it: nodes whose properties changed, types of added nodes, and
+    /// relation types whose edges changed. Costs a scan of the node stamps,
+    /// not of the edits.
     pub fn changes_since(&self, version: u64) -> Changes<'_> {
         Changes {
             nodes: self
@@ -449,7 +449,7 @@ mod tests {
 
         let r = m.add_relation("uses", c, b);
         let changes = m.changes_since(v);
-        assert_eq!(changes.nodes, vec![a, b, c]);
+        assert_eq!(changes.nodes, vec![a], "an edge stamps only its relation");
         assert_eq!(changes.relations, vec!["uses"]);
 
         let v = m.version();
@@ -460,8 +460,10 @@ mod tests {
 
         let d = m.add_node("Server", "D");
         let changes = m.changes_since(v);
-        assert_eq!(changes.nodes, vec![d]);
+        assert!(changes.nodes.is_empty(), "a new node stamps only its type");
         assert_eq!(changes.node_types, vec!["Server"]);
+        m.set_prop(d, "x", PropValue::Int(1));
+        assert_eq!(m.changes_since(v).nodes, vec![d]);
         assert_eq!(m.changes_since(0).node_types.len(), 3);
     }
 

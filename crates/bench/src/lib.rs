@@ -180,9 +180,7 @@ fn collect_calls(expr: &xquery::ast::Expr, out: &mut Vec<String>) {
     if let xquery::ast::Expr::Call { name, .. } = expr {
         out.push(name.clone());
     }
-    for e in expr.subexpressions() {
-        collect_calls(e, out);
-    }
+    expr.for_each_child(&mut |e| collect_calls(e, out));
 }
 
 impl CallGraph {

@@ -6,8 +6,8 @@
 //! section depth and focus are chunk-local in a full run too, so this splits
 //! nothing that was shared), and while it runs, [`GenState::deps`] records
 //! everything the chunk read from the model that an edit can change — types
-//! enumerated, relations followed, and the nodes whose *mutable* facets
-//! (properties, incident edges) it read. A node's label and type are fixed
+//! enumerated, relations followed, and the nodes whose properties it read.
+//! A node's label and type are fixed
 //! at `awb::Model::add_node`, so reading only those records nothing: a
 //! relation table that lists every program as a column but reads only
 //! their labels is not dirtied by a program's property edit. The model
@@ -61,8 +61,8 @@ impl EditFootprint {
         EditFootprint::default()
     }
 
-    /// The edit changed this node's properties or incident edges. (Labels
-    /// and types are fixed when a node is added.)
+    /// The edit changed this node's properties. (Labels and types are
+    /// fixed when a node is added, and an edge is its relation's change.)
     pub fn touch_node(mut self, n: NodeRef) -> EditFootprint {
         self.0.nodes.insert(n);
         self
@@ -602,6 +602,14 @@ mod tests {
         <p>Banner: XBANNERX.</p>
     </template>"#;
 
+    /// Scans of the whole node population: by label order, by a property
+    /// filter, and from a node found by its label.
+    const POPULATION_TEMPLATE: &str = r#"<template>
+        <list><query><start/><sort-by-label/></query></list>
+        <list><query><start/><filter-property name="language" equals="xquery"/></query></list>
+        <for><query><start label="user-001"/><follow relation="uses"/></query><p><label/></p></for>
+    </template>"#;
+
     #[test]
     fn incremental_generate_matches_full_generate() {
         let meta = meta();
@@ -741,6 +749,44 @@ mod tests {
         assert_eq!(n, 1);
         assert_matches_full(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("admin"));
+    }
+
+    #[test]
+    fn property_edit_leaves_a_label_scan_alone() {
+        let meta = meta();
+        let mut m = tiny_model();
+        let template = Template::parse(
+            r#"<template>
+                <for><query><start label="alice"/><follow relation="uses"/></query><p><label/></p></for>
+            </template>"#,
+        )
+        .unwrap();
+        let mut doc = IncrementalDoc::generate(&GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        })
+        .unwrap();
+        // The scan reads labels, which never change, and the query reads
+        // no property: the spec Document's version is read by no chunk.
+        let d = m.node_by_label("spec").unwrap();
+        m.set_prop(d, "version", PropValue::Str("2.0".into()));
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        assert_eq!(doc.apply_edit(&inputs, &EditFootprint::new()).unwrap(), 0);
+        assert_matches_full(&doc, &template, &m, &meta);
+        // A new node may be one the scan finds: the population changed.
+        m.add_node("Document", "errata");
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        assert_eq!(doc.apply_edit(&inputs, &EditFootprint::new()).unwrap(), 1);
+        assert_matches_full(&doc, &template, &m, &meta);
     }
 
     #[test]
@@ -1001,9 +1047,9 @@ mod tests {
             template: &template,
         };
         let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
-        // The list (through `likes`) and the Programs section (which reads
-        // the program's properties, so records it).
-        assert_eq!(n, 2);
+        // Only the list, which follows `likes`: the Programs section reads
+        // the program's properties, and an edge changes none of them.
+        assert_eq!(n, 1);
         assert_ne!(doc.to_xml(), before, "the list gained the program");
         assert_matches_full(&doc, &template, &m, &meta);
     }
@@ -1073,10 +1119,10 @@ mod tests {
             template: &template,
         };
         // Nothing but the model reports the edge: the relation stamp dirties
-        // the table, the program's stamp the Programs section that reads its
-        // properties.
+        // the table alone. The Programs section reads the program's
+        // properties, which the edge leaves as they were.
         let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
-        assert_eq!(n, 2);
+        assert_eq!(n, 1);
         // One cell of the table counts one more edge: the document moved,
         // and it moved to exactly what a full run produces.
         assert_ne!(doc.to_xml(), before);
@@ -1152,11 +1198,16 @@ mod tests {
         /// cached bytes equal the store's serialization of that chunk.
         #[test]
         fn random_edits_keep_the_document_equal_to_a_full_run(
-            which in 0usize..3,
+            which in 0usize..4,
             seed in 0u64..1000,
             edits in prop::collection::vec(edit_strategy(), 1..12),
         ) {
-            let source = [RICH_TEMPLATE, crate::template::SYSTEM_CONTEXT, BANNER_TEMPLATE][which];
+            let source = [
+                RICH_TEMPLATE,
+                crate::template::SYSTEM_CONTEXT,
+                BANNER_TEMPLATE,
+                POPULATION_TEMPLATE,
+            ][which];
             let template = Template::parse(source).unwrap();
             let meta = meta();
             let mut m = awb::workload::it_architecture(awb::workload::ItScale::about(30), seed);

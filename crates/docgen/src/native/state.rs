@@ -32,10 +32,10 @@ pub struct TocEntry {
 /// business of `types` and `any_node`.
 #[derive(Debug, Default, Clone)]
 pub struct ChunkDeps {
-    /// Nodes whose mutable facets — properties or incident edges — were
-    /// read. A calculus query records the nodes it visits only when a
-    /// `<filter-property>` step reads their properties; the edges it follows
-    /// are recorded as `relations`, like `<awb-table>`'s.
+    /// Nodes whose properties were read. A calculus query records the
+    /// nodes it visits only when a `<filter-property>` step reads their
+    /// properties; the edges it follows are recorded as `relations`, like
+    /// `<awb-table>`'s.
     pub nodes: HashSet<NodeRef>,
     /// Node types enumerated (`all.TYPE` specs, query starts and filters).
     /// An edit that adds a node of a *subtype* also matters, so the
@@ -44,9 +44,10 @@ pub struct ChunkDeps {
     /// Relation types followed (queries and `<awb-table relation=…>`).
     pub relations: HashSet<String>,
     /// The run enumerated or searched the whole node population (`<start/>`
-    /// with no type, `<start label=…>`): any changed node dirties it, even
-    /// one no traced read touched. Only read sets set it; an edit footprint
-    /// names its nodes.
+    /// with no type, `<start label=…>`): a node of any type added dirties
+    /// it. Such a scan reads only labels, which never change, and records
+    /// every property it filters on in `nodes`. Only read sets set it; an
+    /// edit footprint names the types it added.
     pub any_node: bool,
 }
 
@@ -54,7 +55,7 @@ impl ChunkDeps {
     /// Does an edit with this footprint possibly change a run that read
     /// `self`? (`other` is the edit's footprint, phrased in the same terms.)
     pub fn overlaps(&self, other: &ChunkDeps, meta: &awb::Metamodel) -> bool {
-        if self.any_node && !other.nodes.is_empty() {
+        if self.any_node && !other.types.is_empty() {
             return true;
         }
         if other.nodes.iter().any(|n| self.nodes.contains(n)) {

@@ -41,18 +41,12 @@ pub fn escape_text(s: &str) -> String {
     out
 }
 
-/// Escapes an attribute value: also `"`, and the whitespace characters
-/// that XML attribute-value normalization folds to spaces on re-parse
-/// (`\n`, `\t`, `\r`) — as character references they round-trip exactly.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s, true);
-    out
-}
-
 /// Appends `s` to `out`, escaped as character data or (`attr`) as an
-/// attribute value. Every escaped character is ASCII, so the unescaped runs
-/// between them are copied whole, on `char` boundaries.
+/// attribute value: there also `"`, `\n` and `\t`, which XML
+/// attribute-value normalization folds to spaces on re-parse — as
+/// character references they round-trip exactly. Every escaped character
+/// is ASCII, so the unescaped runs between them are copied whole, on
+/// `char` boundaries.
 fn push_escaped(out: &mut String, s: &str, attr: bool) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -193,6 +193,29 @@ pub struct PathStep {
     pub expr: Expr,
 }
 
+/// Builds a tree's two child walks from one child-listing `match`:
+/// `for_each_child` lends each direct child shared, `for_each_child_mut`
+/// lends it mutably, both in source order. The arms bind children through
+/// match ergonomics, so the same text borrows as the walk does; every walk
+/// of the AST and of the lowered [`crate::lower::LExpr`] goes through the
+/// two methods, and a new variant is listed once.
+macro_rules! child_walks {
+    (|$node:ident, $f:ident| $children:expr) => {
+        /// Calls `f` on each direct child expression, in source order.
+        pub fn for_each_child<'t>(&'t self, $f: &mut impl FnMut(&'t Self)) {
+            let $node = self;
+            $children
+        }
+
+        /// [`Self::for_each_child`], lending each child mutably.
+        pub fn for_each_child_mut(&mut self, $f: &mut impl FnMut(&mut Self)) {
+            let $node = self;
+            $children
+        }
+    };
+}
+pub(crate) use child_walks;
+
 /// Expressions.
 #[derive(Debug, Clone)]
 pub enum Expr {
@@ -320,121 +343,129 @@ impl Expr {
         }
     }
 
-    /// The direct child expressions, in source order: the one enumeration
-    /// of an expression's children that analyses over the AST share.
-    pub fn subexpressions(&self) -> Vec<&Expr> {
-        let mut out: Vec<&Expr> = Vec::new();
-        match self {
-            Expr::Literal(_) | Expr::VarRef(..) | Expr::ContextItem(_) | Expr::Root(_) => {}
-            Expr::Comma(parts) => out.extend(parts.iter()),
-            Expr::Range(a, b)
-            | Expr::Arith(_, a, b)
-            | Expr::GeneralCmp(_, a, b)
-            | Expr::ValueCmp(_, a, b)
-            | Expr::NodeCmp(_, a, b)
-            | Expr::SetExpr(_, a, b)
-            | Expr::And(a, b)
-            | Expr::Or(a, b) => {
-                out.push(a);
-                out.push(b);
+    child_walks!(|node, f| match node {
+        Expr::Literal(_) | Expr::VarRef(..) | Expr::ContextItem(_) | Expr::Root(_) => {}
+        Expr::Comma(parts) => {
+            for p in parts {
+                f(p);
             }
-            Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => out.push(e),
-            Expr::If(c, t, e) => {
-                out.push(c);
-                out.push(t);
-                out.push(e);
-            }
-            Expr::Flwor {
-                clauses,
-                where_,
-                order_by,
-                return_,
-            } => {
-                for c in clauses {
-                    match c {
-                        FlworClause::For { seq, .. } => out.push(seq),
-                        FlworClause::Let { expr, .. } => out.push(expr),
-                    }
-                }
-                if let Some(w) = where_ {
-                    out.push(w);
-                }
-                for o in order_by {
-                    out.push(&o.key);
-                }
-                out.push(return_);
-            }
-            Expr::Quantified {
-                bindings,
-                satisfies,
-                ..
-            } => {
-                for (_, e) in bindings {
-                    out.push(e);
-                }
-                out.push(satisfies);
-            }
-            Expr::AxisStep { predicates, .. } => out.extend(predicates.iter()),
-            Expr::Path { start, steps } => {
-                out.push(start);
-                for s in steps {
-                    out.push(&s.expr);
-                }
-            }
-            Expr::Filter(base, predicates) => {
-                out.push(base);
-                out.extend(predicates.iter());
-            }
-            Expr::Call { args, .. } => out.extend(args.iter()),
-            Expr::DirectElement { attrs, content, .. } => {
-                for (_, parts) in attrs {
-                    for p in parts {
-                        if let AttrPart::Enclosed(e) = p {
-                            out.push(e);
-                        }
-                    }
-                }
-                for c in content {
-                    match c {
-                        ContentPart::Enclosed(e) | ContentPart::Node(e) => out.push(e),
-                        ContentPart::Literal(_) => {}
-                    }
-                }
-            }
-            Expr::CompElement { name, content, .. } => {
-                if let ConstructorName::Computed(e) = name {
-                    out.push(e);
-                }
-                if let Some(c) = content {
-                    out.push(c);
-                }
-            }
-            Expr::CompAttribute { name, value, .. } => {
-                if let ConstructorName::Computed(e) = name {
-                    out.push(e);
-                }
-                if let Some(v) = value {
-                    out.push(v);
-                }
-            }
-            Expr::TypeSwitch {
-                operand,
-                cases,
-                default,
-                ..
-            } => {
-                out.push(operand);
-                for c in cases {
-                    out.push(&c.body);
-                }
-                out.push(default);
-            }
-            Expr::TryCatch { try_, catch, .. } => {
-                out.push(try_);
-                out.push(catch);
-            }
-            Expr::InstanceOf(e, _) | Expr::CastAs(e, _, _) | Expr::CastableAs(e, _) => out.push(e),
         }
-        out
-    }
+        Expr::Range(a, b)
+        | Expr::Arith(_, a, b)
+        | Expr::GeneralCmp(_, a, b)
+        | Expr::ValueCmp(_, a, b)
+        | Expr::NodeCmp(_, a, b)
+        | Expr::SetExpr(_, a, b)
+        | Expr::And(a, b)
+        | Expr::Or(a, b) => {
+            f(a);
+            f(b);
+        }
+        Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => f(e),
+        Expr::If(c, t, e) => {
+            f(c);
+            f(t);
+            f(e);
+        }
+        Expr::Flwor {
+            clauses,
+            where_,
+            order_by,
+            return_,
+        } => {
+            for c in clauses {
+                match c {
+                    FlworClause::For { seq, .. } => f(seq),
+                    FlworClause::Let { expr, .. } => f(expr),
+                }
+            }
+            if let Some(w) = where_ {
+                f(w);
+            }
+            for OrderSpec { key, .. } in order_by {
+                f(key);
+            }
+            f(return_);
+        }
+        Expr::Quantified {
+            bindings,
+            satisfies,
+            ..
+        } => {
+            for (_, e) in bindings {
+                f(e);
+            }
+            f(satisfies);
+        }
+        Expr::AxisStep { predicates, .. } => {
+            for p in predicates {
+                f(p);
+            }
+        }
+        Expr::Path { start, steps } => {
+            f(start);
+            for PathStep { expr, .. } in steps {
+                f(expr);
+            }
+        }
+        Expr::Filter(base, predicates) => {
+            f(base);
+            for p in predicates {
+                f(p);
+            }
+        }
+        Expr::Call { args, .. } => {
+            for a in args {
+                f(a);
+            }
+        }
+        Expr::DirectElement { attrs, content, .. } => {
+            for (_, parts) in attrs {
+                for p in parts {
+                    if let AttrPart::Enclosed(e) = p {
+                        f(e);
+                    }
+                }
+            }
+            for c in content {
+                match c {
+                    ContentPart::Enclosed(e) | ContentPart::Node(e) => f(e),
+                    ContentPart::Literal(_) => {}
+                }
+            }
+        }
+        Expr::CompElement { name, content, .. } => {
+            if let ConstructorName::Computed(e) = name {
+                f(e);
+            }
+            if let Some(c) = content {
+                f(c);
+            }
+        }
+        Expr::CompAttribute { name, value, .. } => {
+            if let ConstructorName::Computed(e) = name {
+                f(e);
+            }
+            if let Some(v) = value {
+                f(v);
+            }
+        }
+        Expr::TypeSwitch {
+            operand,
+            cases,
+            default,
+            ..
+        } => {
+            f(operand);
+            for TypeCase { body, .. } in cases {
+                f(body);
+            }
+            f(default);
+        }
+        Expr::TryCatch { try_, catch, .. } => {
+            f(try_);
+            f(catch);
+        }
+        Expr::InstanceOf(e, _) | Expr::CastAs(e, _, _) | Expr::CastableAs(e, _) => f(e),
+    });
 }

@@ -212,7 +212,7 @@ fn scan_effects(e: &LExpr, found: &mut Option<Impurity>, calls: &mut Vec<u32>) {
         LExpr::CallUser { index, .. } => calls.push(*index),
         _ => {}
     }
-    for_each_child_ref(e, &mut |c| scan_effects(c, found, calls));
+    e.for_each_child(&mut |c| scan_effects(c, found, calls));
 }
 
 /// Builtins with an effect beyond their value: a trace event, a document
@@ -265,7 +265,12 @@ fn walk(e: &mut LExpr, alloc: &mut SlotAlloc, stats: &mut PlanStats, purity: &Pu
     } = e
     {
         hoist_flwor(clauses, where_, order_by, return_, alloc, stats, purity);
-        mark_hash_join(clauses, where_, stats, purity);
+        if let Ok(side) = join_gate(clauses, where_, purity) {
+            if let Some(LFlworClause::For { join, .. }) = clauses.last_mut() {
+                *join = Some(side);
+                stats.hash_joins += 1;
+            }
+        }
         for c in clauses.iter() {
             if let LFlworClause::For {
                 seq: LExpr::Path { steps, .. },
@@ -288,16 +293,22 @@ fn walk(e: &mut LExpr, alloc: &mut SlotAlloc, stats: &mut PlanStats, purity: &Pu
                 .iter_mut()
                 .for_each(|p| walk(p, alloc, stats, purity));
         }
-        _ => for_each_child(e, &mut |c| walk(c, alloc, stats, purity)),
+        _ => e.for_each_child_mut(&mut |c| walk(c, alloc, stats, purity)),
     }
 }
 
-/// Marks the `for … where KEY($v) = PROBE` join pattern on a FLWOR's final
-/// `for` clause. The runtime turns the O(tuples × items) scan into one
-/// table build plus per-tuple probes; all it needs from the plan is which
-/// `where` operand is the key side.
+/// The hash-join gate of a FLWOR: which `where` operand is the key side
+/// when its final `for` clause may be marked for the runtime hash join, or
+/// else the first gate that refused. The runtime turns the O(tuples ×
+/// items) scan of `for … where KEY($v) = PROBE` into one table build plus
+/// per-tuple probes; all it needs from the plan is the key side. The pass
+/// sets the mark from the `Ok` side and [`crate::obs::explain`] prints the
+/// refusal; `Err(None)` means the `where` is not an `=` general comparison,
+/// so there is nothing to explain.
 ///
 /// The gates keep the rewrite invisible:
+/// * no positional `at` binding on the final `for` (filtered iteration
+///   would still need the original positions; not worth the bookkeeping);
 /// * both operands must be [`join_simple`] — deterministic given the frame,
 ///   pure calls only (no `trace` side effects), no constructors, no
 ///   binders, no outer focus — so evaluating the key side once per item and the probe
@@ -307,125 +318,51 @@ fn walk(e: &mut LExpr, alloc: &mut SlotAlloc, stats: &mut PlanStats, purity: &Pu
 /// * exactly one operand mentions the clause's variable (the key side);
 /// * the key side reads no *other* slot bound by this FLWOR's clauses —
 ///   the table is reused across tuples, so its keys may depend only on the
-///   item and on bindings that cannot change between tuples;
-/// * no positional `at` binding (filtered iteration would still need the
-///   original positions; not worth the bookkeeping).
-fn mark_hash_join(
-    clauses: &mut [LFlworClause],
-    where_: &Option<Box<LExpr>>,
-    stats: &mut PlanStats,
-    purity: &Purity,
-) {
-    let Some(w) = where_ else { return };
-    let LExpr::GeneralCmp(CmpOp::Eq, left, right) = &**w else {
-        return;
-    };
-    let mut clause_bound: Vec<u32> = Vec::new();
-    for c in clauses.iter() {
-        match c {
-            LFlworClause::For { var, at, .. } => {
-                clause_bound.push(*var);
-                if let Some(at) = at {
-                    clause_bound.push(*at);
-                }
-            }
-            LFlworClause::Let { var, .. } => clause_bound.push(*var),
-        }
-    }
-    let Some(LFlworClause::For {
-        var,
-        at: None,
-        join,
-        ..
-    }) = clauses.last_mut()
-    else {
-        return;
-    };
-    if !join_simple(left, purity) || !join_simple(right, purity) {
-        return;
-    }
-    let slots_of = |e: &LExpr| {
-        let mut slots = Vec::new();
-        join_slots(e, &mut |s| slots.push(s));
-        slots
-    };
-    let (ls, rs) = (slots_of(left), slots_of(right));
-    let side = match (ls.contains(var), rs.contains(var)) {
-        (true, false) => JoinSide::Left,
-        (false, true) => JoinSide::Right,
-        _ => return,
-    };
-    let key_slots = if side == JoinSide::Left { &ls } else { &rs };
-    if key_slots
-        .iter()
-        .any(|s| s != var && clause_bound.contains(s))
-    {
-        return;
-    }
-    *join = Some(side);
-    stats.hash_joins += 1;
-}
-
-/// Read-only twin of [`mark_hash_join`]'s gate chain, for [`crate::obs`]:
-/// given a FLWOR that was *not* marked, names the first gate that refused
-/// the rewrite — or `None` when the `where` never looked like a join
-/// candidate (not an `=` general comparison) so there is nothing to
-/// explain. Must mirror the gates above exactly; the explain tests pin
-/// that a refused candidate gets a reason.
-pub(crate) fn join_fallback_reason(
+///   item and on bindings that cannot change between tuples.
+pub(crate) fn join_gate(
     clauses: &[LFlworClause],
     where_: &Option<Box<LExpr>>,
     purity: &Purity,
-) -> Option<&'static str> {
-    let w = where_.as_ref()?;
+) -> Result<JoinSide, Option<&'static str>> {
+    let Some(w) = where_ else { return Err(None) };
     let LExpr::GeneralCmp(CmpOp::Eq, left, right) = &**w else {
-        return None;
+        return Err(None);
     };
-    let mut clause_bound: Vec<u32> = Vec::new();
-    for c in clauses.iter() {
-        match c {
-            LFlworClause::For { var, at, .. } => {
-                clause_bound.push(*var);
-                if let Some(at) = at {
-                    clause_bound.push(*at);
-                }
-            }
-            LFlworClause::Let { var, .. } => clause_bound.push(*var),
-        }
-    }
     let Some(LFlworClause::For { var, at, .. }) = clauses.last() else {
-        return Some("final clause is a `let`, not a `for`");
+        return Err(Some("final clause is a `let`, not a `for`"));
     };
     if at.is_some() {
-        return Some("final `for` clause has a positional `at` binding");
+        return Err(Some("final `for` clause has a positional `at` binding"));
     }
     if !join_simple(left, purity) || !join_simple(right, purity) {
-        return Some(
+        return Err(Some(
             "a `where` operand is not join-simple (impure calls, constructors, binders, or outer focus)",
-        );
+        ));
     }
     let slots_of = |e: &LExpr| {
         let mut slots = Vec::new();
-        join_slots(e, &mut |s| slots.push(s));
+        collect_slots(e, &mut |s| slots.push(s));
         slots
     };
     let (ls, rs) = (slots_of(left), slots_of(right));
-    let side =
+    let (side, key_slots) =
         match (ls.contains(var), rs.contains(var)) {
-            (true, false) => JoinSide::Left,
-            (false, true) => JoinSide::Right,
-            _ => return Some(
+            (true, false) => (JoinSide::Left, ls),
+            (false, true) => (JoinSide::Right, rs),
+            _ => return Err(Some(
                 "the final `for` variable appears on both sides (or neither side) of the equality",
-            ),
+            )),
         };
-    let key_slots = if side == JoinSide::Left { &ls } else { &rs };
-    if key_slots
-        .iter()
-        .any(|s| s != var && clause_bound.contains(s))
-    {
-        return Some("the key side reads another clause-bound variable");
+    let clause_bound = |s: u32| {
+        clauses.iter().any(|c| match c {
+            LFlworClause::For { var, at, .. } => *var == s || *at == Some(s),
+            LFlworClause::Let { var, .. } => *var == s,
+        })
+    };
+    if key_slots.iter().any(|&s| s != *var && clause_bound(s)) {
+        return Err(Some("the key side reads another clause-bound variable"));
     }
-    None
+    Ok(side)
 }
 
 /// Could `e` be cached outside any loop — deterministic given the frame,
@@ -443,152 +380,6 @@ fn join_simple(e: &LExpr, purity: &Purity) -> bool {
     summary.sealed = 1;
     let idx = summary.summarize(e, 0);
     summary.infos[idx].cacheable && !summary.infos[idx].outer_focus
-}
-
-/// [`collect_slots`] through cache cells (whose own synthetic slot is a
-/// cache address, not a variable read).
-fn join_slots(e: &LExpr, f: &mut impl FnMut(u32)) {
-    if let LExpr::CacheOnce { expr, .. } = e {
-        join_slots(expr, f);
-    } else {
-        collect_slots(e, f);
-    }
-}
-
-/// Calls `f` on every direct child expression of `e`.
-fn for_each_child(e: &mut LExpr, f: &mut impl FnMut(&mut LExpr)) {
-    match e {
-        LExpr::Literal(_)
-        | LExpr::LocalRef(_)
-        | LExpr::GlobalRef(..)
-        | LExpr::ContextItem(_)
-        | LExpr::Root(_) => {}
-        LExpr::Comma(parts) => parts.iter_mut().for_each(f),
-        LExpr::Range(a, b)
-        | LExpr::Arith(_, a, b)
-        | LExpr::GeneralCmp(_, a, b)
-        | LExpr::ValueCmp(_, a, b)
-        | LExpr::NodeCmp(_, a, b)
-        | LExpr::SetExpr(_, a, b)
-        | LExpr::And(a, b)
-        | LExpr::Or(a, b) => {
-            f(a);
-            f(b);
-        }
-        LExpr::Neg(a)
-        | LExpr::CompText(a)
-        | LExpr::CompComment(a)
-        | LExpr::InstanceOf(a, _)
-        | LExpr::CastAs(a, _, _)
-        | LExpr::CastableAs(a, _)
-        | LExpr::CacheOnce { expr: a, .. } => f(a),
-        LExpr::If(c, t, e2) => {
-            f(c);
-            f(t);
-            f(e2);
-        }
-        LExpr::Flwor {
-            clauses,
-            where_,
-            order_by,
-            return_,
-        } => {
-            for clause in clauses {
-                match clause {
-                    LFlworClause::For { seq, .. } => f(seq),
-                    LFlworClause::Let { expr, .. } => f(expr),
-                }
-            }
-            if let Some(w) = where_ {
-                f(w);
-            }
-            for spec in order_by {
-                f(&mut spec.key);
-            }
-            f(return_);
-        }
-        LExpr::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            for (_, seq) in bindings {
-                f(seq);
-            }
-            f(satisfies);
-        }
-        LExpr::AxisStep { predicates, .. } => predicates.iter_mut().for_each(f),
-        LExpr::Path { start, steps } => {
-            f(start);
-            for s in steps {
-                f(&mut s.expr);
-            }
-        }
-        LExpr::Filter(base, preds) => {
-            f(base);
-            preds.iter_mut().for_each(f);
-        }
-        LExpr::CallBuiltin { args, .. }
-        | LExpr::CallUser { args, .. }
-        | LExpr::CallUnknown { args, .. } => args.iter_mut().for_each(f),
-        LExpr::DirectElement { attrs, content, .. } => {
-            for (_, parts) in attrs {
-                for part in parts {
-                    if let crate::lower::LAttrPart::Enclosed(e2) = part {
-                        f(e2);
-                    }
-                }
-            }
-            for part in content {
-                match part {
-                    crate::lower::LContentPart::Enclosed(e2)
-                    | crate::lower::LContentPart::Node(e2) => f(e2),
-                    crate::lower::LContentPart::Literal(_) => {}
-                }
-            }
-        }
-        LExpr::CompElement { name, content, .. } => {
-            if let crate::lower::LConstructorName::Computed(n) = name {
-                f(n);
-            }
-            if let Some(c) = content {
-                f(c);
-            }
-        }
-        LExpr::CompAttribute { name, value, .. } => {
-            if let crate::lower::LConstructorName::Computed(n) = name {
-                f(n);
-            }
-            if let Some(v) = value {
-                f(v);
-            }
-        }
-        LExpr::TryCatch { try_, catch, .. } => {
-            f(try_);
-            f(catch);
-        }
-        LExpr::TypeSwitch {
-            operand,
-            cases,
-            default,
-            ..
-        } => {
-            f(operand);
-            for case in cases {
-                f(&mut case.body);
-            }
-            f(default);
-        }
-        LExpr::SplitPath {
-            prefix,
-            suffix,
-            unsplit,
-        } => {
-            f(prefix);
-            suffix.iter_mut().for_each(&mut *f);
-            f(unsplit);
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -893,7 +684,7 @@ impl<'t, 'a> Collect<'t, 'a> {
 
     /// Summarises `e` (clause position `pos` in the region) and everything
     /// below it, pricing candidate occurrences on the way; returns its
-    /// pre-order number. Children are taken in [`for_each_child_ref`]
+    /// pre-order number. Children are taken in [`LExpr::for_each_child`]
     /// order, with poison tracking for nested binder constructs whose
     /// shape mirrors the lowerer's scoping (a clause's expression is
     /// lowered before its binder comes into scope).
@@ -981,7 +772,7 @@ impl<'t, 'a> Collect<'t, 'a> {
                 self.summarize(unsplit, pos);
                 self.sealed -= 1;
             }
-            _ => for_each_child_ref(e, &mut |c| {
+            _ => e.for_each_child(&mut |c| {
                 self.summarize(c, pos);
             }),
         }
@@ -1242,7 +1033,7 @@ impl Rewrite<'_> {
             }
         }
         let mut child = idx + 1;
-        for_each_child(e, &mut |c| {
+        e.for_each_child_mut(&mut |c| {
             self.rewrite(c, child);
             child += self.infos[child].size;
         });
@@ -1356,199 +1147,13 @@ fn statically_boolean(e: &LExpr) -> bool {
     )
 }
 
-/// Immutable twin of [`for_each_child`] for analysis-only walks (also used
-/// by [`crate::obs::explain`] to render the plan tree).
-pub(crate) fn for_each_child_ref<'t>(e: &'t LExpr, f: &mut impl FnMut(&'t LExpr)) {
-    match e {
-        LExpr::Literal(_)
-        | LExpr::LocalRef(_)
-        | LExpr::GlobalRef(..)
-        | LExpr::ContextItem(_)
-        | LExpr::Root(_) => {}
-        LExpr::Comma(parts) => parts.iter().for_each(f),
-        LExpr::Range(a, b)
-        | LExpr::Arith(_, a, b)
-        | LExpr::GeneralCmp(_, a, b)
-        | LExpr::ValueCmp(_, a, b)
-        | LExpr::NodeCmp(_, a, b)
-        | LExpr::SetExpr(_, a, b)
-        | LExpr::And(a, b)
-        | LExpr::Or(a, b) => {
-            f(a);
-            f(b);
-        }
-        LExpr::Neg(a)
-        | LExpr::CompText(a)
-        | LExpr::CompComment(a)
-        | LExpr::InstanceOf(a, _)
-        | LExpr::CastAs(a, _, _)
-        | LExpr::CastableAs(a, _)
-        | LExpr::CacheOnce { expr: a, .. } => f(a),
-        LExpr::If(c, t, e2) => {
-            f(c);
-            f(t);
-            f(e2);
-        }
-        LExpr::Flwor {
-            clauses,
-            where_,
-            order_by,
-            return_,
-        } => {
-            for clause in clauses {
-                match clause {
-                    LFlworClause::For { seq, .. } => f(seq),
-                    LFlworClause::Let { expr, .. } => f(expr),
-                }
-            }
-            if let Some(w) = where_ {
-                f(w);
-            }
-            for spec in order_by {
-                f(&spec.key);
-            }
-            f(return_);
-        }
-        LExpr::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            for (_, seq) in bindings {
-                f(seq);
-            }
-            f(satisfies);
-        }
-        LExpr::AxisStep { predicates, .. } => predicates.iter().for_each(f),
-        LExpr::Path { start, steps } => {
-            f(start);
-            for s in steps {
-                f(&s.expr);
-            }
-        }
-        LExpr::Filter(base, preds) => {
-            f(base);
-            preds.iter().for_each(f);
-        }
-        LExpr::CallBuiltin { args, .. }
-        | LExpr::CallUser { args, .. }
-        | LExpr::CallUnknown { args, .. } => args.iter().for_each(f),
-        LExpr::DirectElement { attrs, content, .. } => {
-            for (_, parts) in attrs {
-                for part in parts {
-                    if let crate::lower::LAttrPart::Enclosed(e2) = part {
-                        f(e2);
-                    }
-                }
-            }
-            for part in content {
-                match part {
-                    crate::lower::LContentPart::Enclosed(e2)
-                    | crate::lower::LContentPart::Node(e2) => f(e2),
-                    crate::lower::LContentPart::Literal(_) => {}
-                }
-            }
-        }
-        LExpr::CompElement { name, content, .. } => {
-            if let crate::lower::LConstructorName::Computed(n) = name {
-                f(n);
-            }
-            if let Some(c) = content {
-                f(c);
-            }
-        }
-        LExpr::CompAttribute { name, value, .. } => {
-            if let crate::lower::LConstructorName::Computed(n) = name {
-                f(n);
-            }
-            if let Some(v) = value {
-                f(v);
-            }
-        }
-        LExpr::TryCatch { try_, catch, .. } => {
-            f(try_);
-            f(catch);
-        }
-        LExpr::TypeSwitch {
-            operand,
-            cases,
-            default,
-            ..
-        } => {
-            f(operand);
-            for case in cases {
-                f(&case.body);
-            }
-            f(default);
-        }
-        LExpr::SplitPath {
-            prefix,
-            suffix,
-            unsplit,
-        } => {
-            f(prefix);
-            suffix.iter().for_each(&mut *f);
-            f(unsplit);
-        }
-    }
-}
-
-/// Walks the slot reads of a subtree already vetted by [`join_simple`] — the
-/// variants a cacheable tree can contain are exactly the ones descended
-/// into here.
+/// Walks the slot reads of a subtree already vetted by [`join_simple`]. A
+/// cache cell's own slot is a cache address, not a variable read, so the
+/// walk looks through it like through any other node.
 fn collect_slots(e: &LExpr, f: &mut impl FnMut(u32)) {
     match e {
         LExpr::LocalRef(slot) => f(*slot),
-        LExpr::Literal(_) | LExpr::GlobalRef(..) | LExpr::ContextItem(_) | LExpr::Root(_) => {}
-        LExpr::Comma(parts) => {
-            for p in parts {
-                collect_slots(p, f);
-            }
-        }
-        LExpr::Range(a, b)
-        | LExpr::Arith(_, a, b)
-        | LExpr::GeneralCmp(_, a, b)
-        | LExpr::ValueCmp(_, a, b)
-        | LExpr::NodeCmp(_, a, b)
-        | LExpr::SetExpr(_, a, b)
-        | LExpr::And(a, b)
-        | LExpr::Or(a, b) => {
-            collect_slots(a, f);
-            collect_slots(b, f);
-        }
-        LExpr::Neg(a)
-        | LExpr::InstanceOf(a, _)
-        | LExpr::CastAs(a, _, _)
-        | LExpr::CastableAs(a, _) => collect_slots(a, f),
-        LExpr::If(c, t, e2) => {
-            collect_slots(c, f);
-            collect_slots(t, f);
-            collect_slots(e2, f);
-        }
-        LExpr::AxisStep { predicates, .. } => {
-            for p in predicates {
-                collect_slots(p, f);
-            }
-        }
-        LExpr::Path { start, steps } => {
-            collect_slots(start, f);
-            for s in steps {
-                collect_slots(&s.expr, f);
-            }
-        }
-        LExpr::Filter(base, preds) => {
-            collect_slots(base, f);
-            for p in preds {
-                collect_slots(p, f);
-            }
-        }
-        LExpr::CallBuiltin { args, .. } | LExpr::CallUser { args, .. } => {
-            for a in args {
-                collect_slots(a, f);
-            }
-        }
-        // Unreachable for cacheable trees; stay conservative if reached.
-        _ => {}
+        _ => e.for_each_child(&mut |c| collect_slots(c, f)),
     }
 }
 

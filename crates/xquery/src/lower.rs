@@ -206,6 +206,156 @@ pub enum LExpr {
     },
 }
 
+impl LExpr {
+    child_walks!(|node, f| match node {
+        LExpr::Literal(_)
+        | LExpr::LocalRef(_)
+        | LExpr::GlobalRef(..)
+        | LExpr::ContextItem(_)
+        | LExpr::Root(_) => {}
+        LExpr::Comma(parts) => {
+            for p in parts {
+                f(p);
+            }
+        }
+        LExpr::Range(a, b)
+        | LExpr::Arith(_, a, b)
+        | LExpr::GeneralCmp(_, a, b)
+        | LExpr::ValueCmp(_, a, b)
+        | LExpr::NodeCmp(_, a, b)
+        | LExpr::SetExpr(_, a, b)
+        | LExpr::And(a, b)
+        | LExpr::Or(a, b) => {
+            f(a);
+            f(b);
+        }
+        LExpr::Neg(a)
+        | LExpr::CompText(a)
+        | LExpr::CompComment(a)
+        | LExpr::InstanceOf(a, _)
+        | LExpr::CastAs(a, _, _)
+        | LExpr::CastableAs(a, _)
+        | LExpr::CacheOnce { expr: a, .. } => f(a),
+        LExpr::If(c, t, e) => {
+            f(c);
+            f(t);
+            f(e);
+        }
+        LExpr::Flwor {
+            clauses,
+            where_,
+            order_by,
+            return_,
+        } => {
+            for clause in clauses {
+                match clause {
+                    LFlworClause::For { seq, .. } => f(seq),
+                    LFlworClause::Let { expr, .. } => f(expr),
+                }
+            }
+            if let Some(w) = where_ {
+                f(w);
+            }
+            for LOrderSpec { key, .. } in order_by {
+                f(key);
+            }
+            f(return_);
+        }
+        LExpr::Quantified {
+            bindings,
+            satisfies,
+            ..
+        } => {
+            for (_, seq) in bindings {
+                f(seq);
+            }
+            f(satisfies);
+        }
+        LExpr::AxisStep { predicates, .. } => {
+            for p in predicates {
+                f(p);
+            }
+        }
+        LExpr::Path { start, steps } => {
+            f(start);
+            for LPathStep { expr, .. } in steps {
+                f(expr);
+            }
+        }
+        LExpr::Filter(base, predicates) => {
+            f(base);
+            for p in predicates {
+                f(p);
+            }
+        }
+        LExpr::CallBuiltin { args, .. }
+        | LExpr::CallUser { args, .. }
+        | LExpr::CallUnknown { args, .. } => {
+            for a in args {
+                f(a);
+            }
+        }
+        LExpr::DirectElement { attrs, content, .. } => {
+            for (_, parts) in attrs {
+                for part in parts {
+                    if let LAttrPart::Enclosed(e) = part {
+                        f(e);
+                    }
+                }
+            }
+            for part in content {
+                match part {
+                    LContentPart::Enclosed(e) | LContentPart::Node(e) => f(e),
+                    LContentPart::Literal(_) => {}
+                }
+            }
+        }
+        LExpr::CompElement { name, content, .. } => {
+            if let LConstructorName::Computed(n) = name {
+                f(n);
+            }
+            if let Some(c) = content {
+                f(c);
+            }
+        }
+        LExpr::CompAttribute { name, value, .. } => {
+            if let LConstructorName::Computed(n) = name {
+                f(n);
+            }
+            if let Some(v) = value {
+                f(v);
+            }
+        }
+        LExpr::TryCatch { try_, catch, .. } => {
+            f(try_);
+            f(catch);
+        }
+        LExpr::TypeSwitch {
+            operand,
+            cases,
+            default,
+            ..
+        } => {
+            f(operand);
+            for LTypeCase { body, .. } in cases {
+                f(body);
+            }
+            f(default);
+        }
+        LExpr::SplitPath {
+            prefix,
+            suffix,
+            unsplit,
+        } => {
+            f(prefix);
+            for p in suffix {
+                f(p);
+            }
+            f(unsplit);
+        }
+    });
+}
+
 /// A lowered FLWOR clause: binding names become slots. `let` keeps its
 /// source name for the type-check diagnostic.
 #[derive(Debug, Clone, PartialEq)]

@@ -280,7 +280,7 @@ fn collect_resets(e: &LExpr, map: &mut HashMap<u32, ResetKind>) {
             }
         }
     }
-    lopt::for_each_child_ref(e, &mut |c| collect_resets(c, map));
+    e.for_each_child(&mut |c| collect_resets(c, map));
 }
 
 fn indent(depth: usize, out: &mut String) {
@@ -422,7 +422,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
         return_,
     } = e
     {
-        let fallback = lopt::join_fallback_reason(clauses, where_, cx.purity);
+        let fallback = lopt::join_gate(clauses, where_, cx.purity).err().flatten();
         for c in clauses {
             match c {
                 LFlworClause::For {
@@ -525,7 +525,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
         render(unsplit, depth + 2, cx, out);
         return;
     }
-    lopt::for_each_child_ref(e, &mut |c| render(c, depth + 1, cx, out));
+    e.for_each_child(&mut |c| render(c, depth + 1, cx, out));
 }
 
 #[cfg(test)]

@@ -96,21 +96,22 @@ fn is_pure(expr: &Expr, cx: &Cx) -> bool {
             };
             self_ok && args.iter().all(|a| is_pure(a, cx))
         }
-        _ => expr.subexpressions().iter().all(|e| is_pure(e, cx)),
+        _ => {
+            let mut pure = true;
+            expr.for_each_child(&mut |e| pure = pure && is_pure(e, cx));
+            pure
+        }
     }
 }
 
 /// Number of `fn:trace` call sites inside `expr`.
 fn count_traces(expr: &Expr) -> usize {
-    let own = match expr {
+    let mut n = match expr {
         Expr::Call { name, .. } if name == "trace" || name == "fn:trace" => 1,
         _ => 0,
     };
-    own + expr
-        .subexpressions()
-        .iter()
-        .map(|e| count_traces(e))
-        .sum::<usize>()
+    expr.for_each_child(&mut |e| n += count_traces(e));
+    n
 }
 
 /// Does `expr` reference `$name` anywhere? (Conservative about shadowing:
@@ -119,13 +120,17 @@ fn count_traces(expr: &Expr) -> usize {
 fn uses_var(expr: &Expr, name: &str) -> bool {
     match expr {
         Expr::VarRef(n, _) => n == name,
-        _ => expr.subexpressions().iter().any(|e| uses_var(e, name)),
+        _ => {
+            let mut used = false;
+            expr.for_each_child(&mut |e| used = used || uses_var(e, name));
+            used
+        }
     }
 }
 
 fn optimize_expr(expr: &mut Expr, cx: &Cx, stats: &mut OptimizerStats) {
     // Bottom-up: optimize children first.
-    for_each_child_mut(expr, &mut |child| optimize_expr(child, cx, stats));
+    expr.for_each_child_mut(&mut |child| optimize_expr(child, cx, stats));
 
     // Dead-let elimination inside FLWOR.
     if let Expr::Flwor {
@@ -222,120 +227,6 @@ fn fold_int_arith(op: ArithOp, x: i64, y: i64) -> Option<i64> {
         ArithOp::Div => (y != 0 && x % y == 0).then(|| x / y),
         ArithOp::IDiv => (y != 0).then(|| x / y),
         ArithOp::Mod => (y != 0).then(|| x % y),
-    }
-}
-
-fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match expr {
-        Expr::Literal(_) | Expr::VarRef(..) | Expr::ContextItem(_) | Expr::Root(_) => {}
-        Expr::Comma(parts) => parts.iter_mut().for_each(f),
-        Expr::Range(a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::GeneralCmp(_, a, b)
-        | Expr::ValueCmp(_, a, b)
-        | Expr::NodeCmp(_, a, b)
-        | Expr::SetExpr(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b) => {
-            f(a);
-            f(b);
-        }
-        Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => f(e),
-        Expr::If(c, t, e) => {
-            f(c);
-            f(t);
-            f(e);
-        }
-        Expr::Flwor {
-            clauses,
-            where_,
-            order_by,
-            return_,
-        } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { seq, .. } => f(seq),
-                    FlworClause::Let { expr, .. } => f(expr),
-                }
-            }
-            if let Some(w) = where_ {
-                f(w);
-            }
-            for o in order_by {
-                f(&mut o.key);
-            }
-            f(return_);
-        }
-        Expr::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            for (_, e) in bindings {
-                f(e);
-            }
-            f(satisfies);
-        }
-        Expr::AxisStep { predicates, .. } => predicates.iter_mut().for_each(f),
-        Expr::Path { start, steps } => {
-            f(start);
-            for s in steps {
-                f(&mut s.expr);
-            }
-        }
-        Expr::Filter(base, predicates) => {
-            f(base);
-            predicates.iter_mut().for_each(f);
-        }
-        Expr::Call { args, .. } => args.iter_mut().for_each(f),
-        Expr::DirectElement { attrs, content, .. } => {
-            for (_, parts) in attrs {
-                for p in parts {
-                    if let AttrPart::Enclosed(e) = p {
-                        f(e);
-                    }
-                }
-            }
-            for c in content {
-                match c {
-                    ContentPart::Enclosed(e) | ContentPart::Node(e) => f(e),
-                    ContentPart::Literal(_) => {}
-                }
-            }
-        }
-        Expr::CompElement { name, content, .. } => {
-            if let ConstructorName::Computed(e) = name {
-                f(e);
-            }
-            if let Some(c) = content {
-                f(c);
-            }
-        }
-        Expr::CompAttribute { name, value, .. } => {
-            if let ConstructorName::Computed(e) = name {
-                f(e);
-            }
-            if let Some(v) = value {
-                f(v);
-            }
-        }
-        Expr::TypeSwitch {
-            operand,
-            cases,
-            default,
-            ..
-        } => {
-            f(operand);
-            for c in cases {
-                f(&mut c.body);
-            }
-            f(default);
-        }
-        Expr::TryCatch { try_, catch, .. } => {
-            f(try_);
-            f(catch);
-        }
-        Expr::InstanceOf(e, _) | Expr::CastAs(e, _, _) | Expr::CastableAs(e, _) => f(e),
     }
 }
 
