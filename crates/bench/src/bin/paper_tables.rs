@@ -8,10 +8,11 @@
 //! Every time E1–E5 print is the median, minimum and maximum of one
 //! `bench_suite::rows` registry row, measured over its declared samples.
 
+use awb::PropValue;
 use bench_suite::rows::{self, axis_bench_doc, Gate, Stats};
 use bench_suite::{call_graph, it_workload, loc, marker_loc, set_fault_rate};
 use docgen::xq::XqGenerator;
-use docgen::{native, normalized_equal, GenInputs, Template};
+use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc, Template};
 use lopsided::templates::FAULTY_DOCUMENT_LIST;
 use xmlstore::parser::ParseOptions;
 use xmlstore::QName;
@@ -386,7 +387,74 @@ fn check_obs() {
         println!("  frozen value edit: written in place, no thaw");
     }
 
+    edit_loop_probe();
     println!("  all observability counters check out (and zero out with XQ_OPT=0)");
+}
+
+/// The incremental edit loop on System Context at n=800: a `language` edit
+/// re-runs one Programs iteration and leaves one iteration's worth of
+/// detached output behind; an added program re-runs the Programs chunk,
+/// its shell and every iteration. Both documents equal a full run.
+fn edit_loop_probe() {
+    let mut w = it_workload(800, 42);
+    let template = Template::parse(lopsided::templates::SYSTEM_CONTEXT)
+        .expect("System Context template parses");
+    let programs = w.model.nodes_of_type("Program", &w.meta);
+    let mut doc = IncrementalDoc::generate(&GenInputs {
+        model: &w.model,
+        meta: &w.meta,
+        template: &template,
+    })
+    .expect("System Context generates");
+    let full_run = |w: &bench_suite::Workload, doc: &IncrementalDoc| {
+        let inputs = GenInputs {
+            model: &w.model,
+            meta: &w.meta,
+            template: &template,
+        };
+        let fresh = native::generate(&inputs).expect("full run generates");
+        assert_eq!(doc.to_xml(), fresh.to_xml(), "incremental output diverged");
+    };
+
+    let slots = doc.store.len();
+    w.model
+        .set_prop(programs[7], "language", PropValue::Str("cobol".into()));
+    let reran = doc
+        .apply_edit(
+            &GenInputs {
+                model: &w.model,
+                meta: &w.meta,
+                template: &template,
+            },
+            &EditFootprint::new(),
+        )
+        .expect("edit applies");
+    let grew = doc.store.len() - slots;
+    assert_eq!(reran, 1, "a language edit re-runs one Programs iteration");
+    assert!(grew <= 32, "a language edit left {grew} store slots behind");
+    full_run(&w, &doc);
+
+    w.model.add_node("Program", "program-added");
+    let reran = doc
+        .apply_edit(
+            &GenInputs {
+                model: &w.model,
+                meta: &w.meta,
+                template: &template,
+            },
+            &EditFootprint::new(),
+        )
+        .expect("edit applies");
+    assert!(
+        reran > programs.len() + 1,
+        "an added program re-runs the Programs chunk: {reran} units for {} programs",
+        programs.len() + 1
+    );
+    full_run(&w, &doc);
+    println!(
+        "  incremental edit loop: a language edit re-ran 1 unit and left {grew} store slots; \
+         an added program re-ran {reran} units"
+    );
 }
 
 /// Runs one query on a fresh engine with the runtime optimiser (and so the

@@ -1565,7 +1565,7 @@ fn edit_rows(rows: &mut Vec<Row>) {
         let workload = format!(
             "one-property edit, {EDIT_SECTIONS}-section handbook over the IT model, {size}"
         );
-        // Edit-to-fresh-doc: only the chunks whose recorded reads overlap
+        // Edit-to-fresh-doc: only the units whose recorded reads overlap
         // the edit re-run. Before sampling, the incrementally maintained
         // document must be byte-identical to a from-scratch run.
         rows.push(row(
@@ -1596,7 +1596,7 @@ fn edit_rows(rows: &mut Vec<Row>) {
                     let sample = t.elapsed().as_secs_f64() * 1e3;
                     assert!(
                         reran >= 1 && reran * 8 <= chunks,
-                        "the edit must dirty its own section and stay local: {reran} of {chunks} chunks re-ran"
+                        "the edit must dirty its own section and stay local: {reran} of {chunks} units re-ran"
                     );
                     sample
                 })
@@ -1624,7 +1624,8 @@ fn edit_rows(rows: &mut Vec<Row>) {
     // the System Context template, whose Deployment chunk holds the
     // server x program relation table. That table lists every program and
     // the "Who likes what" list may reach it, but both read only labels and
-    // edges: the Programs section is the one chunk the edit re-runs.
+    // edges: the edit re-runs one Programs iteration, the unit whose focus
+    // is the edited program.
     rows.push(row(
         "edit_system_context_n800",
         Layer::EndToEnd,
@@ -1661,7 +1662,7 @@ fn edit_rows(rows: &mut Vec<Row>) {
                 let sample = t.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(
                     reran, 1,
-                    "a language edit re-runs only the Programs section"
+                    "a language edit re-runs only one Programs iteration"
                 );
                 if check {
                     let fresh = native::generate(&inputs).expect("full run generates");

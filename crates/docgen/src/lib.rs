@@ -49,6 +49,9 @@ pub mod batch;
 pub mod native;
 pub mod xq;
 
+#[cfg(test)]
+mod testgen;
+
 pub use native::{EditFootprint, IncrementalDoc};
 pub use report::normalized_equal;
 pub use template::Template;

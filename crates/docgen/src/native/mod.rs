@@ -69,6 +69,7 @@ pub fn generate(inputs: &GenInputs) -> Result<NativeOutput, GenTrouble> {
         focus: None,
         path: vec!["template".to_string()],
         section_depth: 0,
+        units: None,
     };
     cx.walk_children(inputs.template.root(), root)?;
 

@@ -3,6 +3,7 @@
 //! each special-purpose generator returns `Result` and the call sites are
 //! one line each.
 
+use super::incremental::Split;
 use super::state::TocEntry;
 use super::{nodes_of_all_spec, tables, GenState};
 use crate::template::{parse_all_spec, slugify};
@@ -18,6 +19,10 @@ pub struct Walker<'a, 'b> {
     pub focus: Option<NodeRef>,
     pub path: Vec<String>,
     pub section_depth: usize,
+    /// Where incremental generation collects the iterations of each loop
+    /// the walk reaches with no focus, outside `<marker-content>`, as units
+    /// of their own. A full run sets none, and its loops run as they are.
+    pub units: Option<&'b mut Split>,
 }
 
 type Gen<T = ()> = Result<T, GenTrouble>;
@@ -256,80 +261,105 @@ impl Walker<'_, '_> {
     // ------------------------------------------------------------------
 
     fn gen_for(&mut self, el: NodeId, out_parent: NodeId) -> Gen {
-        // Either nodes="all.T", or a leading <query> child; the body is
-        // everything else.
-        let (nodes, body): (Vec<NodeRef>, Vec<NodeId>) =
-            if let Some(spec) = self.tpl().attribute_value(el, "nodes").map(str::to_string) {
-                (
-                    self.nodes_of_spec_dep(&spec)?,
-                    self.tpl().children(el).to_vec(),
-                )
-            } else {
-                let query_el = self.required_child(el, "query")?;
-                let query = Query::from_store(self.tpl(), query_el)
-                    .map_err(|e| self.trouble(format!("bad <query>: {e}")))?;
-                let nodes = self.run_query_dep(&query);
-                let body = self
-                    .tpl()
-                    .children(el)
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != query_el)
-                    .collect();
-                (nodes, body)
-            };
-
+        // Either nodes="all.T", or a leading <query> child.
+        let nodes = if let Some(spec) = self.tpl().attribute_value(el, "nodes").map(str::to_string)
+        {
+            self.nodes_of_spec_dep(&spec)?
+        } else {
+            let query_el = self.required_child(el, "query")?;
+            let query = Query::from_store(self.tpl(), query_el)
+                .map_err(|e| self.trouble(format!("bad <query>: {e}")))?;
+            self.run_query_dep(&query)
+        };
+        let body = self.for_body(el);
+        // The hook is out while a split loop or a marker definition runs,
+        // so the loops nested in them run whole.
+        if let Some(split) = self.units.take() {
+            let result = self.split_loop(split, el, nodes, &body, out_parent);
+            self.units = Some(split);
+            return result;
+        }
         for node in nodes {
-            self.state.visited.insert(node);
-            let saved = self.focus.replace(node);
-            // Generate the item into a detached holder so a failed item
-            // contributes an error note instead of half an item.
-            let holder = self
-                .out
-                .create_element("item-holder")
-                .map_err(|e| self.out_err(e))?;
-            let mut result = Ok(());
-            for &child in &body {
-                result = self.walk_node(child, holder);
-                if result.is_err() {
-                    break;
-                }
-            }
-            self.focus = saved;
-            match result {
-                Ok(()) => {
-                    for &child in &self.out.children(holder).to_vec() {
-                        self.out.detach(child);
-                        self.out
-                            .append_child(out_parent, child)
-                            .map_err(|e| self.out_err(e))?;
-                    }
-                }
-                Err(trouble) => {
-                    // "deal with E happening" — once, here, for the whole
-                    // item, instead of at every call site.
-                    self.state.trouble_count += 1;
-                    let span = self
-                        .out
-                        .create_element("span")
-                        .map_err(|e| self.out_err(e))?;
-                    self.out
-                        .set_attribute(span, "class", "gen-error")
-                        .map_err(|e| self.out_err(e))?;
-                    let text = self
-                        .out
-                        .create_text(trouble.message.clone())
-                        .map_err(|e| self.out_err(e))?;
-                    self.out
-                        .append_child(span, text)
-                        .map_err(|e| self.out_err(e))?;
-                    self.out
-                        .append_child(out_parent, span)
-                        .map_err(|e| self.out_err(e))?;
-                }
-            }
+            self.gen_iteration(node, &body, out_parent)?;
         }
         Ok(())
+    }
+
+    /// The body of a `<for>`: its children, less the `<query>` that
+    /// selects its nodes when there is no `nodes=` attribute.
+    pub(super) fn for_body(&self, el: NodeId) -> Vec<NodeId> {
+        let query = match self.tpl().attribute_value(el, "nodes") {
+            Some(_) => None,
+            None => self.tpl().child_element_named(el, "query"),
+        };
+        self.tpl()
+            .children(el)
+            .iter()
+            .copied()
+            .filter(|&c| Some(c) != query)
+            .collect()
+    }
+
+    /// One iteration of a loop: the body with `node` in focus, appended to
+    /// `out_parent`, or an error note in its place. Returns what it
+    /// appended.
+    pub(super) fn gen_iteration(
+        &mut self,
+        node: NodeRef,
+        body: &[NodeId],
+        out_parent: NodeId,
+    ) -> Gen<Vec<NodeId>> {
+        self.state.visited.insert(node);
+        let saved = self.focus.replace(node);
+        // Generate the item into a detached holder so a failed item
+        // contributes an error note instead of half an item.
+        let holder = self
+            .out
+            .create_element("item-holder")
+            .map_err(|e| self.out_err(e))?;
+        let mut result = Ok(());
+        for &child in body {
+            result = self.walk_node(child, holder);
+            if result.is_err() {
+                break;
+            }
+        }
+        self.focus = saved;
+        match result {
+            Ok(()) => {
+                let children = self.out.children(holder).to_vec();
+                for &child in &children {
+                    self.out.detach(child);
+                    self.out
+                        .append_child(out_parent, child)
+                        .map_err(|e| self.out_err(e))?;
+                }
+                Ok(children)
+            }
+            Err(trouble) => {
+                // "deal with E happening" — once, here, for the whole
+                // item, instead of at every call site.
+                self.state.trouble_count += 1;
+                let span = self
+                    .out
+                    .create_element("span")
+                    .map_err(|e| self.out_err(e))?;
+                self.out
+                    .set_attribute(span, "class", "gen-error")
+                    .map_err(|e| self.out_err(e))?;
+                let text = self
+                    .out
+                    .create_text(trouble.message.clone())
+                    .map_err(|e| self.out_err(e))?;
+                self.out
+                    .append_child(span, text)
+                    .map_err(|e| self.out_err(e))?;
+                self.out
+                    .append_child(out_parent, span)
+                    .map_err(|e| self.out_err(e))?;
+                Ok(vec![span])
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -520,7 +550,11 @@ impl Walker<'_, '_> {
             .out
             .create_element("marker-holder")
             .map_err(|e| self.out_err(e))?;
-        self.walk_children(el, holder)?;
+        // Its loops are part of the definition, not units of their own.
+        let units = self.units.take();
+        let result = self.walk_children(el, holder);
+        self.units = units;
+        result?;
         let content = self.out.children(holder).to_vec();
         self.state.replacements.push((marker, content));
         Ok(())

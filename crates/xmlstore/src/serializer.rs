@@ -2,6 +2,7 @@
 
 use crate::qname::QName;
 use crate::store::{NodeId, NodeKind, Store};
+use std::ops::Range;
 
 /// Serializer configuration.
 #[derive(Debug, Clone)]
@@ -31,6 +32,25 @@ impl SerializeOptions {
             ..Default::default()
         }
     }
+}
+
+/// Runs of sibling nodes whose place in compact output a caller wants to
+/// know (see [`Store::write_xml_runs`]).
+pub trait Runs {
+    /// How many siblings, starting at `node`, form a run: 0 when none
+    /// starts there. Runs do not nest.
+    fn starts(&mut self, node: NodeId) -> usize;
+    /// The run that started last was written to these bytes of the output.
+    fn ended(&mut self, bytes: Range<usize>);
+}
+
+/// No runs: plain serialization.
+impl Runs for () {
+    fn starts(&mut self, _: NodeId) -> usize {
+        0
+    }
+
+    fn ended(&mut self, _: Range<usize>) {}
 }
 
 /// Escapes character data (`&`, `<`, `>`, and a bare CR, which XML
@@ -88,7 +108,7 @@ impl Store {
     /// Serializes the subtree at `id`.
     pub fn serialize(&self, id: NodeId, options: &SerializeOptions) -> String {
         let mut out = String::new();
-        self.write_node(id, options, 0, &mut out);
+        self.write_node(id, options, 0, &mut out, &mut ());
         out
     }
 
@@ -100,7 +120,15 @@ impl Store {
     /// Appends the compact serialization of `id` to `out`: [`Store::to_xml`]
     /// into a buffer the caller already holds.
     pub fn write_xml(&self, id: NodeId, out: &mut String) {
-        self.write_node(id, &SerializeOptions::default(), 0, out);
+        self.write_node(id, &SerializeOptions::default(), 0, out, &mut ());
+    }
+
+    /// [`Store::write_xml`] that also reports where each run of siblings
+    /// below `id` that `runs` names went in `out`. A caller that caches the
+    /// bytes of a subtree uses it to replace a run's bytes later, when only
+    /// that run changed.
+    pub fn write_xml_runs(&self, id: NodeId, out: &mut String, runs: &mut impl Runs) {
+        self.write_node(id, &SerializeOptions::default(), 0, out, runs);
     }
 
     /// Pretty serialization of `id`.
@@ -111,9 +139,18 @@ impl Store {
     /// Iterative serialization with an explicit work stack — document depth
     /// can never overflow the call stack (the parser accepts 100k-deep
     /// trees; the serializer must print them back).
-    fn write_node(&self, id: NodeId, options: &SerializeOptions, depth: usize, out: &mut String) {
+    fn write_node(
+        &self,
+        id: NodeId,
+        options: &SerializeOptions,
+        depth: usize,
+        out: &mut String,
+        runs: &mut impl Runs,
+    ) {
         enum Task {
             Node(NodeId, usize),
+            /// The end of a run of siblings that started at this byte.
+            RunEnd(usize),
             /// Close tag of an element: id, depth, close tag on its own
             /// indented line (pretty non-mixed content).
             Close(NodeId, usize, bool),
@@ -122,7 +159,17 @@ impl Store {
         }
         let mut stack = vec![Task::Node(id, depth)];
         while let Some(task) = stack.pop() {
+            if let Task::Node(n, _) = task {
+                let k = if n == id { 0 } else { runs.starts(n) };
+                if k > 0 {
+                    // In compact output the run's other siblings are the
+                    // next k-1 tasks: its end goes beneath them.
+                    let at = stack.len() + 1 - k;
+                    stack.insert(at, Task::RunEnd(out.len()));
+                }
+            }
             match task {
+                Task::RunEnd(start) => runs.ended(start..out.len()),
                 Task::Literal(s) => out.push_str(s),
                 Task::Indent(d) => {
                     for _ in 0..d {
@@ -238,6 +285,31 @@ mod tests {
             s.to_xml(el),
             r#"<e a="x&quot;&lt;&amp;">a&lt;b&gt;&amp;c</e>"#
         );
+    }
+
+    #[test]
+    fn runs_report_where_their_siblings_went() {
+        struct Firsts(Vec<(NodeId, usize)>, Vec<Range<usize>>);
+        impl Runs for Firsts {
+            fn starts(&mut self, node: NodeId) -> usize {
+                self.0.iter().find(|(n, _)| *n == node).map_or(0, |r| r.1)
+            }
+            fn ended(&mut self, bytes: Range<usize>) {
+                self.1.push(bytes);
+            }
+        }
+        let mut s = Store::new();
+        let doc = s
+            .parse_str("<a><b/>x<c><d/></c><e/></a>", &ParseOptions::default())
+            .unwrap();
+        let a = s.children(doc)[0];
+        let kids = s.children(a).to_vec();
+        let mut runs = Firsts(vec![(kids[1], 2), (kids[3], 1)], vec![]);
+        let mut out = String::new();
+        s.write_xml_runs(a, &mut out, &mut runs);
+        assert_eq!(out, s.to_xml(a));
+        let spans: Vec<&str> = runs.1.iter().map(|r| &out[r.clone()]).collect();
+        assert_eq!(spans, ["x<c><d/></c>", "<e/>"]);
     }
 
     #[test]
