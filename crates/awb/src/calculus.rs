@@ -240,11 +240,13 @@ impl Query {
         self.run_native_traced(model, meta, &mut |_| {})
     }
 
-    /// Evaluates directly against the graph, reporting every node that
-    /// enters the pipeline at any step (start set included). The document
-    /// generator's incremental mode uses the trace as the query's read set:
-    /// a later edit to any traced node can change this query's result, an
-    /// edit to none of them (and to no relation or type it mentions) cannot.
+    /// Evaluates directly against the graph, reporting every node whose
+    /// properties a `<filter-property>` step reads. The document
+    /// generator's incremental mode uses the trace as the query's property
+    /// read set: a later property edit of a traced node can change this
+    /// query's result, one of any other node cannot. The other steps read
+    /// only relations, types and labels, which the caller records by name
+    /// (labels and types are fixed when a node is added).
     pub fn run_native_traced(
         &self,
         model: &Model,
@@ -256,9 +258,6 @@ impl Query {
             StartSet::NodeByLabel(label) => model.node_by_label(label).into_iter().collect(),
             StartSet::All => model.all_nodes().collect(),
         };
-        for &n in &current {
-            trace(n);
-        }
         for step in &self.steps {
             current = match step {
                 QueryStep::Follow {
@@ -273,9 +272,6 @@ impl Query {
                             Direction::Backward => model.follow_backward(n, relation, meta),
                         };
                         for t in reached {
-                            // Traced even when the target-type filter drops
-                            // it: the filter read the node's type.
-                            trace(t);
                             if target_type
                                 .as_deref()
                                 .is_none_or(|ty| meta.is_node_subtype(model.node_type(t), ty))
@@ -292,7 +288,10 @@ impl Query {
                     .collect(),
                 QueryStep::FilterProperty { name, equals } => current
                     .into_iter()
-                    .filter(|&n| model.prop(n, name).is_some_and(|v| v.to_text() == *equals))
+                    .filter(|&n| {
+                        trace(n);
+                        model.prop(n, name).is_some_and(|v| v.to_text() == *equals)
+                    })
                     .collect(),
                 QueryStep::Dedup => {
                     let mut seen = std::collections::HashSet::new();

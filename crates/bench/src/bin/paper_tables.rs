@@ -16,7 +16,7 @@ use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc,
 use lopsided::templates::FAULTY_DOCUMENT_LIST;
 use xmlstore::parser::ParseOptions;
 use xmlstore::QName;
-use xquery::{Engine, EngineOptions, EvalStats};
+use xquery::{Engine, EngineOptions, EvalStats, ReuseStats};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -387,8 +387,46 @@ fn check_obs() {
         println!("  frozen value edit: written in place, no thaw");
     }
 
+    let on = system_context_reuse(true);
+    assert!(
+        on.keyed_split_probes > 0 && on.memo_hits > 0,
+        "the System Context render took no keyed split probe or memo hit: {on:?}"
+    );
+    for (counter, value) in system_context_reuse(false).counters() {
+        assert_eq!(
+            value, 0,
+            "System Context: counter {counter} must be zero with runtime_opt off"
+        );
+    }
+    println!("  System Context render through XQuery: {on:?}");
+
     edit_loop_probe();
     println!("  all observability counters check out (and zero out with XQ_OPT=0)");
+}
+
+/// The reuse counters of one System Context render (n=100) through the
+/// XQuery pipeline, every phase summed, with the runtime passes on or off.
+fn system_context_reuse(runtime_opt: bool) -> ReuseStats {
+    let w = it_workload(100, 7);
+    let template = Template::parse(lopsided::templates::SYSTEM_CONTEXT)
+        .expect("System Context template parses");
+    let inputs = GenInputs {
+        model: &w.model,
+        meta: &w.meta,
+        template: &template,
+    };
+    let options = EngineOptions {
+        runtime_opt,
+        ..Default::default()
+    };
+    let out = XqGenerator::with_options(&inputs, options)
+        .and_then(|mut g| g.run())
+        .expect("System Context renders through XQuery");
+    let mut total = ReuseStats::default();
+    for phase in &out.phase_reports {
+        total.merge(&phase.reuse);
+    }
+    total
 }
 
 /// The incremental edit loop on System Context at n=800: a `language` edit

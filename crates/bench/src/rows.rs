@@ -1981,6 +1981,23 @@ mod tests {
     }
 
     #[test]
+    fn handbook_language_edit_reruns_only_its_iteration() {
+        // Each section's query filters subsystems by property, then
+        // follows to their programs: only the filter's reads are property
+        // reads, so a program's `language` edit re-runs the one iteration
+        // that renders it, not its section's shell and siblings.
+        let mut b = EditBench::new(it_workload(800, 42));
+        let mut doc = IncrementalDoc::generate(&b.inputs()).expect("handbook generates");
+        b.edit();
+        let reran = doc
+            .apply_edit(&b.inputs(), &EditFootprint::new())
+            .expect("edit applies");
+        assert_eq!(reran, 1);
+        let fresh = native::generate(&b.inputs()).expect("full run generates");
+        assert_eq!(doc.to_xml(), fresh.to_xml());
+    }
+
+    #[test]
     fn registry_names_are_unique() {
         let rows = registry();
         let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();

@@ -93,6 +93,12 @@ const ROOT_NAME: &str = "document";
 /// output store, owned by the run that generated them).
 type Defs = Vec<(String, Vec<NodeId>)>;
 
+/// The roots of marker content copied into a part's output, each with the
+/// marker it replaced. A marker defined later than another must not be
+/// applied inside the other's copies: a full run applies markers in
+/// definition order, before those copies exist.
+type Copies = Vec<(String, NodeId)>;
+
 /// One top-level template child and everything its last run produced.
 struct Chunk {
     /// The template node this chunk renders.
@@ -104,6 +110,8 @@ struct Chunk {
     own: GenState,
     /// Markers whose text the shell contained and had replaced.
     consumed: HashSet<String>,
+    /// The marker-content copies spliced into the shell.
+    copies: Copies,
     /// Its focus-free loops in walk order; their iterations are `units`.
     loops: Vec<Loop>,
     units: Vec<Unit>,
@@ -151,6 +159,8 @@ struct Unit {
     state: GenState,
     /// Markers whose text its output contained and had replaced.
     consumed: HashSet<String>,
+    /// The marker-content copies spliced into its output.
+    copies: Copies,
     /// Changes whenever its output does (a fresh stamp per change):
     /// its bytes inside its chunk's [`Shell`] hold while the stamps agree.
     stamp: u64,
@@ -174,6 +184,7 @@ impl Unit {
             out_nodes,
             state,
             consumed: HashSet::new(),
+            copies: Vec::new(),
             stamp: 0,
             xml: OnceLock::new(),
         }
@@ -757,24 +768,23 @@ impl IncrementalDoc {
         }
 
         // Markers. Re-run parts carry raw marker text and get the full
-        // replacement list; clean parts only ever need markers that did not
-        // exist before this edit (for already-defined markers their text was
-        // consumed — or proven absent — on a previous pass).
+        // replacement list. Clean parts need the markers from the first one
+        // this edit newly defined onward: an earlier marker's text was
+        // consumed — or proven absent — on a previous pass, while a later
+        // one's may sit in the new copies, where a full run replaces it.
+        // Each marker skips the copies of markers defined after it.
         let replacements = self.replacements();
-        let newly_defined: Defs = match markers_changed {
-            true => replacements
-                .iter()
-                .filter(|(m, _)| !old_marker_names.contains(m))
-                .cloned()
-                .collect(),
-            false => Vec::new(),
-        };
+        let first_new = replacements
+            .iter()
+            .position(|(m, _)| markers_changed && !old_marker_names.contains(m))
+            .unwrap_or(replacements.len());
+        let for_clean: Defs = replacements[first_new..].to_vec();
         for &(ci, u) in &rerun_units {
             self.splice_unit(ci, u, &replacements)?;
         }
         for ci in 0..self.chunks.len() {
             let whole = rerun_chunks.contains(&ci);
-            self.splice_chunk(ci, if whole { &replacements } else { &newly_defined })?;
+            self.splice_chunk(ci, if whole { &replacements } else { &for_clean })?;
         }
 
         if refill || markers_changed {
@@ -876,6 +886,7 @@ impl IncrementalDoc {
             &mut nodes,
             replacements,
             &mut c.consumed,
+            &mut c.copies,
             &units,
             &mut moved_anchor,
         )?;
@@ -900,6 +911,7 @@ impl IncrementalDoc {
             &mut unit.out_nodes,
             replacements,
             &mut unit.consumed,
+            &mut unit.copies,
             &HashSet::new(),
             &mut |_, _| {},
         )?;
@@ -954,7 +966,7 @@ impl IncrementalDoc {
         // not recorded.
         let replacements = self.replacements();
         if !replacements.is_empty() {
-            let mut sink = HashSet::new();
+            let (mut consumed, mut copies) = (HashSet::new(), Vec::new());
             let divs: Vec<NodeId> = scratch
                 .toc_placeholders
                 .iter()
@@ -967,7 +979,8 @@ impl IncrementalDoc {
                     &mut self.store,
                     &mut nodes,
                     &replacements,
-                    &mut sink,
+                    &mut consumed,
+                    &mut copies,
                     &HashSet::new(),
                     &mut |_, _| {},
                 )?;
@@ -1054,6 +1067,7 @@ fn run_chunk(
         len: out_nodes.len(),
         own,
         consumed: HashSet::new(),
+        copies: Vec::new(),
         loops: split.loops,
         units: split.units,
         xml: OnceLock::new(),
@@ -1146,20 +1160,37 @@ fn find_text_outside(
 /// Applies marker replacements to one part's output, a run of siblings,
 /// in definition order — the same per-marker scan-splice loop a full run
 /// applies to the whole document, restricted to these subtrees less the
-/// ones rooted at `skip`. When a top-level text node splits, the spliced
-/// copies and the tail become new output nodes of the part (they sit between
-/// its other nodes under the same parent). `split(text, tail)` hears of every
-/// split. Returns whether anything was spliced.
+/// ones rooted at `skip`, and for each marker less the part's `copies` of
+/// markers after it in `replacements` (a tail of the definition order).
+/// Every copy spliced is added to `copies`. When a top-level text node
+/// splits, the spliced copies and the tail become new output nodes of the
+/// part (they sit between its other nodes under the same parent).
+/// `split(text, tail)` hears of every split. Returns whether anything was
+/// spliced.
 fn splice_markers(
     store: &mut Store,
     out_nodes: &mut Vec<NodeId>,
     replacements: &Defs,
     consumed: &mut HashSet<String>,
+    copies: &mut Copies,
     skip: &HashSet<NodeId>,
     split: &mut dyn FnMut(NodeId, NodeId),
 ) -> Result<bool, GenTrouble> {
     let mut spliced = false;
-    for (marker, content) in replacements {
+    for (j, (marker, content)) in replacements.iter().enumerate() {
+        let later = &replacements[j + 1..];
+        let later_copies: Vec<NodeId> = copies
+            .iter()
+            .filter(|(m, _)| later.iter().any(|(l, _)| l == m))
+            .map(|&(_, root)| root)
+            .collect();
+        let with_later: HashSet<NodeId>;
+        let skip = if later_copies.is_empty() {
+            skip
+        } else {
+            with_later = skip.iter().copied().chain(later_copies).collect();
+            &with_later
+        };
         let mut guard = 0usize;
         let mut i = 0usize;
         while i < out_nodes.len() {
@@ -1188,21 +1219,22 @@ fn splice_markers(
                 .map_err(internal)?;
             let parent = store.parent(tail).expect("tail has a parent");
             let tail_pos = position(store, parent, tail);
-            let mut copies = Vec::with_capacity(content.len());
+            let mut spliced_copies = Vec::with_capacity(content.len());
             for (k, &n) in content.iter().enumerate() {
                 let copy = store.deep_copy(n).map_err(internal)?;
                 store
                     .insert_child(parent, tail_pos + k, copy)
                     .map_err(internal)?;
-                copies.push(copy);
+                spliced_copies.push(copy);
             }
+            copies.extend(spliced_copies.iter().map(|&c| (marker.clone(), c)));
             if text_node == node {
                 // Top-level split: head keeps out_nodes[i]; copies and tail
                 // join the part's output right after it. The head no longer
                 // contains the marker, so advance past it; the copies and
                 // tail are scanned in their own right.
                 let mut insert_at = i + 1;
-                for c in copies {
+                for c in spliced_copies {
                     out_nodes.insert(insert_at, c);
                     insert_at += 1;
                 }
@@ -1557,6 +1589,48 @@ mod tests {
         doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert!(doc.to_xml().contains("Banner: XBANNERX."));
         assert_matches_full(&doc, &template, &m, &meta);
+    }
+
+    #[test]
+    fn newly_defined_marker_keeps_definition_order() {
+        let meta = meta();
+        // MA is defined first, and only once a program has a banner. MB's
+        // content holds MA's text: a full run applies MA before MB's copy
+        // exists, so the copy keeps the text. MC is defined after MA and
+        // its text sits in MA's content: a full run replaces it in MA's
+        // copy.
+        for (template, expected) in [
+            (
+                r#"<template><for nodes="all.Program"><if><test><has-property name="banner"/></test><then><marker-content marker="MA"><b>A</b></marker-content></then></if></for><marker-content marker="MB"><i>MA</i></marker-content><p>MB</p></template>"#,
+                "<p><i>MA</i></p>",
+            ),
+            (
+                r#"<template><for nodes="all.Program"><if><test><has-property name="banner"/></test><then><marker-content marker="MA"><b>MC</b></marker-content></then></if></for><marker-content marker="MC"><u>C</u></marker-content><p>MA</p></template>"#,
+                "<p><b><u>C</u></b></p>",
+            ),
+        ] {
+            let mut m = tiny_model();
+            let template = Template::parse(template).unwrap();
+            let mut doc = IncrementalDoc::generate(&GenInputs {
+                model: &m,
+                meta: &meta,
+                template: &template,
+            })
+            .unwrap();
+            let p = m.node_by_label("compiler").unwrap();
+            m.set_prop(p, "banner", PropValue::Str("yes".into()));
+            doc.apply_edit(
+                &GenInputs {
+                    model: &m,
+                    meta: &meta,
+                    template: &template,
+                },
+                &EditFootprint::new(),
+            )
+            .unwrap();
+            assert!(doc.to_xml().contains(expected), "{}", doc.to_xml());
+            assert_matches_full(&doc, &template, &m, &meta);
+        }
     }
 
     #[test]

@@ -202,14 +202,13 @@ impl Walker<'_, '_> {
     }
 
     /// Runs a calculus query, folding everything it read into the chunk's
-    /// read set: the types and relations it names structurally, plus every
-    /// node the evaluator visited when a `<filter-property>` step read their
-    /// properties. Without one the query reads only edges of the relations
-    /// it follows (an edge change touches its relation), labels and types
-    /// (fixed at `add_node`), so its visits record nothing.
+    /// read set: the types and relations it names structurally, plus the
+    /// nodes whose properties a `<filter-property>` step read. Its other
+    /// steps read only edges of the relations it follows (an edge change
+    /// touches its relation), labels and types (fixed at `add_node`), so
+    /// the nodes they visit record nothing.
     fn run_query_dep(&mut self, query: &Query) -> Vec<NodeRef> {
         let deps = &mut self.state.deps;
-        let mut reads_properties = false;
         match &query.start {
             StartSet::AllOfType(ty) => {
                 deps.types.insert(ty.clone());
@@ -232,14 +231,10 @@ impl Walker<'_, '_> {
                 QueryStep::FilterType(ty) => {
                     deps.types.insert(ty.clone());
                 }
-                QueryStep::FilterProperty { .. } => reads_properties = true,
-                QueryStep::Dedup | QueryStep::SortByLabel => {}
+                QueryStep::FilterProperty { .. } | QueryStep::Dedup | QueryStep::SortByLabel => {}
             }
         }
         let inputs = self.inputs;
-        if !reads_properties {
-            return query.run_native(inputs.model, inputs.meta);
-        }
         query.run_native_traced(inputs.model, inputs.meta, &mut |n| {
             deps.nodes.insert(n);
         })

@@ -81,11 +81,13 @@ mod tests {
                 name: "generate",
                 wall_ns: 2_000_000,
                 stats,
+                reuse: Default::default(),
             },
             PhaseReport {
                 name: "strip",
                 wall_ns: 1_000_000,
                 stats: Default::default(),
+                reuse: Default::default(),
             },
         ];
         let text = render_phase_reports(&reports);

@@ -11,7 +11,9 @@
 use crate::trouble::GenTrouble;
 use crate::GenInputs;
 use xmlstore::NodeId;
-use xquery::{CompiledQuery, Engine, EvalStats, Item, TraceEvent, TraceSink};
+use xquery::{
+    CompiledQuery, Engine, EngineOptions, EvalStats, Item, ReuseStats, TraceEvent, TraceSink,
+};
 
 /// Phase-1 source: the generator proper.
 pub const GEN_XQ: &str = include_str!("gen.xq");
@@ -80,6 +82,8 @@ pub struct PhaseReport {
     pub wall_ns: u64,
     /// The engine's counters for exactly this phase's query.
     pub stats: EvalStats,
+    /// The engine's reuse counters (keyed split probes, memo hits) for it.
+    pub reuse: ReuseStats,
 }
 
 /// The result of an XQuery-pipeline run.
@@ -143,7 +147,22 @@ impl XqGenerator {
         generator_source: &str,
         phases: &[Phase],
     ) -> Result<Self, GenTrouble> {
-        let engine = XqGenerator::engine_for(inputs)?;
+        XqGenerator::build(inputs, EngineOptions::default(), generator_source, phases)
+    }
+
+    /// Prepares the standard pipeline on an engine with `options` — the
+    /// runtime passes on or off, say, whatever `XQ_OPT` holds.
+    pub fn with_options(inputs: &GenInputs, options: EngineOptions) -> Result<Self, GenTrouble> {
+        XqGenerator::build(inputs, options, GEN_XQ, &Phase::ALL)
+    }
+
+    fn build(
+        inputs: &GenInputs,
+        options: EngineOptions,
+        generator_source: &str,
+        phases: &[Phase],
+    ) -> Result<Self, GenTrouble> {
+        let engine = XqGenerator::engine_for(inputs, options)?;
         let gen_query = engine
             .compile(generator_source)
             .map_err(|e| GenTrouble::new(format!("the generator source failed to compile: {e}")))?;
@@ -170,7 +189,7 @@ impl XqGenerator {
         inputs: &GenInputs,
         pipeline: &crate::batch::CompiledPipeline,
     ) -> Result<Self, GenTrouble> {
-        let engine = XqGenerator::engine_for(inputs)?;
+        let engine = XqGenerator::engine_for(inputs, EngineOptions::default())?;
         Ok(XqGenerator {
             engine,
             gen_query: pipeline.generator.clone(),
@@ -180,8 +199,8 @@ impl XqGenerator {
 
     /// A fresh engine with the model, metamodel, and template loaded and
     /// registered under the URIs the pipeline sources expect.
-    fn engine_for(inputs: &GenInputs) -> Result<Engine, GenTrouble> {
-        let mut engine = Engine::new();
+    fn engine_for(inputs: &GenInputs, options: EngineOptions) -> Result<Engine, GenTrouble> {
+        let mut engine = Engine::with_options(options);
         let model_doc = awb::xmlio::export_to_store(inputs.model, engine.store_mut());
         engine.register_document("awb-model", model_doc);
         let meta_doc = awb::xmlio::export_metamodel_to_store(inputs.meta, engine.store_mut());
@@ -244,6 +263,7 @@ impl XqGenerator {
             name,
             wall_ns,
             stats,
+            reuse: *self.engine.last_reuse_stats(),
         });
         self.engine.emit_trace(TraceEvent {
             label: "docgen-phase".to_string(),
@@ -625,29 +645,32 @@ mod tests {
         // their per-tuple predicates. The runtime pass splits each of the
         // three steps there and hoists the invariant prefix out of its
         // loop — three hoists on top of the one the generator had before
-        // pure calls were cacheable. Every shipped program's plan is pinned
-        // exactly, so no rewrite of either pass can move a hoist, a split,
-        // a join or a streamed binding unnoticed.
+        // pure calls were cacheable — and keys each split on its first
+        // per-tuple `string(@…) = …` test. Every shipped program's plan is
+        // pinned exactly, so no rewrite of either pass can move a hoist, a
+        // split, a key, a join or a streamed binding unnoticed.
         use xquery::lopt::PlanStats;
         use xquery::optimizer::OptimizerStats;
         let engine = Engine::with_options(xquery::EngineOptions {
             runtime_opt: true,
             ..Default::default()
         });
-        let plan = |hoisted_invariant, split_prefixes, streamable_bindings| PlanStats {
-            hoisted_invariant,
-            split_prefixes,
-            cached_per_tuple: 0,
-            hash_joins: 0,
-            streamable_bindings,
-        };
+        let plan =
+            |hoisted_invariant, split_prefixes, keyed_splits, streamable_bindings| PlanStats {
+                hoisted_invariant,
+                split_prefixes,
+                keyed_splits,
+                cached_per_tuple: 0,
+                hash_joins: 0,
+                streamable_bindings,
+            };
         for (name, source, expected) in [
-            ("gen", GEN_XQ, plan(4, 3, 0)),
-            ("gen_tc", GEN_TC_XQ, plan(4, 3, 2)),
-            ("omissions", OMISSIONS_XQ, plan(0, 0, 2)),
-            ("toc", TOC_XQ, plan(0, 0, 2)),
-            ("markers", MARKERS_XQ, plan(0, 0, 1)),
-            ("strip", STRIP_XQ, plan(0, 0, 1)),
+            ("gen", GEN_XQ, plan(4, 3, 3, 0)),
+            ("gen_tc", GEN_TC_XQ, plan(4, 3, 3, 2)),
+            ("omissions", OMISSIONS_XQ, plan(0, 0, 0, 2)),
+            ("toc", TOC_XQ, plan(0, 0, 0, 2)),
+            ("markers", MARKERS_XQ, plan(0, 0, 0, 1)),
+            ("strip", STRIP_XQ, plan(0, 0, 0, 1)),
         ] {
             let q = engine.compile(source).unwrap();
             assert_eq!(q.plan_stats, expected, "{name}");

@@ -1,20 +1,19 @@
 //! The workspace-wide string interner.
 //!
-//! Every QName component (and, downstream, every string literal the XQuery
-//! lowering pass sees) is interned into a process-global table and handled
-//! as a [`Sym`] — a `u32` index. Name comparisons across the whole stack
-//! (path steps, attribute lookups, compiled-expression cache keys) become
-//! integer compares, and resolution back to text is a single slice index.
+//! Every QName component is interned into a process-global table and
+//! handled as a [`Sym`] — a `u32` index. Name comparisons across the whole
+//! stack (path steps, attribute lookups, compiled-expression cache keys)
+//! become integer compares, and resolution back to text is a single slice
+//! index.
 //!
-//! Interned strings are leaked: the table only ever holds names from query
-//! sources, stylesheets, and document vocabularies, all of which are small
-//! and long-lived relative to the process. [`Sym::as_arc`] additionally
-//! memoizes an `Arc<str>` per symbol so runtime values (`Atomic::Str`) can
-//! share one allocation per distinct literal.
+//! Interned strings are leaked: the table holds names from query sources,
+//! stylesheets, and document vocabularies. String *literals* are not
+//! interned — a lowered query owns its literals and frees them with the
+//! plan — so a stream of distinct literals does not grow the table.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned string. Equality, ordering-by-id, and hashing are integer
 /// operations; `as_str` resolves back to the text.
@@ -24,8 +23,6 @@ pub struct Sym(u32);
 struct Interner {
     lookup: HashMap<&'static str, u32>,
     strings: Vec<&'static str>,
-    /// Lazily built `Arc<str>` per symbol, shared by all `as_arc` callers.
-    arcs: Vec<Option<Arc<str>>>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -34,9 +31,13 @@ fn interner() -> &'static RwLock<Interner> {
         RwLock::new(Interner {
             lookup: HashMap::new(),
             strings: Vec::new(),
-            arcs: Vec::new(),
         })
     })
+}
+
+/// How many distinct strings the process has interned so far.
+pub fn interned_count() -> usize {
+    interner().read().expect("interner poisoned").strings.len()
 }
 
 /// Interns `s`, returning its stable symbol. Idempotent: the same text
@@ -55,7 +56,6 @@ pub fn intern(s: &str) -> Sym {
     let id = u32::try_from(table.strings.len()).expect("interner exceeded u32 symbols");
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     table.strings.push(leaked);
-    table.arcs.push(None);
     table.lookup.insert(leaked, id);
     Sym(id)
 }
@@ -64,23 +64,6 @@ impl Sym {
     /// The interned text. `'static` because the table never frees entries.
     pub fn as_str(self) -> &'static str {
         interner().read().expect("interner poisoned").strings[self.0 as usize]
-    }
-
-    /// A shared `Arc<str>` of the interned text. All callers for a given
-    /// symbol receive clones of one allocation.
-    pub fn as_arc(self) -> Arc<str> {
-        {
-            let table = interner().read().expect("interner poisoned");
-            if let Some(arc) = &table.arcs[self.0 as usize] {
-                return Arc::clone(arc);
-            }
-        }
-        let mut table = interner().write().expect("interner poisoned");
-        if table.arcs[self.0 as usize].is_none() {
-            let arc: Arc<str> = Arc::from(table.strings[self.0 as usize]);
-            table.arcs[self.0 as usize] = Some(arc);
-        }
-        Arc::clone(table.arcs[self.0 as usize].as_ref().expect("just set"))
     }
 
     /// Raw table index, usable as a dense key.
@@ -143,15 +126,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "book");
-    }
-
-    #[test]
-    fn arcs_are_shared() {
-        let s = intern("shared-arc-test");
-        let a1 = s.as_arc();
-        let a2 = s.as_arc();
-        assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(&*a1, "shared-arc-test");
     }
 
     #[test]

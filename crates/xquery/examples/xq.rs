@@ -117,8 +117,9 @@ fn main() -> ExitCode {
             }
             if show_stats {
                 let s = engine.last_stats();
+                let r = engine.last_reuse_stats();
                 eprintln!(
-                    "runtime: {} index hit(s)/{} miss(es), {} join build(s)/{} probe(s)/{} fallback(s), {} cache hit(s)/{} reset(s), {} streamed, {} item(s), {} µs queued + {} µs on worker",
+                    "runtime: {} index hit(s)/{} miss(es), {} join build(s)/{} probe(s)/{} fallback(s), {} cache hit(s)/{} reset(s), {} keyed split probe(s), {} memo hit(s), {} streamed, {} item(s), {} µs queued + {} µs on worker",
                     s.index_hits,
                     s.index_misses,
                     s.join_builds,
@@ -126,6 +127,8 @@ fn main() -> ExitCode {
                     s.join_fallbacks,
                     s.cache_hits,
                     s.cache_resets,
+                    r.keyed_split_probes,
+                    r.memo_hits,
                     s.streamed_existence,
                     s.items_allocated,
                     s.queue_wait_ns / 1_000,

@@ -8,6 +8,7 @@
 //! output — under both standard and Galax-quirks options.
 
 use crate::engine::{Engine, EngineOptions};
+use crate::value::{Item, Sequence};
 use proptest::prelude::*;
 use xmlstore::NodeId;
 
@@ -1326,7 +1327,7 @@ fn corpus_cases() -> Vec<(Option<&'static str>, String)> {
             cases.push((Some(doc), src.to_string()));
         }
     }
-    for (body, _) in PURE_CORPUS {
+    for (body, ..) in PURE_CORPUS {
         cases.push((Some(PURE_DOC), pure_source(body)));
     }
     cases
@@ -1981,16 +1982,19 @@ const PURE_PROLOG: &str = "declare variable $m := /m; \
            return if ($p = '') then false() else local:sub($p, $sup) }; \
     declare function local:w($s) { $s cast as xs:integer }; \
     declare function local:mk($s) { <w k='{$s}'><x/><y/></w> }; \
-    declare function local:seen($s) { trace('seen', $s) }; ";
+    declare function local:seen($s) { trace('seen', $s) }; \
+    declare function local:kids($e) { count($e/*) }; \
+    declare function local:self($e) { $e }; ";
 
 /// Each case with the plan the runtime passes must make of it: how many
 /// steps are split at an invariant prefix.
-const PURE_CORPUS: &[(&str, usize)] = &[
+const PURE_CORPUS: &[(&str, usize, usize)] = &[
     // A recursive pure function as the first predicate inside nested
     // `for`s: the prefix hoists out of both loops.
     (
         "for $a in $m/node for $b in $m/node \
          return count($m/g/rel[local:sub(string(@type), 'uses')][@src = $a/@id][@dst = $b/@id])",
+        1,
         1,
     ),
     // Nested `for`s: the outer loop's variable in the middle predicate
@@ -1999,11 +2003,13 @@ const PURE_CORPUS: &[(&str, usize)] = &[
         "for $a in $m/node return for $b in $m/node \
          return count($m/g/rel[local:sub(string(@type), 'uses')][@src = $a/@id][@dst = $b/@id])",
         1,
+        1,
     ),
     // The same prefix whole, as a `for` binding, beside its split twin.
     (
         "for $a in $m/node return ($a/@id/string(), \
            for $r in $m/g/rel[local:sub(string(@type), 'calls')][@src = $a/@id] return string($r/@dst))",
+        1,
         1,
     ),
     // A constructing function is impure: each call makes a fresh node, so
@@ -2013,9 +2019,11 @@ const PURE_CORPUS: &[(&str, usize)] = &[
          return (local:mk('a') is local:mk('a'), count(local:mk('a') | local:mk('a')), \
                  try { local:mk($i)/x << local:mk($i)/y } catch { 'two trees' })",
         0,
+        0,
     ),
     (
         "for $a in $m/node return count($m/g/rel[local:mk(@type) instance of element(w)][@src = $a/@id])",
+        0,
         0,
     ),
     // A function that calls trace is impure: the events fire per call, in
@@ -2023,9 +2031,11 @@ const PURE_CORPUS: &[(&str, usize)] = &[
     (
         "for $i in (1, 2) return count($m/node[local:seen(string(@id)) != ''][$i = 1])",
         0,
+        0,
     ),
     (
         "for $a in $m/node return count($m/g/rel[local:sub(string(@type), 'uses')][local:seen(@src) = $a/@id])",
+        0,
         0,
     ),
     // Positional suffixes are per context node: never split.
@@ -2033,25 +2043,30 @@ const PURE_CORPUS: &[(&str, usize)] = &[
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v != $i][2] \
          return string($r/@dst)",
         0,
+        0,
     ),
     (
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v != $i][last()] \
          return string($r/@dst)",
+        0,
         0,
     ),
     (
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][$i] \
          return string($r/@dst)",
         0,
+        0,
     ),
     (
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][position() = $i] \
          return string($r/@dst)",
         0,
+        0,
     ),
     (
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v > $i][position() < 2] \
          return string($r/@dst)",
+        0,
         0,
     ),
     // The same shape with a boolean suffix splits.
@@ -2059,6 +2074,7 @@ const PURE_CORPUS: &[(&str, usize)] = &[
         "for $i in (1, 2) for $r in $m/g/rel[local:sub(string(@type), 'uses')][@v > $i] \
          return string($r/@dst)",
         1,
+        0,
     ),
     // The prefix raises on a node of the second group while the suffix
     // raises on a node of the first: the unsplit program reports the
@@ -2066,10 +2082,12 @@ const PURE_CORPUS: &[(&str, usize)] = &[
     (
         "for $i in (1, 2) return count($m/g/rel[local:w(string(@w)) > 0][(string(@v) cast as xs:integer) > $i])",
         1,
+        0,
     ),
     // Only the prefix raises: its own error, every time.
     (
         "for $i in (1, 2) return count($m/g/rel[local:w(string(@w)) > 0][@src = $i])",
+        1,
         1,
     ),
     // A hoisted cell whose first read raises inside try/catch: never
@@ -2077,6 +2095,7 @@ const PURE_CORPUS: &[(&str, usize)] = &[
     (
         "for $i in (1, 2, 3) return try { count($m/g/rel[local:w(string(@w)) > 0][@src != $i]) } catch { 'caught' }",
         1,
+        0,
     ),
     // The hash join now admits pure calls; a key that raises on a later
     // item must not pre-empt the trace the scan's earlier match fires.
@@ -2084,9 +2103,82 @@ const PURE_CORPUS: &[(&str, usize)] = &[
         "for $n in ('q') for $r in reverse($m/node) where string($r/val) = $n \
          return trace('hit', string($r/@id))",
         0,
+        0,
+    ),
+    // Keyed splits: the key attribute is missing on every node, so
+    // `string(@nope)` is "" for each while `@nope` has no atom at all.
+    (
+        "for $s in ('', 'a') return (count($m/g/rel[local:sub(string(@type), 'uses')][string(@nope) = $s]), \
+           count($m/g/rel[local:sub(string(@type), 'uses')][@nope = $s]))",
+        2,
+        2,
+    ),
+    // Numeric and boolean comparands: a probe or key atom outside the
+    // string family, so every read filters generically.
+    (
+        "for $i in (1, 4) return (count($m/g/rel[local:sub(string(@type), 'uses')][@w = $i]), \
+           count($m/g/rel[local:sub(string(@type), 'uses')][number(@v) = $i]), \
+           count($m/g/rel[local:sub(string(@type), 'uses')][boolean(@v = '5') = ($i = 1)]))",
+        3,
+        3,
+    ),
+    // Untyped against string, both ways round: both in the string family.
+    (
+        "for $a in $m/node return (count($m/g/rel[local:sub(string(@type), 'uses')][@src = string($a/@id)]), \
+           count($m/g/rel[local:sub(string(@type), 'uses')][string(@dst) = $a/@id]))",
+        2,
+        2,
+    ),
+    // An empty prefix never evaluates the comparand, which would raise;
+    // a non-empty one raises it, and the unsplit path reports it.
+    (
+        "for $s in ('x', 'y') return count($m/g/rel[local:sub(string(@type), 'none')][string(@src) = local:w($s)])",
+        1,
+        1,
+    ),
+    (
+        "for $s in ('x', 'y') return count($m/g/rel[local:sub(string(@type), 'uses')][string(@src) = local:w($s)])",
+        1,
+        1,
+    ),
+    // Duplicate key attributes (kept by the Galax quirks, an error
+    // elsewhere): `@k` has two atoms, and `string(@k)` raises while the
+    // table is built, so the reads filter generically and raise in order.
+    (
+        "let $d := <r><a k='x'>{attribute k {'y'}}</a><a k='y'/></r> \
+         return for $s in ('x', 'y') return count($d/a[exists(@k)][@k = $s])",
+        1,
+        1,
+    ),
+    (
+        "let $d := <r><a k='x'>{attribute k {'y'}}</a><a k='y'/></r> \
+         return for $s in ('x', 'y') return count($d/a[exists(@k)][string(@k) = $s])",
+        1,
+        1,
+    ),
+    // The fused attribute probe with a `string(X)` comparand: answered
+    // from the index, or raising `XPTY0004` on several items just as the
+    // first candidate's predicate would.
+    (
+        "for $r in $m/g/rel return string($m/node[@id = string($r/@dst)]/@kind)",
+        0,
+        0,
+    ),
+    (
+        "for $g in $m/g return count($m/node[@id = string($g/rel/@src)])",
+        0,
+        0,
+    ),
+    // Pure functions over constructed nodes: each construction is a new
+    // node, so a memoized call keyed on the first never answers another.
+    (
+        "for $i in (1, 2) let $x := <a><b/>{ for $j in 1 to $i return <b/> }</a> \
+         return (local:kids($x), local:kids(<a><b/></a>), local:self($x) is $x, \
+                 local:self(<a/>) is local:self(<a/>), local:kids(local:mk($i)), local:kids($x))",
+        0,
+        0,
     ),
 ];
-
 fn pure_source(body: &str) -> String {
     format!("{PURE_PROLOG}{body}")
 }
@@ -2097,10 +2189,15 @@ fn pure_corpus_splits_only_where_safe() {
         runtime_opt: true,
         ..Default::default()
     });
-    for (body, splits) in PURE_CORPUS {
+    for (body, splits, keyed) in PURE_CORPUS {
         let q = e.compile(&pure_source(body)).unwrap();
         assert_eq!(
             q.plan_stats.split_prefixes, *splits,
+            "{body}: {:?}",
+            q.plan_stats
+        );
+        assert_eq!(
+            q.plan_stats.keyed_splits, *keyed,
             "{body}: {:?}",
             q.plan_stats
         );
@@ -2109,9 +2206,9 @@ fn pure_corpus_splits_only_where_safe() {
         }
     }
     // The constructing call is never cached, anywhere in its query.
-    let (mk, _) = PURE_CORPUS
+    let (mk, ..) = PURE_CORPUS
         .iter()
-        .find(|(body, _)| body.contains("local:mk('a') is"))
+        .find(|(body, ..)| body.contains("local:mk('a') is"))
         .unwrap();
     let q = e.compile(&pure_source(mk)).unwrap();
     let plan = e.explain(&q);
@@ -2138,7 +2235,7 @@ fn pure_corpus_trace_events_keep_their_positions() {
             ..Default::default()
         });
         let doc = e.load_document(PURE_DOC).unwrap();
-        for (body, _) in PURE_CORPUS {
+        for (body, ..) in PURE_CORPUS {
             let q = e.compile(&pure_source(body)).unwrap();
             let _ = e.evaluate(&q, Some(doc));
             let lowered = e.take_trace_events();
@@ -2150,4 +2247,77 @@ fn pure_corpus_trace_events_keep_their_positions() {
     let (on, off) = runs.split_at(PURE_CORPUS.len());
     assert_eq!(on, off);
     assert!(on.iter().any(|events| !events.is_empty()));
+}
+
+// ---------------------------------------------------------------------
+// The per-evaluation memo of pure calls
+// ---------------------------------------------------------------------
+
+/// A counting recursion and a wrapper that makes the same call `k` levels
+/// deeper. With `recursion_limit` 40, `local:d(30)` nests 30 levels below
+/// its caller, so it succeeds from depth 9 and fails from depth 10.
+const DEPTH_PROLOG: &str = "declare function local:d($n) { if ($n = 0) then 0 else 1 + local:d($n - 1) }; \
+    declare function local:wrap($k, $n) { if ($k = 0) then local:d($n) else local:wrap($k - 1, $n) }; ";
+
+#[test]
+fn memo_never_answers_a_call_that_would_reach_the_recursion_limit() {
+    // Each case calls `local:d(30)` shallow first, so the memo holds it,
+    // then again from deeper: one level short of the limit (a hit), at
+    // the limit, and far past it (each must fail exactly as unmemoized).
+    let cases = [
+        ("(local:d(30), local:wrap(8, 30))", true),
+        ("(local:d(30), local:wrap(9, 30))", false),
+        ("(local:d(30), local:wrap(15, 30))", false),
+        ("(local:wrap(15, 30), local:d(30))", false),
+    ];
+    for (name, options) in engine_configs() {
+        let options = EngineOptions {
+            recursion_limit: 40,
+            ..options
+        };
+        let mut e = Engine::with_options(options.clone());
+        for (body, succeeds) in cases {
+            let src = format!("{DEPTH_PROLOG}{body}");
+            let outcome =
+                assert_equivalent(&mut e, &src, None).unwrap_or_else(|m| panic!("{name}: {m}"));
+            assert_eq!(
+                outcome.starts_with("ok"),
+                succeeds,
+                "{name}: {body}: {outcome}"
+            );
+            let q = e.compile(&src).unwrap();
+            let _ = e.evaluate(&q, None);
+            let hits = e.last_reuse_stats().memo_hits;
+            if options.runtime_opt && succeeds {
+                assert!(hits > 0, "{name}: {body}: the shallow call was not reused");
+            }
+            if !options.runtime_opt {
+                assert_eq!(hits, 0, "{name}: {body}");
+            }
+        }
+    }
+}
+
+#[test]
+fn memo_starts_afresh_for_each_global_initializer_and_the_body() {
+    // `$early` calls `local:g()` while `$g` is still the external binding;
+    // the body calls it after the declaration overrode it.
+    let src = "declare variable $early := local:g(); \
+        declare variable $g := 5; \
+        declare function local:g() { $g }; \
+        ($early, local:g(), local:g())";
+    for (name, options) in engine_configs() {
+        let mut e = Engine::with_options(options.clone());
+        e.bind("g", Sequence::singleton(Item::integer(1)));
+        let outcome =
+            assert_equivalent(&mut e, src, None).unwrap_or_else(|m| panic!("{name}: {m}"));
+        assert_eq!(outcome, "ok: 1 5 5", "{name}");
+        let q = e.compile(src).unwrap();
+        e.evaluate(&q, None).unwrap();
+        assert_eq!(
+            e.last_reuse_stats().memo_hits,
+            u64::from(options.runtime_opt),
+            "{name}: only the body's second call is a hit"
+        );
+    }
 }

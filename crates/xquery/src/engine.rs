@@ -6,10 +6,10 @@ use crate::error::{Error, Result};
 use crate::eval::{eval, EvalEnv};
 use crate::functions::display_sequence;
 use crate::lower::{lower_module, Program};
-use crate::obs::{EvalStats, PoolTiming, TraceEvent, TraceSink};
+use crate::obs::{EvalStats, PoolTiming, ReuseStats, TraceEvent, TraceSink};
 use crate::optimizer::{optimize_module, OptimizerOptions, OptimizerStats};
 use crate::parser::parse_module;
-use crate::run::{run, Frame, RunEnv};
+use crate::run::{run, Frame, Memo, RunEnv};
 use crate::value::{Item, Sequence};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex};
@@ -432,6 +432,9 @@ pub struct Engine {
     /// [`Engine::last_stats`]). Updated even when the evaluation errored —
     /// the counters up to the failure are often the diagnostic.
     last_stats: EvalStats,
+    /// The reuse counters of the same evaluation (see
+    /// [`Engine::last_reuse_stats`]).
+    last_reuse: ReuseStats,
     pool: Arc<StackPool>,
 }
 
@@ -490,6 +493,7 @@ impl Engine {
             trace_events: Vec::new(),
             extra_sink: None,
             last_stats: EvalStats::default(),
+            last_reuse: ReuseStats::default(),
             pool,
         }
     }
@@ -687,11 +691,14 @@ impl Engine {
         // (per-tenant aggregators read `last_stats` after every call,
         // including failed ones).
         self.last_stats = EvalStats::default();
+        self.last_reuse = ReuseStats::default();
         let mut stats = EvalStats::default();
-        let result = self.evaluate_with_stats(query, focus, &mut stats);
+        let mut reuse = ReuseStats::default();
+        let result = self.evaluate_with_stats(query, focus, &mut stats, &mut reuse);
         // Publish even on error: the counters up to the failure point are
         // part of the diagnostic story.
         self.last_stats = stats;
+        self.last_reuse = reuse;
         result
     }
 
@@ -700,6 +707,7 @@ impl Engine {
         query: &CompiledQuery,
         focus: Option<Focus>,
         stats: &mut EvalStats,
+        reuse: &mut ReuseStats,
     ) -> Result<Sequence> {
         let program: &Program = &query.program;
         let mut sink = EngineSink {
@@ -727,7 +735,9 @@ impl Engine {
                     globals: &globals,
                     trace: &mut sink,
                     stats: &mut *stats,
+                    reuse: &mut *reuse,
                     depth: 0,
+                    memo: Memo::default(),
                 };
                 let mut frame = Frame::new(decl.frame);
                 run(&decl.expr, &mut env, &mut frame, &mut ctx)?
@@ -750,7 +760,9 @@ impl Engine {
             globals: &globals,
             trace: &mut sink,
             stats,
+            reuse,
             depth: 0,
+            memo: Memo::default(),
         };
         let mut frame = Frame::new(program.body_frame);
         run(&program.body, &mut env, &mut frame, &mut ctx)
@@ -766,6 +778,7 @@ impl Engine {
         // `last_stats` would double-count them in any aggregator that reads
         // stats after every call.
         self.last_stats = EvalStats::default();
+        self.last_reuse = ReuseStats::default();
         let mut statics = StaticContext::default();
         for f in &query.module.functions {
             statics.declare(f.clone())?;
@@ -879,6 +892,12 @@ impl Engine {
     /// this engine. Written even when the evaluation returned an error.
     pub fn last_stats(&self) -> &EvalStats {
         &self.last_stats
+    }
+
+    /// The reuse counters (keyed split probes, memo hits) of the same
+    /// evaluation as [`Engine::last_stats`].
+    pub fn last_reuse_stats(&self) -> &ReuseStats {
+        &self.last_reuse
     }
 
     /// Renders the lowered-and-optimised plan for `query` as an annotated

@@ -50,7 +50,7 @@ pub mod value;
 
 pub use engine::{CompiledQuery, DupAttrPolicy, Engine, EngineOptions, StackPool};
 pub use error::{Error, ErrorCode};
-pub use obs::{EvalStats, PoolTiming, TraceEvent, TraceSink};
+pub use obs::{EvalStats, PoolTiming, ReuseStats, TraceEvent, TraceSink};
 pub use value::{Atomic, Item, Sequence};
 
 #[cfg(test)]

@@ -38,6 +38,15 @@
 //! returns its outcome, so error codes and positions are the unhoisted
 //! program's; both halves are pure, so the re-run shows only as time.
 //!
+//! A split whose first suffix predicate is `K = V`, with K reading only the
+//! candidate node and V focus-free, is also **keyed** ([`split_key`]): the
+//! runtime answers that predicate from a hash table over the cached prefix
+//! instead of running it once per cached node.
+//!
+//! Finally the pass marks every pure user function
+//! ([`CompiledFunction::pure`]), which lets the runner memoize its calls
+//! within one evaluation.
+//!
 //! ## What may be cached
 //!
 //! Only subtrees that are deterministic given the frame:
@@ -67,6 +76,7 @@ use crate::ast::{Axis, CmpOp};
 use crate::functions::Builtin;
 use crate::lower::{
     CompiledFunction, JoinSide, LExpr, LFlworClause, LNodeTest, LOrderSpec, LPathStep, Program,
+    SplitKey,
 };
 use crate::value::Atomic;
 use std::collections::HashMap;
@@ -83,6 +93,9 @@ pub struct PlanStats {
     /// invariant predicate prefix read from a cell, the rest applied as a
     /// filter per read.
     pub split_prefixes: usize,
+    /// Those split sites whose first suffix predicate is keyed (see
+    /// [`split_key`]): answered by a hash-table probe per read.
+    pub keyed_splits: usize,
     /// `CacheOnce` cells reset per tuple (common-subexpression caches).
     pub cached_per_tuple: usize,
     /// Final `for` clauses whose `where` equality was marked for the
@@ -101,7 +114,8 @@ pub struct PlanStats {
 pub fn optimize_program(program: &mut Program) -> PlanStats {
     let purity = Purity::analyse(&program.functions);
     let mut stats = PlanStats::default();
-    for f in &mut program.functions {
+    for (i, f) in program.functions.iter_mut().enumerate() {
+        f.pure = purity.is_pure(i as u32);
         let mut alloc = SlotAlloc { frame: f.frame };
         walk(&mut f.body, &mut alloc, &mut stats, &purity);
         f.frame = alloc.frame;
@@ -443,9 +457,9 @@ struct Info {
     dep: Option<usize>,
     /// The candidate class of the node standing whole.
     whole: Option<usize>,
-    /// The candidate class of the path's invariant head, and where the last
-    /// step's predicates split.
-    split: Option<(usize, usize)>,
+    /// The candidate class of the path's invariant head, where the last
+    /// step's predicates split, and the key side of a keyed split.
+    split: Option<(usize, usize, Option<JoinSide>)>,
 }
 
 /// A class's first occurrence, which later occurrences with the same hash
@@ -623,7 +637,9 @@ fn hoist_flwor(
     let mut rewrite = Rewrite {
         infos: &infos,
         cands: &mut cands,
+        alloc,
         splits: 0,
+        keyed: 0,
     };
     let mut root = 0;
     let mut next = |e: &mut LExpr| {
@@ -644,6 +660,7 @@ fn hoist_flwor(
     }
     next(return_);
     stats.split_prefixes += rewrite.splits;
+    stats.keyed_splits += rewrite.keyed;
 
     for d in cands
         .iter()
@@ -761,6 +778,7 @@ impl<'t, 'a> Collect<'t, 'a> {
                 prefix,
                 suffix,
                 unsplit,
+                ..
             } => {
                 self.sealed += 1;
                 self.summarize(prefix, pos);
@@ -792,9 +810,9 @@ impl<'t, 'a> Collect<'t, 'a> {
             // invariant head is then a candidate of its own (an occurrence
             // of the same expression standing whole shares its cell). A
             // whole cell, when decided, wins.
-            if let Some((k, hash, dep)) = self.split_point(e, idx) {
+            if let Some(SplitPoint { k, hash, dep, key }) = self.split_point(e, idx) {
                 let class = self.price(hash, Rep::Prefix(e, k), dep, pos);
-                self.infos[idx].split = Some((class, k));
+                self.infos[idx].split = Some((class, k, key));
             }
         }
         idx
@@ -907,9 +925,8 @@ impl<'t, 'a> Collect<'t, 'a> {
     /// statically boolean test that never asks for `position()` or
     /// `last()`. Such a suffix keeps a node or not whichever context node
     /// reached it and wherever it stands, so filtering the whole cached
-    /// head equals filtering per context node. Returns `k` with the head's
-    /// hash and dependency.
-    fn split_point(&self, e: &LExpr, idx: usize) -> Option<(usize, u64, Option<usize>)> {
+    /// head equals filtering per context node.
+    fn split_point(&self, e: &LExpr, idx: usize) -> Option<SplitPoint> {
         let LExpr::Path { steps, .. } = e else {
             return None;
         };
@@ -951,7 +968,20 @@ impl<'t, 'a> Collect<'t, 'a> {
         let hash = head
             .iter()
             .fold(node_hash(e), |h, &k| mix(h, self.infos[k].hash));
-        Some((k, mix(hash, step_hash), head_dep))
+        let operands: Vec<&Info> = self
+            .children(preds[k], preds[k] + self.infos[preds[k]].size)
+            .map(|c| &self.infos[c])
+            .collect();
+        let key = match operands.as_slice() {
+            [l, r] => split_key(&predicates[k], l, r),
+            _ => None,
+        };
+        Some(SplitPoint {
+            k,
+            hash: mix(hash, step_hash),
+            dep: head_dep,
+            key,
+        })
     }
 
     /// Pre-order numbers of the children of node `idx`, whose subtree
@@ -994,13 +1024,27 @@ impl<'t, 'a> Collect<'t, 'a> {
     }
 }
 
+/// Where [`Collect::split_point`] splits a path: after `k` predicates of
+/// its last step, with the head's hash and dependency, and the key side
+/// when the first suffix predicate is keyed ([`split_key`]).
+struct SplitPoint {
+    k: usize,
+    hash: u64,
+    dep: Option<usize>,
+    key: Option<JoinSide>,
+}
+
 /// The rewrite scan: walks the region in the collect scan's pre-order and
 /// installs the decided cells.
 struct Rewrite<'a> {
     infos: &'a [Info],
     cands: &'a mut [Cand],
+    /// Names each keyed split's key table.
+    alloc: &'a mut SlotAlloc,
     /// Path sites rewritten to [`LExpr::SplitPath`].
     splits: usize,
+    /// Those of them that are keyed.
+    keyed: usize,
 }
 
 impl Rewrite<'_> {
@@ -1016,9 +1060,14 @@ impl Rewrite<'_> {
             };
             return;
         }
-        if let Some((class, k)) = split {
+        if let Some((class, k, key)) = split {
             if let Some(slot) = self.take(class) {
                 self.splits += 1;
+                self.keyed += usize::from(key.is_some());
+                let key = key.map(|side| SplitKey {
+                    side,
+                    table: self.alloc.alloc(),
+                });
                 let (prefix, suffix) = split_halves(e, k);
                 let unsplit = std::mem::replace(e, LExpr::LocalRef(0));
                 *e = LExpr::SplitPath {
@@ -1027,6 +1076,7 @@ impl Rewrite<'_> {
                         expr: Box::new(prefix),
                     }),
                     suffix,
+                    key,
                     unsplit: Box::new(unsplit),
                 };
                 return;
@@ -1126,6 +1176,39 @@ fn split_halves(e: &LExpr, k: usize) -> (LExpr, Vec<LExpr>) {
         steps,
     };
     (prefix, suffix)
+}
+
+/// The keyed-split gate of a split path's first suffix predicate `pred`,
+/// whose operands summarise as `l` and `r`: which operand is the key side
+/// K when `pred` is `K = V` with
+/// * K reading the candidate node and nothing else: it uses the focus but
+///   reads no frame slot, and is pure (`@a`, `string(@a)`), so its atoms
+///   for a cached node cannot change while the cell holds;
+/// * V focus-free and pure, so one evaluation per read stands for the one
+///   per candidate the filter makes.
+///
+/// This is the hash join's reasoning ([`join_gate`]) with the focus as the
+/// joined variable. The runtime builds the table once per cached sequence
+/// and probes it per read; it filters generically whenever the table
+/// cannot decide (see `run.rs`).
+fn split_key(pred: &LExpr, l: &Info, r: &Info) -> Option<JoinSide> {
+    let LExpr::GeneralCmp(CmpOp::Eq, le, re) = pred else {
+        return None;
+    };
+    let reads_slot = |e: &LExpr| {
+        let mut any = false;
+        collect_slots(e, &mut |_| any = true);
+        any
+    };
+    let key_side = |i: &Info, e: &LExpr| i.cacheable && i.outer_focus && !reads_slot(e);
+    let probe_side = |i: &Info| i.cacheable && !i.outer_focus;
+    if key_side(l, le) && probe_side(r) {
+        Some(JoinSide::Left)
+    } else if key_side(r, re) && probe_side(l) {
+        Some(JoinSide::Right)
+    } else {
+        None
+    }
 }
 
 /// Predicates whose value is always a boolean or empty — never a number,
@@ -1276,6 +1359,26 @@ mod tests {
         assert!(stats.hoisted_invariant >= 1, "{stats:?}");
         let rendered = format!("{:?}", p.body);
         assert!(rendered.contains("SplitPath"), "{rendered}");
+    }
+
+    #[test]
+    fn keyed_splits_need_a_candidate_key_and_a_focus_free_probe() {
+        for (suffix, keyed) in [
+            ("[@s = $j]", 1),
+            ("[$j = string(@s)]", 1),
+            ("[@s = $j][@s != $i]", 1),
+            ("[@s != $j]", 0),
+            ("[@s = $j + count(@t)]", 0),
+            ("[concat(@s, $j) = 'x']", 0),
+        ] {
+            let mut p = lowered(&format!(
+                "{SUBTYPE} for $i in (1, 2) for $j in (3, 4) \
+                 return count($m/r[local:sub(string(@t), 'a')]{suffix})"
+            ));
+            let stats = optimize_program(&mut p);
+            assert_eq!(stats.split_prefixes, 1, "{suffix}: {stats:?}");
+            assert_eq!(stats.keyed_splits, keyed, "{suffix}: {stats:?}");
+        }
     }
 
     #[test]

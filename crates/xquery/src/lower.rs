@@ -58,6 +58,12 @@ pub struct CompiledFunction {
     /// Number of slots the body needs (parameters included, slots 0..arity).
     pub frame: usize,
     pub position: (u32, u32),
+    /// Set by [`crate::lopt`] when the function is pure (see its
+    /// `Purity`): the runner may then answer a call whose arguments are
+    /// each empty or one item from a per-evaluation memo. The lowerer
+    /// leaves it `false`, so with the runtime passes off nothing is
+    /// memoized.
+    pub pure: bool,
 }
 
 /// One function parameter (name kept for diagnostics only — references are
@@ -199,9 +205,16 @@ pub enum LExpr {
     /// runs instead and its outcome is returned: both halves are pure, so
     /// the re-run shows only as time, and error codes and positions stay
     /// those of the unhoisted program.
+    ///
+    /// `key` is set when the first suffix predicate is `K = V` with K
+    /// reading only the candidate (`@a`, `string(@a)`) and V focus-free
+    /// (see `lopt::split_key`): the runner then answers that predicate
+    /// from a hash table over the cached prefix, keyed by K's string atoms
+    /// and probed with V's.
     SplitPath {
         prefix: Box<LExpr>,
         suffix: Vec<LExpr>,
+        key: Option<SplitKey>,
         unsplit: Box<LExpr>,
     },
 }
@@ -346,6 +359,7 @@ impl LExpr {
             prefix,
             suffix,
             unsplit,
+            ..
         } => {
             f(prefix);
             for p in suffix {
@@ -390,12 +404,24 @@ pub enum LFlworClause {
     },
 }
 
-/// Which operand of the `where` equality depends on the joined `for`
-/// variable (the *key* side); the other operand is the probe side.
+/// Which operand of an equality is the *key* side: for the hash join, the
+/// `where` operand that depends on the joined `for` variable; for a keyed
+/// split, the suffix predicate's operand that reads the candidate node.
+/// The other operand is the probe side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinSide {
     Left,
     Right,
+}
+
+/// The key of a keyed [`LExpr::SplitPath`]: which operand of its first
+/// suffix predicate reads the candidate node, and the synthetic slot that
+/// names the site's key table in its frame. Sites that share a prefix cell
+/// share the cached sequence but not a table, since their keys differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitKey {
+    pub side: JoinSide,
+    pub table: u32,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -578,6 +604,7 @@ pub fn lower_module(module: &Module) -> Result<Program> {
                 body,
                 frame: r.frame_size(),
                 position: f.position,
+                pure: false,
             }
         })
         .collect();
@@ -612,13 +639,11 @@ pub fn lower_module(module: &Module) -> Result<Program> {
 impl Lowerer {
     fn lower(&self, expr: &Expr, r: &mut Resolver) -> LExpr {
         match expr {
-            Expr::Literal(a) => LExpr::Literal(match a {
-                // Intern string literals: every occurrence of the same
-                // literal shares one allocation, and cloning the value at
-                // runtime is a refcount bump on interner-backed storage.
-                Atomic::Str(s) => Atomic::Str(intern(s).as_arc()),
-                other => other.clone(),
-            }),
+            // A string literal keeps the parsed `Arc<str>`: the plan owns
+            // it and drops it with the plan, so client text never reaches
+            // the process-global interner. Cloning it at runtime is a
+            // refcount bump.
+            Expr::Literal(a) => LExpr::Literal(a.clone()),
 
             Expr::VarRef(name, position) => match r.lookup(name) {
                 Some(slot) => LExpr::LocalRef(slot),

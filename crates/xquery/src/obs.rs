@@ -24,13 +24,14 @@
 //!   annotated plan tree: which `for` clause got the hash-join mark (and
 //!   why a candidate `where` was refused), which subexpressions were
 //!   hoisted into `CacheOnce` cells (whole, or as the invariant prefix of
-//!   a split step), which user functions the pass judged pure, which calls
-//!   stream or answer from the store's indexes.
+//!   a split step, and whether the split is keyed), which user functions
+//!   the pass judged pure (and so memoizes), which calls stream or answer
+//!   from the store's indexes.
 
 use crate::ast::Axis;
 use crate::cursor::{classify_steps, int_literal};
 use crate::lopt::{self, PlanStats, Purity};
-use crate::lower::{LExpr, LFlworClause, Program};
+use crate::lower::{LExpr, LFlworClause, Program, SplitKey};
 use crate::run::name_index_step;
 use std::collections::HashMap;
 
@@ -135,6 +136,38 @@ impl EvalStats {
     }
 }
 
+/// Counters of the runner's reuse routes, kept beside [`EvalStats`]:
+/// programs outside the workspace build `EvalStats` with exhaustive struct
+/// literals, so its field list stays fixed and later counters live here.
+/// Filled and published exactly like `EvalStats` (see
+/// [`Engine::last_reuse_stats`](crate::Engine)); both read zero when
+/// [`EngineOptions::runtime_opt`](crate::EngineOptions) is off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReuseStats {
+    /// Reads of a keyed split path answered by probing the key table built
+    /// over its cached prefix, instead of running the first suffix
+    /// predicate once per cached node.
+    pub keyed_split_probes: u64,
+    /// Pure user-function calls answered from the evaluation's memo.
+    pub memo_hits: u64,
+}
+
+impl ReuseStats {
+    /// Field-wise sum, for aggregating over phases or a batch.
+    pub fn merge(&mut self, other: &ReuseStats) {
+        self.keyed_split_probes += other.keyed_split_probes;
+        self.memo_hits += other.memo_hits;
+    }
+
+    /// The counters by name, as [`EvalStats::opt_counters`] lists its own.
+    pub fn counters(&self) -> [(&'static str, u64); 2] {
+        [
+            ("keyed_split_probes", self.keyed_split_probes),
+            ("memo_hits", self.memo_hits),
+        ]
+    }
+}
+
 /// Time one pool job spent queued and running, as measured by the pool
 /// itself (see [`StackPool::run_timed`](crate::StackPool)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -228,10 +261,11 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
         collect_resets(&g.expr, &mut resets);
     }
     let mut out = format!(
-        "plan: {} hash join(s), {} invariant hoist(s) ({} split prefix(es)), {} per-tuple cache(s), {} streamable binding(s)\n",
+        "plan: {} hash join(s), {} invariant hoist(s) ({} split prefix(es), {} keyed), {} per-tuple cache(s), {} streamable binding(s)\n",
         plan_stats.hash_joins,
         plan_stats.hoisted_invariant,
         plan_stats.split_prefixes,
+        plan_stats.keyed_splits,
         plan_stats.cached_per_tuple,
         plan_stats.streamable_bindings
     );
@@ -493,6 +527,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
     if let LExpr::SplitPath {
         prefix,
         suffix,
+        key,
         unsplit,
     } = e
     {
@@ -509,11 +544,13 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
             line(depth + 1, &head, out);
             render(expr, depth + 2, cx, out);
         }
-        line(
-            depth + 1,
-            "suffix  [predicates re-applied to the cached prefix on every read]",
-            out,
-        );
+        let suffix_head = match key {
+            Some(SplitKey { side, .. }) => format!(
+                "suffix  [keyed: the first predicate probes a hash table over the cached prefix; key = {side:?} operand; the rest re-applied to the matches]"
+            ),
+            None => "suffix  [predicates re-applied to the cached prefix on every read]".to_string(),
+        };
+        line(depth + 1, &suffix_head, out);
         for p in suffix {
             render(p, depth + 2, cx, out);
         }
@@ -619,11 +656,34 @@ mod tests {
             )
             .unwrap();
         let plan = e.explain(&q);
-        assert!(plan.contains("(1 split prefix(es))"), "{plan}");
+        // `@g = $i` reads the candidate on one side only: keyed.
+        assert!(plan.contains("(1 split prefix(es), 1 keyed)"), "{plan}");
         assert!(plan.contains("function local:odd  [pure]:"), "{plan}");
         assert!(plan.contains("split-prefix hoist"), "{plan}");
         assert!(!plan.contains("hoisted loop-invariant"), "{plan}");
+        assert!(plan.contains("suffix  [keyed: "), "{plan}");
         assert!(plan.contains("unsplit  [evaluated instead"), "{plan}");
+    }
+
+    #[test]
+    fn explain_marks_a_string_comparand_as_an_index_probe() {
+        let e = Engine::with_options(EngineOptions {
+            runtime_opt: true,
+            ..Default::default()
+        });
+        for (src, probe) in [
+            ("for $r in /m/r return /m/n[@id = string($r/@to)]", true),
+            ("for $r in /m/r return /m/n[@id = data($r/@to)]", true),
+            ("for $r in /m/r return /m/n[@id = string(.)]", false),
+            ("for $r in /m/r return /m/n[@id = string(/m/r[@x])]", false),
+        ] {
+            let plan = e.explain(&e.compile(src).unwrap());
+            assert_eq!(
+                plan.contains("[@attr = v] probe against the attribute-value index"),
+                probe,
+                "{src}: {plan}"
+            );
+        }
     }
 
     #[test]

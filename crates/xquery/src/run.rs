@@ -16,7 +16,8 @@
 //! ## Concurrency contract
 //!
 //! A [`Program`] is immutable after lowering and `Send + Sync`: every name
-//! and literal it holds is a process-globally interned symbol, so the same
+//! it holds is a process-globally interned symbol and every literal an
+//! immutable `Arc<str>` the plan owns, so the same
 //! `Arc<Program>` may be evaluated concurrently from any number of engines
 //! and pool workers (see `engine::StackPool`). All mutable state — the
 //! frame, the dynamic context, trace output — is created per evaluation and
@@ -41,9 +42,9 @@ use crate::eval::{
 use crate::functions::{dispatch_builtin, Builtin, CallCtx};
 use crate::lower::{
     CompiledFunction, JoinSide, LAttrPart, LConstructorName, LContentPart, LExpr, LFlworClause,
-    LNodeTest, LOrderSpec, LPathStep, Program,
+    LNodeTest, LOrderSpec, LPathStep, Program, SplitKey,
 };
-use crate::obs::EvalStats;
+use crate::obs::{EvalStats, ReuseStats};
 use crate::types::{cast_atomic, ItemType, SeqType};
 use crate::value::{Atomic, Item, Sequence};
 use std::collections::{HashMap, HashSet};
@@ -66,8 +67,74 @@ pub struct RunEnv<'a> {
     /// Per-query runtime counters (see [`crate::obs::EvalStats`]). One
     /// evaluation runs on one worker, so plain `&mut` increments suffice.
     pub stats: &'a mut EvalStats,
+    /// Counters of the reuse routes (see [`crate::obs::ReuseStats`]).
+    pub reuse: &'a mut ReuseStats,
     /// Current user-function recursion depth.
     pub depth: usize,
+    /// Results of pure user-function calls made so far in this evaluation
+    /// (see [`Memo`]). Start each global initializer and the body with a
+    /// fresh one: a declaration can override an external binding, so a
+    /// call's result may differ between them.
+    pub memo: Memo,
+}
+
+/// The per-evaluation memo of pure user-function calls.
+///
+/// A function [`crate::lopt`] proved pure (no trace, `fn:doc`, `fn:error`,
+/// constructor or unresolved call, and calls to pure functions only) sees
+/// only its arguments and the globals, and trees never change during an
+/// evaluation (construction deep-copies). So within one [`RunEnv`] a call
+/// with equal arguments returns an equal result, and the memo answers it.
+/// Only calls whose every argument is empty or a single item are memoized,
+/// keyed on the item: a node by id, an atomic by type and value. Errors are
+/// never stored, and the table stops growing at `MEMO_CAP` entries.
+///
+/// The one thing a call observes besides its arguments is the recursion
+/// depth it runs at: each entry records how deep below its own level the
+/// call nested, and a hit is taken only when the call would stay under
+/// `recursion_limit` from the current depth too — a recursion-limit error
+/// is never answered from the memo.
+#[derive(Default)]
+pub struct Memo {
+    table: HashMap<(u32, Vec<MemoArg>), (Sequence, usize)>,
+    /// The deepest recursion depth a call was made at since the innermost
+    /// memoizable call began (see [`call_pure`]).
+    peak: usize,
+}
+
+/// Entries past which a [`Memo`] stops inserting.
+const MEMO_CAP: usize = 1 << 14;
+
+/// One argument of a memoized call, in a hashable form that tells apart
+/// exactly what the function could tell apart: node identity, or an
+/// atomic's type and value (a double by its bits, so `0` and `-0` differ).
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum MemoArg {
+    Empty,
+    Node(NodeId),
+    Str(Arc<str>),
+    Untyped(Arc<str>),
+    Int(i64),
+    Dbl(u64),
+    Bool(bool),
+}
+
+impl MemoArg {
+    /// The key of one argument sequence, or `None` when it holds more than
+    /// one item.
+    fn of(arg: &Sequence) -> Option<MemoArg> {
+        if arg.is_empty() {
+            return Some(MemoArg::Empty);
+        }
+        Some(match arg.as_singleton()? {
+            Item::Node(n) => MemoArg::Node(*n),
+            Item::Atomic(Atomic::Str(s)) => MemoArg::Str(s.clone()),
+            Item::Atomic(Atomic::Untyped(s)) => MemoArg::Untyped(s.clone()),
+            Item::Atomic(Atomic::Int(i)) => MemoArg::Int(*i),
+            Item::Atomic(Atomic::Dbl(d)) => MemoArg::Dbl(d.to_bits()),
+            Item::Atomic(Atomic::Bool(b)) => MemoArg::Bool(*b),
+        })
+    }
 }
 
 /// A flat frame of variable slots. Slot indices were resolved at lowering
@@ -75,12 +142,17 @@ pub struct RunEnv<'a> {
 /// references its binder dominates.
 pub struct Frame {
     slots: Vec<Option<Arc<Sequence>>>,
+    /// Key tables of keyed [`LExpr::SplitPath`]s, by
+    /// [`SplitKey::table`]: each over the sequence the prefix cell held
+    /// when it was built.
+    keyed: Vec<(u32, JoinState)>,
 }
 
 impl Frame {
     pub fn new(size: usize) -> Frame {
         Frame {
             slots: vec![None; size],
+            keyed: Vec::new(),
         }
     }
 
@@ -420,6 +492,9 @@ pub fn run(
                 values.push(run(a, env, frame, ctx)?);
             }
             let func = &env.program.functions[*index as usize];
+            if func.pure {
+                return call_pure(*index, func, values, *position, env);
+            }
             call_user(func, values, *position, env)
         }
 
@@ -629,12 +704,16 @@ pub fn run(
         LExpr::SplitPath {
             prefix,
             suffix,
+            key,
             unsplit,
         } => {
             // Both halves are pure: on error, the unsplit path decides
             // which error the program raises, and where.
             run(prefix, env, frame, ctx)
-                .and_then(|seq| apply_predicates_items(seq, suffix, env, frame, ctx))
+                .and_then(|seq| match key {
+                    Some(key) => keyed_filter(seq, *key, suffix, env, frame, ctx),
+                    None => apply_predicates_items(seq, suffix, env, frame, ctx),
+                })
                 .or_else(|_| run(unsplit, env, frame, ctx))
         }
     }
@@ -661,18 +740,71 @@ fn run_ebv(
 // FLWOR
 // ----------------------------------------------------------------------
 
-/// Hash table over the final `for` clause's evaluated sequence, keyed by
-/// the string atoms of the `where` equality's key side. Built at most once
-/// per distinct sequence within one FLWOR evaluation (the sequence is held
-/// to keep its allocation — and so its identity — alive) and probed by
-/// every tuple that sees the same sequence again.
+/// Hash table over a sequence's items, keyed by the string atoms of an
+/// equality's key side: the final `for` clause's sequence for the FLWOR
+/// hash join, the cached prefix for a keyed split. Built at most once per
+/// distinct sequence (the sequence is held to keep its allocation — and so
+/// its identity — alive) and probed by every tuple or read that sees the
+/// same sequence again.
 struct JoinState {
     seq: Sequence,
     /// Key atoms of each item, as ascending item indices per string.
-    /// `None` when some key atom fell outside the string family: exact
-    /// `=` semantics then need the general comparison, so every tuple
-    /// falls back to the plain scan.
+    /// `None` when some key atom fell outside the string family (exact
+    /// `=` semantics then need the general comparison) or a key could not
+    /// be computed: every probe then falls back to the plain scan.
     table: Option<HashMap<String, Vec<usize>>>,
+}
+
+impl JoinState {
+    /// An empty table over `seq`, to be filled by [`JoinState::insert`].
+    fn new(seq: Sequence) -> JoinState {
+        JoinState {
+            seq,
+            table: Some(HashMap::new()),
+        }
+    }
+
+    /// Files item `i` under each of its key atoms; abandons the table and
+    /// returns `false` at the first atom outside the string family.
+    fn insert(&mut self, i: usize, atoms: &[Atomic]) -> bool {
+        let Some(map) = self.table.as_mut() else {
+            return false;
+        };
+        for a in atoms {
+            match string_family(a) {
+                Some(s) => map.entry(s.to_string()).or_default().push(i),
+                None => {
+                    self.table = None;
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The ascending indices of the items some key atom of which equals a
+    /// probe atom — the items `KEY = PROBE` keeps — or `None` when the
+    /// table cannot decide: it was abandoned, or a probe atom falls outside
+    /// the string family.
+    fn probe(&self, atoms: &[Atomic]) -> Option<Vec<usize>> {
+        let map = self.table.as_ref()?;
+        let probe: Vec<&str> = atoms.iter().map(string_family).collect::<Option<_>>()?;
+        let mut out: Vec<usize> = Vec::new();
+        if let [s] = probe.as_slice() {
+            if let Some(v) = map.get(*s) {
+                out.clone_from(v);
+            }
+        } else {
+            for s in probe {
+                if let Some(v) = map.get(s) {
+                    out.extend_from_slice(v);
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+        }
+        Some(out)
+    }
 }
 
 /// True when a marked join's build side provably yields the same sequence
@@ -1037,67 +1169,28 @@ fn join_for(
     }
     let probe_atoms = key_atoms(probe_e, env, frame, ctx)?;
     if let Some(first) = first_key_atoms {
-        let mut table: Option<HashMap<String, Vec<usize>>> = Some(HashMap::new());
-        let insert =
-            |table: &mut Option<HashMap<String, Vec<usize>>>, atoms: &[Atomic], i: usize| -> bool {
-                let Some(map) = table.as_mut() else {
-                    return false;
-                };
-                for a in atoms {
-                    match string_family(a) {
-                        Some(s) => map.entry(s.to_string()).or_default().push(i),
-                        None => {
-                            *table = None;
-                            return false;
-                        }
-                    }
-                }
-                true
-            };
-        if insert(&mut table, &first, 0) {
+        let mut state = JoinState::new(items.clone());
+        if state.insert(0, &first) {
             for i in 1..items.len() {
                 bind(frame, &mut *env.stats, &items.items()[i]);
                 let Ok(atoms) = key_atoms(key_e, env, frame, ctx) else {
-                    table = None;
+                    state.table = None;
                     break;
                 };
-                if !insert(&mut table, &atoms, i) {
+                if !state.insert(i, &atoms) {
                     break;
                 }
             }
         }
-        if table.is_some() {
+        if state.table.is_some() {
             env.stats.join_builds += 1;
         }
-        *jstate = Some(JoinState {
-            seq: items.clone(),
-            table,
-        });
+        *jstate = Some(state);
     }
-    let indices: Option<Vec<usize>> = {
-        let state = jstate.as_ref().expect("join state built above");
-        let probe_strs: Option<Vec<&str>> = probe_atoms.iter().map(string_family).collect();
-        match (&state.table, probe_strs) {
-            (Some(map), Some(ps)) => {
-                let mut out: Vec<usize> = Vec::new();
-                if let [s] = ps.as_slice() {
-                    if let Some(v) = map.get(*s) {
-                        out.clone_from(v);
-                    }
-                } else {
-                    for s in ps {
-                        if let Some(v) = map.get(s) {
-                            out.extend_from_slice(v);
-                        }
-                    }
-                    out.sort_unstable();
-                    out.dedup();
-                }
-                Some(out)
-            }
-            _ => None,
-        }
-    };
+    let indices = jstate
+        .as_ref()
+        .expect("join state built above")
+        .probe(&probe_atoms);
     match indices {
         Some(matched) => {
             env.stats.join_probes += 1;
@@ -1749,9 +1842,9 @@ fn eval_name_index_step(
 }
 
 /// The comparand may not depend on the candidate node, and evaluating it
-/// once instead of per candidate must be unobservable — no calls (hence no
-/// `fn:trace`), no constructors; path steps rebind their own focus and are
-/// predicate-free.
+/// once instead of per candidate must be unobservable — no calls but
+/// `string(X)`/`data(X)` (hence no `fn:trace`), no constructors; path steps
+/// rebind their own focus and are predicate-free.
 fn is_focus_free_simple(e: &LExpr) -> bool {
     match e {
         LExpr::Literal(_) | LExpr::LocalRef(_) | LExpr::GlobalRef(..) => true,
@@ -1764,6 +1857,14 @@ fn is_focus_free_simple(e: &LExpr) -> bool {
         // is as focus-free as what it caches — without this arm hoisting a
         // fused-eq comparand would silently un-fuse the step.
         LExpr::CacheOnce { expr, .. } => is_focus_free_simple(expr),
+        // `string(X)` / `data(X)` are pure and read the focus only through
+        // X; an error they raise (`XPTY0004` on several items) is the one
+        // the first candidate's predicate would raise.
+        LExpr::CallBuiltin {
+            builtin: Builtin::String | Builtin::Data,
+            args,
+            ..
+        } => matches!(args.as_slice(), [x] if is_focus_free_simple(x)),
         _ => false,
     }
 }
@@ -1957,6 +2058,95 @@ fn apply_predicates_nodes(
     Ok(current)
 }
 
+/// The suffix filter of a keyed [`LExpr::SplitPath`]: `seq` is the cached
+/// prefix, and `suffix[0]` is `K = V` with K on `key.side`. The first read
+/// of a cached sequence builds a [`JoinState`] over it from K's atoms per
+/// item; every read evaluates V once, probes, and applies the remaining
+/// predicates to the matched items in prefix order. The suffix is never
+/// positional, so that keeps exactly what the generic filter keeps.
+///
+/// The generic filter runs instead when the table cannot decide: a prefix
+/// item is not a node, K raised for some item at build time (an error the
+/// generic filter then raises in order), or a K or V atom falls outside the
+/// string family. An empty prefix returns empty without evaluating V.
+fn keyed_filter(
+    seq: Sequence,
+    key: SplitKey,
+    suffix: &[LExpr],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    if seq.is_empty() {
+        return Ok(seq);
+    }
+    let LExpr::GeneralCmp(CmpOp::Eq, l, r) = &suffix[0] else {
+        unreachable!("keyed splits start with an `=` comparison");
+    };
+    let (key_e, probe_e) = match key.side {
+        JoinSide::Left => (&**l, &**r),
+        JoinSide::Right => (&**r, &**l),
+    };
+    let at = frame.keyed.iter().position(|(t, _)| *t == key.table);
+    if !at.is_some_and(|i| frame.keyed[i].1.seq.same_alloc(&seq)) {
+        let state = build_key_table(seq.clone(), key_e, env, frame, ctx);
+        match at {
+            Some(i) => frame.keyed[i].1 = state,
+            None => frame.keyed.push((key.table, state)),
+        }
+    }
+    let probe = key_atoms(probe_e, env, frame, ctx)?;
+    let (_, state) = frame
+        .keyed
+        .iter()
+        .find(|(t, _)| *t == key.table)
+        .expect("key table built above");
+    let Some(matched) = state.probe(&probe) else {
+        return apply_predicates_items(seq, suffix, env, frame, ctx);
+    };
+    env.reuse.keyed_split_probes += 1;
+    let items = matched
+        .into_iter()
+        .map(|i| seq.items()[i].clone())
+        .collect();
+    apply_predicates_items(Sequence::from_items(items), &suffix[1..], env, frame, ctx)
+}
+
+/// A key table over `seq` from `key_e`'s atoms, each evaluated with one
+/// item in focus — abandoned (left without a table) at the first item that
+/// is not a node or whose key raises.
+fn build_key_table(
+    seq: Sequence,
+    key_e: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> JoinState {
+    let mut state = JoinState::new(seq.clone());
+    let size = seq.len();
+    for (i, item) in seq.iter().enumerate() {
+        if !item.is_node() {
+            state.table = None;
+            break;
+        }
+        let saved = ctx.focus.replace(Focus {
+            item: item.clone(),
+            position: i + 1,
+            size,
+        });
+        let atoms = key_atoms(key_e, env, frame, ctx);
+        ctx.focus = saved;
+        let Ok(atoms) = atoms else {
+            state.table = None;
+            break;
+        };
+        if !state.insert(i, &atoms) {
+            break;
+        }
+    }
+    state
+}
+
 fn apply_predicates_items(
     seq: Sequence,
     predicates: &[LExpr],
@@ -2013,12 +2203,47 @@ fn predicate_holds(
 // Function calls
 // ----------------------------------------------------------------------
 
+/// A call of a pure function, answered from the evaluation's [`Memo`]
+/// when an earlier call with the same arguments succeeded and would not
+/// reach `recursion_limit` from this depth; otherwise run and, on success,
+/// remembered with the depth it nested to.
+fn call_pure(
+    index: u32,
+    func: &CompiledFunction,
+    args: Vec<Sequence>,
+    position: (u32, u32),
+    env: &mut RunEnv,
+) -> Result<Sequence> {
+    let Some(key) = args.iter().map(MemoArg::of).collect::<Option<Vec<_>>>() else {
+        return call_user(func, args, position, env);
+    };
+    let key = (index, key);
+    if let Some((value, nested)) = env.memo.table.get(&key) {
+        if env.depth + nested < env.options.recursion_limit {
+            env.reuse.memo_hits += 1;
+            env.memo.peak = env.memo.peak.max(env.depth + nested);
+            return Ok(value.clone());
+        }
+    }
+    let outer_peak = std::mem::replace(&mut env.memo.peak, env.depth);
+    let result = call_user(func, args, position, env);
+    let nested = env.memo.peak - env.depth;
+    env.memo.peak = env.memo.peak.max(outer_peak);
+    if let Ok(value) = &result {
+        if env.memo.table.len() < MEMO_CAP {
+            env.memo.table.insert(key, (value.clone(), nested));
+        }
+    }
+    result
+}
+
 fn call_user(
     func: &CompiledFunction,
     args: Vec<Sequence>,
     position: (u32, u32),
     env: &mut RunEnv,
 ) -> Result<Sequence> {
+    env.memo.peak = env.memo.peak.max(env.depth);
     if env.depth >= env.options.recursion_limit {
         return Err(Error::new(
             ErrorCode::Internal,

@@ -19,8 +19,8 @@ use xmlstore::NodeId;
 /// node yields in the untyped mode the project ran in.
 ///
 /// String payloads are `Arc<str>`: cloning an atomic is a refcount bump, and
-/// the lowering pass hands out literals backed by the interner so every
-/// occurrence of the same literal shares one allocation.
+/// a lowered literal shares the allocation its parse made, owned by the plan
+/// (never interned).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Atomic {
     Str(Arc<str>),
