@@ -1,61 +1,64 @@
 //! Incremental regeneration — the paper's edit-a-node, regenerate-the-docs
 //! loop without regenerating the whole document.
 //!
-//! The document splits into **chunks**, one per top-level child of the
-//! `<template>` body, and each chunk splits further: every `<for>` the
-//! walk reaches with no focus, outside `<marker-content>`, hands each of
-//! its iterations over as a **unit** of its own (see
-//! [`Walker::units`](super::walk::Walker)). Iterations cannot nest at that
-//! level (inside one the focus is set), so the tree is two deep: a chunk's
-//! *shell* — everything its walk did outside its loops' iterations, the
-//! loops' own reads included — and its units, keyed by focus node. The
-//! walker's section depth and focus are chunk-local in a full run too, and
-//! each loop records the template path and section depth its iterations
-//! start from, so a unit re-run renders the headings and error notes a full
-//! run does. While a shell or a unit runs, its [`GenState::deps`] records
-//! everything it read from the model that an edit can change — types
-//! enumerated, relations followed, and the nodes whose properties it read.
-//! A node's label and type are fixed at `awb::Model::add_node`, so reading
-//! only those records nothing. The model stamps what each of its mutators
-//! changed in the same vocabulary, and [`IncrementalDoc::apply_edit`] reads
-//! the changes since the last run from it, finding the units that read an
-//! edited node through an index from node to units. A chunk whose shell
-//! read what changed re-runs whole (an added node re-runs the loops that
-//! enumerate its type, and with them fresh units); otherwise only its
-//! units whose reads overlap re-run, spliced in place among their siblings
-//! under the loop's output parent. Everything else stays in place.
+//! The document is a tree of **parts**. A part is a run of output with the
+//! state and the reads of the walk that produced it. The root part's parts
+//! are the top-level children of the `<template>` body, and each of those
+//! walks with its loops split: every `<for>` the walk reaches with no
+//! focus, outside `<marker-content>`, hands each of its iterations over as
+//! a part of its own (see [`Walker::split`](super::walk::Walker)). An
+//! iteration splits nothing (inside one the focus is set), so the tree is
+//! three deep. A part's own output is everything its walk did outside its
+//! parts, its loops' own reads included. Each loop records the element its
+//! parts' output sits under, where that output starts (its anchor), and the
+//! template path and section depth its parts start from, so a part re-runs
+//! alone and renders the headings and error notes a full run does. The
+//! root's loop runs over the template's children, anchored at the start of
+//! `<document>`.
+//!
+//! While a part runs, its [`GenState::deps`] records everything it read
+//! from the model that an edit can change — types enumerated, relations
+//! followed, and the nodes whose properties it read. A node's label and
+//! type are fixed at `awb::Model::add_node`, so reading only those records
+//! nothing. The model stamps what each of its mutators changed in the same
+//! vocabulary, and [`IncrementalDoc::apply_edit`] reads the changes since
+//! the last run from it, finding the parts that read what changed through
+//! one index from node to parts. A dirty part re-runs with every part under
+//! it (an added node re-runs the loops that enumerate its type, and with
+//! them fresh iterations), and its fresh output replaces the old in place
+//! among its siblings. Everything else stays in place.
 //!
 //! Four pieces of a document are *not* local and are handled explicitly:
 //!
 //! * the **table of contents** and **table of omissions** are renderings
 //!   of merged state (toc entries, visited nodes). Their placeholder
 //!   `<div>`s are emptied and refilled only when an edit can have changed
-//!   them: a re-run shell or unit held a placeholder or changed its toc
-//!   entries or visited set, the edit added a node, or a marker definition
-//!   changed or appeared. Otherwise they, and the bytes cached around them,
-//!   stay as they were;
+//!   them: a re-run part held a placeholder or changed its toc entries or
+//!   visited set, the edit added a node, or a marker definition changed or
+//!   appeared. Otherwise they, and the bytes cached around them, stay as
+//!   they were;
 //! * **marker replacements** splice one part's generated content into text
-//!   found in any part. Each shell and unit records which markers it
-//!   consumed; a re-run whose marker definitions changed (content, appeared,
-//!   disappeared) drags its consumers into the re-run set, and a *newly
-//!   defined* marker is applied to clean parts too (their literal marker
-//!   text is still sitting in the output);
+//!   found in any part. Each part records which markers it consumed; a
+//!   re-run whose marker definitions changed (content, appeared,
+//!   disappeared) drags its consumers into the re-run set, and a changed
+//!   marker's definitions are applied to clean parts too (a new one's
+//!   literal marker text is still sitting in their output, and a marker
+//!   defined again can find its text in the copies of another);
 //! * the **trouble count** is the sum of per-part counts;
-//! * the **serialized bytes**: [`IncrementalDoc::to_xml`] writes the root's
-//!   tags around each chunk's cached bytes, which record where each unit's
-//!   bytes sit in them. A unit whose output changed since (a re-run, a
-//!   splice of marker content, a placeholder refill) gets a fresh stamp and
-//!   its own cached bytes, written in place of its old range. A chunk's
-//!   cache empties when it re-runs, when its shell is spliced into or
-//!   refilled, and when one of its units' output became or stopped being
-//!   empty.
+//! * the **serialized bytes**: each part caches its serialization with the
+//!   byte ranges of its parts in it. A part whose output changed since (a
+//!   re-run, a splice of marker content, a placeholder refill) gets a fresh
+//!   stamp and an empty cache, and its bytes go in place of its old range.
+//!   A part's cache also empties when one of its parts' output became or
+//!   stopped being empty. [`IncrementalDoc::to_xml`] writes the root's tags
+//!   around the top-level parts' bytes.
 //!
 //! The correctness bar is exact: after any sequence of `apply_edit` calls,
 //! [`IncrementalDoc::to_xml`] must equal what a fresh [`super::generate`]
 //! of the current model produces. The equivalence tests below hold it there,
 //! over randomly generated templates and edit sequences.
 
-use super::state::{merged, ChunkDeps, GenState, TocEntry};
+use super::state::{ChunkDeps, GenState, TocEntry};
 use super::walk::Walker;
 use crate::trouble::GenTrouble;
 use crate::GenInputs;
@@ -68,7 +71,7 @@ use xmlstore::{NodeId, NodeKind, Store};
 
 /// Changes a caller reports beside the ones the model stamps itself (see
 /// `awb::Model::changes_since`). [`IncrementalDoc::apply_edit`] unions it
-/// into what the model reports, so it can only add units to the re-run
+/// into what the model reports, so it can only add parts to the re-run
 /// set, never hide one.
 #[derive(Debug, Default, Clone)]
 pub struct EditFootprint(pub ChunkDeps);
@@ -93,38 +96,62 @@ const ROOT_NAME: &str = "document";
 /// output store, owned by the run that generated them).
 type Defs = Vec<(String, Vec<NodeId>)>;
 
-/// The roots of marker content copied into a part's output, each with the
-/// marker it replaced. A marker defined later than another must not be
-/// applied inside the other's copies: a full run applies markers in
-/// definition order, before those copies exist.
-type Copies = Vec<(String, NodeId)>;
+/// A marker definition, known across edits by its marker and its rank
+/// among that marker's definitions in definition order (a marker defined
+/// in a loop is defined once per iteration).
+type DefKey = (String, usize);
 
-/// One top-level template child and everything its last run produced.
-struct Chunk {
-    /// The template node this chunk renders.
-    tpl_node: NodeId,
-    /// How many children of the `<document>` root its output spans: a
-    /// contiguous run of them.
-    len: usize,
-    /// What the shell's walk did: everything outside its units.
-    own: GenState,
-    /// Markers whose text the shell contained and had replaced.
+/// What applying marker definitions did to a part's own output.
+#[derive(Default)]
+struct Marks {
+    /// Markers whose text it contained and had replaced.
     consumed: HashSet<String>,
-    /// The marker-content copies spliced into the shell.
-    copies: Copies,
-    /// Its focus-free loops in walk order; their iterations are `units`.
-    loops: Vec<Loop>,
-    units: Vec<Unit>,
-    /// The output serialized, filled by the first [`IncrementalDoc::to_xml`]
-    /// after the shell last changed.
-    xml: OnceLock<Shell>,
+    /// The roots of the marker content copied into it, each with the
+    /// definition it came from. A definition later than another must not
+    /// be applied inside the other's copies: a full run applies definitions
+    /// in order, before those copies exist.
+    copies: Vec<(DefKey, NodeId)>,
 }
 
-/// A `<for>` the chunk's walk reached with no focus.
+/// Where a part sits in the tree: its index among its parent's parts, for
+/// each step down from the root.
+type Path = Vec<usize>;
+
+/// A run of output and everything the walk that last produced it left.
+struct Part {
+    /// What a re-run walks.
+    source: Source,
+    /// Its own output: a contiguous run of children of its loop's
+    /// `out_parent`, less the output of its own parts.
+    out_nodes: Vec<NodeId>,
+    state: GenState,
+    marks: Marks,
+    /// Its focus-free loops in walk order; their iterations are `parts`.
+    loops: Vec<Loop>,
+    parts: Vec<Part>,
+    /// Changes whenever its output does (a fresh stamp per change): its
+    /// bytes inside its parent's [`Cached`] hold while the stamps agree.
+    stamp: u64,
+    /// Its output serialized, filled on first use after it last changed.
+    xml: OnceLock<Cached>,
+}
+
+/// What a part's re-run walks, from the context its loop recorded.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A template child, its focus-free loops split into parts. The root's
+    /// is the template element itself, and nothing dirties the root.
+    Child(NodeId),
+    /// One iteration of the loop's `<for>`, with this node in focus.
+    Iteration(NodeRef),
+}
+
+/// A loop whose iterations are parts: a `<for>` a part's walk reached with
+/// no focus, or the root's loop over the template's children.
 struct Loop {
-    /// The `<for>` template element.
+    /// The `<for>` template element (the root's: the template element).
     for_el: NodeId,
-    /// The walker's template path and section depth at the `<for>`.
+    /// The walker's template path and section depth at the loop.
     path: Vec<String>,
     section_depth: usize,
     /// The element its iterations' output sits under.
@@ -132,191 +159,162 @@ struct Loop {
     /// Where that output starts when every iteration is empty.
     anchor: Anchor,
     /// Where its iterations' toc entries and marker definitions merge into
-    /// the shell's lists.
+    /// the part's own lists.
     toc_at: usize,
     defs_at: usize,
-    /// Its iterations: `Chunk::units[units]`.
-    units: Range<usize>,
+    /// Its iterations: `Part::parts[parts]`.
+    parts: Range<usize>,
 }
 
 /// Where a loop's output starts among its parent's children.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Anchor {
-    /// First: at the parent's start, or the chunk's start under the root.
+    /// First: where the part starts when the loop writes beside the part's
+    /// own output, else at the parent's start.
     Start,
-    /// Right after this shell node.
+    /// Right after this node of the part's own output.
     After(NodeId),
-    /// Right after the output of this earlier loop of the chunk, which
+    /// Right after the output of this earlier loop of the part, which
     /// shares the parent and left nothing between.
     AfterLoop(usize),
 }
 
-/// One iteration of a loop and everything its last run produced.
-struct Unit {
-    focus: NodeRef,
-    /// Its output: a contiguous run of children of its loop's parent.
-    out_nodes: Vec<NodeId>,
-    state: GenState,
-    /// Markers whose text its output contained and had replaced.
-    consumed: HashSet<String>,
-    /// The marker-content copies spliced into its output.
-    copies: Copies,
-    /// Changes whenever its output does (a fresh stamp per change):
-    /// its bytes inside its chunk's [`Shell`] hold while the stamps agree.
-    stamp: u64,
-    /// The compact serialization of `out_nodes` once the output changed
-    /// after the shell was written, filled on first use.
-    xml: OnceLock<String>,
-}
-
-/// A chunk's serialization, and where each non-empty unit's bytes sit in
-/// it, with that unit's stamp when they were written. A unit whose stamp
-/// moved since has its own bytes, and they go in that range's place.
-struct Shell {
+/// A part's serialization, and where the bytes of each of its parts with
+/// output sit in it, with that part's stamp when they were written. A part
+/// whose stamp moved since writes its own bytes in that range's place.
+struct Cached {
     bytes: String,
-    units: Vec<(Range<usize>, usize, u64)>,
+    parts: Vec<(Range<usize>, usize, u64)>,
 }
 
-impl Unit {
-    fn new(focus: NodeRef, out_nodes: Vec<NodeId>, state: GenState) -> Unit {
-        Unit {
-            focus,
+impl Part {
+    fn new(source: Source, out_nodes: Vec<NodeId>, state: GenState) -> Part {
+        Part {
+            source,
             out_nodes,
             state,
-            consumed: HashSet::new(),
-            copies: Vec::new(),
+            marks: Marks::default(),
+            loops: Vec::new(),
+            parts: Vec::new(),
             stamp: 0,
             xml: OnceLock::new(),
         }
     }
 
-    /// Its output changed: the shell's copy of its bytes no longer holds.
+    /// The part `path` leads to from this one.
+    fn at(&self, path: &[usize]) -> &Part {
+        path.iter().fold(self, |p, &i| &p.parts[i])
+    }
+
+    fn at_mut(&mut self, path: &[usize]) -> &mut Part {
+        path.iter().fold(self, |p, &i| &mut p.parts[i])
+    }
+
+    /// Calls `f` on this part, at `path`, and on every part under it, in
+    /// walk order, each with its path.
+    fn visit<'p>(&'p self, path: &mut Path, f: &mut impl FnMut(&[usize], &'p Part)) {
+        f(path, self);
+        for (i, p) in self.parts.iter().enumerate() {
+            path.push(i);
+            p.visit(path, f);
+            path.pop();
+        }
+    }
+
+    /// The loop part `i` belongs to.
+    fn loop_of(&self, i: usize) -> usize {
+        self.loops.partition_point(|l| l.parts.end <= i)
+    }
+
+    /// Its output under `parent`, the element it sits in, in document
+    /// order: its own nodes, then those of its parts that a loop wrote
+    /// beside them. It wrote one or the other there: a template child that
+    /// is a `<for>` writes only its iterations, the root only its parts.
+    fn output(&self, parent: NodeId) -> Vec<NodeId> {
+        let mut out = self.out_nodes.clone();
+        for l in self.loops.iter().filter(|l| l.out_parent == parent) {
+            for p in &self.parts[l.parts.clone()] {
+                out.extend(p.output(parent));
+            }
+        }
+        out
+    }
+
+    /// Appends its toc entries or marker definitions, as `list` picks from
+    /// a state and `at` from a loop, in full-run order: its own list, with
+    /// each loop's parts' lists merged in where the loop started.
+    fn merged<'p, T: 'p>(
+        &'p self,
+        list: &impl Fn(&'p GenState) -> &'p [T],
+        at: &impl Fn(&Loop) -> usize,
+        out: &mut Vec<&'p T>,
+    ) {
+        let own = list(&self.state);
+        let mut done = 0;
+        for l in &self.loops {
+            out.extend(&own[done..at(l)]);
+            done = at(l);
+            for p in &self.parts[l.parts.clone()] {
+                p.merged(list, at, out);
+            }
+        }
+        out.extend(&own[done..]);
+    }
+
+    /// Toc entries in full-run order.
+    fn toc(&self) -> Vec<&TocEntry> {
+        let mut out = Vec::new();
+        self.merged(&|s| &s.toc, &|l| l.toc_at, &mut out);
+        out
+    }
+
+    /// Marker definitions in full-run order.
+    fn defs(&self) -> Vec<&(String, Vec<NodeId>)> {
+        let mut out = Vec::new();
+        self.merged(&|s| &s.replacements, &|l| l.defs_at, &mut out);
+        out
+    }
+
+    /// A sum over this part and every part under it.
+    fn sum(&self, f: &impl Fn(&Part) -> usize) -> usize {
+        f(self) + self.parts.iter().map(|p| p.sum(f)).sum::<usize>()
+    }
+
+    fn visited(&self) -> HashSet<NodeRef> {
+        let mut visited = HashSet::new();
+        self.visit(&mut Vec::new(), &mut |_, p| {
+            visited.extend(&p.state.visited)
+        });
+        visited
+    }
+
+    fn holds_placeholders(&self) -> bool {
+        self.sum(&|p| p.state.holds_placeholders() as usize) > 0
+    }
+
+    /// Its output changed: its parent's copy of its bytes no longer holds.
     fn changed(&mut self, stamp: u64) {
         self.stamp = stamp;
         self.xml = OnceLock::new();
     }
 
-    fn bytes(&self, store: &Store) -> &str {
-        self.xml.get_or_init(|| {
-            let mut xml = String::new();
-            for &n in &self.out_nodes {
-                store.write_xml(n, &mut xml);
-            }
-            xml
-        })
-    }
-}
-
-impl Chunk {
-    /// Each unit's state with the loop it belongs to, in walk order.
-    fn unit_states(&self) -> impl Iterator<Item = (&Loop, &GenState)> {
-        self.loops.iter().flat_map(move |l| {
-            self.units[l.units.clone()]
-                .iter()
-                .map(move |u| (l, &u.state))
-        })
-    }
-
-    /// The shell's state and every unit's.
-    fn states(&self) -> impl Iterator<Item = &GenState> {
-        std::iter::once(&self.own).chain(self.units.iter().map(|u| &u.state))
-    }
-
-    /// Toc entries in full-run order.
-    fn toc(&self) -> Vec<&TocEntry> {
-        merged(
-            &self.own.toc,
-            self.unit_states().map(|(l, s)| (l.toc_at, &s.toc[..])),
-        )
-    }
-
-    /// Marker definitions in full-run order.
-    fn defs(&self) -> Vec<&(String, Vec<NodeId>)> {
-        merged(
-            &self.own.replacements,
-            self.unit_states()
-                .map(|(l, s)| (l.defs_at, &s.replacements[..])),
-        )
-    }
-
-    fn visited(&self) -> HashSet<NodeRef> {
-        self.states()
-            .flat_map(|s| s.visited.iter().copied())
-            .collect()
-    }
-
-    fn holds_placeholders(&self) -> bool {
-        self.states().any(GenState::holds_placeholders)
-    }
-
-    fn trouble_count(&self) -> usize {
-        self.states().map(|s| s.trouble_count).sum()
-    }
-
-    /// The loop unit `u` belongs to.
-    fn loop_of(&self, u: usize) -> usize {
-        self.loops.partition_point(|l| l.units.end <= u)
-    }
-
-    /// Where loop `l`'s output starts among its parent's children; `base`
-    /// is where the chunk starts under the root.
-    fn loop_start(&self, store: &Store, l: usize, base: usize) -> usize {
-        let parent = self.loops[l].out_parent;
-        match self.loops[l].anchor {
-            // The root is the one output parent with no parent of its own.
-            Anchor::Start if store.parent(parent).is_none() => base,
-            Anchor::Start => 0,
-            Anchor::After(n) => position(store, parent, n) + 1,
-            Anchor::AfterLoop(k) => self.loop_end(store, k, base),
-        }
-    }
-
-    /// Where loop `l`'s output ends among its parent's children.
-    fn loop_end(&self, store: &Store, l: usize, base: usize) -> usize {
-        let range = self.loops[l].units.clone();
-        match self.units[range]
-            .iter()
-            .rev()
-            .find_map(|u| u.out_nodes.last())
-        {
-            Some(&last) => position(store, self.loops[l].out_parent, last) + 1,
-            None => self.loop_start(store, l, base),
-        }
-    }
-
-    /// Where unit `u` of loop `l` starts among its parent's children.
-    fn unit_start(&self, store: &Store, l: usize, u: usize, base: usize) -> usize {
-        let parent = self.loops[l].out_parent;
-        if let Some(&first) = self.units[u].out_nodes.first() {
-            return position(store, parent, first);
-        }
-        let earlier = self.loops[l].units.start..u;
-        match self.units[earlier]
-            .iter()
-            .rev()
-            .find_map(|u| u.out_nodes.last())
-        {
-            Some(&last) => position(store, parent, last) + 1,
-            None => self.loop_start(store, l, base),
-        }
-    }
-
-    /// Serializes the chunk's output, `top` (children of the root),
-    /// noting where each non-empty unit's bytes went.
-    fn shell(&self, store: &Store, top: &[NodeId]) -> Shell {
-        let mut runs = UnitRuns {
-            chunk: self,
+    /// Serializes its output under `parent`, noting where each of its
+    /// parts with output went.
+    fn serialize(&self, store: &Store, parent: NodeId) -> Cached {
+        let mut runs = PartRuns {
+            part: self,
             next: 0,
             open: 0,
             found: Vec::new(),
         };
+        let nodes = self.output(parent);
         let mut bytes = String::new();
         let mut i = 0;
-        while i < top.len() {
-            // Units under the root are runs of `top` itself.
-            let k = runs.starts(top[i]);
+        while i < nodes.len() {
+            // Parts beside its own output are runs of `nodes` itself.
+            let k = runs.starts(nodes[i]);
             let start = bytes.len();
-            for &n in &top[i..i + k.max(1)] {
+            for &n in &nodes[i..i + k.max(1)] {
                 store.write_xml_runs(n, &mut bytes, &mut runs);
             }
             if k > 0 {
@@ -326,74 +324,77 @@ impl Chunk {
         }
         debug_assert_eq!(
             runs.found.len(),
-            self.units
+            self.parts
                 .iter()
-                .filter(|u| !u.out_nodes.is_empty())
+                .filter(|p| !p.out_nodes.is_empty())
                 .count(),
-            "units sit in document order"
+            "parts sit in document order"
         );
-        Shell {
+        Cached {
             bytes,
-            units: runs.found,
+            parts: runs.found,
         }
     }
 
-    /// Appends the chunk's bytes to `out`: the shell, with the bytes of
-    /// each unit that changed since it was written in place of the old.
-    fn write_xml(&self, store: &Store, top: &[NodeId], out: &mut String) {
-        let shell = self.xml.get_or_init(|| self.shell(store, top));
+    /// Appends its bytes to `out`: its cache, with the bytes of each part
+    /// that changed since it was written in place of the old.
+    fn write_xml(&self, store: &Store, parent: NodeId, out: &mut String) {
+        let cached = self.xml.get_or_init(|| self.serialize(store, parent));
         let mut at = 0;
-        for (range, u, stamp) in &shell.units {
-            let unit = &self.units[*u];
-            if unit.stamp != *stamp {
-                out.push_str(&shell.bytes[at..range.start]);
-                out.push_str(unit.bytes(store));
+        for (range, i, stamp) in &cached.parts {
+            let part = &self.parts[*i];
+            if part.stamp != *stamp {
+                out.push_str(&cached.bytes[at..range.start]);
+                part.write_xml(store, self.loops[self.loop_of(*i)].out_parent, out);
                 at = range.end;
             }
         }
-        out.push_str(&shell.bytes[at..]);
+        out.push_str(&cached.bytes[at..]);
     }
 }
 
-/// Locates a chunk's units in its serialization ([`Chunk::shell`]). Units
-/// are listed in walk order, which is the document order of their output,
-/// so the next unit with output is the only one that can start.
-struct UnitRuns<'c> {
-    chunk: &'c Chunk,
-    /// The unit to look for next, and the one whose run started last.
+/// Locates a part's parts in its serialization ([`Part::serialize`]).
+/// Parts are listed in walk order, which is the document order of their
+/// output, so the next part with output is the only one that can start.
+/// Only the root's parts can write beside their own output, and
+/// [`IncrementalDoc::to_xml`] writes the root, so a part's own nodes are
+/// all its output.
+struct PartRuns<'p> {
+    part: &'p Part,
+    /// The part to look for next, and the one whose run started last.
     next: usize,
     open: usize,
     found: Vec<(Range<usize>, usize, u64)>,
 }
 
-impl Runs for UnitRuns<'_> {
+impl Runs for PartRuns<'_> {
     fn starts(&mut self, node: NodeId) -> usize {
-        let units = &self.chunk.units;
-        while self.next < units.len() && units[self.next].out_nodes.is_empty() {
+        let parts = &self.part.parts;
+        while self.next < parts.len() && parts[self.next].out_nodes.is_empty() {
             self.next += 1;
         }
-        match units.get(self.next) {
-            Some(u) if u.out_nodes[0] == node => {
+        match parts.get(self.next) {
+            Some(p) if p.out_nodes[0] == node => {
                 self.open = self.next;
                 self.next += 1;
-                u.out_nodes.len()
+                p.out_nodes.len()
             }
             _ => 0,
         }
     }
 
     fn ended(&mut self, bytes: Range<usize>) {
-        let u = self.open;
-        self.found.push((bytes, u, self.chunk.units[u].stamp));
+        let i = self.open;
+        self.found.push((bytes, i, self.part.parts[i].stamp));
     }
 }
 
-/// A chunk walk's loops and iterations, collected through
-/// [`Walker::units`].
+/// A part walk's loops and iterations, collected through
+/// [`Walker::split`].
 #[derive(Default)]
 pub(super) struct Split {
     loops: Vec<Loop>,
-    units: Vec<Unit>,
+    parts: Vec<Part>,
     /// Per loop, where its output ended among its parent's children.
     ends: Vec<usize>,
 }
@@ -401,7 +402,7 @@ pub(super) struct Split {
 impl Walker<'_, '_> {
     /// Runs a `<for>` the walk reached with no focus, outside
     /// `<marker-content>`: each iteration runs on a fresh state and joins
-    /// `split` as a unit, and the loop records the context a re-run starts
+    /// `split` as a part, and the loop records the context a re-run starts
     /// from.
     pub(super) fn split_loop(
         &mut self,
@@ -418,7 +419,8 @@ impl Walker<'_, '_> {
             _ if start == 0 => Anchor::Start,
             _ => Anchor::After(self.out.children(out_parent)[start - 1]),
         };
-        let first = split.units.len();
+        let first = split.parts.len();
+        split.parts.reserve(nodes.len());
         split.loops.push(Loop {
             for_el,
             path: self.path.clone(),
@@ -427,14 +429,17 @@ impl Walker<'_, '_> {
             anchor,
             toc_at: self.state.toc.len(),
             defs_at: self.state.replacements.len(),
-            units: first..first + nodes.len(),
+            parts: first..first + nodes.len(),
         });
         let outer = std::mem::take(&mut *self.state);
         for node in nodes {
             let out_nodes = self.gen_iteration(node, body, out_parent);
             let state = std::mem::take(&mut *self.state);
             match out_nodes {
-                Ok(out_nodes) => split.units.push(Unit::new(node, out_nodes, state)),
+                Ok(out_nodes) => {
+                    let part = Part::new(Source::Iteration(node), out_nodes, state);
+                    split.parts.push(part);
+                }
                 Err(trouble) => {
                     *self.state = outer;
                     return Err(trouble);
@@ -445,166 +450,249 @@ impl Walker<'_, '_> {
         split.ends.push(self.out.children(out_parent).len());
         Ok(())
     }
-
-    /// Runs one iteration of loop `l` again, with `focus` in focus,
-    /// appending its output to `out_parent`.
-    fn rerun_iteration(
-        &mut self,
-        l: &Loop,
-        focus: NodeRef,
-        out_parent: NodeId,
-    ) -> Result<Vec<NodeId>, GenTrouble> {
-        let body = self.for_body(l.for_el);
-        self.gen_iteration(focus, &body, out_parent)
-    }
 }
 
-/// Which units read each node's properties, so that an edit finds its
-/// dirty units without testing every unit's read set: the answer
-/// `ChunkDeps::overlaps` gives, unit by unit.
+/// Which parts read each node's properties, so that an edit finds its
+/// dirty parts without testing every part's read set: the answer
+/// `ChunkDeps::overlaps` gives, part by part.
 #[derive(Default)]
 struct Readers {
-    /// (chunk, unit) pairs by a node whose properties they read.
-    by_node: HashMap<NodeRef, Vec<(usize, usize)>>,
-    /// Units that read types, relations or the whole population too:
+    /// Parts by a node whose properties they read.
+    by_node: HashMap<NodeRef, Vec<Path>>,
+    /// Parts that read types, relations or the whole population too:
     /// these are tested one by one.
-    others: BTreeSet<(usize, usize)>,
+    others: BTreeSet<Path>,
 }
 
 impl Readers {
-    fn of(chunks: &[Chunk]) -> Readers {
-        let mut readers = Readers::default();
-        for (ci, c) in chunks.iter().enumerate() {
-            readers.add_chunk(ci, c);
-        }
-        readers
-    }
-
-    fn add_chunk(&mut self, ci: usize, c: &Chunk) {
-        for (u, unit) in c.units.iter().enumerate() {
-            self.add(ci, u, &unit.state.deps);
-        }
-    }
-
-    fn add(&mut self, ci: usize, u: usize, deps: &ChunkDeps) {
-        for &n in &deps.nodes {
-            self.by_node.entry(n).or_default().push((ci, u));
-        }
-        if deps.any_node || !deps.types.is_empty() || !deps.relations.is_empty() {
-            self.others.insert((ci, u));
-        }
-    }
-
-    fn remove(&mut self, ci: usize, u: usize, deps: &ChunkDeps) {
-        for n in &deps.nodes {
-            if let Some(units) = self.by_node.get_mut(n) {
-                units.retain(|&k| k != (ci, u));
+    /// Indexes `part`, at `path`, and every part under it.
+    fn add(&mut self, path: &[usize], part: &Part) {
+        part.visit(&mut path.to_vec(), &mut |path, p| {
+            let deps = &p.state.deps;
+            for &n in &deps.nodes {
+                self.by_node.entry(n).or_default().push(path.to_vec());
             }
-        }
-        self.others.remove(&(ci, u));
+            if deps.any_node || !deps.types.is_empty() || !deps.relations.is_empty() {
+                self.others.insert(path.to_vec());
+            }
+        });
     }
 
-    fn remove_chunk(&mut self, ci: usize) {
-        for units in self.by_node.values_mut() {
-            units.retain(|&(c, _)| c != ci);
-        }
-        self.others.retain(|&(c, _)| c != ci);
+    /// Drops `part`, at `path`, and every part under it.
+    fn remove(&mut self, path: &[usize], part: &Part) {
+        part.visit(&mut path.to_vec(), &mut |path, p| {
+            for n in &p.state.deps.nodes {
+                if let Some(parts) = self.by_node.get_mut(n) {
+                    parts.retain(|k| k != path);
+                }
+            }
+            self.others.remove(path);
+        });
     }
 
-    /// The units whose read sets an edit with footprint `edit` overlaps.
-    fn dirty<'r>(
-        &'r self,
-        chunks: &'r [Chunk],
-        edit: &'r ChunkDeps,
-        meta: &'r awb::Metamodel,
-    ) -> impl Iterator<Item = (usize, usize)> + 'r {
-        let by_node = edit
-            .nodes
-            .iter()
-            .filter_map(|n| self.by_node.get(n))
-            .flatten()
-            .copied();
+    /// The parts of `tree` whose read sets an edit with footprint `edit`
+    /// overlaps.
+    fn dirty(&self, tree: &Part, edit: &ChunkDeps, meta: &awb::Metamodel) -> BTreeSet<Path> {
+        let by_node = edit.nodes.iter().filter_map(|n| self.by_node.get(n));
         let others = self
             .others
             .iter()
-            .copied()
-            .filter(|&(ci, u)| chunks[ci].units[u].state.deps.overlaps(edit, meta));
-        by_node.chain(others)
+            .filter(|&path| tree.at(path).state.deps.overlaps(edit, meta));
+        by_node.flatten().chain(others).cloned().collect()
     }
 }
 
 /// A generated document that can absorb model edits by re-running only the
-/// units the edit can have changed.
+/// parts the edit can have changed.
 pub struct IncrementalDoc {
     /// The output tree lives in its own store, like [`super::NativeOutput`].
     pub store: Store,
     /// The `<document>` root element.
     pub root: NodeId,
-    /// Total per-item troubles across all chunks, as of the last run.
+    /// Total per-item troubles across all parts, as of the last run: the
+    /// sum of per-part counts, kept as parts are replaced.
     pub trouble_count: usize,
-    chunks: Vec<Chunk>,
-    /// The model version the chunks were last generated against.
+    /// The root part: its parts are the template's top-level children.
+    tree: Part,
+    /// The model version the parts were last generated against.
     version: u64,
-    /// The last stamp handed to a unit whose output changed.
+    /// The last stamp handed to a part whose output changed.
     stamps: u64,
     /// Built by the first edit.
     readers: Option<Readers>,
 }
 
 impl IncrementalDoc {
-    /// Generates the full document once, recording per-unit read sets.
+    /// Generates the full document once, recording per-part read sets.
     /// Output is identical to [`super::generate`] on the same inputs.
     pub fn generate(inputs: &GenInputs) -> Result<IncrementalDoc, GenTrouble> {
         let mut store = Store::new();
         let root = store.create_element(ROOT_NAME).map_err(internal)?;
-        let tpl_children = inputs
-            .template
-            .store()
-            .children(inputs.template.root())
-            .to_vec();
-        let mut chunks = Vec::with_capacity(tpl_children.len());
-        for tpl_node in tpl_children {
-            let (chunk, out_nodes) = run_chunk(inputs, &mut store, tpl_node, root)?;
-            for n in out_nodes {
+        let template = inputs.template.root();
+        let children = inputs.template.store().children(template).to_vec();
+        let top = Loop {
+            for_el: template,
+            path: vec!["template".to_string()],
+            section_depth: 0,
+            out_parent: root,
+            anchor: Anchor::Start,
+            toc_at: 0,
+            defs_at: 0,
+            parts: 0..children.len(),
+        };
+        let mut parts = Vec::with_capacity(children.len());
+        for child in children {
+            let part = run_part(inputs, &mut store, &top, Source::Child(child))?;
+            for n in part.output(root) {
                 store.append_child(root, n).map_err(internal)?;
             }
-            chunks.push(chunk);
+            parts.push(part);
         }
         let mut doc = IncrementalDoc {
             store,
             root,
             trouble_count: 0,
-            chunks,
+            tree: Part {
+                loops: vec![top],
+                parts,
+                ..Part::new(Source::Child(template), Vec::new(), GenState::default())
+            },
             version: inputs.model.version(),
             stamps: 0,
             readers: None,
         };
         let replacements = doc.replacements();
-        for ci in 0..doc.chunks.len() {
-            doc.splice_chunk(ci, &replacements)?;
-        }
+        doc.splice(&[], &replacements, 0)?;
         doc.refill_placeholders(inputs)?;
-        doc.trouble_count = doc.chunks.iter().map(Chunk::trouble_count).sum();
+        doc.trouble_count = doc.tree.sum(&|p| p.state.trouble_count);
         Ok(doc)
     }
 
-    /// Re-runs exactly the units the model's changes since the last run can
+    /// Re-runs exactly the parts the model's changes since the last run can
     /// have changed (plus any `footprint` adds, plus consumers of changed
-    /// markers), splices their fresh output in place, and refills the
-    /// toc/omissions placeholders when the edit can have changed them. A
-    /// chunk whose shell is dirty re-runs whole. The *model edit itself
-    /// must already have been applied* to `inputs.model`, the model this
-    /// document was generated from. The metamodel and the template carry no
-    /// version, so they must be the ones [`Self::generate`] got. Returns how
-    /// many units were re-run: a whole chunk counts its shell and each of
-    /// its fresh iterations.
+    /// markers), replaces their output with the fresh output in place, and
+    /// refills the toc/omissions placeholders when the edit can have changed
+    /// them. A re-run part re-runs every part under it. The *model edit
+    /// itself must already have been applied* to `inputs.model`, the model
+    /// this document was generated from. The metamodel and the template
+    /// carry no version, so they must be the ones [`Self::generate`] got.
+    /// Returns how many parts were re-run: each re-run part counts itself
+    /// and each of its fresh parts.
     pub fn apply_edit(
         &mut self,
         inputs: &GenInputs,
         footprint: &EditFootprint,
     ) -> Result<usize, GenTrouble> {
-        let meta = inputs.meta;
-        let model = inputs.model;
+        let edit = self.edit_since(inputs.model, footprint);
+        let mut dirty = self.dirty(&edit, inputs.meta);
+        // A part under a dirty part re-runs with it.
+        let covered = |dirty: &BTreeSet<Path>, path: &[usize]| {
+            (1..path.len()).any(|k| dirty.contains(&path[..k]))
+        };
+
+        // Regenerate, then pull in consumers of any marker whose definition
+        // changed; those regenerations can change markers too, so iterate to
+        // a fixpoint (bounded by the part count).
+        let mut runs: BTreeMap<Path, Part> = BTreeMap::new();
+        let mut changed: HashSet<String> = HashSet::new();
+        loop {
+            let pending: Vec<Path> = dirty
+                .iter()
+                .filter(|&path| !runs.contains_key(path) && !covered(&dirty, path))
+                .cloned()
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            let before = changed.len();
+            for path in pending {
+                let (&i, up) = path.split_last().expect("the root reads nothing");
+                let parent = self.tree.at(up);
+                let lp = &parent.loops[parent.loop_of(i)];
+                let run = run_part(inputs, &mut self.store, lp, parent.parts[i].source)?;
+                let old_sig = def_signature(&self.store, parent.parts[i].defs());
+                let new_sig = def_signature(&self.store, run.defs());
+                if old_sig != new_sig {
+                    changed.extend(old_sig.into_iter().chain(new_sig).map(|(m, _)| m));
+                }
+                runs.insert(path, run);
+            }
+            if changed.len() > before {
+                self.tree.visit(&mut Vec::new(), &mut |path, p| {
+                    if p.marks.consumed.iter().any(|m| changed.contains(m)) {
+                        dirty.insert(path.to_vec());
+                    }
+                });
+            }
+        }
+        runs.retain(|path, _| !covered(&dirty, path));
+
+        // Replace: old output out, fresh output in at the same place. A
+        // re-run whose placeholders, toc entries or visits can differ
+        // calls for a refill.
+        let mut refill = !edit.types.is_empty();
+        let mut reran = 0;
+        let rerun: Vec<Path> = runs.keys().cloned().collect();
+        for (path, part) in runs {
+            reran += part.sum(&|_| 1);
+            refill |= self.replace(&path, part)?;
+        }
+
+        // Markers. Re-run parts carry raw marker text and get every
+        // definition. Clean parts consumed no changed marker, so they need
+        // the definitions from the first one of a changed marker onward: the
+        // ones before were applied on an earlier pass, the same and in the
+        // same order, while one after can find its text in copies that now
+        // come before it, where a full run replaces it. Each definition
+        // skips the copies of definitions after it.
+        let replacements = self.replacements();
+        let first_changed = replacements
+            .iter()
+            .position(|(m, _)| changed.contains(m))
+            .unwrap_or(replacements.len());
+        for path in &rerun {
+            self.splice(path, &replacements, 0)?;
+        }
+        self.splice(&[], &replacements, first_changed)?;
+
+        if refill || !changed.is_empty() {
+            self.refill_placeholders(inputs)?;
+        }
+        self.version = inputs.model.version();
+        Ok(reran)
+    }
+
+    /// Compact XML of the generated document: the root's tags around each
+    /// top-level part's bytes, each part serialized once per change of its
+    /// output. Edits made through [`Self::store`] directly rather than
+    /// [`Self::apply_edit`] are not seen by the caches;
+    /// [`Self::to_pretty_xml`] reads the store itself.
+    pub fn to_xml(&self) -> String {
+        if self.store.children(self.root).is_empty() {
+            return self.store.to_xml(self.root);
+        }
+        let mut out = format!("<{ROOT_NAME}>");
+        for p in &self.tree.parts {
+            p.write_xml(&self.store, self.root, &mut out);
+        }
+        out.push_str(&format!("</{ROOT_NAME}>"));
+        out
+    }
+
+    /// Pretty XML of the generated document.
+    pub fn to_pretty_xml(&self) -> String {
+        self.store.to_pretty_xml(self.root)
+    }
+
+    /// How many parts the document splits into (diagnostic/bench use): one
+    /// per top-level template child and one per iteration of a focus-free
+    /// loop.
+    pub fn chunk_count(&self) -> usize {
+        self.tree.sum(&|_| 1) - 1
+    }
+
+    /// What the model changed since the last run, with `footprint` added.
+    fn edit_since(&self, model: &awb::Model, footprint: &EditFootprint) -> ChunkDeps {
         debug_assert!(
             model.version() >= self.version,
             "not the model generated from"
@@ -616,311 +704,177 @@ impl IncrementalDoc {
             .extend(changes.node_types.into_iter().map(String::from));
         edit.relations
             .extend(changes.relations.into_iter().map(String::from));
+        edit
+    }
 
-        // (chunk, None) is a chunk's shell, and with it the whole chunk;
-        // (chunk, Some(u)) one of its units.
-        let mut dirty: BTreeSet<(usize, Option<usize>)> = BTreeSet::new();
-        for (ci, c) in self.chunks.iter().enumerate() {
-            if c.own.deps.overlaps(&edit, meta) {
-                dirty.insert((ci, None));
-            }
-        }
-        let readers = self
-            .readers
-            .get_or_insert_with(|| Readers::of(&self.chunks));
-        for (ci, u) in readers.dirty(&self.chunks, &edit, meta) {
-            if !dirty.contains(&(ci, None)) {
-                dirty.insert((ci, Some(u)));
-            }
-        }
+    /// The parts whose read sets `edit` overlaps, found through the index.
+    fn dirty(&mut self, edit: &ChunkDeps, meta: &awb::Metamodel) -> BTreeSet<Path> {
+        let tree = &self.tree;
+        let readers = self.readers.get_or_insert_with(|| {
+            let mut readers = Readers::default();
+            readers.add(&[], tree);
+            readers
+        });
+        readers.dirty(tree, edit, meta)
+    }
 
-        // Regenerate, then pull in consumers of any marker whose definition
-        // changed; those regenerations can change markers too, so iterate to
-        // a fixpoint (bounded by the unit count).
-        let mut chunk_runs: BTreeMap<usize, (Chunk, Vec<NodeId>)> = BTreeMap::new();
-        let mut unit_runs: BTreeMap<(usize, usize), Unit> = BTreeMap::new();
-        let mut markers_changed = false;
-        loop {
-            let pending: Vec<(usize, Option<usize>)> = dirty
-                .iter()
-                .copied()
-                .filter(|&(ci, u)| match u {
-                    None => !chunk_runs.contains_key(&ci),
-                    Some(u) => !dirty.contains(&(ci, None)) && !unit_runs.contains_key(&(ci, u)),
-                })
-                .collect();
-            if pending.is_empty() {
-                break;
+    /// The element the output of the part at `path` sits under: its loop's
+    /// `out_parent`, and for the root, the root element.
+    fn parent_of(&self, path: &[usize]) -> NodeId {
+        match path.split_last() {
+            Some((&i, up)) => {
+                let parent = self.tree.at(up);
+                parent.loops[parent.loop_of(i)].out_parent
             }
-            let mut changed_markers: HashSet<String> = HashSet::new();
-            for (ci, u) in pending {
-                let c = &self.chunks[ci];
-                let old_sig;
-                let new_sig;
-                match u {
-                    None => {
-                        let run = run_chunk(inputs, &mut self.store, c.tpl_node, self.root)?;
-                        old_sig = def_signature(&self.store, c.defs());
-                        new_sig = def_signature(&self.store, run.0.defs());
-                        chunk_runs.insert(ci, run);
-                    }
-                    Some(u) => {
-                        let l = &c.loops[c.loop_of(u)];
-                        let run = run_unit(inputs, &mut self.store, l, c.units[u].focus)?;
-                        old_sig = def_signature(&self.store, &c.units[u].state.replacements);
-                        new_sig = def_signature(&self.store, &run.state.replacements);
-                        unit_runs.insert((ci, u), run);
-                    }
-                }
-                if old_sig != new_sig {
-                    changed_markers.extend(old_sig.into_iter().chain(new_sig).map(|(m, _)| m));
-                }
-            }
-            if !changed_markers.is_empty() {
-                markers_changed = true;
-                let consumes = |consumed: &HashSet<String>| {
-                    consumed.iter().any(|m| changed_markers.contains(m))
-                };
-                for (ci, c) in self.chunks.iter().enumerate() {
-                    if consumes(&c.consumed) {
-                        dirty.insert((ci, None));
-                    }
-                    for (u, unit) in c.units.iter().enumerate() {
-                        if consumes(&unit.consumed) {
-                            dirty.insert((ci, Some(u)));
-                        }
-                    }
-                }
-            }
+            None => self.root,
         }
-        // A chunk re-run regenerated its units too.
-        unit_runs.retain(|(ci, _), _| !chunk_runs.contains_key(ci));
-        // Only a changed definition can add or drop a marker name.
-        let old_marker_names: HashSet<String> = match markers_changed {
-            true => self.replacements().into_iter().map(|(m, _)| m).collect(),
-            false => HashSet::new(),
+    }
+
+    /// Where the part at `path` starts among its parent element's children:
+    /// at its first node, else right after the last node of an earlier part
+    /// of its loop, else where its loop starts.
+    fn start(&self, path: &[usize]) -> usize {
+        let Some((&i, up)) = path.split_last() else {
+            return 0;
         };
-
-        // Splice: old output out, fresh output in at the same place. A
-        // re-run whose placeholders, toc entries or visits can differ
-        // calls for a refill.
-        let mut refill = !edit.types.is_empty();
-        let mut reran = 0;
-        let rerun_chunks: Vec<usize> = chunk_runs.keys().copied().collect();
-        for (ci, (chunk, out_nodes)) in chunk_runs {
-            let at = self.chunk_start(ci);
-            let old = &self.chunks[ci];
-            let old_nodes = self.store.children(self.root)[at..at + old.len].to_vec();
-            for n in old_nodes {
-                self.store.detach(n);
-            }
-            for (k, &n) in out_nodes.iter().enumerate() {
-                self.store
-                    .insert_child(self.root, at + k, n)
-                    .map_err(internal)?;
-            }
-            refill |= old.holds_placeholders()
-                || chunk.holds_placeholders()
-                || old.toc() != chunk.toc()
-                || old.visited() != chunk.visited();
-            reran += 1 + chunk.units.len();
-            if let Some(readers) = &mut self.readers {
-                readers.remove_chunk(ci);
-                readers.add_chunk(ci, &chunk);
-            }
-            self.chunks[ci] = chunk;
+        let parent = self.tree.at(up);
+        let l = parent.loop_of(i);
+        let el = parent.loops[l].out_parent;
+        if let Some(&first) = parent.parts[i].output(el).first() {
+            return position(&self.store, el, first);
         }
-        let rerun_units: Vec<(usize, usize)> = unit_runs.keys().copied().collect();
-        for ((ci, u), mut unit) in unit_runs {
-            self.stamps += 1;
-            unit.stamp = self.stamps;
-            let base = self.chunk_start(ci);
-            let c = &mut self.chunks[ci];
-            let l = c.loop_of(u);
-            let parent = c.loops[l].out_parent;
-            let at = c.unit_start(&self.store, l, u, base);
-            let old = std::mem::replace(&mut c.units[u], unit);
-            let new = &c.units[u];
-            for &n in &old.out_nodes {
-                self.store.detach(n);
-            }
-            for (k, &n) in new.out_nodes.iter().enumerate() {
-                self.store
-                    .insert_child(parent, at + k, n)
-                    .map_err(internal)?;
-            }
-            if parent == self.root {
-                c.len = c.len + new.out_nodes.len() - old.out_nodes.len();
-            }
-            // The shell has a hole only for units that had output.
-            if old.out_nodes.is_empty() != new.out_nodes.is_empty() {
-                c.xml = OnceLock::new();
-            }
-            refill |= old.state.holds_placeholders()
-                || new.state.holds_placeholders()
-                || old.state.toc != new.state.toc
-                || old.state.visited != new.state.visited;
-            if let Some(readers) = &mut self.readers {
-                readers.remove(ci, u, &old.state.deps);
-                readers.add(ci, u, &new.state.deps);
-            }
-            reran += 1;
-        }
+        let earlier = &parent.parts[parent.loops[l].parts.start..i];
+        self.after(earlier, el)
+            .unwrap_or_else(|| self.loop_start(up, l))
+    }
 
-        // Markers. Re-run parts carry raw marker text and get the full
-        // replacement list. Clean parts need the markers from the first one
-        // this edit newly defined onward: an earlier marker's text was
-        // consumed — or proven absent — on a previous pass, while a later
-        // one's may sit in the new copies, where a full run replaces it.
-        // Each marker skips the copies of markers defined after it.
-        let replacements = self.replacements();
-        let first_new = replacements
+    /// Right after the last node `parts` have under `el`, if they have one.
+    fn after(&self, parts: &[Part], el: NodeId) -> Option<usize> {
+        let last = parts
             .iter()
-            .position(|(m, _)| markers_changed && !old_marker_names.contains(m))
-            .unwrap_or(replacements.len());
-        let for_clean: Defs = replacements[first_new..].to_vec();
-        for &(ci, u) in &rerun_units {
-            self.splice_unit(ci, u, &replacements)?;
-        }
-        for ci in 0..self.chunks.len() {
-            let whole = rerun_chunks.contains(&ci);
-            self.splice_chunk(ci, if whole { &replacements } else { &for_clean })?;
-        }
-
-        if refill || markers_changed {
-            self.refill_placeholders(inputs)?;
-        }
-        self.trouble_count = self.chunks.iter().map(Chunk::trouble_count).sum();
-        self.version = model.version();
-        Ok(reran)
+            .rev()
+            .find_map(|p| p.output(el).last().copied())?;
+        Some(position(&self.store, el, last) + 1)
     }
 
-    /// Compact XML of the generated document: the root's tags around each
-    /// chunk's shell bytes and its units' bytes, each serialized once per
-    /// change of that output. Edits made through [`Self::store`] directly
-    /// rather than [`Self::apply_edit`] are not seen by the caches;
-    /// [`Self::to_pretty_xml`] reads the store itself.
-    pub fn to_xml(&self) -> String {
-        if self.chunks.iter().all(|c| c.len == 0) {
-            return self.store.to_xml(self.root);
+    /// Where loop `l` of the part at `path` starts among its parent's
+    /// children.
+    fn loop_start(&self, path: &[usize], l: usize) -> usize {
+        let lp = &self.tree.at(path).loops[l];
+        match lp.anchor {
+            Anchor::Start if lp.out_parent == self.parent_of(path) => self.start(path),
+            Anchor::Start => 0,
+            Anchor::After(n) => position(&self.store, lp.out_parent, n) + 1,
+            Anchor::AfterLoop(k) => self.loop_end(path, k),
         }
-        let top = self.store.children(self.root);
-        let mut out = format!("<{ROOT_NAME}>");
-        let mut start = 0;
-        for c in &self.chunks {
-            c.write_xml(&self.store, &top[start..start + c.len], &mut out);
-            start += c.len;
-        }
-        out.push_str(&format!("</{ROOT_NAME}>"));
-        out
     }
 
-    /// Pretty XML of the generated document.
-    pub fn to_pretty_xml(&self) -> String {
-        self.store.to_pretty_xml(self.root)
-    }
-
-    /// How many units the document splits into (diagnostic/bench use): one
-    /// per chunk shell and one per iteration of a focus-free loop.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.iter().map(|c| 1 + c.units.len()).sum()
-    }
-
-    /// Where chunk `ci`'s output starts among the root's children.
-    fn chunk_start(&self, ci: usize) -> usize {
-        self.chunks[..ci].iter().map(|c| c.len).sum()
+    /// Where loop `l` of the part at `path` ends among its parent's children.
+    fn loop_end(&self, path: &[usize], l: usize) -> usize {
+        let part = self.tree.at(path);
+        let lp = &part.loops[l];
+        self.after(&part.parts[lp.parts.clone()], lp.out_parent)
+            .unwrap_or_else(|| self.loop_start(path, l))
     }
 
     /// All marker definitions in the order a full run's single `GenState`
     /// would have accumulated them in.
     fn replacements(&self) -> Defs {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.defs().into_iter().cloned())
-            .collect()
+        self.tree.defs().into_iter().cloned().collect()
     }
 
-    /// Splices `replacements` into chunk `ci`: its shell and every unit.
-    fn splice_chunk(&mut self, ci: usize, replacements: &Defs) -> Result<(), GenTrouble> {
-        // Most chunks hold no marker text: one scan, as in a full run,
-        // settles that before any part is scanned on its own.
-        let start = self.chunk_start(ci);
-        let top = &self.store.children(self.root)[start..start + self.chunks[ci].len];
-        let mentions = |&n: &NodeId| {
-            replacements
+    /// Puts `fresh`, a new run of the part at `path`, in the old one's
+    /// place: in the tree, in the output, in the reader index and in the
+    /// trouble count. Returns
+    /// whether the placeholders' fill can have changed.
+    fn replace(&mut self, path: &[usize], mut fresh: Part) -> Result<bool, GenTrouble> {
+        let el = self.parent_of(path);
+        let at = self.start(path);
+        self.stamps += 1;
+        fresh.stamp = self.stamps;
+        let (&i, up) = path.split_last().expect("the root reads nothing");
+        let parent = self.tree.at_mut(up);
+        let old = std::mem::replace(&mut parent.parts[i], fresh);
+        let new = &parent.parts[i];
+        let (old_nodes, new_nodes) = (old.output(el), new.output(el));
+        for &n in &old_nodes {
+            self.store.detach(n);
+        }
+        for (k, &n) in new_nodes.iter().enumerate() {
+            self.store.insert_child(el, at + k, n).map_err(internal)?;
+        }
+        // The parent's bytes have a hole only for parts that had output.
+        if old_nodes.is_empty() != new_nodes.is_empty() {
+            parent.xml = OnceLock::new();
+        }
+        if let Some(readers) = &mut self.readers {
+            readers.remove(path, &old);
+            readers.add(path, new);
+        }
+        let troubles = |p: &Part| p.sum(&|p| p.state.trouble_count);
+        self.trouble_count = self.trouble_count + troubles(new) - troubles(&old);
+        Ok(old.holds_placeholders()
+            || new.holds_placeholders()
+            || old.toc() != new.toc()
+            || old.visited() != new.visited())
+    }
+
+    /// Splices the definitions `replacements[from..]` into the part at
+    /// `path` and every part under it.
+    fn splice(
+        &mut self,
+        path: &[usize],
+        replacements: &Defs,
+        from: usize,
+    ) -> Result<(), GenTrouble> {
+        if from == replacements.len() {
+            return Ok(());
+        }
+        let part = self.tree.at(path);
+        // Most parts hold no marker text: one scan of a part's own output,
+        // as in a full run, settles that for it and the parts inside it.
+        // The parts beside an empty one scan their own.
+        if !part.out_nodes.is_empty() {
+            let mentions = |&n: &NodeId| {
+                replacements[from..]
+                    .iter()
+                    .any(|(m, _)| self.store.find_text(n, m).is_some())
+            };
+            if !part.out_nodes.iter().any(mentions) {
+                return Ok(());
+            }
+            let inner: HashSet<NodeId> = part
+                .parts
                 .iter()
-                .any(|(m, _)| self.store.find_text(n, m).is_some())
-        };
-        if !top.iter().any(mentions) {
-            return Ok(());
-        }
-        self.splice_shell(ci, replacements)?;
-        for u in 0..self.chunks[ci].units.len() {
-            self.splice_unit(ci, u, replacements)?;
-        }
-        Ok(())
-    }
-
-    /// Splices `replacements` into chunk `ci`'s shell, leaving its units'
-    /// output to [`Self::splice_unit`].
-    fn splice_shell(&mut self, ci: usize, replacements: &Defs) -> Result<(), GenTrouble> {
-        let start = self.chunk_start(ci);
-        let c = &mut self.chunks[ci];
-        let mut nodes = self.store.children(self.root)[start..start + c.len].to_vec();
-        let units: HashSet<NodeId> = c
-            .units
-            .iter()
-            .flat_map(|u| u.out_nodes.iter().copied())
-            .collect();
-        let loops = &mut c.loops;
-        // A loop that starts right after a split text starts after its tail.
-        let mut moved_anchor = |text: NodeId, tail: NodeId| {
-            for l in loops.iter_mut() {
-                if l.anchor == Anchor::After(text) {
-                    l.anchor = Anchor::After(tail);
+                .flat_map(|p| p.out_nodes.iter().copied())
+                .collect();
+            let part = self.tree.at_mut(path);
+            let loops = &mut part.loops;
+            // A loop that starts right after a split text starts after its
+            // tail.
+            let mut moved_anchor = |text: NodeId, tail: NodeId| {
+                for l in loops.iter_mut() {
+                    if l.anchor == Anchor::After(text) {
+                        l.anchor = Anchor::After(tail);
+                    }
                 }
+            };
+            let spliced = splice_markers(
+                &mut self.store,
+                &mut part.out_nodes,
+                replacements,
+                from,
+                &mut part.marks,
+                &inner,
+                &mut moved_anchor,
+            )?;
+            if spliced {
+                self.stamps += 1;
+                part.changed(self.stamps);
             }
-        };
-        let spliced = splice_markers(
-            &mut self.store,
-            &mut nodes,
-            replacements,
-            &mut c.consumed,
-            &mut c.copies,
-            &units,
-            &mut moved_anchor,
-        )?;
-        if spliced {
-            c.len = nodes.len();
-            c.xml = OnceLock::new();
         }
-        Ok(())
-    }
-
-    /// Splices `replacements` into unit `u` of chunk `ci`.
-    fn splice_unit(&mut self, ci: usize, u: usize, replacements: &Defs) -> Result<(), GenTrouble> {
-        if replacements.is_empty() {
-            return Ok(());
-        }
-        let c = &mut self.chunks[ci];
-        let under_root = c.loops[c.loop_of(u)].out_parent == self.root;
-        let unit = &mut c.units[u];
-        let before = unit.out_nodes.len();
-        let spliced = splice_markers(
-            &mut self.store,
-            &mut unit.out_nodes,
-            replacements,
-            &mut unit.consumed,
-            &mut unit.copies,
-            &HashSet::new(),
-            &mut |_, _| {},
-        )?;
-        if spliced {
-            self.stamps += 1;
-            unit.changed(self.stamps);
-            if under_root {
-                c.len += unit.out_nodes.len() - before;
-            }
+        for i in 0..self.tree.at(path).parts.len() {
+            self.splice(&[path, &[i]].concat(), replacements, from)?;
         }
         Ok(())
     }
@@ -929,27 +883,24 @@ impl IncrementalDoc {
     /// per-part state, and drops the cached bytes that hold one. Cheap:
     /// proportional to toc size + omitted nodes, not to the document.
     fn refill_placeholders(&mut self, inputs: &GenInputs) -> Result<(), GenTrouble> {
-        let mut scratch = GenState::default();
-        for c in &mut self.chunks {
-            scratch.toc.extend(c.toc().into_iter().cloned());
-            for s in c.states() {
-                scratch.visited.extend(s.visited.iter().copied());
-                scratch
-                    .toc_placeholders
-                    .extend(s.toc_placeholders.iter().copied());
-                scratch
-                    .omission_placeholders
-                    .extend(s.omission_placeholders.iter().cloned());
+        let mut scratch = GenState {
+            toc: self.tree.toc().into_iter().cloned().collect(),
+            ..GenState::default()
+        };
+        let mut held = Vec::new();
+        self.tree.visit(&mut Vec::new(), &mut |path, p| {
+            scratch.visited.extend(&p.state.visited);
+            scratch.toc_placeholders.extend(&p.state.toc_placeholders);
+            scratch
+                .omission_placeholders
+                .extend(p.state.omission_placeholders.iter().cloned());
+            if p.state.holds_placeholders() {
+                held.push(path.to_vec());
             }
-            if c.own.holds_placeholders() {
-                c.xml = OnceLock::new();
-            }
-            for u in &mut c.units {
-                if u.state.holds_placeholders() {
-                    self.stamps += 1;
-                    u.changed(self.stamps);
-                }
-            }
+        });
+        for path in held {
+            self.stamps += 1;
+            self.tree.at_mut(&path).changed(self.stamps);
         }
         for &div in &scratch.toc_placeholders {
             clear_children(&mut self.store, div);
@@ -965,140 +916,74 @@ impl IncrementalDoc {
         // fills are rebuilt whenever a definition changes, so consumption is
         // not recorded.
         let replacements = self.replacements();
-        if !replacements.is_empty() {
-            let (mut consumed, mut copies) = (HashSet::new(), Vec::new());
-            let divs: Vec<NodeId> = scratch
-                .toc_placeholders
-                .iter()
-                .copied()
-                .chain(scratch.omission_placeholders.iter().map(|(d, _)| *d))
-                .collect();
-            for div in divs {
-                let mut nodes = vec![div];
-                splice_markers(
-                    &mut self.store,
-                    &mut nodes,
-                    &replacements,
-                    &mut consumed,
-                    &mut copies,
-                    &HashSet::new(),
-                    &mut |_, _| {},
-                )?;
-            }
-        }
+        let mut divs: Vec<NodeId> = scratch
+            .toc_placeholders
+            .iter()
+            .copied()
+            .chain(scratch.omission_placeholders.iter().map(|(d, _)| *d))
+            .collect();
+        splice_markers(
+            &mut self.store,
+            &mut divs,
+            &replacements,
+            0,
+            &mut Marks::default(),
+            &HashSet::new(),
+            &mut |_, _| {},
+        )?;
         Ok(())
     }
 }
 
-#[cfg(test)]
-impl IncrementalDoc {
-    /// Every filled byte cache that disagrees with the tree it caches.
-    fn stale_caches(&self) -> Vec<String> {
-        let mut stale = Vec::new();
-        let top = self.store.children(self.root);
-        let mut start = 0;
-        for (ci, c) in self.chunks.iter().enumerate() {
-            let top = &top[start..start + c.len];
-            start += c.len;
-            let mut fresh = String::new();
-            for &n in top {
-                self.store.write_xml(n, &mut fresh);
-            }
-            let mut cached = String::new();
-            c.write_xml(&self.store, top, &mut cached);
-            if cached != fresh {
-                stale.push(format!("chunk {ci}: {cached:?} vs {fresh:?}"));
-            }
-            let shell = c.xml.get().expect("written above");
-            for (u, unit) in c.units.iter().enumerate() {
-                let mut fresh = String::new();
-                for &n in &unit.out_nodes {
-                    self.store.write_xml(n, &mut fresh);
-                }
-                let in_shell = shell
-                    .units
-                    .iter()
-                    .find(|(_, v, stamp)| *v == u && *stamp == unit.stamp)
-                    .map(|(range, _, _)| &shell.bytes[range.clone()]);
-                for cached in in_shell.into_iter().chain(unit.xml.get().map(|s| &s[..])) {
-                    if cached != fresh {
-                        stale.push(format!("chunk {ci} unit {u}: {cached:?} vs {fresh:?}"));
-                    }
-                }
-            }
-        }
-        stale
-    }
-}
-
-/// Walks one top-level template child into a detached holder, its
-/// focus-free loops split into units. Returns the chunk and its output
-/// nodes, detached; loops that wrote to the holder now write to `root`.
-fn run_chunk(
+/// Walks a part's source, from the context its loop `lp` recorded, into a
+/// detached holder: a template child with its focus-free loops split into
+/// parts, or one iteration of `lp`. Loops that wrote to the holder now
+/// write to `lp`'s parent element.
+fn run_part(
     inputs: &GenInputs,
     store: &mut Store,
-    tpl_node: NodeId,
-    root: NodeId,
-) -> Result<(Chunk, Vec<NodeId>), GenTrouble> {
-    let holder = store.create_element("chunk-holder").map_err(internal)?;
-    let mut own = GenState::default();
+    lp: &Loop,
+    source: Source,
+) -> Result<Part, GenTrouble> {
+    let holder = store.create_element("part-holder").map_err(internal)?;
+    let mut state = GenState::default();
     let mut split = Split::default();
-    Walker {
+    let mut walker = Walker {
         inputs,
         out: store,
-        state: &mut own,
+        state: &mut state,
         focus: None,
-        path: vec!["template".to_string()],
-        section_depth: 0,
-        units: Some(&mut split),
+        path: lp.path.clone(),
+        section_depth: lp.section_depth,
+        split: None,
+    };
+    match source {
+        Source::Child(tpl_node) => {
+            walker.split = Some(&mut split);
+            walker.walk_node(tpl_node, holder)?;
+        }
+        Source::Iteration(focus) => {
+            let body = walker.for_body(lp.for_el);
+            walker.gen_iteration(focus, &body, holder)?;
+        }
     }
-    .walk_node(tpl_node, holder)?;
-    let out_nodes = store.children(holder).to_vec();
+    let mut out_nodes = store.children(holder).to_vec();
     for &n in &out_nodes {
         store.detach(n);
     }
     for l in &mut split.loops {
         if l.out_parent == holder {
-            l.out_parent = root;
+            // A template child that is a `<for>` writes only its
+            // iterations: what sits in the holder is theirs.
+            l.out_parent = lp.out_parent;
+            out_nodes.clear();
         }
     }
-    let chunk = Chunk {
-        tpl_node,
-        len: out_nodes.len(),
-        own,
-        consumed: HashSet::new(),
-        copies: Vec::new(),
+    Ok(Part {
         loops: split.loops,
-        units: split.units,
-        xml: OnceLock::new(),
-    };
-    Ok((chunk, out_nodes))
-}
-
-/// Runs one iteration of loop `l` again, with `focus` in focus, from the
-/// context the loop recorded, into a detached holder.
-fn run_unit(
-    inputs: &GenInputs,
-    store: &mut Store,
-    l: &Loop,
-    focus: NodeRef,
-) -> Result<Unit, GenTrouble> {
-    let holder = store.create_element("unit-holder").map_err(internal)?;
-    let mut state = GenState::default();
-    let out_nodes = Walker {
-        inputs,
-        out: store,
-        state: &mut state,
-        focus: None,
-        path: l.path.clone(),
-        section_depth: l.section_depth,
-        units: None,
-    }
-    .rerun_iteration(l, focus, holder)?;
-    for &n in &out_nodes {
-        store.detach(n);
-    }
-    Ok(Unit::new(focus, out_nodes, state))
+        parts: split.parts,
+        ..Part::new(source, out_nodes, state)
+    })
 }
 
 /// The position of `child` among `parent`'s children.
@@ -1107,7 +992,7 @@ fn position(store: &Store, parent: NodeId, child: NodeId) -> usize {
         .children(parent)
         .iter()
         .position(|&c| c == child)
-        .expect("a unit's output sits under its loop's parent")
+        .expect("a part's output sits under its loop's parent")
 }
 
 /// A comparable rendering of marker definitions: marker names in order
@@ -1157,12 +1042,13 @@ fn find_text_outside(
     None
 }
 
-/// Applies marker replacements to one part's output, a run of siblings,
-/// in definition order — the same per-marker scan-splice loop a full run
-/// applies to the whole document, restricted to these subtrees less the
-/// ones rooted at `skip`, and for each marker less the part's `copies` of
-/// markers after it in `replacements` (a tail of the definition order).
-/// Every copy spliced is added to `copies`. When a top-level text node
+/// Applies the marker definitions `replacements[from..]` to one part's
+/// output, a run of siblings, in definition order — the same per-marker
+/// scan-splice loop a full run applies to the whole document, restricted
+/// to these subtrees less the ones rooted at `skip`, and for each
+/// definition less the part's copies of definitions after it. It records
+/// in `marks` every marker it replaced and every copy it spliced. When a
+/// top-level text node
 /// splits, the spliced copies and the tail become new output nodes of the
 /// part (they sit between its other nodes under the same parent).
 /// `split(text, tail)` hears of every split. Returns whether anything was
@@ -1171,17 +1057,27 @@ fn splice_markers(
     store: &mut Store,
     out_nodes: &mut Vec<NodeId>,
     replacements: &Defs,
-    consumed: &mut HashSet<String>,
-    copies: &mut Copies,
+    from: usize,
+    marks: &mut Marks,
     skip: &HashSet<NodeId>,
     split: &mut dyn FnMut(NodeId, NodeId),
 ) -> Result<bool, GenTrouble> {
+    let mut ranks: HashMap<&str, usize> = HashMap::new();
+    let keys: Vec<DefKey> = replacements
+        .iter()
+        .map(|(m, _)| {
+            let rank = ranks.entry(m).or_default();
+            *rank += 1;
+            (m.clone(), *rank - 1)
+        })
+        .collect();
     let mut spliced = false;
-    for (j, (marker, content)) in replacements.iter().enumerate() {
-        let later = &replacements[j + 1..];
-        let later_copies: Vec<NodeId> = copies
+    for (j, (marker, content)) in replacements.iter().enumerate().skip(from) {
+        let later = &keys[j + 1..];
+        let later_copies: Vec<NodeId> = marks
+            .copies
             .iter()
-            .filter(|(m, _)| later.iter().any(|(l, _)| l == m))
+            .filter(|(def, _)| later.contains(def))
             .map(|&(_, root)| root)
             .collect();
         let with_later: HashSet<NodeId>;
@@ -1210,7 +1106,7 @@ fn splice_markers(
                 )));
             }
             spliced = true;
-            consumed.insert(marker.clone());
+            marks.consumed.insert(marker.clone());
             let tail = store.split_text(text_node, offset).map_err(internal)?;
             split(text_node, tail);
             let tail_text = store.string_value(tail);
@@ -1227,7 +1123,10 @@ fn splice_markers(
                     .map_err(internal)?;
                 spliced_copies.push(copy);
             }
-            copies.extend(spliced_copies.iter().map(|&c| (marker.clone(), c)));
+            let key = &keys[j];
+            marks
+                .copies
+                .extend(spliced_copies.iter().map(|&c| (key.clone(), c)));
             if text_node == node {
                 // Top-level split: head keeps out_nodes[i]; copies and tail
                 // join the part's output right after it. The head no longer
@@ -1277,6 +1176,51 @@ mod tests {
         m.add_relation("uses", u1, p);
         m.add_relation("likes", u2, p);
         m
+    }
+
+    impl IncrementalDoc {
+        /// Every filled byte cache that disagrees with the tree it caches.
+        fn stale_caches(&self) -> Vec<String> {
+            let fresh = |part: &Part, parent: NodeId| {
+                let mut xml = String::new();
+                for n in part.output(parent) {
+                    self.store.write_xml(n, &mut xml);
+                }
+                xml
+            };
+            let mut stale = Vec::new();
+            self.tree.visit(&mut Vec::new(), &mut |path, part| {
+                let Some(cached) = part.xml.get() else {
+                    return;
+                };
+                let mut written = String::new();
+                part.write_xml(&self.store, self.parent_of(path), &mut written);
+                let expected = fresh(part, self.parent_of(path));
+                if written != expected {
+                    stale.push(format!("part {path:?}: {written:?} vs {expected:?}"));
+                }
+                for (range, i, stamp) in &cached.parts {
+                    let inner = &part.parts[*i];
+                    let expected = fresh(inner, part.loops[part.loop_of(*i)].out_parent);
+                    if inner.stamp == *stamp && cached.bytes[range.clone()] != expected {
+                        stale.push(format!("part {path:?} at {i}: {range:?} vs {expected:?}"));
+                    }
+                }
+            });
+            stale
+        }
+
+        /// The parts whose read sets `edit` overlaps, each tested on its
+        /// own: what [`IncrementalDoc::dirty`] finds through the index.
+        fn overlapping(&self, edit: &ChunkDeps, meta: &Metamodel) -> BTreeSet<Path> {
+            let mut dirty = BTreeSet::new();
+            self.tree.visit(&mut Vec::new(), &mut |path, part| {
+                if part.state.deps.overlaps(edit, meta) {
+                    dirty.insert(path.to_vec());
+                }
+            });
+            dirty
+        }
     }
 
     fn full_xml(template: &Template, model: &Model, meta: &Metamodel) -> String {
@@ -1598,7 +1542,9 @@ mod tests {
         // content holds MA's text: a full run applies MA before MB's copy
         // exists, so the copy keeps the text. MC is defined after MA and
         // its text sits in MA's content: a full run replaces it in MA's
-        // copy.
+        // copy. In the third, MA is defined before MB and again after it:
+        // the second MA replaces MA's text in MB's copy, whose consumer
+        // consumed no MA.
         for (template, expected) in [
             (
                 r#"<template><for nodes="all.Program"><if><test><has-property name="banner"/></test><then><marker-content marker="MA"><b>A</b></marker-content></then></if></for><marker-content marker="MB"><i>MA</i></marker-content><p>MB</p></template>"#,
@@ -1607,6 +1553,10 @@ mod tests {
             (
                 r#"<template><for nodes="all.Program"><if><test><has-property name="banner"/></test><then><marker-content marker="MA"><b>MC</b></marker-content></then></if></for><marker-content marker="MC"><u>C</u></marker-content><p>MA</p></template>"#,
                 "<p><b><u>C</u></b></p>",
+            ),
+            (
+                r#"<template><marker-content marker="MA"><b>A</b></marker-content><marker-content marker="MB"><i>MA</i></marker-content><for nodes="all.Program"><if><test><has-property name="banner"/></test><then><marker-content marker="MA"><u>A2</u></marker-content></then></if></for><p>MB</p></template>"#,
+                "<p><i><u>A2</u></i></p>",
             ),
         ] {
             let mut m = tiny_model();
@@ -1785,13 +1735,14 @@ mod tests {
         assert_matches_full(&doc, &template, &m, &meta);
     }
 
-    /// The chunks of System Context that hold the toc and the omissions
-    /// placeholders.
-    fn placeholder_chunks(doc: &IncrementalDoc) -> Vec<&Chunk> {
-        let held: Vec<&Chunk> = doc
-            .chunks
+    /// The top-level parts of System Context that hold the toc and the
+    /// omissions placeholders.
+    fn placeholder_chunks(doc: &IncrementalDoc) -> Vec<&Part> {
+        let held: Vec<&Part> = doc
+            .tree
+            .parts
             .iter()
-            .filter(|c| c.own.holds_placeholders())
+            .filter(|c| c.state.holds_placeholders())
             .collect();
         assert_eq!(held.len(), 2, "the toc and the Omissions section");
         held
@@ -2078,8 +2029,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Soundness of the read sets, the model's stamps, the unit splices
-        /// and the refill rule: after every step of a random edit sequence
+        /// Soundness of the read sets and their index, the model's stamps,
+        /// the part replacements, the marker splices and the refill rule: after every step of a random edit sequence
         /// over a random template, reported by the model alone, the
         /// incremental document equals a fresh full run, and every cached
         /// serialization equals the tree it caches.
@@ -2107,6 +2058,18 @@ mod tests {
             prop_assert_eq!(doc.to_xml(), full_xml(&template, &m, &meta), "{}", source);
             for (step, edit) in edits.iter().enumerate() {
                 apply_model_edit(&mut m, edit);
+                // The index finds exactly the parts whose reads overlap,
+                // those under another dirty part included: an index that
+                // finds too many passes every byte check below.
+                let footprint = doc.edit_since(&m, &EditFootprint::new());
+                prop_assert_eq!(
+                    doc.dirty(&footprint, &meta),
+                    doc.overlapping(&footprint, &meta),
+                    "step {}: {:?}\n{}",
+                    step,
+                    edit,
+                    source
+                );
                 let inputs = GenInputs {
                     model: &m,
                     meta: &meta,

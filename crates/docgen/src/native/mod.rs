@@ -69,7 +69,7 @@ pub fn generate(inputs: &GenInputs) -> Result<NativeOutput, GenTrouble> {
         focus: None,
         path: vec!["template".to_string()],
         section_depth: 0,
-        units: None,
+        split: None,
     };
     cx.walk_children(inputs.template.root(), root)?;
 

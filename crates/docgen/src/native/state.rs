@@ -230,25 +230,6 @@ impl GenState {
     }
 }
 
-/// A run's own list (toc entries or marker definitions) with the lists of
-/// the iterations split off from it merged back in, each iteration at the
-/// length the run's list had when its loop started: the order one full
-/// run's single state accumulates them in. `split` comes in walk order.
-pub(super) fn merged<'s, T>(
-    own: &'s [T],
-    split: impl IntoIterator<Item = (usize, &'s [T])>,
-) -> Vec<&'s T> {
-    let mut out = Vec::with_capacity(own.len());
-    let mut at = 0;
-    for (cut, items) in split {
-        out.extend(&own[at..cut]);
-        at = cut;
-        out.extend(items);
-    }
-    out.extend(&own[at..]);
-    out
-}
-
 fn internal(e: xmlstore::XmlError) -> GenTrouble {
     GenTrouble::new(format!("internal output-tree error: {e}"))
 }
@@ -283,19 +264,6 @@ mod tests {
             xml,
             r##"<div><ul class="toc"><li class="lvl-1"><a href="#one">One</a></li><li class="lvl-2"><a href="#two">Two</a></li></ul></div>"##
         );
-    }
-
-    #[test]
-    fn merged_lists_keep_walk_order() {
-        let own = [1, 2, 5];
-        let (first, second) = ([3], [4]);
-        // Two iterations of one loop that started after `2`.
-        let order: Vec<i32> = merged(&own, [(2, &first[..]), (2, &second[..])])
-            .into_iter()
-            .copied()
-            .collect();
-        assert_eq!(order, [1, 2, 3, 4, 5]);
-        assert_eq!(merged(&own, []).len(), 3);
     }
 
     #[test]

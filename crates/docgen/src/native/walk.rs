@@ -20,9 +20,9 @@ pub struct Walker<'a, 'b> {
     pub path: Vec<String>,
     pub section_depth: usize,
     /// Where incremental generation collects the iterations of each loop
-    /// the walk reaches with no focus, outside `<marker-content>`, as units
+    /// the walk reaches with no focus, outside `<marker-content>`, as parts
     /// of their own. A full run sets none, and its loops run as they are.
-    pub units: Option<&'b mut Split>,
+    pub split: Option<&'b mut Split>,
 }
 
 type Gen<T = ()> = Result<T, GenTrouble>;
@@ -269,9 +269,9 @@ impl Walker<'_, '_> {
         let body = self.for_body(el);
         // The hook is out while a split loop or a marker definition runs,
         // so the loops nested in them run whole.
-        if let Some(split) = self.units.take() {
+        if let Some(split) = self.split.take() {
             let result = self.split_loop(split, el, nodes, &body, out_parent);
-            self.units = Some(split);
+            self.split = Some(split);
             return result;
         }
         for node in nodes {
@@ -545,10 +545,10 @@ impl Walker<'_, '_> {
             .out
             .create_element("marker-holder")
             .map_err(|e| self.out_err(e))?;
-        // Its loops are part of the definition, not units of their own.
-        let units = self.units.take();
+        // Its loops are part of the definition, not parts of their own.
+        let split = self.split.take();
         let result = self.walk_children(el, holder);
-        self.units = units;
+        self.split = split;
         result?;
         let content = self.out.children(holder).to_vec();
         self.state.replacements.push((marker, content));

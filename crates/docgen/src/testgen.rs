@@ -8,8 +8,12 @@
 //! `<else>`) and iterations that fail into an error note (`<value-of>`
 //! with no default).
 //!
-//! Marker content never holds marker text, so every template also runs
-//! to completion under a full generator.
+//! `MARK-B`'s content sometimes holds `MARK-A`'s text, so whether a copy
+//! of it gets `MARK-A` replaced depends on which marker was defined first
+//! (a full run applies markers in definition order). `MARK-A`'s content
+//! never holds marker text, and no content holds its own marker's, so no
+//! replacement feeds itself and every template also runs to completion
+//! under a full generator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +70,15 @@ impl TemplateGen {
         }
     }
 
+    /// Text for the end of `marker`'s content: now and then `MARK-A`'s
+    /// text in `MARK-B`'s content, never marker text in `MARK-A`'s.
+    fn inner_marker(&mut self, marker: &str) -> String {
+        match marker == MARKERS[1] && self.rng.gen_bool(0.5) {
+            true => format!(" {}", MARKERS[0]),
+            false => String::new(),
+        }
+    }
+
     /// Something the walk reaches with no focus.
     fn top_item(&mut self, depth: usize) {
         match self.rng.gen_range(0..12) {
@@ -111,7 +124,8 @@ impl TemplateGen {
                 self.out
                     .push_str(&format!("<marker-content marker=\"{m}\">"));
                 if self.rng.gen_bool(0.5) {
-                    self.out.push_str("<b>static</b>");
+                    let inner = self.inner_marker(m);
+                    self.out.push_str(&format!("<b>static{inner}</b>"));
                 } else {
                     self.out.push_str(
                         r#"<i><for nodes="all.Program"><value-of property="language" default="?"/></for></i>"#,
@@ -219,8 +233,9 @@ impl TemplateGen {
             }
             10 | 11 => {
                 let m = self.pick(&MARKERS);
+                let inner = self.inner_marker(m);
                 self.out.push_str(&format!(
-                    "<marker-content marker=\"{m}\"><b><label/>:<value-of property=\"language\" default=\"none\"/></b></marker-content>"
+                    "<marker-content marker=\"{m}\"><b><label/>:<value-of property=\"language\" default=\"none\"/>{inner}</b></marker-content>"
                 ));
             }
             12 | 13 => {
@@ -275,7 +290,7 @@ mod tests {
                 }
                 (None, NodeKind::Text(text)) if MARKERS.iter().any(|m| text.contains(m)) => {
                     if under("marker-content") {
-                        false
+                        found.insert("marker text in marker content")
                     } else if in_loop {
                         found.insert("marker consumed in a loop")
                     } else {
@@ -297,7 +312,7 @@ mod tests {
                 *counts.entry(route).or_default() += 1;
             }
         }
-        assert_eq!(counts.len(), 12, "{counts:?}");
+        assert_eq!(counts.len(), 13, "{counts:?}");
         for (route, n) in counts {
             assert!(n >= 8, "{route} in only {n} of 128 templates");
         }

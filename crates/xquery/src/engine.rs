@@ -138,9 +138,10 @@ impl EngineOptions {
 ///
 /// Both the module and the program sit behind `Arc`: a query is compiled
 /// once and the same program can then be evaluated by many engines on many
-/// threads concurrently (names and literals are interned process-wide, so a
-/// `Sym` means the same thing everywhere). Cloning a `CompiledQuery` is two
-/// reference bumps, not a deep copy.
+/// threads concurrently (names are interned process-wide, so a `Sym` means
+/// the same thing everywhere, and string literals are plan-owned
+/// `Arc<str>`s). Cloning a `CompiledQuery` is two reference bumps, not a
+/// deep copy.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     pub module: Arc<Module>,
