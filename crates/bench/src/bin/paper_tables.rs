@@ -429,10 +429,12 @@ fn system_context_reuse(runtime_opt: bool) -> ReuseStats {
     total
 }
 
-/// The incremental edit loop on System Context at n=800: a `language` edit
-/// re-runs one Programs iteration and leaves one iteration's worth of
-/// detached output behind; an added program re-runs the Programs chunk,
-/// its shell and every iteration. Both documents equal a full run.
+/// The incremental edit loop on System Context at n=800: the generated
+/// document holds the Deployment table once, in its marker definition (the
+/// bytes written put it in place of the marker); a `language` edit re-runs
+/// one Programs iteration and leaves one iteration's worth of detached
+/// output behind; an added program re-runs the Programs chunk, its shell
+/// and every iteration. Both documents equal a full run.
 fn edit_loop_probe() {
     let mut w = it_workload(800, 42);
     let template = Template::parse(lopsided::templates::SYSTEM_CONTEXT)
@@ -455,6 +457,10 @@ fn edit_loop_probe() {
     };
 
     let slots = doc.store.len();
+    assert!(
+        slots <= 25_000,
+        "the generated document holds {slots} store slots: the Deployment table twice?"
+    );
     w.model
         .set_prop(programs[7], "language", PropValue::Str("cobol".into()));
     let reran = doc
@@ -490,8 +496,8 @@ fn edit_loop_probe() {
     );
     full_run(&w, &doc);
     println!(
-        "  incremental edit loop: a language edit re-ran 1 unit and left {grew} store slots; \
-         an added program re-ran {reran} units"
+        "  incremental edit loop: generate left {slots} store slots; a language edit re-ran \
+         1 unit and left {grew} store slots; an added program re-ran {reran} units"
     );
 }
 

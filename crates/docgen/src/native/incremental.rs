@@ -34,24 +34,24 @@
 //!   of merged state (toc entries, visited nodes). Their placeholder
 //!   `<div>`s are emptied and refilled only when an edit can have changed
 //!   them: a re-run part held a placeholder or changed its toc entries or
-//!   visited set, the edit added a node, or a marker definition changed or
-//!   appeared. Otherwise they, and the bytes cached around them, stay as
+//!   visited set, the edit added a node, or the marker definitions
+//!   changed. Otherwise they, and the bytes cached around them, stay as
 //!   they were;
-//! * **marker replacements** splice one part's generated content into text
-//!   found in any part. Each part records which markers it consumed; a
-//!   re-run whose marker definitions changed (content, appeared,
-//!   disappeared) drags its consumers into the re-run set, and a changed
-//!   marker's definitions are applied to clean parts too (a new one's
-//!   literal marker text is still sitting in their output, and a marker
-//!   defined again can find its text in the copies of another);
+//! * **marker replacements** put one part's generated content in place of
+//!   text found in any part. The store keeps each part's raw output, marker
+//!   text included, and each definition's content once; the definitions
+//!   are applied as bytes are written ([`Markers`]). A run records whether
+//!   its raw output holds one of the template's marker names, and when an
+//!   edit changes the definitions, such runs write their bytes afresh;
 //! * the **trouble count** is the sum of per-part counts;
 //! * the **serialized bytes**: each part caches its serialization with the
-//!   byte ranges of its parts in it. A part whose output changed since (a
-//!   re-run, a splice of marker content, a placeholder refill) gets a fresh
-//!   stamp and an empty cache, and its bytes go in place of its old range.
-//!   A part's cache also empties when one of its parts' output became or
-//!   stopped being empty. [`IncrementalDoc::to_xml`] writes the root's tags
-//!   around the top-level parts' bytes.
+//!   byte ranges of its parts in it. A part whose bytes changed since (a
+//!   re-run, a change of the definitions its text meets, a placeholder
+//!   refill) gets a fresh stamp and an empty cache, and its bytes go in
+//!   place of its old range. A part's cache also empties when one of its
+//!   parts' output became or stopped being empty.
+//!   [`IncrementalDoc::to_xml`] writes the root's tags around the
+//!   top-level parts' bytes.
 //!
 //! The correctness bar is exact: after any sequence of `apply_edit` calls,
 //! [`IncrementalDoc::to_xml`] must equal what a fresh [`super::generate`]
@@ -63,10 +63,10 @@ use super::walk::Walker;
 use crate::trouble::GenTrouble;
 use crate::GenInputs;
 use awb::NodeRef;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 use std::sync::OnceLock;
-use xmlstore::serializer::Runs;
+use xmlstore::serializer::{push_text, Runs};
 use xmlstore::{NodeId, NodeKind, Store};
 
 /// Changes a caller reports beside the ones the model stamps itself (see
@@ -92,26 +92,10 @@ impl EditFootprint {
 /// The name of the generated document's root element.
 const ROOT_NAME: &str = "document";
 
-/// Marker definitions: marker text and its content (detached nodes in the
-/// output store, owned by the run that generated them).
+/// Marker definitions in full-run order: marker text and its content
+/// (detached nodes in the output store, owned by the run that generated
+/// them).
 type Defs = Vec<(String, Vec<NodeId>)>;
-
-/// A marker definition, known across edits by its marker and its rank
-/// among that marker's definitions in definition order (a marker defined
-/// in a loop is defined once per iteration).
-type DefKey = (String, usize);
-
-/// What applying marker definitions did to a part's own output.
-#[derive(Default)]
-struct Marks {
-    /// Markers whose text it contained and had replaced.
-    consumed: HashSet<String>,
-    /// The roots of the marker content copied into it, each with the
-    /// definition it came from. A definition later than another must not
-    /// be applied inside the other's copies: a full run applies definitions
-    /// in order, before those copies exist.
-    copies: Vec<(DefKey, NodeId)>,
-}
 
 /// Where a part sits in the tree: its index among its parent's parts, for
 /// each step down from the root.
@@ -125,12 +109,16 @@ struct Part {
     /// `out_parent`, less the output of its own parts.
     out_nodes: Vec<NodeId>,
     state: GenState,
-    marks: Marks,
+    /// Whether the raw output of the run that made it, its parts'
+    /// included, holds the text of a marker the template defines: its
+    /// bytes then depend on the definitions. Its serialization writes its
+    /// parts' output too, so the parts that run made note nothing.
+    mentions: bool,
     /// Its focus-free loops in walk order; their iterations are `parts`.
     loops: Vec<Loop>,
     parts: Vec<Part>,
-    /// Changes whenever its output does (a fresh stamp per change): its
-    /// bytes inside its parent's [`Cached`] hold while the stamps agree.
+    /// Changes whenever its bytes do (a fresh stamp per change): its bytes
+    /// inside its parent's [`Cached`] hold while the stamps agree.
     stamp: u64,
     /// Its output serialized, filled on first use after it last changed.
     xml: OnceLock<Cached>,
@@ -193,7 +181,7 @@ impl Part {
             source,
             out_nodes,
             state,
-            marks: Marks::default(),
+            mentions: false,
             loops: Vec::new(),
             parts: Vec::new(),
             stamp: 0,
@@ -292,7 +280,7 @@ impl Part {
         self.sum(&|p| p.state.holds_placeholders() as usize) > 0
     }
 
-    /// Its output changed: its parent's copy of its bytes no longer holds.
+    /// Its bytes changed: its parent's copy of them no longer holds.
     fn changed(&mut self, stamp: u64) {
         self.stamp = stamp;
         self.xml = OnceLock::new();
@@ -300,12 +288,13 @@ impl Part {
 
     /// Serializes its output under `parent`, noting where each of its
     /// parts with output went.
-    fn serialize(&self, store: &Store, parent: NodeId) -> Cached {
+    fn serialize(&self, markers: Markers, parent: NodeId) -> Cached {
         let mut runs = PartRuns {
             part: self,
             next: 0,
             open: 0,
             found: Vec::new(),
+            markers,
         };
         let nodes = self.output(parent);
         let mut bytes = String::new();
@@ -315,7 +304,7 @@ impl Part {
             let k = runs.starts(nodes[i]);
             let start = bytes.len();
             for &n in &nodes[i..i + k.max(1)] {
-                store.write_xml_runs(n, &mut bytes, &mut runs);
+                markers.store.write_xml_runs(n, &mut bytes, &mut runs);
             }
             if k > 0 {
                 runs.ended(start..bytes.len());
@@ -338,18 +327,96 @@ impl Part {
 
     /// Appends its bytes to `out`: its cache, with the bytes of each part
     /// that changed since it was written in place of the old.
-    fn write_xml(&self, store: &Store, parent: NodeId, out: &mut String) {
-        let cached = self.xml.get_or_init(|| self.serialize(store, parent));
+    fn write_xml(&self, markers: Markers, parent: NodeId, out: &mut String) {
+        let cached = self.xml.get_or_init(|| self.serialize(markers, parent));
         let mut at = 0;
         for (range, i, stamp) in &cached.parts {
             let part = &self.parts[*i];
             if part.stamp != *stamp {
                 out.push_str(&cached.bytes[at..range.start]);
-                part.write_xml(store, self.loops[self.loop_of(*i)].out_parent, out);
+                part.write_xml(markers, self.loops[self.loop_of(*i)].out_parent, out);
                 at = range.end;
             }
         }
         out.push_str(&cached.bytes[at..]);
+    }
+}
+
+/// Writes text as a full run's marker pass leaves it
+/// ([`GenState::apply_marker_replacements`]): with the definitions
+/// `defs[from..]` applied. The pass applies each definition in turn
+/// wherever its marker then sits, in the content earlier definitions put
+/// in too, so a text holding definition `j`'s marker first among
+/// `defs[from..]` is written as the text before the marker with
+/// `defs[j + 1..]`, definition `j`'s content with `defs[j + 1..]`, and the
+/// text after the marker with `defs[j..]` again.
+#[derive(Clone, Copy)]
+struct Markers<'d> {
+    store: &'d Store,
+    defs: &'d [(String, Vec<NodeId>)],
+    from: usize,
+}
+
+/// A piece of text as a full run's marker pass leaves it.
+enum Piece<'t> {
+    /// Text no definition applies to.
+    Text(&'t str),
+    /// Where definition `j`'s content goes, with `defs[j + 1..]` applied.
+    Content(usize),
+}
+
+impl Markers<'_> {
+    /// Calls `f` on the pieces of `text`, in order.
+    fn split<'t>(&self, text: &'t str, f: &mut impl FnMut(Piece<'t>)) {
+        let (mut text, mut from) = (text, self.from);
+        // Most texts are shorter than any marker: those need no search.
+        let first = |text: &str, from| {
+            let defs = self.defs.iter().enumerate().skip(from);
+            defs.filter(|(_, (m, _))| m.len() <= text.len())
+                .find_map(|(j, (m, _))| text.find(m.as_str()).map(|at| (j, at)))
+        };
+        while let Some((j, at)) = first(text, from) {
+            self.after(j).split(&text[..at], f);
+            f(Piece::Content(j));
+            let marker = &self.defs[j].0;
+            text = &text[at + marker.len()..];
+            // An empty marker is met again at once: a full run fails on
+            // it (see `check_markers`), and here it applies once.
+            from = if marker.is_empty() { j + 1 } else { j };
+        }
+        f(Piece::Text(text));
+    }
+
+    /// The writer of definition `j`'s content: the definitions after it.
+    fn after(&self, j: usize) -> Self {
+        Markers {
+            from: j + 1,
+            ..*self
+        }
+    }
+
+    /// Adds `copies` to `found[j]` wherever `text` gets a copy of
+    /// definition `j`'s content.
+    fn count(&self, text: &str, copies: u64, found: &mut [u64]) {
+        self.split(text, &mut |piece| {
+            if let Piece::Content(j) = piece {
+                found[j] = found[j].saturating_add(copies);
+            }
+        });
+    }
+}
+
+impl Runs for Markers<'_> {
+    fn text(&mut self, text: &str, out: &mut String) {
+        self.split(text, &mut |piece| match piece {
+            Piece::Text(text) => push_text(out, text),
+            Piece::Content(j) => {
+                let mut after = self.after(j);
+                for &n in &self.defs[j].1 {
+                    self.store.write_xml_runs(n, out, &mut after);
+                }
+            }
+        });
     }
 }
 
@@ -358,13 +425,14 @@ impl Part {
 /// output, so the next part with output is the only one that can start.
 /// Only the root's parts can write beside their own output, and
 /// [`IncrementalDoc::to_xml`] writes the root, so a part's own nodes are
-/// all its output.
+/// all its output. Its text goes out with the marker definitions applied.
 struct PartRuns<'p> {
     part: &'p Part,
     /// The part to look for next, and the one whose run started last.
     next: usize,
     open: usize,
     found: Vec<(Range<usize>, usize, u64)>,
+    markers: Markers<'p>,
 }
 
 impl Runs for PartRuns<'_> {
@@ -386,6 +454,10 @@ impl Runs for PartRuns<'_> {
     fn ended(&mut self, bytes: Range<usize>) {
         let i = self.open;
         self.found.push((bytes, i, self.part.parts[i].stamp));
+    }
+
+    fn text(&mut self, text: &str, out: &mut String) {
+        self.markers.text(text, out);
     }
 }
 
@@ -505,7 +577,9 @@ impl Readers {
 /// A generated document that can absorb model edits by re-running only the
 /// parts the edit can have changed.
 pub struct IncrementalDoc {
-    /// The output tree lives in its own store, like [`super::NativeOutput`].
+    /// The output tree lives in its own store, like [`super::NativeOutput`],
+    /// but raw: marker text stays where the walk wrote it, and
+    /// [`Self::to_xml`] writes the definitions' content in its place.
     pub store: Store,
     /// The `<document>` root element.
     pub root: NodeId,
@@ -514,9 +588,13 @@ pub struct IncrementalDoc {
     pub trouble_count: usize,
     /// The root part: its parts are the template's top-level children.
     tree: Part,
+    /// The marker definitions of all parts, in full-run order.
+    defs: Defs,
+    /// The markers the template defines.
+    marker_names: Vec<String>,
     /// The model version the parts were last generated against.
     version: u64,
-    /// The last stamp handed to a part whose output changed.
+    /// The last stamp handed to a part whose bytes changed.
     stamps: u64,
     /// Built by the first edit.
     readers: Option<Readers>,
@@ -529,7 +607,15 @@ impl IncrementalDoc {
         let mut store = Store::new();
         let root = store.create_element(ROOT_NAME).map_err(internal)?;
         let template = inputs.template.root();
-        let children = inputs.template.store().children(template).to_vec();
+        let tpl = inputs.template.store();
+        let mut marker_names: Vec<String> = tpl
+            .descendants_iter(template)
+            .filter(|&n| tpl.name(n).is_some_and(|q| q.local() == "marker-content"))
+            .filter_map(|n| tpl.attribute_value(n, "marker").map(String::from))
+            .collect();
+        marker_names.sort();
+        marker_names.dedup();
+        let children = tpl.children(template).to_vec();
         let top = Loop {
             for_el: template,
             path: vec!["template".to_string()],
@@ -542,121 +628,90 @@ impl IncrementalDoc {
         };
         let mut parts = Vec::with_capacity(children.len());
         for child in children {
-            let part = run_part(inputs, &mut store, &top, Source::Child(child))?;
+            let part = run_part(
+                inputs,
+                &mut store,
+                &top,
+                Source::Child(child),
+                &marker_names,
+            )?;
             for n in part.output(root) {
                 store.append_child(root, n).map_err(internal)?;
             }
             parts.push(part);
         }
+        let tree = Part {
+            loops: vec![top],
+            parts,
+            ..Part::new(Source::Child(template), Vec::new(), GenState::default())
+        };
         let mut doc = IncrementalDoc {
             store,
             root,
-            trouble_count: 0,
-            tree: Part {
-                loops: vec![top],
-                parts,
-                ..Part::new(Source::Child(template), Vec::new(), GenState::default())
-            },
+            trouble_count: tree.sum(&|p| p.state.trouble_count),
+            defs: tree.defs().into_iter().cloned().collect(),
+            tree,
+            marker_names,
             version: inputs.model.version(),
             stamps: 0,
             readers: None,
         };
-        let replacements = doc.replacements();
-        doc.splice(&[], &replacements, 0)?;
-        doc.refill_placeholders(inputs)?;
-        doc.trouble_count = doc.tree.sum(&|p| p.state.trouble_count);
+        doc.refill_placeholders(inputs, false)?;
+        doc.check_markers()?;
         Ok(doc)
     }
 
     /// Re-runs exactly the parts the model's changes since the last run can
-    /// have changed (plus any `footprint` adds, plus consumers of changed
-    /// markers), replaces their output with the fresh output in place, and
-    /// refills the toc/omissions placeholders when the edit can have changed
-    /// them. A re-run part re-runs every part under it. The *model edit
-    /// itself must already have been applied* to `inputs.model`, the model
-    /// this document was generated from. The metamodel and the template
-    /// carry no version, so they must be the ones [`Self::generate`] got.
-    /// Returns how many parts were re-run: each re-run part counts itself
-    /// and each of its fresh parts.
+    /// have changed (plus any `footprint` adds), replaces their output with
+    /// the fresh output in place, and refills the toc/omissions
+    /// placeholders when the edit can have changed them. A re-run part
+    /// re-runs every part under it. The *model edit itself must already
+    /// have been applied* to `inputs.model`, the model this document was
+    /// generated from. The metamodel and the template carry no version, so
+    /// they must be the ones [`Self::generate`] got. Returns how many parts
+    /// were re-run: each re-run part counts itself and each of its fresh
+    /// parts.
     pub fn apply_edit(
         &mut self,
         inputs: &GenInputs,
         footprint: &EditFootprint,
     ) -> Result<usize, GenTrouble> {
         let edit = self.edit_since(inputs.model, footprint);
-        let mut dirty = self.dirty(&edit, inputs.meta);
-        // A part under a dirty part re-runs with it.
-        let covered = |dirty: &BTreeSet<Path>, path: &[usize]| {
-            (1..path.len()).any(|k| dirty.contains(&path[..k]))
-        };
-
-        // Regenerate, then pull in consumers of any marker whose definition
-        // changed; those regenerations can change markers too, so iterate to
-        // a fixpoint (bounded by the part count).
-        let mut runs: BTreeMap<Path, Part> = BTreeMap::new();
-        let mut changed: HashSet<String> = HashSet::new();
-        loop {
-            let pending: Vec<Path> = dirty
-                .iter()
-                .filter(|&path| !runs.contains_key(path) && !covered(&dirty, path))
-                .cloned()
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            let before = changed.len();
-            for path in pending {
-                let (&i, up) = path.split_last().expect("the root reads nothing");
-                let parent = self.tree.at(up);
-                let lp = &parent.loops[parent.loop_of(i)];
-                let run = run_part(inputs, &mut self.store, lp, parent.parts[i].source)?;
-                let old_sig = def_signature(&self.store, parent.parts[i].defs());
-                let new_sig = def_signature(&self.store, run.defs());
-                if old_sig != new_sig {
-                    changed.extend(old_sig.into_iter().chain(new_sig).map(|(m, _)| m));
-                }
-                runs.insert(path, run);
-            }
-            if changed.len() > before {
-                self.tree.visit(&mut Vec::new(), &mut |path, p| {
-                    if p.marks.consumed.iter().any(|m| changed.contains(m)) {
-                        dirty.insert(path.to_vec());
-                    }
-                });
-            }
-        }
-        runs.retain(|path, _| !covered(&dirty, path));
-
-        // Replace: old output out, fresh output in at the same place. A
-        // re-run whose placeholders, toc entries or visits can differ
-        // calls for a refill.
+        let dirty = self.dirty(&edit, inputs.meta);
         let mut refill = !edit.types.is_empty();
-        let mut reran = 0;
-        let rerun: Vec<Path> = runs.keys().cloned().collect();
-        for (path, part) in runs {
-            reran += part.sum(&|_| 1);
-            refill |= self.replace(&path, part)?;
+        let (mut reran, mut defs_moved, mut defs_changed, mut mentions) = (0, false, false, false);
+        // A part under a dirty part re-runs with it. Each fresh run replaces
+        // the old in place; one whose placeholders, toc entries or visits
+        // can differ calls for a refill.
+        for path in &dirty {
+            let (&i, up) = path.split_last().expect("the root reads nothing");
+            if (1..path.len()).any(|k| dirty.contains(&path[..k])) {
+                continue;
+            }
+            let parent = self.tree.at(up);
+            let lp = &parent.loops[parent.loop_of(i)];
+            let old = &parent.parts[i];
+            let fresh = run_part(inputs, &mut self.store, lp, old.source, &self.marker_names)?;
+            let (old_defs, new_defs) = (old.defs(), fresh.defs());
+            if !old_defs.is_empty() || !new_defs.is_empty() {
+                defs_moved = true;
+                defs_changed |=
+                    def_signature(&self.store, old_defs) != def_signature(&self.store, new_defs);
+            }
+            mentions |= fresh.mentions;
+            reran += fresh.sum(&|_| 1);
+            refill |= self.replace(path, fresh)?;
         }
-
-        // Markers. Re-run parts carry raw marker text and get every
-        // definition. Clean parts consumed no changed marker, so they need
-        // the definitions from the first one of a changed marker onward: the
-        // ones before were applied on an earlier pass, the same and in the
-        // same order, while one after can find its text in copies that now
-        // come before it, where a full run replaces it. Each definition
-        // skips the copies of definitions after it.
-        let replacements = self.replacements();
-        let first_changed = replacements
-            .iter()
-            .position(|(m, _)| changed.contains(m))
-            .unwrap_or(replacements.len());
-        for path in &rerun {
-            self.splice(path, &replacements, 0)?;
+        // The definitions live in the parts that made them: a re-run made
+        // new ones, equal or not.
+        if defs_moved {
+            self.defs = self.tree.defs().into_iter().cloned().collect();
         }
-        self.splice(&[], &replacements, first_changed)?;
-
-        if refill || !changed.is_empty() {
-            self.refill_placeholders(inputs)?;
+        if refill || defs_changed {
+            self.refill_placeholders(inputs, defs_changed)?;
+        }
+        if refill || defs_changed || mentions {
+            self.check_markers()?;
         }
         self.version = inputs.model.version();
         Ok(reran)
@@ -664,24 +719,19 @@ impl IncrementalDoc {
 
     /// Compact XML of the generated document: the root's tags around each
     /// top-level part's bytes, each part serialized once per change of its
-    /// output. Edits made through [`Self::store`] directly rather than
-    /// [`Self::apply_edit`] are not seen by the caches;
-    /// [`Self::to_pretty_xml`] reads the store itself.
+    /// bytes, marker definitions applied. Edits made through
+    /// [`Self::store`] directly rather than [`Self::apply_edit`] are not
+    /// seen by the caches.
     pub fn to_xml(&self) -> String {
         if self.store.children(self.root).is_empty() {
             return self.store.to_xml(self.root);
         }
         let mut out = format!("<{ROOT_NAME}>");
         for p in &self.tree.parts {
-            p.write_xml(&self.store, self.root, &mut out);
+            p.write_xml(self.markers(), self.root, &mut out);
         }
         out.push_str(&format!("</{ROOT_NAME}>"));
         out
-    }
-
-    /// Pretty XML of the generated document.
-    pub fn to_pretty_xml(&self) -> String {
-        self.store.to_pretty_xml(self.root)
     }
 
     /// How many parts the document splits into (diagnostic/bench use): one
@@ -689,6 +739,49 @@ impl IncrementalDoc {
     /// loop.
     pub fn chunk_count(&self) -> usize {
         self.tree.sum(&|_| 1) - 1
+    }
+
+    /// Writes text with every marker definition applied.
+    fn markers(&self) -> Markers<'_> {
+        Markers {
+            store: &self.store,
+            defs: &self.defs,
+            from: 0,
+        }
+    }
+
+    /// Fails where a full run's marker pass fails
+    /// ([`GenState::apply_marker_replacements`]): on the first definition,
+    /// in order, whose marker it finds more than 10,000 times, or finds at
+    /// all while the definition's content holds it (an empty marker is in
+    /// every text), since it would put the content in forever. It counts
+    /// as [`Markers`] writes: definition `j`'s marker in the document's
+    /// text, and in each copy of an earlier definition's content.
+    fn check_markers(&self) -> Result<(), GenTrouble> {
+        if self.defs.is_empty() {
+            return Ok(());
+        }
+        let (store, markers) = (&self.store, self.markers());
+        let mut found = vec![0; self.defs.len()];
+        texts(store, self.root).for_each(|t| markers.count(t, 1, &mut found));
+        for (j, (marker, content)) in self.defs.iter().enumerate() {
+            // Only copies of earlier definitions' content add to it, so
+            // `found[j]` is complete here.
+            let copies = found[j];
+            if copies == 0 {
+                continue;
+            }
+            let content: Vec<&str> = content.iter().flat_map(|&n| texts(store, n)).collect();
+            if copies > 10_000 || marker.is_empty() || content.iter().any(|t| t.contains(marker)) {
+                return Err(GenTrouble::new(format!(
+                    "marker {marker:?} replacement did not terminate (does the replacement contain the marker?)"
+                )));
+            }
+            for t in content {
+                markers.after(j).count(t, copies, &mut found);
+            }
+        }
+        Ok(())
     }
 
     /// What the model changed since the last run, with `footprint` added.
@@ -777,12 +870,6 @@ impl IncrementalDoc {
             .unwrap_or_else(|| self.loop_start(path, l))
     }
 
-    /// All marker definitions in the order a full run's single `GenState`
-    /// would have accumulated them in.
-    fn replacements(&self) -> Defs {
-        self.tree.defs().into_iter().cloned().collect()
-    }
-
     /// Puts `fresh`, a new run of the part at `path`, in the old one's
     /// place: in the tree, in the output, in the reader index and in the
     /// trouble count. Returns
@@ -819,75 +906,22 @@ impl IncrementalDoc {
             || old.visited() != new.visited())
     }
 
-    /// Splices the definitions `replacements[from..]` into the part at
-    /// `path` and every part under it.
-    fn splice(
-        &mut self,
-        path: &[usize],
-        replacements: &Defs,
-        from: usize,
-    ) -> Result<(), GenTrouble> {
-        if from == replacements.len() {
-            return Ok(());
-        }
-        let part = self.tree.at(path);
-        // Most parts hold no marker text: one scan of a part's own output,
-        // as in a full run, settles that for it and the parts inside it.
-        // The parts beside an empty one scan their own.
-        if !part.out_nodes.is_empty() {
-            let mentions = |&n: &NodeId| {
-                replacements[from..]
-                    .iter()
-                    .any(|(m, _)| self.store.find_text(n, m).is_some())
-            };
-            if !part.out_nodes.iter().any(mentions) {
-                return Ok(());
-            }
-            let inner: HashSet<NodeId> = part
-                .parts
-                .iter()
-                .flat_map(|p| p.out_nodes.iter().copied())
-                .collect();
-            let part = self.tree.at_mut(path);
-            let loops = &mut part.loops;
-            // A loop that starts right after a split text starts after its
-            // tail.
-            let mut moved_anchor = |text: NodeId, tail: NodeId| {
-                for l in loops.iter_mut() {
-                    if l.anchor == Anchor::After(text) {
-                        l.anchor = Anchor::After(tail);
-                    }
-                }
-            };
-            let spliced = splice_markers(
-                &mut self.store,
-                &mut part.out_nodes,
-                replacements,
-                from,
-                &mut part.marks,
-                &inner,
-                &mut moved_anchor,
-            )?;
-            if spliced {
-                self.stamps += 1;
-                part.changed(self.stamps);
-            }
-        }
-        for i in 0..self.tree.at(path).parts.len() {
-            self.splice(&[path, &[i]].concat(), replacements, from)?;
-        }
-        Ok(())
-    }
-
     /// Empties and refills every toc/omissions placeholder from the merged
     /// per-part state, and drops the cached bytes that hold one. Cheap:
-    /// proportional to toc size + omitted nodes, not to the document.
-    fn refill_placeholders(&mut self, inputs: &GenInputs) -> Result<(), GenTrouble> {
+    /// proportional to toc size + omitted nodes, not to the document. A
+    /// fill inside a definition's content is written wherever its marker
+    /// is, so then, or when `defs_changed`, the bytes of every part that
+    /// holds marker text are dropped too.
+    fn refill_placeholders(
+        &mut self,
+        inputs: &GenInputs,
+        defs_changed: bool,
+    ) -> Result<(), GenTrouble> {
         let mut scratch = GenState {
             toc: self.tree.toc().into_iter().cloned().collect(),
             ..GenState::default()
         };
-        let mut held = Vec::new();
+        let (mut held, mut mentioning) = (Vec::new(), Vec::new());
         self.tree.visit(&mut Vec::new(), &mut |path, p| {
             scratch.visited.extend(&p.state.visited);
             scratch.toc_placeholders.extend(&p.state.toc_placeholders);
@@ -896,54 +930,45 @@ impl IncrementalDoc {
                 .extend(p.state.omission_placeholders.iter().cloned());
             if p.state.holds_placeholders() {
                 held.push(path.to_vec());
+            } else if p.mentions {
+                mentioning.push(path.to_vec());
             }
         });
+        let divs = scratch
+            .toc_placeholders
+            .iter()
+            .chain(scratch.omission_placeholders.iter().map(|(d, _)| d));
+        let in_defs = divs
+            .clone()
+            .any(|&d| self.store.ancestors(d).last() != Some(&self.root));
+        if defs_changed || in_defs {
+            held.extend(mentioning);
+        }
+        for &div in divs {
+            for c in self.store.children(div).to_vec() {
+                self.store.detach(c);
+            }
+        }
         for path in held {
             self.stamps += 1;
             self.tree.at_mut(&path).changed(self.stamps);
         }
-        for &div in &scratch.toc_placeholders {
-            clear_children(&mut self.store, div);
-        }
-        for i in 0..scratch.omission_placeholders.len() {
-            let div = scratch.omission_placeholders[i].0;
-            clear_children(&mut self.store, div);
-        }
         scratch.fill_toc(&mut self.store)?;
-        scratch.fill_omissions(&mut self.store, inputs)?;
-        // A full run applies markers *after* the fill passes, so marker text
-        // inside a heading or an omission label gets spliced there too. The
-        // fills are rebuilt whenever a definition changes, so consumption is
-        // not recorded.
-        let replacements = self.replacements();
-        let mut divs: Vec<NodeId> = scratch
-            .toc_placeholders
-            .iter()
-            .copied()
-            .chain(scratch.omission_placeholders.iter().map(|(d, _)| *d))
-            .collect();
-        splice_markers(
-            &mut self.store,
-            &mut divs,
-            &replacements,
-            0,
-            &mut Marks::default(),
-            &HashSet::new(),
-            &mut |_, _| {},
-        )?;
-        Ok(())
+        scratch.fill_omissions(&mut self.store, inputs)
     }
 }
 
 /// Walks a part's source, from the context its loop `lp` recorded, into a
 /// detached holder: a template child with its focus-free loops split into
 /// parts, or one iteration of `lp`. Loops that wrote to the holder now
-/// write to `lp`'s parent element.
+/// write to `lp`'s parent element. The part notes whether its output,
+/// its parts' included, holds one of `markers`.
 fn run_part(
     inputs: &GenInputs,
     store: &mut Store,
     lp: &Loop,
     source: Source,
+    markers: &[String],
 ) -> Result<Part, GenTrouble> {
     let holder = store.create_element("part-holder").map_err(internal)?;
     let mut state = GenState::default();
@@ -979,11 +1004,15 @@ fn run_part(
             out_nodes.clear();
         }
     }
-    Ok(Part {
+    let mut part = Part {
         loops: split.loops,
         parts: split.parts,
         ..Part::new(source, out_nodes, state)
-    })
+    };
+    let out = part.output(lp.out_parent);
+    let mut texts = out.iter().flat_map(|&n| texts(store, n));
+    part.mentions = texts.any(|t| markers.iter().any(|m| t.contains(m.as_str())));
+    Ok(part)
 }
 
 /// The position of `child` among `parent`'s children.
@@ -996,8 +1025,8 @@ fn position(store: &Store, parent: NodeId, child: NodeId) -> usize {
 }
 
 /// A comparable rendering of marker definitions: marker names in order
-/// with their content serialized. Two runs with equal signatures splice
-/// identically into consumers.
+/// with their content serialized. Two runs with equal signatures write
+/// the same bytes wherever their markers are.
 fn def_signature<'d>(
     store: &Store,
     defs: impl IntoIterator<Item = &'d (String, Vec<NodeId>)>,
@@ -1010,141 +1039,14 @@ fn def_signature<'d>(
         .collect()
 }
 
-fn clear_children(store: &mut Store, el: NodeId) {
-    for c in store.children(el).to_vec() {
-        store.detach(c);
-    }
-}
-
-/// The first text node under `scope`, in document order, that contains
-/// `needle`, outside the subtrees rooted at `skip`.
-fn find_text_outside(
-    store: &Store,
-    scope: NodeId,
-    needle: &str,
-    skip: &HashSet<NodeId>,
-) -> Option<(NodeId, usize)> {
-    if skip.is_empty() {
-        return store.find_text(scope, needle);
-    }
-    let mut stack = vec![scope];
-    while let Some(n) = stack.pop() {
-        if skip.contains(&n) {
-            continue;
-        }
-        if let NodeKind::Text(t) = store.kind(n) {
-            if let Some(offset) = t.find(needle) {
-                return Some((n, offset));
-            }
-        }
-        stack.extend(store.children(n).iter().rev());
-    }
-    None
-}
-
-/// Applies the marker definitions `replacements[from..]` to one part's
-/// output, a run of siblings, in definition order — the same per-marker
-/// scan-splice loop a full run applies to the whole document, restricted
-/// to these subtrees less the ones rooted at `skip`, and for each
-/// definition less the part's copies of definitions after it. It records
-/// in `marks` every marker it replaced and every copy it spliced. When a
-/// top-level text node
-/// splits, the spliced copies and the tail become new output nodes of the
-/// part (they sit between its other nodes under the same parent).
-/// `split(text, tail)` hears of every split. Returns whether anything was
-/// spliced.
-fn splice_markers(
-    store: &mut Store,
-    out_nodes: &mut Vec<NodeId>,
-    replacements: &Defs,
-    from: usize,
-    marks: &mut Marks,
-    skip: &HashSet<NodeId>,
-    split: &mut dyn FnMut(NodeId, NodeId),
-) -> Result<bool, GenTrouble> {
-    let mut ranks: HashMap<&str, usize> = HashMap::new();
-    let keys: Vec<DefKey> = replacements
-        .iter()
-        .map(|(m, _)| {
-            let rank = ranks.entry(m).or_default();
-            *rank += 1;
-            (m.clone(), *rank - 1)
+/// The text of `n` and of every node under it, in document order.
+fn texts(store: &Store, n: NodeId) -> impl Iterator<Item = &str> {
+    std::iter::once(n)
+        .chain(store.descendants_iter(n))
+        .filter_map(|n| match store.kind(n) {
+            NodeKind::Text(t) => Some(&t[..]),
+            _ => None,
         })
-        .collect();
-    let mut spliced = false;
-    for (j, (marker, content)) in replacements.iter().enumerate().skip(from) {
-        let later = &keys[j + 1..];
-        let later_copies: Vec<NodeId> = marks
-            .copies
-            .iter()
-            .filter(|(def, _)| later.contains(def))
-            .map(|&(_, root)| root)
-            .collect();
-        let with_later: HashSet<NodeId>;
-        let skip = if later_copies.is_empty() {
-            skip
-        } else {
-            with_later = skip.iter().copied().chain(later_copies).collect();
-            &with_later
-        };
-        let mut guard = 0usize;
-        let mut i = 0usize;
-        while i < out_nodes.len() {
-            let node = out_nodes[i];
-            let found = match skip.contains(&node) {
-                true => None,
-                false => find_text_outside(store, node, marker, skip),
-            };
-            let Some((text_node, offset)) = found else {
-                i += 1;
-                continue;
-            };
-            guard += 1;
-            if guard > 10_000 {
-                return Err(GenTrouble::new(format!(
-                    "marker {marker:?} replacement did not terminate (does the replacement contain the marker?)"
-                )));
-            }
-            spliced = true;
-            marks.consumed.insert(marker.clone());
-            let tail = store.split_text(text_node, offset).map_err(internal)?;
-            split(text_node, tail);
-            let tail_text = store.string_value(tail);
-            store
-                .set_text(tail, tail_text[marker.len()..].to_string())
-                .map_err(internal)?;
-            let parent = store.parent(tail).expect("tail has a parent");
-            let tail_pos = position(store, parent, tail);
-            let mut spliced_copies = Vec::with_capacity(content.len());
-            for (k, &n) in content.iter().enumerate() {
-                let copy = store.deep_copy(n).map_err(internal)?;
-                store
-                    .insert_child(parent, tail_pos + k, copy)
-                    .map_err(internal)?;
-                spliced_copies.push(copy);
-            }
-            let key = &keys[j];
-            marks
-                .copies
-                .extend(spliced_copies.iter().map(|&c| (key.clone(), c)));
-            if text_node == node {
-                // Top-level split: head keeps out_nodes[i]; copies and tail
-                // join the part's output right after it. The head no longer
-                // contains the marker, so advance past it; the copies and
-                // tail are scanned in their own right.
-                let mut insert_at = i + 1;
-                for c in spliced_copies {
-                    out_nodes.insert(insert_at, c);
-                    insert_at += 1;
-                }
-                out_nodes.insert(insert_at, tail);
-                i += 1;
-            }
-            // Inside an element subtree: rescan the same root until the
-            // marker is gone, exactly like the full-document loop.
-        }
-    }
-    Ok(spliced)
 }
 
 fn internal(e: xmlstore::XmlError) -> GenTrouble {
@@ -1179,12 +1081,22 @@ mod tests {
     }
 
     impl IncrementalDoc {
-        /// Every filled byte cache that disagrees with the tree it caches.
+        /// The document written from the store with no cache: the raw
+        /// output with the marker definitions applied as it is written.
+        fn uncached_xml(&self) -> String {
+            let mut xml = String::new();
+            self.store
+                .write_xml_runs(self.root, &mut xml, &mut self.markers());
+            xml
+        }
+
+        /// Every filled byte cache that disagrees with an uncached write of
+        /// the tree it caches.
         fn stale_caches(&self) -> Vec<String> {
             let fresh = |part: &Part, parent: NodeId| {
                 let mut xml = String::new();
                 for n in part.output(parent) {
-                    self.store.write_xml(n, &mut xml);
+                    self.store.write_xml_runs(n, &mut xml, &mut self.markers());
                 }
                 xml
             };
@@ -1194,7 +1106,7 @@ mod tests {
                     return;
                 };
                 let mut written = String::new();
-                part.write_xml(&self.store, self.parent_of(path), &mut written);
+                part.write_xml(self.markers(), self.parent_of(path), &mut written);
                 let expected = fresh(part, self.parent_of(path));
                 if written != expected {
                     stale.push(format!("part {path:?}: {written:?} vs {expected:?}"));
@@ -1242,11 +1154,12 @@ mod tests {
         assert_eq!(doc.to_xml(), full_xml(template, model, meta));
     }
 
-    /// Asserts the cached serialization equals the tree it caches, and that
-    /// tree a fresh full run. Leaves every cacheable chunk's cache warm.
+    /// Asserts the cached serialization equals an uncached write of the
+    /// tree it caches, and that a fresh full run. Leaves every cacheable
+    /// chunk's cache warm.
     fn assert_coherent(doc: &IncrementalDoc, template: &Template, model: &Model, meta: &Metamodel) {
         let xml = doc.to_xml();
-        assert_eq!(xml, doc.store.to_xml(doc.root), "cache vs its own tree");
+        assert_eq!(xml, doc.uncached_xml(), "cache vs its own tree");
         assert_eq!(xml, full_xml(template, model, meta), "cache vs a full run");
     }
 
@@ -1303,9 +1216,10 @@ mod tests {
             IncrementalDoc::generate(&inputs).unwrap()
         };
 
-        // Edit one program's property: only the Programs section, the
-        // marker-content chunk that reads it, and that marker's consumer
-        // chunk may re-run. The Users section, toc, list and table stay put.
+        // Edit one program's property: only the Programs section and the
+        // marker-content chunk that reads it may re-run. The marker's
+        // consumer writes the new content without re-running; the Users
+        // section, toc, list and table stay put.
         let p = m.node_by_label("compiler").unwrap();
         m.set_prop(p, "language", PropValue::Str("ocaml".into()));
         let inputs = GenInputs {
@@ -1315,11 +1229,11 @@ mod tests {
         };
         let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
         assert_matches_full(&doc, &template, &m, &meta);
-        // Programs section, marker definer, marker consumer. The awb-table
-        // lists the compiler as a column but reads only its label, which
-        // cannot change, so it stays put with the Users section, toc, list
-        // and omissions chunks.
-        assert_eq!(n, 3);
+        // Programs section and marker definer. The awb-table lists the
+        // compiler as a column but reads only its label, which cannot
+        // change, so it stays put with the Users section, toc, list and
+        // omissions chunks.
+        assert_eq!(n, 2);
         assert!(doc.to_xml().contains("ocaml"));
     }
 
@@ -1522,8 +1436,8 @@ mod tests {
         );
         assert_matches_full(&doc, &template, &m, &meta);
 
-        // And removing it again un-splices: the consumer re-runs and the
-        // literal text comes back.
+        // And removing it again brings the literal text back, with no
+        // re-run of the consumer.
         m.remove_prop(p, "banner");
         let inputs = GenInputs {
             model: &m,
@@ -1584,6 +1498,112 @@ mod tests {
     }
 
     #[test]
+    fn a_definition_holding_its_own_marker_fails_once_consumed() {
+        let meta = meta();
+        let m = tiny_model();
+        let def = r#"<marker-content marker="LOOP"><b>LOOP again</b></marker-content>"#;
+        for (body, fails) in [
+            ("<p>no marker here</p>", false),
+            ("<p>a LOOP here</p>", true),
+            // Found only in the content an earlier definition puts in.
+            (
+                r#"<marker-content marker="OUTER"><i>LOOP</i></marker-content><p>OUTER</p>"#,
+                true,
+            ),
+        ] {
+            let template = Template::parse(&format!("<template>{body}{def}</template>")).unwrap();
+            let inputs = GenInputs {
+                model: &m,
+                meta: &meta,
+                template: &template,
+            };
+            let full = super::super::generate(&inputs);
+            let doc = IncrementalDoc::generate(&inputs);
+            assert_eq!(full.is_err(), fails, "{body}");
+            match doc {
+                Ok(doc) => assert_eq!(doc.to_xml(), full.unwrap().to_xml()),
+                Err(e) => assert_eq!(e.message, full.unwrap_err().message),
+            }
+        }
+    }
+
+    #[test]
+    fn a_marker_found_more_than_10_000_times_fails() {
+        let meta = meta();
+        let m = tiny_model();
+        let def = r#"<marker-content marker="M"><b>x</b></marker-content>"#;
+        let outer = |copies: usize| {
+            format!(
+                r#"<marker-content marker="OUTER"><i>{}</i></marker-content>"#,
+                "M ".repeat(copies)
+            )
+        };
+        for (body, fails) in [
+            (format!("<p>{}</p>", "M ".repeat(10_000)), false),
+            (format!("<p>{}</p>", "M ".repeat(10_001)), true),
+            // 100 copies of content holding the marker 101 times.
+            (
+                format!("{}<p>{}</p>", outer(101), "OUTER ".repeat(100)),
+                true,
+            ),
+        ] {
+            let template = Template::parse(&format!("<template>{body}{def}</template>")).unwrap();
+            let doc = IncrementalDoc::generate(&GenInputs {
+                model: &m,
+                meta: &meta,
+                template: &template,
+            });
+            // A full run gives the same, but takes about a minute in a
+            // debug build: its pass searches the document from the top
+            // for each occurrence.
+            match doc {
+                Ok(doc) => {
+                    assert!(!fails);
+                    assert_eq!(doc.to_xml().matches("<b>x</b>").count(), 10_000);
+                }
+                Err(e) => {
+                    assert!(fails);
+                    assert!(e
+                        .message
+                        .starts_with(r#"marker "M" replacement did not terminate"#));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn toc_inside_marker_content_follows_refills() {
+        let meta = meta();
+        let mut m = tiny_model();
+        let template = Template::parse(
+            r#"<template><marker-content marker="MT"><table-of-contents/></marker-content>
+                <p>Contents: MT</p>
+                <for nodes="all.Program"><if><test><has-property name="banner"/></test>
+                  <then><section heading="Banner"><label/></section></then></if></for></template>"#,
+        )
+        .unwrap();
+        let mut doc = IncrementalDoc::generate(&GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        })
+        .unwrap();
+        assert_coherent(&doc, &template, &m, &meta);
+        // A new heading refills the toc inside the definition: the
+        // paragraph that holds its marker writes the new toc.
+        let p = m.node_by_label("compiler").unwrap();
+        m.set_prop(p, "banner", PropValue::Str("yes".into()));
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        assert_eq!(doc.apply_edit(&inputs, &EditFootprint::new()).unwrap(), 1);
+        assert_coherent(&doc, &template, &m, &meta);
+        assert!(doc.to_xml().contains("#banner"), "{}", doc.to_xml());
+    }
+
+    #[test]
     fn serialized_chunks_follow_every_invalidation_route() {
         let meta = meta();
         let mut m = tiny_model();
@@ -1596,7 +1616,8 @@ mod tests {
         .unwrap();
         assert_coherent(&doc, &template, &m, &meta);
 
-        // A re-run chunk replaces its cache with an empty one.
+        // A re-run chunk replaces its cache with an empty one, and so does
+        // the consumer of the marker whose definition changed.
         let p = m.node_by_label("compiler").unwrap();
         m.set_prop(p, "language", PropValue::Str("ocaml".into()));
         let inputs = GenInputs {
@@ -1605,7 +1626,7 @@ mod tests {
             template: &template,
         };
         let n = doc.apply_edit(&inputs, &EditFootprint::new()).unwrap();
-        assert_eq!(n, 3);
+        assert_eq!(n, 2);
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("ocaml"));
 
@@ -1622,8 +1643,8 @@ mod tests {
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("errata"));
 
-        // A newly defined marker spliced into a clean chunk drops that
-        // chunk's cache; removing the definition re-runs the consumer.
+        // A newly defined marker drops the cache of a clean chunk that
+        // holds its text, and so does removing the definition.
         let template = Template::parse(BANNER_TEMPLATE).unwrap();
         let mut doc = IncrementalDoc::generate(&GenInputs {
             model: &m,
@@ -1793,6 +1814,16 @@ mod tests {
         }
         assert_coherent(&doc, &template, &m, &meta);
         assert!(doc.to_xml().contains("program-new"));
+    }
+
+    /// The Deployment table is held once, in its definition: the paragraph
+    /// that holds its marker keeps the marker text, and the bytes written
+    /// there carry the table.
+    #[test]
+    fn marker_content_is_held_once() {
+        let (meta, m, template, doc) = system_context_n800();
+        assert!(doc.store.len() <= 25_000, "{} store slots", doc.store.len());
+        assert_matches_full(&doc, &template, &m, &meta);
     }
 
     /// A long editing session leaves detached output behind, but only what
@@ -2030,7 +2061,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Soundness of the read sets and their index, the model's stamps,
-        /// the part replacements, the marker splices and the refill rule: after every step of a random edit sequence
+        /// the part replacements, the marker rule and the refill rule:
+        /// after every step of a random edit sequence
         /// over a random template, reported by the model alone, the
         /// incremental document equals a fresh full run, and every cached
         /// serialization equals the tree it caches.
@@ -2087,7 +2119,7 @@ mod tests {
                 );
                 prop_assert_eq!(
                     &xml,
-                    &doc.store.to_xml(doc.root),
+                    &doc.uncached_xml(),
                     "cache vs its own tree: step {}: {:?}\n{}",
                     step,
                     edit,

@@ -297,14 +297,24 @@ impl Walker<'_, '_> {
 
     /// One iteration of a loop: the body with `node` in focus, appended to
     /// `out_parent`, or an error note in its place. Returns what it
-    /// appended.
+    /// appended. A failed item leaves only its note and its visit: the toc
+    /// entries, visits, placeholders, marker definitions and troubles it
+    /// added are dropped with its output. Its reads stay, since they
+    /// decide when it re-runs.
     pub(super) fn gen_iteration(
         &mut self,
         node: NodeRef,
         body: &[NodeId],
         out_parent: NodeId,
     ) -> Gen<Vec<NodeId>> {
-        self.state.visited.insert(node);
+        let s = &mut *self.state;
+        let (toc, tocs, omissions) = (
+            s.toc.len(),
+            s.toc_placeholders.len(),
+            s.omission_placeholders.len(),
+        );
+        let (defs, troubles) = (s.replacements.len(), s.trouble_count);
+        let outer_visits = std::mem::take(&mut s.visited);
         let saved = self.focus.replace(node);
         // Generate the item into a detached holder so a failed item
         // contributes an error note instead of half an item.
@@ -320,6 +330,18 @@ impl Walker<'_, '_> {
             }
         }
         self.focus = saved;
+        let visits = std::mem::replace(&mut self.state.visited, outer_visits);
+        if result.is_ok() {
+            self.state.visited.extend(visits);
+        } else {
+            let s = &mut *self.state;
+            s.toc.truncate(toc);
+            s.toc_placeholders.truncate(tocs);
+            s.omission_placeholders.truncate(omissions);
+            s.replacements.truncate(defs);
+            s.trouble_count = troubles;
+        }
+        self.state.visited.insert(node);
         match result {
             Ok(()) => {
                 let children = self.out.children(holder).to_vec();
@@ -547,11 +569,14 @@ impl Walker<'_, '_> {
             .map_err(|e| self.out_err(e))?;
         // Its loops are part of the definition, not parts of their own.
         let split = self.split.take();
+        let at = self.state.replacements.len();
         let result = self.walk_children(el, holder);
         self.split = split;
         result?;
+        // Defined where it starts, before the definitions nested in it:
+        // the XQuery pipeline lists them in document order.
         let content = self.out.children(holder).to_vec();
-        self.state.replacements.push((marker, content));
+        self.state.replacements.insert(at, (marker, content));
         Ok(())
     }
 }

@@ -10,10 +10,13 @@
 //!
 //! `MARK-B`'s content sometimes holds `MARK-A`'s text, so whether a copy
 //! of it gets `MARK-A` replaced depends on which marker was defined first
-//! (a full run applies markers in definition order). `MARK-A`'s content
-//! never holds marker text, and no content holds its own marker's, so no
-//! replacement feeds itself and every template also runs to completion
-//! under a full generator.
+//! (a full run applies markers in definition order). In about half the
+//! templates it may also hold a table of contents, which is filled after
+//! the definition is made, so the content its consumers write changes
+//! with every refill; headings there carry only `MARK-A`'s text, and
+//! elsewhere either marker's. `MARK-A`'s content never holds marker text,
+//! and no content holds its own marker's, so no replacement feeds itself
+//! and every template also runs to completion under a full generator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,8 +26,10 @@ pub const MARKERS: [&str; 2] = ["MARK-A", "MARK-B"];
 
 /// A random template; the same seed always gives the same template.
 pub fn random_template(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut g = TemplateGen {
-        rng: StdRng::seed_from_u64(seed),
+        toc_in_b: rng.gen_bool(0.5),
+        rng,
         out: String::from("<template>"),
         headings: 0,
     };
@@ -43,6 +48,9 @@ struct TemplateGen {
     out: String,
     /// Headings so far, to keep them apart.
     headings: usize,
+    /// Whether `MARK-B`'s content may hold a table of contents: then no
+    /// heading carries `MARK-B`'s text, which the toc would copy into it.
+    toc_in_b: bool,
 }
 
 const TYPES: [&str; 6] = [
@@ -65,17 +73,23 @@ impl TemplateGen {
         // Now and then a heading carries marker text, which the toc shows.
         let n = self.headings;
         match self.rng.gen_range(0..6) {
+            0 if self.toc_in_b => format!("Part {n} {}", MARKERS[0]),
             0 => format!("Part {n} {}", self.pick(&MARKERS)),
             _ => format!("Part {n}"),
         }
     }
 
     /// Text for the end of `marker`'s content: now and then `MARK-A`'s
-    /// text in `MARK-B`'s content, never marker text in `MARK-A`'s.
+    /// text or (if `toc_in_b`) a table of contents in `MARK-B`'s content,
+    /// never marker text in `MARK-A`'s.
     fn inner_marker(&mut self, marker: &str) -> String {
-        match marker == MARKERS[1] && self.rng.gen_bool(0.5) {
-            true => format!(" {}", MARKERS[0]),
-            false => String::new(),
+        if marker != MARKERS[1] {
+            return String::new();
+        }
+        match self.rng.gen_range(0..4) {
+            0 | 1 => format!(" {}", MARKERS[0]),
+            2 | 3 if self.toc_in_b => "<table-of-contents/>".to_string(),
+            _ => String::new(),
         }
     }
 
@@ -277,6 +291,9 @@ mod tests {
                 (Some("for"), _) if names[0] == "template" => found.insert("top-level loop"),
                 (Some("filter-property"), _) if in_loop => found.insert("filtered loop query"),
                 (Some("section"), _) if in_loop => found.insert("section in a loop"),
+                (Some("table-of-contents"), _) if under("marker-content") => {
+                    found.insert("toc in marker content")
+                }
                 (Some("table-of-contents"), _) if in_loop => found.insert("toc in a loop"),
                 (Some("table-of-omissions"), _) if in_loop => found.insert("omissions in a loop"),
                 (Some("marker-content"), _) if in_loop => found.insert("marker in a loop"),
@@ -312,7 +329,7 @@ mod tests {
                 *counts.entry(route).or_default() += 1;
             }
         }
-        assert_eq!(counts.len(), 13, "{counts:?}");
+        assert_eq!(counts.len(), 14, "{counts:?}");
         for (route, n) in counts {
             assert!(n >= 8, "{route} in only {n} of 128 templates");
         }

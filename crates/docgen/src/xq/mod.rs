@@ -669,7 +669,7 @@ mod tests {
             ("gen_tc", GEN_TC_XQ, plan(4, 3, 3, 2)),
             ("omissions", OMISSIONS_XQ, plan(0, 0, 0, 2)),
             ("toc", TOC_XQ, plan(0, 0, 0, 2)),
-            ("markers", MARKERS_XQ, plan(0, 0, 0, 1)),
+            ("markers", MARKERS_XQ, plan(0, 0, 0, 2)),
             ("strip", STRIP_XQ, plan(0, 0, 0, 1)),
         ] {
             let q = engine.compile(source).unwrap();

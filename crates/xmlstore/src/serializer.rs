@@ -35,30 +35,37 @@ impl SerializeOptions {
 }
 
 /// Runs of sibling nodes whose place in compact output a caller wants to
-/// know (see [`Store::write_xml_runs`]).
+/// know (see [`Store::write_xml_runs`]). By default there are none.
 pub trait Runs {
     /// How many siblings, starting at `node`, form a run: 0 when none
     /// starts there. Runs do not nest.
-    fn starts(&mut self, node: NodeId) -> usize;
+    fn starts(&mut self, _node: NodeId) -> usize {
+        0
+    }
     /// The run that started last was written to these bytes of the output.
-    fn ended(&mut self, bytes: Range<usize>);
+    fn ended(&mut self, _bytes: Range<usize>) {}
+    /// Writes the content of a text node: escaped character data, unless
+    /// the caller writes something else in its place.
+    fn text(&mut self, text: &str, out: &mut String) {
+        push_text(out, text);
+    }
 }
 
 /// No runs: plain serialization.
-impl Runs for () {
-    fn starts(&mut self, _: NodeId) -> usize {
-        0
-    }
-
-    fn ended(&mut self, _: Range<usize>) {}
-}
+impl Runs for () {}
 
 /// Escapes character data (`&`, `<`, `>`, and a bare CR, which XML
 /// line-end normalization would otherwise turn into LF on re-parse).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s, false);
+    push_text(&mut out, s);
     out
+}
+
+/// Appends `s` to `out`, escaped as character data: [`escape_text`] into a
+/// buffer the caller already holds.
+pub fn push_text(out: &mut String, s: &str) {
+    push_escaped(out, s, false);
 }
 
 /// Appends `s` to `out`, escaped as character data or (`attr`) as an
@@ -236,7 +243,7 @@ impl Store {
                         // attribute items.
                         push_attribute(out, *name, value);
                     }
-                    NodeKind::Text(t) => push_escaped(out, t, false),
+                    NodeKind::Text(t) => runs.text(t, out),
                     NodeKind::Comment(t) => {
                         out.push_str("<!--");
                         out.push_str(t);
@@ -310,6 +317,23 @@ mod tests {
         assert_eq!(out, s.to_xml(a));
         let spans: Vec<&str> = runs.1.iter().map(|r| &out[r.clone()]).collect();
         assert_eq!(spans, ["x<c><d/></c>", "<e/>"]);
+    }
+
+    #[test]
+    fn text_hook_writes_each_text_node() {
+        struct Upper;
+        impl Runs for Upper {
+            fn text(&mut self, text: &str, out: &mut String) {
+                out.push_str(&text.to_uppercase());
+            }
+        }
+        let mut s = Store::new();
+        let doc = s
+            .parse_str(r#"<a k="v">b<c>d&amp;e</c></a>"#, &ParseOptions::default())
+            .unwrap();
+        let mut out = String::new();
+        s.write_xml_runs(doc, &mut out, &mut Upper);
+        assert_eq!(out, r#"<a k="v">B<c>D&E</c></a>"#);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use lopsided::awb::workload::{
     glass_catalog, glass_metamodel, it_architecture, it_metamodel, ItScale,
 };
-use lopsided::docgen::{self, normalized_equal, GenInputs, Template};
+use lopsided::docgen::{self, normalized_equal, GenInputs, IncrementalDoc, Template};
 use lopsided::templates;
 
 fn assert_engines_agree(
@@ -31,6 +31,9 @@ fn assert_engines_agree(
         native.trouble_count, xq.trouble_count,
         "error-note counts disagree"
     );
+    let incremental = IncrementalDoc::generate(&inputs).expect("incremental generation");
+    assert_eq!(incremental.to_xml(), native.to_xml(), "incremental output");
+    assert_eq!(incremental.trouble_count, native.trouble_count);
 }
 
 #[test]
@@ -73,4 +76,82 @@ fn empty_model_agrees() {
     let meta = it_metamodel();
     let model = lopsided::awb::Model::new();
     assert_engines_agree(&model, &meta, templates::SYSTEM_CONTEXT);
+}
+
+/// An item that fails leaves its error note and nothing else: the XQuery
+/// generator drops the failed item's whole value, and the native walk
+/// drops what the item added to its state.
+fn assert_failed_item_agrees(template: &str) {
+    let meta = it_metamodel();
+    let model = it_architecture(ItScale::about(30), 1);
+    assert_engines_agree(&model, &meta, template);
+}
+
+#[test]
+fn failed_item_leaves_no_toc_entry() {
+    assert_failed_item_agrees(
+        r#"<template><table-of-contents/><for nodes="all.Program"><section heading="S"><value-of property="nonexistent"/></section></for></template>"#,
+    );
+}
+
+#[test]
+fn failed_item_leaves_no_marker_definition() {
+    assert_failed_item_agrees(
+        r#"<template><for nodes="all.Program"><marker-content marker="MZ"><b>Z</b></marker-content><value-of property="nonexistent"/></for><p>MZ</p></template>"#,
+    );
+}
+
+#[test]
+fn failed_item_counts_one_trouble() {
+    // Each Program item holds a failing Document loop, then fails itself.
+    assert_failed_item_agrees(
+        r#"<template><for nodes="all.Program"><for nodes="all.Document"><value-of property="nonexistent"/></for><value-of property="nonexistent"/></for></template>"#,
+    );
+}
+
+#[test]
+fn failed_item_leaves_no_visits() {
+    assert_failed_item_agrees(
+        r#"<template><for nodes="all.Program"><for nodes="all.Document"><label/></for><value-of property="nonexistent"/></for><table-of-omissions types="Document"/></template>"#,
+    );
+}
+
+#[test]
+fn later_definition_applies_inside_an_earlier_copy() {
+    // MB is defined before MA: the copy of MB's content that replaces MB
+    // gets MA replaced in it, since MA's turn comes after it is put in.
+    let template = r#"<template><marker-content marker="MB"><i>MA</i></marker-content><marker-content marker="MA"><b>A</b></marker-content><p>MB</p></template>"#;
+    let meta = it_metamodel();
+    let model = it_architecture(ItScale::about(30), 1);
+    assert_engines_agree(&model, &meta, template);
+    let template = Template::parse(template).expect("template parses");
+    let inputs = GenInputs {
+        model: &model,
+        meta: &meta,
+        template: &template,
+    };
+    let xq = docgen::xq::generate(&inputs).expect("XQuery generation");
+    assert!(xq.xml.contains("<p><i><b>A</b></i></p>"), "{}", xq.xml);
+}
+
+#[test]
+fn nested_definition_comes_after_the_one_around_it() {
+    // MI is defined inside MO's content: MO is defined first, so the copy
+    // of MO's content gets MI replaced in it.
+    let template = r#"<template><marker-content marker="MO"><i><marker-content marker="MI"><b>I</b></marker-content>MI</i></marker-content><p>MO</p></template>"#;
+    let meta = it_metamodel();
+    let model = it_architecture(ItScale::about(30), 1);
+    assert_engines_agree(&model, &meta, template);
+    let template = Template::parse(template).expect("template parses");
+    let inputs = GenInputs {
+        model: &model,
+        meta: &meta,
+        template: &template,
+    };
+    let native = docgen::native::generate(&inputs).expect("native generation");
+    assert!(
+        native.to_xml().contains("<p><i><b>I</b></i></p>"),
+        "{}",
+        native.to_xml()
+    );
 }

@@ -1,5 +1,7 @@
 //! Property test for E7: the native and XQuery generators agree on
-//! *randomly generated* templates, not just the canned ones.
+//! *randomly generated* templates, not just the canned ones: loops with
+//! sections, failing items and marker definitions in their bodies, and
+//! marker text wherever text goes.
 
 use lopsided::awb::workload::{it_architecture, it_metamodel, ItScale};
 use lopsided::docgen::{self, normalized_equal, GenInputs, Template};
@@ -31,6 +33,12 @@ enum Tpl {
     Toc,
     Omissions(String),
     List(String),
+    /// `<marker-content>`: its content, then `MA`'s text when `MB` holds it.
+    Marker {
+        marker: &'static str,
+        body: Vec<Tpl>,
+        holds_ma: bool,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -50,6 +58,11 @@ const TYPES: &[&str] = &[
     "Thing",
 ];
 const PROPS: &[&str] = &["language", "version", "firstName", "cores", "nonexistent"];
+/// The markers the templates define and hold. Only `MB`'s content holds
+/// marker text, `MA`'s, so no content holds its own marker, and which of
+/// the two is defined first decides whether a copy of `MB`'s content gets
+/// `MA` replaced in it.
+const MARKERS: &[&str] = &["MA", "MB"];
 
 fn type_name() -> impl Strategy<Value = String> {
     prop::sample::select(TYPES).prop_map(str::to_string)
@@ -57,6 +70,22 @@ fn type_name() -> impl Strategy<Value = String> {
 
 fn prop_name() -> impl Strategy<Value = String> {
     prop::sample::select(PROPS).prop_map(str::to_string)
+}
+
+/// Text holding a marker.
+fn marker_text() -> impl Strategy<Value = Tpl> {
+    prop::sample::select(MARKERS).prop_map(|m| Tpl::Text(format!("see {m} here")))
+}
+
+/// A marker definition whose content is `content`.
+fn marker_def(content: impl Strategy<Value = Tpl>) -> impl Strategy<Value = Tpl> {
+    (prop::sample::select(MARKERS), content, any::<bool>()).prop_map(|(marker, c, inner)| {
+        Tpl::Marker {
+            marker,
+            body: vec![Tpl::Passthrough(vec![c])],
+            holds_ma: marker == "MB" && inner,
+        }
+    })
 }
 
 fn cond_strategy() -> impl Strategy<Value = Cond> {
@@ -88,6 +117,8 @@ fn tpl_strategy(in_focus: bool) -> impl Strategy<Value = Tpl> {
             Just(Tpl::Toc),
             type_name().prop_map(Tpl::Omissions),
             type_name().prop_map(Tpl::List),
+            marker_text(),
+            marker_def("[ a-z]{1,8}".prop_map(Tpl::Text)),
         ]
         .boxed()
     };
@@ -124,9 +155,11 @@ fn tpl_strategy(in_focus: bool) -> impl Strategy<Value = Tpl> {
     })
 }
 
-/// A small, non-recursive focused strategy for `for` bodies (bounded depth).
+/// A small focused strategy for `for` bodies (bounded depth): leaves,
+/// failing `<value-of>`s, marker text and definitions, and conditionals
+/// and sections around leaves.
 fn tpl_strategy_focused() -> impl Strategy<Value = Tpl> {
-    prop_oneof![
+    let leaf = prop_oneof![
         "[ a-z]{1,8}".prop_map(Tpl::Text),
         Just(Tpl::Label),
         (
@@ -134,15 +167,25 @@ fn tpl_strategy_focused() -> impl Strategy<Value = Tpl> {
             prop::option::of("[a-z]{0,4}".prop_map(String::from))
         )
             .prop_map(|(prop, default)| Tpl::ValueOf { prop, default }),
-        (
-            cond_strategy(),
-            prop::collection::vec(Just(Tpl::Label), 0..2)
-        )
-            .prop_map(|(cond, then)| Tpl::If {
+        Just(Tpl::ValueOf {
+            prop: "nonexistent".into(),
+            default: None,
+        }),
+        marker_text(),
+        marker_def(Just(Tpl::Label)),
+    ]
+    .boxed();
+    prop_oneof![
+        leaf.clone(),
+        (cond_strategy(), prop::collection::vec(leaf.clone(), 0..2)).prop_map(|(cond, then)| {
+            Tpl::If {
                 cond,
                 then,
-                els: None
-            }),
+                els: None,
+            }
+        }),
+        ("[A-Z][a-z]{0,8}", prop::collection::vec(leaf, 0..2))
+            .prop_map(|(heading, body)| Tpl::Section { heading, body }),
     ]
 }
 
@@ -190,6 +233,18 @@ fn render(tpl: &Tpl, out: &mut String) {
         Tpl::List(ty) => out.push_str(&format!(
             "<list><query><start type=\"{ty}\"/><sort-by-label/></query></list>"
         )),
+        Tpl::Marker {
+            marker,
+            body,
+            holds_ma,
+        } => {
+            out.push_str(&format!("<marker-content marker=\"{marker}\">"));
+            body.iter().for_each(|t| render(t, out));
+            if *holds_ma {
+                out.push_str(" MA");
+            }
+            out.push_str("</marker-content>");
+        }
     }
 }
 
