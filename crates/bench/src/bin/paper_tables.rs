@@ -11,7 +11,8 @@
 use awb::PropValue;
 use bench_suite::rows::{self, axis_bench_doc, Gate, Stats};
 use bench_suite::{call_graph, it_workload, loc, marker_loc, set_fault_rate};
-use docgen::xq::XqGenerator;
+use docgen::batch::CompiledPipeline;
+use docgen::xq::{Phase, XqGenerator, GEN_TC_XQ, GEN_XQ};
 use docgen::{native, normalized_equal, EditFootprint, GenInputs, IncrementalDoc, Template};
 use lopsided::templates::FAULTY_DOCUMENT_LIST;
 use xmlstore::parser::ParseOptions;
@@ -185,13 +186,10 @@ fn check_obs() {
         .find(|(n, _)| *n == "split_prefix_hoist")
         .map(|(_, src)| *src)
         .expect("probe row");
-    let plan = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    })
-    .compile(split_src)
-    .expect("obs probe compiles")
-    .plan_stats;
+    let plan = Engine::new()
+        .compile(split_src)
+        .expect("obs probe compiles")
+        .plan_stats;
     assert_eq!(
         plan.split_prefixes, 1,
         "the pure-call prefix was not split: {plan:?}"
@@ -401,7 +399,7 @@ fn check_obs() {
     println!("  System Context render through XQuery: {on:?}");
 
     edit_loop_probe();
-    println!("  all observability counters check out (and zero out with XQ_OPT=0)");
+    println!("  all observability counters check out (and zero out with runtime_opt off)");
 }
 
 /// The reuse counters of one System Context render (n=100) through the
@@ -419,8 +417,8 @@ fn system_context_reuse(runtime_opt: bool) -> ReuseStats {
         runtime_opt,
         ..Default::default()
     };
-    let out = XqGenerator::with_options(&inputs, options)
-        .and_then(|mut g| g.run())
+    let out = CompiledPipeline::new(GEN_XQ, &Phase::ALL, options)
+        .and_then(|pipeline| XqGenerator::with_compiled(&inputs, &pipeline)?.run())
         .expect("System Context renders through XQuery");
     let mut total = ReuseStats::default();
     for phase in &out.phase_reports {
@@ -848,8 +846,8 @@ fn e3_errors() {
             .expect("native generator renders")
             .trouble_count;
         let error_values = docgen::xq::generate(&inputs).expect("XQuery pipeline renders");
-        let try_catch = XqGenerator::new_try_catch(&inputs)
-            .and_then(|mut g| g.run())
+        let try_catch = CompiledPipeline::new(GEN_TC_XQ, &Phase::ALL, EngineOptions::default())
+            .and_then(|pipeline| XqGenerator::with_compiled(&inputs, &pipeline)?.run())
             .expect("try/catch pipeline renders");
         let equal = error_values.trouble_count == notes && try_catch.trouble_count == notes;
         format!("{notes:>5} | {equal}")
@@ -897,10 +895,15 @@ fn e4_trace_dce() {
 fn e5_tables() {
     header(
         "E5 — the row/column table: skeleton-fill vs. all-at-once (§Mutability in Java)\n     \
-            servers x programs; xq: the whole XQuery pipeline, compiled once",
+            servers x programs; xq: the whole XQuery pipeline, compiled once;\n     \
+            xq_runtime_off: the same with the runtime passes off, as Galax ran",
     );
-    timed_table("e5", "xq/native", |_, s| {
-        format!("{:.0}x", s[1].median / s[0].median)
+    timed_table("e5", "off/native | xq/native", |_, s| {
+        format!(
+            "{:>9.0}x | {:.0}x",
+            s[1].median / s[0].median,
+            s[2].median / s[0].median
+        )
     });
     println!("  (each xq row's fixture asserts its document equals the native one, normalized)");
 }

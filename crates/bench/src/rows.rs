@@ -1021,10 +1021,11 @@ fn e5_fixture(servers: usize, programs: usize) -> RenderFixture {
 enum Generator {
     Native,
     /// The XQuery pipeline: a phase-1 source and its first `phases` copying
-    /// phases, compiled once per fixture.
+    /// phases, compiled once per fixture with the runtime passes on or off.
     Xq {
         source: &'static str,
         phases: usize,
+        runtime_opt: bool,
     },
 }
 
@@ -1052,13 +1053,24 @@ fn render_row(
     row(name, Layer::Eval, workload, RENDER, Gate::None, move || {
         let f = fixture();
         let native = native::generate(&f.inputs()).expect("native generator renders");
-        let Generator::Xq { source, phases } = generator else {
+        let Generator::Xq {
+            source,
+            phases,
+            runtime_opt,
+        } = generator
+        else {
             return Box::new(move || {
                 ms(|| drop(native::generate(&f.inputs()).expect("native generator renders")))
             });
         };
-        let mut xq = XqGenerator::with_generator(&f.inputs(), source, &Phase::ALL[..phases])
+        let options = EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        };
+        let pipeline = CompiledPipeline::new(source, &Phase::ALL[..phases], options)
             .expect("XQuery pipeline compiles");
+        let mut xq = XqGenerator::with_compiled(&f.inputs(), &pipeline)
+            .expect("XQuery pipeline loads its inputs");
         let out = xq.run().expect("XQuery pipeline renders");
         match agree {
             Agree::Runs => {}
@@ -1104,6 +1116,7 @@ fn paper_rows(rows: &mut Vec<Row>) {
                 Generator::Xq {
                     source: GEN_XQ,
                     phases,
+                    runtime_opt: true,
                 },
                 Agree::Runs,
             ));
@@ -1130,6 +1143,7 @@ fn paper_rows(rows: &mut Vec<Row>) {
                 Generator::Xq {
                     source,
                     phases: all,
+                    runtime_opt: true,
                 },
                 Agree::TroubleCount,
             ));
@@ -1166,16 +1180,26 @@ fn paper_rows(rows: &mut Vec<Row>) {
             Generator::Native,
             Agree::Runs,
         ));
-        rows.push(render_row(
-            format!("e5_{size}_xq"),
-            workload("XQuery pipeline, all at once"),
-            move || e5_fixture(servers, programs),
-            Generator::Xq {
-                source: GEN_XQ,
-                phases: all,
-            },
-            Agree::Output,
-        ));
+        for (column, runtime_opt, by) in [
+            (
+                "xq_runtime_off",
+                false,
+                "XQuery pipeline, all at once, runtime passes off",
+            ),
+            ("xq", true, "XQuery pipeline, all at once"),
+        ] {
+            rows.push(render_row(
+                format!("e5_{size}_{column}"),
+                workload(by),
+                move || e5_fixture(servers, programs),
+                Generator::Xq {
+                    source: GEN_XQ,
+                    phases: all,
+                    runtime_opt,
+                },
+                Agree::Output,
+            ));
+        }
     }
 }
 
@@ -1229,7 +1253,7 @@ pub fn paper_tables() -> Vec<PaperTable> {
         table(
             "e5",
             E5_TABLES.iter().map(|(r, c)| format!("{r}x{c}")).collect(),
-            names(&["native", "xq"]),
+            names(&["native", "xq_runtime_off", "xq"]),
         ),
     ]
 }

@@ -16,7 +16,7 @@
 use crate::trouble::GenTrouble;
 use crate::xq::{Phase, XqGenerator, GEN_XQ};
 use crate::{native, GenInputs};
-use xquery::{CompiledQuery, Engine, EvalStats, StackPool};
+use xquery::{CompiledQuery, Engine, EngineOptions, EvalStats, StackPool};
 
 /// Which generator implementation a batch job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,22 +47,34 @@ pub struct BatchOutput {
 
 /// The XQuery pipeline compiled once, shareable by every job in a batch
 /// (and across batches): cloning hands out `Arc`s to the same lowered
-/// programs, so N documents cost one parse/optimize/lower.
+/// programs, so N documents cost one parse/optimize/lower. The only place
+/// the generator and phase sources are compiled.
 #[derive(Clone)]
 pub struct CompiledPipeline {
     pub(crate) generator: CompiledQuery,
     pub(crate) phases: Vec<(Phase, CompiledQuery)>,
+    /// The options the programs were compiled with; every engine that runs
+    /// them is built with the same ones.
+    pub(crate) options: EngineOptions,
 }
 
 impl CompiledPipeline {
-    /// Compiles the standard generator and phase list.
+    /// Compiles the standard generator and phase list with the default
+    /// options.
     pub fn standard() -> Result<Self, GenTrouble> {
-        CompiledPipeline::new(GEN_XQ, &Phase::ALL)
+        CompiledPipeline::new(GEN_XQ, &Phase::ALL, EngineOptions::default())
     }
 
-    /// Compiles a custom phase-1 source and phase list.
-    pub fn new(generator_source: &str, phases: &[Phase]) -> Result<Self, GenTrouble> {
-        let engine = Engine::new();
+    /// Compiles a phase-1 source (say [`GEN_XQ`] or the try/catch variant
+    /// [`crate::xq::GEN_TC_XQ`]) and a phase list (experiment E2 varies the
+    /// number of copying phases) with `options` — the runtime passes on or
+    /// off, say.
+    pub fn new(
+        generator_source: &str,
+        phases: &[Phase],
+        options: EngineOptions,
+    ) -> Result<Self, GenTrouble> {
+        let engine = Engine::with_options(options.clone());
         let generator = engine
             .compile(generator_source)
             .map_err(|e| GenTrouble::new(format!("the generator source failed to compile: {e}")))?;
@@ -75,7 +87,11 @@ impl CompiledPipeline {
                     .map_err(|e| GenTrouble::new(format!("{p:?} phase failed to compile: {e}")))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledPipeline { generator, phases })
+        Ok(CompiledPipeline {
+            generator,
+            phases,
+            options,
+        })
     }
 }
 

@@ -679,7 +679,7 @@ impl IncrementalDoc {
         let edit = self.edit_since(inputs.model, footprint);
         let dirty = self.dirty(&edit, inputs.meta);
         let mut refill = !edit.types.is_empty();
-        let (mut reran, mut defs_moved, mut defs_changed, mut mentions) = (0, false, false, false);
+        let (mut reran, mut defs_moved, mut mentions) = (0, false, false);
         // A part under a dirty part re-runs with it. Each fresh run replaces
         // the old in place; one whose placeholders, toc entries or visits
         // can differ calls for a refill.
@@ -692,25 +692,21 @@ impl IncrementalDoc {
             let lp = &parent.loops[parent.loop_of(i)];
             let old = &parent.parts[i];
             let fresh = run_part(inputs, &mut self.store, lp, old.source, &self.marker_names)?;
-            let (old_defs, new_defs) = (old.defs(), fresh.defs());
-            if !old_defs.is_empty() || !new_defs.is_empty() {
-                defs_moved = true;
-                defs_changed |=
-                    def_signature(&self.store, old_defs) != def_signature(&self.store, new_defs);
-            }
+            defs_moved |= !old.defs().is_empty() || !fresh.defs().is_empty();
             mentions |= fresh.mentions;
             reran += fresh.sum(&|_| 1);
             refill |= self.replace(path, fresh)?;
         }
-        // The definitions live in the parts that made them: a re-run made
-        // new ones, equal or not.
+        // The definitions live in the parts that made them: a re-run part
+        // that had or has some made new ones, which count as changed, so
+        // every part that mentions a marker writes its bytes afresh.
         if defs_moved {
             self.defs = self.tree.defs().into_iter().cloned().collect();
         }
-        if refill || defs_changed {
-            self.refill_placeholders(inputs, defs_changed)?;
+        if refill || defs_moved {
+            self.refill_placeholders(inputs, defs_moved)?;
         }
-        if refill || defs_changed || mentions {
+        if refill || defs_moved || mentions {
             self.check_markers()?;
         }
         self.version = inputs.model.version();
@@ -910,12 +906,12 @@ impl IncrementalDoc {
     /// per-part state, and drops the cached bytes that hold one. Cheap:
     /// proportional to toc size + omitted nodes, not to the document. A
     /// fill inside a definition's content is written wherever its marker
-    /// is, so then, or when `defs_changed`, the bytes of every part that
+    /// is, so then, or when `defs_moved`, the bytes of every part that
     /// holds marker text are dropped too.
     fn refill_placeholders(
         &mut self,
         inputs: &GenInputs,
-        defs_changed: bool,
+        defs_moved: bool,
     ) -> Result<(), GenTrouble> {
         let mut scratch = GenState {
             toc: self.tree.toc().into_iter().cloned().collect(),
@@ -941,7 +937,7 @@ impl IncrementalDoc {
         let in_defs = divs
             .clone()
             .any(|&d| self.store.ancestors(d).last() != Some(&self.root));
-        if defs_changed || in_defs {
+        if defs_moved || in_defs {
             held.extend(mentioning);
         }
         for &div in divs {
@@ -1022,21 +1018,6 @@ fn position(store: &Store, parent: NodeId, child: NodeId) -> usize {
         .iter()
         .position(|&c| c == child)
         .expect("a part's output sits under its loop's parent")
-}
-
-/// A comparable rendering of marker definitions: marker names in order
-/// with their content serialized. Two runs with equal signatures write
-/// the same bytes wherever their markers are.
-fn def_signature<'d>(
-    store: &Store,
-    defs: impl IntoIterator<Item = &'d (String, Vec<NodeId>)>,
-) -> Vec<(String, String)> {
-    defs.into_iter()
-        .map(|(m, content)| {
-            let xml: String = content.iter().map(|&n| store.to_xml(n)).collect();
-            (m.clone(), xml)
-        })
-        .collect()
 }
 
 /// The text of `n` and of every node under it, in document order.

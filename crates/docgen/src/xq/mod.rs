@@ -8,12 +8,11 @@
 //! copies of the entire output … This wasn't horrible, though it wasn't
 //! entirely pleasant either."
 
+use crate::batch::CompiledPipeline;
 use crate::trouble::GenTrouble;
 use crate::GenInputs;
 use xmlstore::NodeId;
-use xquery::{
-    CompiledQuery, Engine, EngineOptions, EvalStats, Item, ReuseStats, TraceEvent, TraceSink,
-};
+use xquery::{CompiledQuery, Engine, EvalStats, Item, ReuseStats, TraceEvent, TraceSink};
 
 /// Phase-1 source: the generator proper.
 pub const GEN_XQ: &str = include_str!("gen.xq");
@@ -113,94 +112,32 @@ impl XqOutput {
     }
 }
 
-/// A prepared XQuery generator: engine with model/metamodel/template loaded
-/// and all phase queries compiled — each [`CompiledQuery`] carries its
-/// lowered, slot-resolved program, so repeated runs skip parse/optimize/lower
-/// entirely. Reusable across runs (benches).
+/// A prepared XQuery generator: an engine with model/metamodel/template
+/// loaded, running a [`CompiledPipeline`]'s programs — each
+/// [`CompiledQuery`] carries its lowered, slot-resolved program, so
+/// repeated runs skip parse/optimize/lower entirely. Reusable across runs
+/// (benches).
 pub struct XqGenerator {
     engine: Engine,
-    gen_query: CompiledQuery,
-    phase_queries: Vec<(Phase, CompiledQuery)>,
+    pipeline: CompiledPipeline,
 }
 
 impl XqGenerator {
-    /// Prepares a generator for the given inputs with the standard phases.
+    /// Prepares a generator for the given inputs with the standard pipeline.
     pub fn new(inputs: &GenInputs) -> Result<Self, GenTrouble> {
-        XqGenerator::with_phases(inputs, &Phase::ALL)
-    }
-
-    /// Prepares the try/catch ablation variant ([`GEN_TC_XQ`]) with the
-    /// standard phases.
-    pub fn new_try_catch(inputs: &GenInputs) -> Result<Self, GenTrouble> {
-        XqGenerator::with_generator(inputs, GEN_TC_XQ, &Phase::ALL)
-    }
-
-    /// Prepares a generator with a custom phase list (experiment E2 varies
-    /// the number of copying phases).
-    pub fn with_phases(inputs: &GenInputs, phases: &[Phase]) -> Result<Self, GenTrouble> {
-        XqGenerator::with_generator(inputs, GEN_XQ, phases)
-    }
-
-    /// Prepares a generator with a custom phase-1 source and phase list.
-    pub fn with_generator(
-        inputs: &GenInputs,
-        generator_source: &str,
-        phases: &[Phase],
-    ) -> Result<Self, GenTrouble> {
-        XqGenerator::build(inputs, EngineOptions::default(), generator_source, phases)
-    }
-
-    /// Prepares the standard pipeline on an engine with `options` — the
-    /// runtime passes on or off, say, whatever `XQ_OPT` holds.
-    pub fn with_options(inputs: &GenInputs, options: EngineOptions) -> Result<Self, GenTrouble> {
-        XqGenerator::build(inputs, options, GEN_XQ, &Phase::ALL)
-    }
-
-    fn build(
-        inputs: &GenInputs,
-        options: EngineOptions,
-        generator_source: &str,
-        phases: &[Phase],
-    ) -> Result<Self, GenTrouble> {
-        let engine = XqGenerator::engine_for(inputs, options)?;
-        let gen_query = engine
-            .compile(generator_source)
-            .map_err(|e| GenTrouble::new(format!("the generator source failed to compile: {e}")))?;
-        let phase_queries = phases
-            .iter()
-            .map(|&p| {
-                engine
-                    .compile(p.source())
-                    .map(|q| (p, q))
-                    .map_err(|e| GenTrouble::new(format!("{p:?} phase failed to compile: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(XqGenerator {
-            engine,
-            gen_query,
-            phase_queries,
-        })
+        XqGenerator::with_compiled(inputs, &CompiledPipeline::standard()?)
     }
 
     /// Prepares a generator around an already compiled pipeline: the engine
-    /// and its documents are per-generator, the programs are the batch's
-    /// `Arc`-shared ones — no per-document compilation at all.
+    /// and its documents are per-generator, the programs are the pipeline's
+    /// `Arc`-shared ones — no compilation at all. The engine takes the
+    /// options the pipeline was compiled with, so its plans run on the
+    /// runtime they were lowered for.
     pub fn with_compiled(
         inputs: &GenInputs,
-        pipeline: &crate::batch::CompiledPipeline,
+        pipeline: &CompiledPipeline,
     ) -> Result<Self, GenTrouble> {
-        let engine = XqGenerator::engine_for(inputs, EngineOptions::default())?;
-        Ok(XqGenerator {
-            engine,
-            gen_query: pipeline.generator.clone(),
-            phase_queries: pipeline.phases.clone(),
-        })
-    }
-
-    /// A fresh engine with the model, metamodel, and template loaded and
-    /// registered under the URIs the pipeline sources expect.
-    fn engine_for(inputs: &GenInputs, options: EngineOptions) -> Result<Engine, GenTrouble> {
-        let mut engine = Engine::with_options(options);
+        let mut engine = Engine::with_options(pipeline.options.clone());
         let model_doc = awb::xmlio::export_to_store(inputs.model, engine.store_mut());
         engine.register_document("awb-model", model_doc);
         let meta_doc = awb::xmlio::export_metamodel_to_store(inputs.meta, engine.store_mut());
@@ -209,7 +146,10 @@ impl XqGenerator {
             .load_document(&inputs.template.to_xml())
             .map_err(|e| GenTrouble::new(format!("template load failed: {e}")))?;
         engine.register_document("template", template_doc);
-        Ok(engine)
+        Ok(XqGenerator {
+            engine,
+            pipeline: pipeline.clone(),
+        })
     }
 
     /// Installs a trace sink on the pipeline's engine: it sees every
@@ -221,16 +161,16 @@ impl XqGenerator {
 
     /// Runs the whole pipeline once.
     pub fn run(&mut self) -> Result<XqOutput, GenTrouble> {
-        let mut phase_sizes = Vec::with_capacity(1 + self.phase_queries.len());
-        let mut phase_reports = Vec::with_capacity(1 + self.phase_queries.len());
+        let mut phase_sizes = Vec::with_capacity(1 + self.pipeline.phases.len());
+        let mut phase_reports = Vec::with_capacity(1 + self.pipeline.phases.len());
 
-        let gen_query = self.gen_query.clone();
+        let gen_query = self.pipeline.generator.clone();
         let doc = self.timed_phase("generate", &gen_query, None, &mut phase_reports)?;
         phase_sizes.push(self.engine.store().to_xml(doc).len());
 
         let mut current = doc;
-        for i in 0..self.phase_queries.len() {
-            let (phase, query) = self.phase_queries[i].clone();
+        for i in 0..self.pipeline.phases.len() {
+            let (phase, query) = self.pipeline.phases[i].clone();
             current = self.timed_phase(phase.name(), &query, Some(current), &mut phase_reports)?;
             phase_sizes.push(self.engine.store().to_xml(current).len());
         }
@@ -326,6 +266,7 @@ mod tests {
     use super::*;
     use crate::template::Template;
     use awb::{Model, PropValue};
+    use xquery::EngineOptions;
 
     fn meta() -> awb::Metamodel {
         awb::workload::it_metamodel()
@@ -345,6 +286,17 @@ mod tests {
         m.add_relation("uses", u1, p);
         m.add_relation("likes", u2, p);
         m
+    }
+
+    /// Runs `source` and `phases` through a pipeline compiled with `options`.
+    fn run_pipeline(
+        inputs: &GenInputs,
+        source: &str,
+        phases: &[Phase],
+        options: EngineOptions,
+    ) -> Result<XqOutput, GenTrouble> {
+        let pipeline = CompiledPipeline::new(source, phases, options)?;
+        XqGenerator::with_compiled(inputs, &pipeline)?.run()
     }
 
     fn gen(template: &str, model: &Model) -> XqOutput {
@@ -557,36 +509,31 @@ mod tests {
         };
 
         // No phases at all: scaffolding everywhere, nothing rendered.
-        let raw = XqGenerator::with_phases(&inputs, &[])
-            .unwrap()
-            .run()
-            .unwrap();
+        let raw = run_pipeline(&inputs, GEN_XQ, &[], EngineOptions::default()).unwrap();
         assert!(raw.xml.contains("<INTERNAL-DATA-TOC/>"), "{}", raw.xml);
         assert!(raw.xml.contains("INTERNAL-DATA-OMISSIONS"), "{}", raw.xml);
         assert!(raw.xml.contains("<VISITED"), "{}", raw.xml);
 
         // Only the omissions phase: its marker is consumed, the others stay.
-        let om = XqGenerator::with_phases(&inputs, &[Phase::Omissions])
-            .unwrap()
-            .run()
-            .unwrap();
+        let om = run_pipeline(
+            &inputs,
+            GEN_XQ,
+            &[Phase::Omissions],
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert!(!om.xml.contains("INTERNAL-DATA-OMISSIONS"), "{}", om.xml);
         assert!(om.xml.contains("class=\"omissions\"") || om.xml.contains("no-omissions"));
         assert!(om.xml.contains("<INTERNAL-DATA-TOC/>"));
 
         // Only the toc phase.
-        let toc = XqGenerator::with_phases(&inputs, &[Phase::Toc])
-            .unwrap()
-            .run()
-            .unwrap();
+        let toc = run_pipeline(&inputs, GEN_XQ, &[Phase::Toc], EngineOptions::default()).unwrap();
         assert!(!toc.xml.contains("INTERNAL-DATA-TOC"), "{}", toc.xml);
         assert!(toc.xml.contains("class=\"toc\""));
 
         // Strip alone removes every trace of the scaffolding.
-        let stripped = XqGenerator::with_phases(&inputs, &[Phase::Strip])
-            .unwrap()
-            .run()
-            .unwrap();
+        let stripped =
+            run_pipeline(&inputs, GEN_XQ, &[Phase::Strip], EngineOptions::default()).unwrap();
         assert!(!stripped.xml.contains("INTERNAL-DATA"), "{}", stripped.xml);
         assert!(!stripped.xml.contains("VISITED"));
     }
@@ -614,8 +561,9 @@ mod tests {
                 meta: &meta,
                 template: &template,
             };
-            let classic = XqGenerator::new(&inputs).unwrap().run().unwrap();
-            let tc = XqGenerator::new_try_catch(&inputs).unwrap().run().unwrap();
+            let classic = generate(&inputs).unwrap();
+            let tc =
+                run_pipeline(&inputs, GEN_TC_XQ, &Phase::ALL, EngineOptions::default()).unwrap();
             assert_eq!(classic.xml, tc.xml, "template: {template_src}");
             assert_eq!(classic.trouble_count, tc.trouble_count);
         }
@@ -631,10 +579,8 @@ mod tests {
             meta: &meta,
             template: &template,
         };
-        let err = XqGenerator::new_try_catch(&inputs)
-            .unwrap()
-            .run()
-            .unwrap_err();
+        let err =
+            run_pipeline(&inputs, GEN_TC_XQ, &Phase::ALL, EngineOptions::default()).unwrap_err();
         assert!(err.message.contains("no focus"), "{}", err.message);
     }
 
@@ -651,10 +597,6 @@ mod tests {
         // split, a key, a join or a streamed binding unnoticed.
         use xquery::lopt::PlanStats;
         use xquery::optimizer::OptimizerStats;
-        let engine = Engine::with_options(xquery::EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
         let plan =
             |hoisted_invariant, split_prefixes, keyed_splits, streamable_bindings| PlanStats {
                 hoisted_invariant,
@@ -664,24 +606,66 @@ mod tests {
                 hash_joins: 0,
                 streamable_bindings,
             };
-        for (name, source, expected) in [
-            ("gen", GEN_XQ, plan(4, 3, 3, 0)),
-            ("gen_tc", GEN_TC_XQ, plan(4, 3, 3, 2)),
-            ("omissions", OMISSIONS_XQ, plan(0, 0, 0, 2)),
-            ("toc", TOC_XQ, plan(0, 0, 0, 2)),
-            ("markers", MARKERS_XQ, plan(0, 0, 0, 2)),
-            ("strip", STRIP_XQ, plan(0, 0, 0, 1)),
-        ] {
-            let q = engine.compile(source).unwrap();
+        let standard = CompiledPipeline::standard().unwrap();
+        let try_catch = CompiledPipeline::new(GEN_TC_XQ, &[], EngineOptions::default()).unwrap();
+        let mut queries = vec![
+            ("gen", &standard.generator),
+            ("gen_tc", &try_catch.generator),
+        ];
+        queries.extend(standard.phases.iter().map(|(p, q)| (p.name(), q)));
+        let expected = [
+            plan(4, 3, 3, 0),
+            plan(4, 3, 3, 2),
+            plan(0, 0, 0, 2),
+            plan(0, 0, 0, 2),
+            plan(0, 0, 0, 2),
+            plan(0, 0, 0, 1),
+        ];
+        assert_eq!(queries.len(), expected.len());
+        for ((name, q), expected) in queries.into_iter().zip(expected) {
             assert_eq!(q.plan_stats, expected, "{name}");
             assert_eq!(q.stats, OptimizerStats::default(), "{name}");
         }
-        let q = engine.compile(GEN_XQ).unwrap();
-        let plan = engine.explain(&q);
+        let plan = Engine::new().explain(&standard.generator);
         assert!(plan.contains("local:is-rel-subtype  [pure]"), "{plan}");
         assert!(
             plan.contains("local:err  [impure: constructs nodes]"),
             "{plan}"
+        );
+    }
+
+    /// The runtime passes change how the pipeline runs, never what it
+    /// writes: System Context through a pipeline compiled with them off
+    /// renders the default pipeline's document, and no phase reports any
+    /// optimised work or reuse.
+    #[test]
+    fn runtime_opt_off_pipeline_renders_system_context_alike() {
+        let meta = meta();
+        let m = awb::workload::it_architecture(awb::workload::ItScale::about(40), 7);
+        let template = Template::parse(crate::template::SYSTEM_CONTEXT).unwrap();
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        let off = EngineOptions {
+            runtime_opt: false,
+            ..Default::default()
+        };
+        let plain = run_pipeline(&inputs, GEN_XQ, &Phase::ALL, off).unwrap();
+        let optimised = generate(&inputs).unwrap();
+        assert_eq!(plain.xml, optimised.xml);
+        assert_eq!(plain.phase_reports.len(), 1 + Phase::ALL.len());
+        for report in &plain.phase_reports {
+            let counters = report.stats.opt_counters().into_iter();
+            for (counter, value) in counters.chain(report.reuse.counters()) {
+                assert_eq!(value, 0, "{}: {counter}", report.name);
+            }
+        }
+        let reuse = optimised.phase_reports[0].reuse;
+        assert!(
+            reuse.keyed_split_probes > 0 && reuse.memo_hits > 0,
+            "{reuse:?}"
         );
     }
 

@@ -22,75 +22,54 @@ fn test_config() -> ServiceConfig {
 /// One `OPTION name value` request.
 type OptionSetting = (&'static str, &'static str);
 
-/// The same six configurations the engine's differential suite runs:
-/// each as (name, OPTION verb settings, locally-built equivalent). The
-/// "on" configs set `runtime_opt` explicitly, so an exported `XQ_OPT=0`
-/// cannot fold them into their "off" twins.
-fn engine_configs() -> Vec<(&'static str, Vec<OptionSetting>, EngineOptions)> {
-    let on = EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    };
-    vec![
+/// The same eight configurations the engine's differential suite runs:
+/// each as (name, OPTION verb settings, locally-built equivalent).
+fn engine_configs() -> Vec<(String, Vec<OptionSetting>, EngineOptions)> {
+    let bases = [
         (
             "standard",
-            vec![
-                ("preset", "default"),
-                ("runtime_opt", "true"),
-                ("dup_attr_policy", "error"),
-            ],
+            vec![("preset", "default"), ("dup_attr_policy", "error")],
             EngineOptions {
                 dup_attr_policy: DupAttrPolicy::Error,
-                ..on.clone()
+                ..Default::default()
             },
         ),
         (
             "galax-quirks",
-            vec![("preset", "galax"), ("runtime_opt", "true")],
-            EngineOptions {
-                runtime_opt: true,
-                ..EngineOptions::galax()
-            },
+            vec![("preset", "galax")],
+            EngineOptions::galax(),
         ),
         (
             "default",
-            vec![("preset", "default"), ("runtime_opt", "true")],
-            on.clone(),
+            vec![("preset", "default")],
+            EngineOptions::default(),
         ),
         (
             "unoptimized",
-            vec![
-                ("preset", "default"),
-                ("runtime_opt", "true"),
-                ("optimize", "false"),
-            ],
+            vec![("preset", "default"), ("optimize", "false")],
             EngineOptions {
                 optimize: false,
-                ..on.clone()
+                ..Default::default()
             },
         ),
-        (
-            "runtime-unoptimized",
-            vec![("preset", "default"), ("runtime_opt", "false")],
-            EngineOptions {
-                runtime_opt: false,
-                ..on.clone()
-            },
-        ),
-        (
-            "fully-unoptimized",
-            vec![
-                ("preset", "default"),
-                ("optimize", "false"),
-                ("runtime_opt", "false"),
-            ],
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..on
-            },
-        ),
-    ]
+    ];
+    bases
+        .into_iter()
+        .flat_map(|(name, settings, options)| {
+            [true, false].map(|runtime_opt| {
+                let mut settings = settings.clone();
+                if !runtime_opt {
+                    settings.push(("runtime_opt", "false"));
+                }
+                let options = EngineOptions {
+                    runtime_opt,
+                    ..options.clone()
+                };
+                let state = if runtime_opt { "on" } else { "off" };
+                (format!("{name}-runtime-{state}"), settings, options)
+            })
+        })
+        .collect()
 }
 
 /// Corpus: (query, needs the document?). The duplicate-attribute
@@ -153,7 +132,7 @@ fn service_outcome(client: &mut Client, query: &str, with_doc: bool) -> Outcome 
 /// come back from the service byte-identical (result or error — code,
 /// position, message) to a fresh single-use engine. This is the direct
 /// "no cross-config plan leakage" proof: the same query texts flow through
-/// the one shared plan cache under all six fingerprints.
+/// the one shared plan cache under all eight fingerprints.
 #[test]
 fn every_config_differential_through_the_service() {
     let service = Service::spawn(test_config()).unwrap();
@@ -161,7 +140,7 @@ fn every_config_differential_through_the_service() {
     loader.load("doc", DOC).unwrap();
 
     for (name, settings, options) in engine_configs() {
-        let mut client = Client::connect(service.addr(), Some(name)).unwrap();
+        let mut client = Client::connect(service.addr(), Some(&name)).unwrap();
         let mut fingerprint = String::new();
         for (k, v) in settings {
             fingerprint = client.set_option(k, v).unwrap();
@@ -186,7 +165,7 @@ fn every_config_differential_through_the_service() {
     // other probe hits.
     let (_, misses_before, _, entries_before) = service.plan_cache_counters();
     for (name, settings, _) in engine_configs() {
-        let mut client = Client::connect(service.addr(), Some(name)).unwrap();
+        let mut client = Client::connect(service.addr(), Some(&name)).unwrap();
         for (k, v) in settings {
             client.set_option(k, v).unwrap();
         }
@@ -201,11 +180,11 @@ fn every_config_differential_through_the_service() {
     );
     assert_eq!(
         misses_after - misses_before,
-        6,
+        8,
         "only the compile-error query (never cached) may miss again, once per config"
     );
-    // Five cacheable queries under six mutually distinct fingerprints.
-    assert_eq!(entries_after, 5 * 6, "one plan per (text, config) pair");
+    // Five cacheable queries under eight mutually distinct fingerprints.
+    assert_eq!(entries_after, 5 * 8, "one plan per (text, config) pair");
 }
 
 /// The paper-motivated number: a service looping over a small hot set of

@@ -58,7 +58,7 @@
 //! consumer work (a FLWOR `return`, a quantifier body) is unobservable, and
 //! abandoning a cursor early changes no output, no error, and no trace.
 //! The differential corpus pins this under every engine config, including
-//! `runtime_opt: false` (`XQ_OPT=0`), which forces every consumer back onto
+//! `runtime_opt: false`, which forces every consumer back onto
 //! the materialised evaluator.
 
 use crate::ast::{Axis, CmpOp};

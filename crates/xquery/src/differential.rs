@@ -5,7 +5,9 @@
 //! ([`Engine::evaluate`] → lowered program, [`Engine::evaluate_reference`] →
 //! tree walker); the two must agree on success values (displayed form),
 //! error code, error message, error position, and the collected `fn:trace`
-//! output — under both standard and Galax-quirks options.
+//! output — under every configuration of [`engine_configs`]: standard and
+//! Galax-quirks options, the AST optimizer on and off, and each of those
+//! with the runtime optimiser on and off.
 
 use crate::engine::{Engine, EngineOptions};
 use crate::value::{Item, Sequence};
@@ -153,57 +155,6 @@ const CORPUS: &[&str] = &[
     "trace(\"a\", trace(\"b\", 1) + 1)",
 ];
 
-#[test]
-fn corpus_matches_reference_standard() {
-    let mut e = Engine::with_options(EngineOptions {
-        dup_attr_policy: crate::engine::DupAttrPolicy::Error,
-        ..Default::default()
-    });
-    let doc = e.load_document(DOC).unwrap();
-    for src in CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn corpus_matches_reference_galax_quirks() {
-    let mut e = Engine::galax();
-    let doc = e.load_document(DOC).unwrap();
-    for src in CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn corpus_matches_reference_without_context() {
-    // No context item: `.`-dependent queries must fail identically —
-    // including the Galax "$glx:dot" message without a position.
-    for quirks in [false, true] {
-        let mut e = if quirks {
-            Engine::galax()
-        } else {
-            Engine::new()
-        };
-        for src in CORPUS {
-            assert_equivalent(&mut e, src, None).unwrap();
-        }
-    }
-}
-
-#[test]
-fn corpus_matches_reference_unoptimized() {
-    // With the optimizer off, both paths see the raw parse tree (dead lets
-    // and traces intact) — a different program shape than the default runs.
-    let mut e = Engine::with_options(EngineOptions {
-        optimize: false,
-        ..Default::default()
-    });
-    let doc = e.load_document(DOC).unwrap();
-    for src in CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
 /// A deeper document for the axis-heavy corpus: nested `level` chains, an
 /// element *named* `k` next to attributes named `k`, numeric-looking
 /// attribute values, and a prefixed attribute sharing a local name.
@@ -271,53 +222,6 @@ const AXIS_CORPUS: &[&str] = &[
     // Fused path over a freshly constructed document.
     "let $d := document { <r><i k=\"a\"/><i k=\"b\"/><i k=\"a\"/></r> } return count($d/r/i[@k = \"a\"])",
 ];
-
-#[test]
-fn axis_corpus_matches_reference_standard() {
-    let mut e = Engine::with_options(EngineOptions {
-        dup_attr_policy: crate::engine::DupAttrPolicy::Error,
-        ..Default::default()
-    });
-    let doc = e.load_document(DEEP_DOC).unwrap();
-    for src in AXIS_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn axis_corpus_matches_reference_galax_quirks() {
-    let mut e = Engine::galax();
-    let doc = e.load_document(DEEP_DOC).unwrap();
-    for src in AXIS_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn axis_corpus_matches_reference_without_context() {
-    for quirks in [false, true] {
-        let mut e = if quirks {
-            Engine::galax()
-        } else {
-            Engine::new()
-        };
-        for src in AXIS_CORPUS {
-            assert_equivalent(&mut e, src, None).unwrap();
-        }
-    }
-}
-
-#[test]
-fn axis_corpus_matches_reference_unoptimized() {
-    let mut e = Engine::with_options(EngineOptions {
-        optimize: false,
-        ..Default::default()
-    });
-    let doc = e.load_document(DEEP_DOC).unwrap();
-    for src in AXIS_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
 
 /// A model-graph document shaped like the paper's E1 translation: `node`s
 /// with string ids joined against `rel`s by `@src`/`@dst`. It keeps the
@@ -401,57 +305,29 @@ const JOIN_CORPUS: &[&str] = &[
 ];
 
 #[test]
-fn join_corpus_matches_reference_standard() {
-    let mut e = Engine::with_options(EngineOptions {
-        dup_attr_policy: crate::engine::DupAttrPolicy::Error,
-        ..Default::default()
-    });
-    let doc = e.load_document(JOIN_DOC).unwrap();
-    for src in JOIN_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn join_corpus_matches_reference_galax_quirks() {
-    let mut e = Engine::galax();
-    let doc = e.load_document(JOIN_DOC).unwrap();
-    for src in JOIN_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn join_corpus_matches_reference_unoptimized() {
-    let mut e = Engine::with_options(EngineOptions {
-        optimize: false,
-        ..Default::default()
-    });
-    let doc = e.load_document(JOIN_DOC).unwrap();
-    for src in JOIN_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn all_corpora_match_reference_with_runtime_opt_off() {
-    // Every corpus with the runtime optimiser forced off: no hoisting, no
-    // hash join, no cursor — every consumer materialises eagerly, and the
-    // plain lowered program must still match the walker everywhere.
-    let mut e = Engine::with_options(EngineOptions {
-        runtime_opt: false,
-        ..Default::default()
-    });
-    for (doc_xml, corpus) in [
-        (DOC, CORPUS),
-        (DEEP_DOC, AXIS_CORPUS),
-        (JOIN_DOC, JOIN_CORPUS),
-        (STREAM_DOC, STREAM_CORPUS),
-        (CURSOR_DOC, CURSOR_CORPUS),
-    ] {
-        let doc = e.load_document(doc_xml).unwrap();
-        for src in corpus {
-            assert_equivalent(&mut e, src, Some(doc)).unwrap();
+fn every_corpus_matches_reference_under_all_configs() {
+    // One engine per config runs every corpus against its document: the
+    // corpora share the engine, so its caches and indexes carry over from
+    // query to query. The first two corpora also run with no context item,
+    // where `.`-dependent queries must fail identically — including the
+    // Galax "$glx:dot" message without a position.
+    for (name, options) in engine_configs() {
+        let mut e = Engine::with_options(options);
+        for (doc_xml, corpus) in [
+            (DOC, CORPUS),
+            (DEEP_DOC, AXIS_CORPUS),
+            (JOIN_DOC, JOIN_CORPUS),
+            (STREAM_DOC, STREAM_CORPUS),
+            (CURSOR_DOC, CURSOR_CORPUS),
+        ] {
+            let doc = e.load_document(doc_xml).unwrap();
+            for src in corpus {
+                assert_equivalent(&mut e, src, Some(doc))
+                    .unwrap_or_else(|m| panic!("{name}: {src}: {m}"));
+            }
+        }
+        for src in CORPUS.iter().chain(AXIS_CORPUS) {
+            assert_equivalent(&mut e, src, None).unwrap_or_else(|m| panic!("{name}: {src}: {m}"));
         }
     }
 }
@@ -596,39 +472,6 @@ const CURSOR_CORPUS: &[&str] = &[
 ];
 
 #[test]
-fn stream_corpus_matches_reference_standard() {
-    let mut e = Engine::with_options(EngineOptions {
-        dup_attr_policy: crate::engine::DupAttrPolicy::Error,
-        ..Default::default()
-    });
-    let doc = e.load_document(STREAM_DOC).unwrap();
-    for src in STREAM_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn stream_corpus_matches_reference_galax_quirks() {
-    let mut e = Engine::galax();
-    let doc = e.load_document(STREAM_DOC).unwrap();
-    for src in STREAM_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
-fn stream_corpus_matches_reference_unoptimized() {
-    let mut e = Engine::with_options(EngineOptions {
-        optimize: false,
-        ..Default::default()
-    });
-    let doc = e.load_document(STREAM_DOC).unwrap();
-    for src in STREAM_CORPUS {
-        assert_equivalent(&mut e, src, Some(doc)).unwrap();
-    }
-}
-
-#[test]
 fn stream_corpus_streamed_and_materialised_traces_are_identical() {
     // Beyond walker equivalence: the streamed lowered run and the
     // `runtime_opt: false` lowered run must produce the same display output
@@ -723,14 +566,31 @@ fn diff_source() -> impl Strategy<Value = String> {
     })
 }
 
+/// A Galax-preset or default engine with the runtime passes on or off.
+fn quirks_engine(quirks: bool, runtime_opt: bool) -> Engine {
+    let options = if quirks {
+        EngineOptions::galax()
+    } else {
+        EngineOptions::default()
+    };
+    Engine::with_options(EngineOptions {
+        runtime_opt,
+        ..options
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The lowered runner is observably equivalent to the tree walker on
-    /// generated programs, with quirks both off and on.
+    /// generated programs, with quirks and the runtime passes each off and on.
     #[test]
-    fn lowered_runner_matches_reference(src in diff_source(), quirks in any::<bool>()) {
-        let mut e = if quirks { Engine::galax() } else { Engine::new() };
+    fn lowered_runner_matches_reference(
+        src in diff_source(),
+        quirks in any::<bool>(),
+        runtime_opt in any::<bool>(),
+    ) {
+        let mut e = quirks_engine(quirks, runtime_opt);
         if let Err(msg) = assert_equivalent(&mut e, &src, None) {
             return Err(TestCaseError::fail(msg));
         }
@@ -745,6 +605,7 @@ proptest! {
         vals in prop::collection::vec("[abc]", 1..4),
         step in prop_oneof![Just("/doc/item"), Just("//leaf"), Just("//item")],
         quirks in any::<bool>(),
+        runtime_opt in any::<bool>(),
     ) {
         let list = vals
             .iter()
@@ -754,7 +615,7 @@ proptest! {
         let fused = format!("{step}[@k = ({list})]");
         let generic =
             format!("{step}[@k = (for $v in ({list}) return concat($v, \"\"))]");
-        let mut e = if quirks { Engine::galax() } else { Engine::new() };
+        let mut e = quirks_engine(quirks, runtime_opt);
         let doc = e.load_document(DEEP_DOC).unwrap();
         if let Err(msg) = assert_equivalent(&mut e, &fused, Some(doc)) {
             return Err(TestCaseError::fail(msg));
@@ -878,12 +739,7 @@ fn quirks_trace_deletion_survives_the_runtime_passes() {
                let $live := concat('n', $i) \
                return ($live, string($m/node[1]/@id))";
 
-    // `runtime_opt` is pinned on (not left to `XQ_OPT`) so the hoist
-    // assertion holds even when the suite runs with the optimiser off.
-    let mut galax = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..EngineOptions::galax()
-    });
+    let mut galax = Engine::galax();
     let doc = galax.load_document(JOIN_DOC).unwrap();
     let q = galax.compile(src).unwrap();
     assert_eq!(q.stats.traces_removed, 1, "the dead trace is deleted");
@@ -903,10 +759,7 @@ fn quirks_trace_deletion_survives_the_runtime_passes() {
     assert!(galax.take_trace().is_empty());
 
     // Standard mode: the same value, but the trace fires per tuple.
-    let mut fixed = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let mut fixed = Engine::new();
     let doc = fixed.load_document(JOIN_DOC).unwrap();
     let q = fixed.compile(src).unwrap();
     assert_eq!(q.stats.traces_removed, 0, "standard mode deletes nothing");
@@ -1020,10 +873,7 @@ fn trace_reaches_the_sink_under_full_optimisation() {
                let $live := concat('n', $i) \
                return ($live, string($m/node[1]/@id))";
     let sink = SharedSink::default();
-    let mut e = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let mut e = Engine::new();
     e.set_trace_sink(Box::new(sink.clone()));
     let doc = e.load_document(JOIN_DOC).unwrap();
     let q = e.compile(src).unwrap();
@@ -1184,11 +1034,13 @@ proptest! {
 
     /// The counter block is a property of the query, not of the pool: the
     /// same evaluation on 1-, 2-, and 4-worker engines reports identical
-    /// counters (timing excluded via `counters()`) and identical values.
+    /// counters (timing excluded via `counters()`) and identical values,
+    /// with the runtime passes on and off.
     #[test]
     fn eval_stats_counters_invariant_across_worker_counts(
         outer in prop::collection::vec(atom(), 0..6),
         inner in prop::collection::vec(atom(), 0..8),
+        runtime_opt in any::<bool>(),
     ) {
         let src = format!(
             "for $n in {} for $r in {} where $r = $n return ($r, '|')",
@@ -1199,6 +1051,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let mut e = Engine::with_options(EngineOptions {
                 eval_workers: workers,
+                runtime_opt,
                 ..Default::default()
             });
             let out = e.evaluate_str(&src, None).unwrap();
@@ -1267,12 +1120,14 @@ proptest! {
 use crate::engine::{CompiledQuery, DupAttrPolicy, StackPool};
 use std::sync::Arc;
 
-/// The engine configurations the serial corpus tests above run under, plus
-/// the opt-out variants: AST optimizer off, the runtime optimiser
-/// (hoisting, hash join, cursor runtime) off so everything materialises
-/// eagerly, and both off.
-fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
-    vec![
+/// The engine configurations every sweep runs under: four option sets,
+/// each with the runtime optimiser (hoisting, hash join, cursor runtime)
+/// on and off. "standard" makes duplicate attributes an error,
+/// "galax-quirks" is the Galax preset, and "unoptimized" switches the AST
+/// optimizer off, so both evaluators see the raw parse tree (dead lets and
+/// traces intact) — a different program shape than the default runs.
+pub(crate) fn engine_configs() -> Vec<(String, EngineOptions)> {
+    let bases = [
         (
             "standard",
             EngineOptions {
@@ -1289,22 +1144,21 @@ fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
                 ..Default::default()
             },
         ),
-        (
-            "runtime-unoptimized",
-            EngineOptions {
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "fully-unoptimized",
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-    ]
+    ];
+    bases
+        .into_iter()
+        .flat_map(|(name, options)| {
+            [true, false].map(|runtime_opt| {
+                (
+                    format!("{name}, runtime_opt {runtime_opt}"),
+                    EngineOptions {
+                        runtime_opt,
+                        ..options.clone()
+                    },
+                )
+            })
+        })
+        .collect()
 }
 
 /// Every (document, query) case the serial corpus tests cover: both corpora
@@ -1376,7 +1230,7 @@ fn pooled_corpus_is_byte_identical_to_serial_under_all_configs() {
 fn substrate_sweep_frozen_matches_thawed_under_all_configs() {
     // The frozen arena substrate and the thawed legacy overlay must be
     // observably identical: every corpus case produces byte-identical
-    // outcomes under all six configs whether the document stays frozen
+    // outcomes under all eight configs whether the document stays frozen
     // (the post-parse default) or is force-thawed first — including with
     // every optimisation switched off.
     let cases = corpus_cases();
@@ -1550,33 +1404,39 @@ fn eval_outcome(e: &mut Engine, q: &CompiledQuery, doc: Option<NodeId>) -> Strin
 
 #[test]
 fn deep_corpus_from_threads_matches_serial() {
-    // Compile the axis corpus ONCE; every thread evaluates the same
-    // `Arc`-shared programs on its own engine and store.
-    let compiler = Engine::new();
-    let queries: Vec<(&str, std::result::Result<CompiledQuery, String>)> = AXIS_CORPUS
-        .iter()
-        .map(|src| (*src, compiler.compile(src).map_err(|e| e.message)))
-        .collect();
-
-    let run_all = || -> Vec<String> {
-        let mut e = Engine::new();
-        let doc = e.load_document(DEEP_DOC).unwrap();
-        queries
+    // Compile the axis corpus ONCE per runtime_opt value; every thread
+    // evaluates the same `Arc`-shared programs on its own engine and store.
+    for runtime_opt in [true, false] {
+        let options = EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        };
+        let compiler = Engine::with_options(options.clone());
+        let queries: Vec<(&str, std::result::Result<CompiledQuery, String>)> = AXIS_CORPUS
             .iter()
-            .map(|(_, q)| match q {
-                Ok(q) => eval_outcome(&mut e, q, Some(doc)),
-                Err(msg) => format!("compile err: {msg}"),
-            })
-            .collect()
-    };
+            .map(|src| (*src, compiler.compile(src).map_err(|e| e.message)))
+            .collect();
 
-    let serial = run_all();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4).map(|_| scope.spawn(run_all)).collect();
-        for handle in handles {
-            assert_eq!(handle.join().unwrap(), serial);
-        }
-    });
+        let run_all = || -> Vec<String> {
+            let mut e = Engine::with_options(options.clone());
+            let doc = e.load_document(DEEP_DOC).unwrap();
+            queries
+                .iter()
+                .map(|(_, q)| match q {
+                    Ok(q) => eval_outcome(&mut e, q, Some(doc)),
+                    Err(msg) => format!("compile err: {msg}"),
+                })
+                .collect()
+        };
+
+        let serial = run_all();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(run_all)).collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap(), serial, "runtime_opt {runtime_opt}");
+            }
+        });
+    }
 }
 
 #[test]
@@ -1716,22 +1576,30 @@ fn timing_axis_micro() {
         s.push_str("</d>");
     }
     s.push_str("</root>");
-    let mut e = Engine::new();
-    let doc = e.load_document(&s).unwrap();
-    for src in [
-        "count(//item)",
-        "count(/root/item[@k = \"k7\"])",
-        "count(//leaf/ancestor::d)",
-    ] {
-        let q = e.compile(src).unwrap();
-        for _ in 0..50 {
-            e.evaluate(&q, Some(doc)).unwrap();
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        let doc = e.load_document(&s).unwrap();
+        for src in [
+            "count(//item)",
+            "count(/root/item[@k = \"k7\"])",
+            "count(//leaf/ancestor::d)",
+        ] {
+            let q = e.compile(src).unwrap();
+            for _ in 0..50 {
+                e.evaluate(&q, Some(doc)).unwrap();
+            }
+            let t = Instant::now();
+            for _ in 0..500 {
+                e.evaluate(&q, Some(doc)).unwrap();
+            }
+            println!(
+                "runtime_opt {runtime_opt}, {src}: {:?}/call",
+                t.elapsed() / 500
+            );
         }
-        let t = Instant::now();
-        for _ in 0..500 {
-            e.evaluate(&q, Some(doc)).unwrap();
-        }
-        println!("{src}: {:?}/call", t.elapsed() / 500);
     }
 }
 
@@ -2185,10 +2053,7 @@ fn pure_source(body: &str) -> String {
 
 #[test]
 fn pure_corpus_splits_only_where_safe() {
-    let e = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let e = Engine::new();
     for (body, splits, keyed) in PURE_CORPUS {
         let q = e.compile(&pure_source(body)).unwrap();
         assert_eq!(

@@ -71,10 +71,11 @@ pub struct EngineOptions {
     /// prefix-consuming builtins pull items instead of materialising every
     /// intermediate sequence. All of these are gated rewrites that must be
     /// observably identical to the plain paths (the differential suite runs
-    /// with this both on and off); the flag exists so CI can pin that claim
-    /// and so a regression can be bisected at runtime. Off, every consumer
+    /// every config with this both on and off); the flag exists so tests can
+    /// pin that claim and so a regression can be bisected at runtime (the
+    /// query service takes `OPTION runtime_opt false`). Off, every consumer
     /// materialises eagerly through the generic step loop. Defaults to
-    /// `true`; setting the `XQ_OPT=0` environment variable forces it off.
+    /// `true`.
     /// Distinct from [`EngineOptions::optimize`], which is the
     /// paper-faithful *AST* optimizer whose quirks-mode trace-DCE is itself
     /// under test.
@@ -91,7 +92,7 @@ impl Default for EngineOptions {
             static_typing: false,
             eval_stack_bytes: 256 * 1024 * 1024,
             eval_workers: 1,
-            runtime_opt: std::env::var("XQ_OPT").map_or(true, |v| v != "0"),
+            runtime_opt: true,
         }
     }
 }
@@ -1183,39 +1184,13 @@ mod tests {
 
     #[test]
     fn cache_key_separates_every_semantics_config() {
-        // The six configurations the differential suite sweeps must all
+        // The eight configurations the differential suite sweeps must all
         // fingerprint differently — sharing a plan across any pair of them
         // is the cross-tenant leak the service plan cache exists to prevent.
-        // `runtime_opt` is pinned so an exported `XQ_OPT=0` cannot fold the
-        // "on" configs into their "off" twins.
-        let on = EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        };
-        let configs = [
-            EngineOptions {
-                dup_attr_policy: DupAttrPolicy::Error,
-                ..on.clone()
-            },
-            EngineOptions {
-                runtime_opt: true,
-                ..EngineOptions::galax()
-            },
-            on.clone(),
-            EngineOptions {
-                optimize: false,
-                ..on.clone()
-            },
-            EngineOptions {
-                runtime_opt: false,
-                ..on.clone()
-            },
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..on.clone()
-            },
-        ];
+        let configs: Vec<EngineOptions> = crate::differential::engine_configs()
+            .into_iter()
+            .map(|(_, options)| options)
+            .collect();
         let keys: Vec<String> = configs.iter().map(EngineOptions::cache_key).collect();
         for (i, a) in keys.iter().enumerate() {
             for (j, b) in keys.iter().enumerate() {

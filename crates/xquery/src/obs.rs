@@ -609,12 +609,7 @@ mod tests {
 
     #[test]
     fn explain_marks_the_hash_join_and_the_hoist() {
-        // Pin the option explicitly: this must hold even when the test run
-        // itself exports XQ_OPT=0.
-        let e = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
+        let e = Engine::new();
         let q = e
             .compile(
                 "let $d := <r><a id='1'/><a id='2'/></r> \
@@ -644,10 +639,7 @@ mod tests {
 
     #[test]
     fn explain_sets_split_prefix_cells_apart() {
-        let e = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
+        let e = Engine::new();
         let q = e
             .compile(
                 "declare function local:odd($k) { ends-with($k, '1') }; \
@@ -667,10 +659,7 @@ mod tests {
 
     #[test]
     fn explain_marks_a_string_comparand_as_an_index_probe() {
-        let e = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
+        let e = Engine::new();
         for (src, probe) in [
             ("for $r in /m/r return /m/n[@id = string($r/@to)]", true),
             ("for $r in /m/r return /m/n[@id = data($r/@to)]", true),

@@ -1,16 +1,11 @@
 //! Pins the README's observability example verbatim — if this breaks, the
 //! README is lying.
 
-use xquery::{Engine, EngineOptions};
+use xquery::Engine;
 
 #[test]
 fn readme_observability_example() {
-    // The README uses `Engine::new()`, whose default is runtime_opt on;
-    // pin the option so the test also holds when run with XQ_OPT=0.
-    let mut e = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let mut e = Engine::new();
     let doc = e
         .load_document("<m><n k='a'/><n k='b'/><r k='a'/></m>")
         .unwrap();

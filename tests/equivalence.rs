@@ -5,8 +5,24 @@
 use lopsided::awb::workload::{
     glass_catalog, glass_metamodel, it_architecture, it_metamodel, ItScale,
 };
+use lopsided::docgen::batch::CompiledPipeline;
+use lopsided::docgen::xq::{Phase, XqGenerator, XqOutput, GEN_XQ};
 use lopsided::docgen::{self, normalized_equal, GenInputs, IncrementalDoc, Template};
 use lopsided::templates;
+use lopsided::xquery::EngineOptions;
+
+/// The XQuery pipeline's documents with the runtime passes on and off.
+fn xquery_documents(inputs: &GenInputs) -> [XqOutput; 2] {
+    [true, false].map(|runtime_opt| {
+        let options = EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        };
+        CompiledPipeline::new(GEN_XQ, &Phase::ALL, options)
+            .and_then(|pipeline| XqGenerator::with_compiled(inputs, &pipeline)?.run())
+            .unwrap_or_else(|e| panic!("XQuery generation, runtime_opt {runtime_opt}: {e:?}"))
+    })
+}
 
 fn assert_engines_agree(
     model: &lopsided::awb::Model,
@@ -20,17 +36,18 @@ fn assert_engines_agree(
         template: &template,
     };
     let native = docgen::native::generate(&inputs).expect("native generation");
-    let xq = docgen::xq::generate(&inputs).expect("XQuery generation");
-    assert!(
-        normalized_equal(&native.to_xml(), &xq.xml),
-        "engines disagree.\n--- native ---\n{}\n--- xquery ---\n{}",
-        native.to_xml(),
-        xq.xml
-    );
-    assert_eq!(
-        native.trouble_count, xq.trouble_count,
-        "error-note counts disagree"
-    );
+    for xq in xquery_documents(&inputs) {
+        assert!(
+            normalized_equal(&native.to_xml(), &xq.xml),
+            "engines disagree.\n--- native ---\n{}\n--- xquery ---\n{}",
+            native.to_xml(),
+            xq.xml
+        );
+        assert_eq!(
+            native.trouble_count, xq.trouble_count,
+            "error-note counts disagree"
+        );
+    }
     let incremental = IncrementalDoc::generate(&inputs).expect("incremental generation");
     assert_eq!(incremental.to_xml(), native.to_xml(), "incremental output");
     assert_eq!(incremental.trouble_count, native.trouble_count);

@@ -4,7 +4,10 @@
 //! marker text wherever text goes.
 
 use lopsided::awb::workload::{it_architecture, it_metamodel, ItScale};
+use lopsided::docgen::batch::CompiledPipeline;
+use lopsided::docgen::xq::{Phase, XqGenerator, GEN_XQ};
 use lopsided::docgen::{self, normalized_equal, GenInputs, Template};
+use lopsided::xquery::EngineOptions;
 use proptest::prelude::*;
 
 /// A random template AST we can render to XML.
@@ -281,12 +284,17 @@ proptest! {
         let inputs = GenInputs { model: &model, meta: &meta, template: &template };
 
         let native = docgen::native::generate(&inputs).expect("native generation");
-        let xq = docgen::xq::generate(&inputs).expect("XQuery generation");
-        prop_assert!(
-            normalized_equal(&native.to_xml(), &xq.xml),
-            "template: {}\n--- native ---\n{}\n--- xquery ---\n{}",
-            xml, native.to_xml(), xq.xml
-        );
-        prop_assert_eq!(native.trouble_count, xq.trouble_count);
+        for runtime_opt in [true, false] {
+            let options = EngineOptions { runtime_opt, ..Default::default() };
+            let xq = CompiledPipeline::new(GEN_XQ, &Phase::ALL, options)
+                .and_then(|pipeline| XqGenerator::with_compiled(&inputs, &pipeline)?.run())
+                .expect("XQuery generation");
+            prop_assert!(
+                normalized_equal(&native.to_xml(), &xq.xml),
+                "runtime_opt {}, template: {}\n--- native ---\n{}\n--- xquery ---\n{}",
+                runtime_opt, xml, native.to_xml(), xq.xml
+            );
+            prop_assert_eq!(native.trouble_count, xq.trouble_count);
+        }
     }
 }
