@@ -28,7 +28,7 @@ use crate::xmlio;
 use std::fmt::Write as _;
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store};
-use xquery::{Engine, Item};
+use xquery::{Engine, EngineOptions, Item};
 
 /// Edge direction for a `follow` step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,7 +400,17 @@ impl Query {
         model: &Model,
         meta: &Metamodel,
     ) -> Result<Vec<NodeRef>, xquery::Error> {
-        let mut engine = Engine::new();
+        self.run_xquery_with(EngineOptions::default(), model, meta)
+    }
+
+    /// [`Query::run_xquery`] on an engine built with `options`.
+    pub fn run_xquery_with(
+        &self,
+        options: EngineOptions,
+        model: &Model,
+        meta: &Metamodel,
+    ) -> Result<Vec<NodeRef>, xquery::Error> {
+        let mut engine = Engine::with_options(options);
         let doc = xmlio::export_to_store(model, engine.store_mut());
         engine.register_document("awb-model", doc);
         self.run_xquery_prepared(&mut engine, model, meta)

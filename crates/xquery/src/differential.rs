@@ -304,34 +304,6 @@ const JOIN_CORPUS: &[&str] = &[
     "for $i in 1 to 3 let $j := $i return for $i in //rel return concat($i/@dst, $j)",
 ];
 
-#[test]
-fn every_corpus_matches_reference_under_all_configs() {
-    // One engine per config runs every corpus against its document: the
-    // corpora share the engine, so its caches and indexes carry over from
-    // query to query. The first two corpora also run with no context item,
-    // where `.`-dependent queries must fail identically — including the
-    // Galax "$glx:dot" message without a position.
-    for (name, options) in engine_configs() {
-        let mut e = Engine::with_options(options);
-        for (doc_xml, corpus) in [
-            (DOC, CORPUS),
-            (DEEP_DOC, AXIS_CORPUS),
-            (JOIN_DOC, JOIN_CORPUS),
-            (STREAM_DOC, STREAM_CORPUS),
-            (CURSOR_DOC, CURSOR_CORPUS),
-        ] {
-            let doc = e.load_document(doc_xml).unwrap();
-            for src in corpus {
-                assert_equivalent(&mut e, src, Some(doc))
-                    .unwrap_or_else(|m| panic!("{name}: {src}: {m}"));
-            }
-        }
-        for src in CORPUS.iter().chain(AXIS_CORPUS) {
-            assert_equivalent(&mut e, src, None).unwrap_or_else(|m| panic!("{name}: {src}: {m}"));
-        }
-    }
-}
-
 /// A wide document for the streaming corpus: enough `item`s that positional
 /// early-exits have a tail to skip, a nested `item` (so `//item` and
 /// `/s/item` disagree), a non-matching sibling in the middle, and an
@@ -588,11 +560,12 @@ proptest! {
     fn lowered_runner_matches_reference(
         src in diff_source(),
         quirks in any::<bool>(),
-        runtime_opt in any::<bool>(),
     ) {
-        let mut e = quirks_engine(quirks, runtime_opt);
-        if let Err(msg) = assert_equivalent(&mut e, &src, None) {
-            return Err(TestCaseError::fail(msg));
+        for runtime_opt in [true, false] {
+            let mut e = quirks_engine(quirks, runtime_opt);
+            if let Err(msg) = assert_equivalent(&mut e, &src, None) {
+                return Err(TestCaseError::fail(format!("runtime_opt {runtime_opt}: {msg}")));
+            }
         }
     }
 
@@ -605,7 +578,6 @@ proptest! {
         vals in prop::collection::vec("[abc]", 1..4),
         step in prop_oneof![Just("/doc/item"), Just("//leaf"), Just("//item")],
         quirks in any::<bool>(),
-        runtime_opt in any::<bool>(),
     ) {
         let list = vals
             .iter()
@@ -615,19 +587,25 @@ proptest! {
         let fused = format!("{step}[@k = ({list})]");
         let generic =
             format!("{step}[@k = (for $v in ({list}) return concat($v, \"\"))]");
-        let mut e = quirks_engine(quirks, runtime_opt);
-        let doc = e.load_document(DEEP_DOC).unwrap();
-        if let Err(msg) = assert_equivalent(&mut e, &fused, Some(doc)) {
-            return Err(TestCaseError::fail(msg));
+        for runtime_opt in [true, false] {
+            let mut e = quirks_engine(quirks, runtime_opt);
+            let doc = e.load_document(DEEP_DOC).unwrap();
+            for src in [&fused, &generic] {
+                if let Err(msg) = assert_equivalent(&mut e, src, Some(doc)) {
+                    return Err(TestCaseError::fail(format!("runtime_opt {runtime_opt}: {msg}")));
+                }
+            }
+            let qf = e.compile(&fused).unwrap();
+            let qg = e.compile(&generic).unwrap();
+            let a = e.evaluate(&qf, Some(doc)).unwrap();
+            let b = e.evaluate(&qg, Some(doc)).unwrap();
+            prop_assert_eq!(
+                e.display_sequence(&a),
+                e.display_sequence(&b),
+                "runtime_opt {}",
+                runtime_opt
+            );
         }
-        if let Err(msg) = assert_equivalent(&mut e, &generic, Some(doc)) {
-            return Err(TestCaseError::fail(msg));
-        }
-        let qf = e.compile(&fused).unwrap();
-        let qg = e.compile(&generic).unwrap();
-        let a = e.evaluate(&qf, Some(doc)).unwrap();
-        let b = e.evaluate(&qg, Some(doc)).unwrap();
-        prop_assert_eq!(e.display_sequence(&a), e.display_sequence(&b));
     }
 }
 
@@ -1040,28 +1018,35 @@ proptest! {
     fn eval_stats_counters_invariant_across_worker_counts(
         outer in prop::collection::vec(atom(), 0..6),
         inner in prop::collection::vec(atom(), 0..8),
-        runtime_opt in any::<bool>(),
     ) {
         let src = format!(
             "for $n in {} for $r in {} where $r = $n return ($r, '|')",
             atom_list(&outer),
             atom_list(&inner),
         );
-        let mut baseline: Option<(String, crate::obs::EvalStats)> = None;
-        for workers in [1usize, 2, 4] {
-            let mut e = Engine::with_options(EngineOptions {
-                eval_workers: workers,
-                runtime_opt,
-                ..Default::default()
-            });
-            let out = e.evaluate_str(&src, None).unwrap();
-            let display = e.display_sequence(&out);
-            let counters = e.last_stats().counters();
-            match &baseline {
-                None => baseline = Some((display, counters)),
-                Some((d, c)) => {
-                    prop_assert_eq!(d, &display, "values diverged at {} workers", workers);
-                    prop_assert_eq!(*c, counters, "counters diverged at {} workers", workers);
+        for runtime_opt in [true, false] {
+            let mut baseline: Option<(String, crate::obs::EvalStats)> = None;
+            for workers in [1usize, 2, 4] {
+                let mut e = Engine::with_options(EngineOptions {
+                    eval_workers: workers,
+                    runtime_opt,
+                    ..Default::default()
+                });
+                let out = e.evaluate_str(&src, None).unwrap();
+                let display = e.display_sequence(&out);
+                let counters = e.last_stats().counters();
+                match &baseline {
+                    None => baseline = Some((display, counters)),
+                    Some((d, c)) => {
+                        prop_assert_eq!(
+                            d, &display,
+                            "values diverged at {} workers, runtime_opt {}", workers, runtime_opt
+                        );
+                        prop_assert_eq!(
+                            *c, counters,
+                            "counters diverged at {} workers, runtime_opt {}", workers, runtime_opt
+                        );
+                    }
                 }
             }
         }
@@ -1161,16 +1146,20 @@ pub(crate) fn engine_configs() -> Vec<(String, EngineOptions)> {
         .collect()
 }
 
-/// Every (document, query) case the serial corpus tests cover: both corpora
-/// against their documents plus the context-free runs.
+/// Every (document, query) case the corpus sweeps cover: each corpus
+/// against its document, plus the context-free runs of the first two.
 fn corpus_cases() -> Vec<(Option<&'static str>, String)> {
     let mut cases = Vec::new();
-    for src in CORPUS {
-        cases.push((Some(DOC), src.to_string()));
-        cases.push((None, src.to_string()));
+    // The first two corpora also run with no context item, where
+    // `.`-dependent queries must fail identically — including the Galax
+    // "$glx:dot" message without a position.
+    for (doc, corpus) in [(DOC, CORPUS), (DEEP_DOC, AXIS_CORPUS)] {
+        for src in corpus {
+            cases.push((Some(doc), src.to_string()));
+            cases.push((None, src.to_string()));
+        }
     }
     for (doc, corpus) in [
-        (DEEP_DOC, AXIS_CORPUS),
         (JOIN_DOC, JOIN_CORPUS),
         (STREAM_DOC, STREAM_CORPUS),
         (CURSOR_DOC, CURSOR_CORPUS),

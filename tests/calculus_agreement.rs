@@ -2,22 +2,9 @@
 //! calculus agree on randomly generated models and randomly built queries.
 
 use lopsided::awb::workload::{random_metamodel, random_model};
-use lopsided::awb::{xmlio, Direction, Metamodel, Model, NodeRef, Query, QueryStep, StartSet};
-use lopsided::xquery::{Engine, EngineOptions};
+use lopsided::awb::{Direction, Query, QueryStep, StartSet};
+use lopsided::xquery::EngineOptions;
 use proptest::prelude::*;
-
-/// Runs `query` compiled to XQuery on an engine with the runtime passes off.
-fn run_xquery_plain(query: &Query, model: &Model, meta: &Metamodel) -> Vec<NodeRef> {
-    let mut engine = Engine::with_options(EngineOptions {
-        runtime_opt: false,
-        ..Default::default()
-    });
-    let doc = xmlio::export_to_store(model, engine.store_mut());
-    engine.register_document("awb-model", doc);
-    query
-        .run_xquery_prepared(&mut engine, model, meta)
-        .expect("compiled query evaluates with the runtime passes off")
-}
 
 const N_TYPES: usize = 6;
 const N_RELS: usize = 4;
@@ -68,9 +55,12 @@ proptest! {
         // over a dense graph explodes multiplicatively in both engines.
         let native = query.run_native(&model, &meta);
         prop_assume!(native.len() <= 2_000);
-        let via_xquery = query.run_xquery(&model, &meta).expect("compiled query evaluates");
-        prop_assert_eq!(&native, &via_xquery, "query: {:?}", query);
-        let plain = run_xquery_plain(&query, &model, &meta);
-        prop_assert_eq!(native, plain, "runtime passes off, query: {:?}", query);
+        for runtime_opt in [true, false] {
+            let options = EngineOptions { runtime_opt, ..Default::default() };
+            let via_xquery = query
+                .run_xquery_with(options, &model, &meta)
+                .expect("compiled query evaluates");
+            prop_assert_eq!(&native, &via_xquery, "runtime_opt {}, query: {:?}", runtime_opt, query);
+        }
     }
 }

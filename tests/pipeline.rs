@@ -2,23 +2,10 @@
 //! format, reload it, document it, check the omissions — the full AWB loop.
 
 use lopsided::awb::workload::{it_architecture, it_metamodel, ItScale};
-use lopsided::awb::{omissions, xmlio, Metamodel, Model, NodeRef, Query};
+use lopsided::awb::{omissions, xmlio, Query};
 use lopsided::docgen::{self, GenInputs, Template};
 use lopsided::templates;
-use lopsided::xquery::{Engine, EngineOptions};
-
-/// Runs `query` compiled to XQuery on an engine with the runtime passes off.
-fn run_xquery_plain(query: &Query, model: &Model, meta: &Metamodel) -> Vec<NodeRef> {
-    let mut engine = Engine::with_options(EngineOptions {
-        runtime_opt: false,
-        ..Default::default()
-    });
-    let doc = xmlio::export_to_store(model, engine.store_mut());
-    engine.register_document("awb-model", doc);
-    query
-        .run_xquery_prepared(&mut engine, model, meta)
-        .expect("compiled query evaluates with the runtime passes off")
-}
+use lopsided::xquery::EngineOptions;
 
 #[test]
 fn save_load_document_roundtrip() {
@@ -82,15 +69,16 @@ fn queries_agree_between_ui_and_docgen_implementations() {
     ];
     for (i, q) in queries.iter().enumerate() {
         let native = q.run_native(&model, &meta);
-        let xq = q
-            .run_xquery(&model, &meta)
-            .unwrap_or_else(|e| panic!("query {i}: {e}"));
-        assert_eq!(native, xq, "query {i} disagrees");
-        let plain = run_xquery_plain(q, &model, &meta);
-        assert_eq!(
-            native, plain,
-            "query {i} disagrees with the runtime passes off"
-        );
+        for runtime_opt in [true, false] {
+            let options = EngineOptions {
+                runtime_opt,
+                ..Default::default()
+            };
+            let xq = q
+                .run_xquery_with(options, &model, &meta)
+                .unwrap_or_else(|e| panic!("query {i}, runtime_opt {runtime_opt}: {e}"));
+            assert_eq!(native, xq, "query {i} disagrees, runtime_opt {runtime_opt}");
+        }
     }
 }
 
