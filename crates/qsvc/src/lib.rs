@@ -18,7 +18,9 @@
 //!   eviction drops only the cache's `Arc`, so an in-flight query keeps the
 //!   exact tree it started with.
 //! * **Service** ([`Service`]) — a framed TCP protocol ([`proto`]) with one
-//!   engine per connection over one shared big-stack [`StackPool`],
+//!   engine per connection over one shared big-stack [`StackPool`] (plans
+//!   that may recurse run on its workers, shallow ones on the connection
+//!   thread; its worker count caps evaluations in flight either way),
 //!   per-tenant [`TenantStats`] aggregation, and errors that cross the
 //!   socket with their code and source position intact ([`WireError`]).
 //!

@@ -57,7 +57,9 @@ use crate::stats::TenantStats;
 /// Service sizing and feature gates.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Workers in the shared big-stack evaluation pool.
+    /// Workers in the shared big-stack evaluation pool, which is also the
+    /// cap on evaluations in flight across all connections, inline ones
+    /// included.
     pub eval_workers: usize,
     /// Stack bytes per worker.
     pub eval_stack_bytes: usize,
@@ -95,6 +97,20 @@ impl Default for ServiceConfig {
             load_max_depth: None,
             load_max_nodes: None,
         }
+    }
+}
+
+/// Stack of each connection thread, which runs inline plans itself (see
+/// [`Engine::evaluate_with_focus`]). Such a plan needs at most about 1 MiB
+/// in a debug build; naming the size keeps `RUST_MIN_STACK` from shrinking
+/// it.
+const CONNECTION_STACK_BYTES: usize = 2 * 1024 * 1024;
+
+/// Joins the connection threads that have finished, so a long-lived service
+/// holds only its live connections' threads and stacks.
+fn reap(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+    for handle in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = handle.join();
     }
 }
 
@@ -196,8 +212,10 @@ impl Service {
                         lock(&accept_shared.conns).insert(conn_id, clone);
                     }
                     let conn_shared = Arc::clone(&accept_shared);
+                    reap(&mut handlers);
                     let handle = std::thread::Builder::new()
                         .name("qsvc-conn".to_string())
+                        .stack_size(CONNECTION_STACK_BYTES)
                         .spawn(move || {
                             let _ = Connection::new(Arc::clone(&conn_shared)).serve(stream);
                             // Drop this connection's shutdown handle with it.
@@ -275,12 +293,11 @@ struct MountMemo {
     snapshot: TreeSnapshot,
 }
 
-/// Per-connection state: tenant identity, engine options, the engine itself
-/// (sharing the service pool), and the uri → mount memo.
+/// Per-connection state: tenant identity, the engine (its options are the
+/// connection's, its pool the service's), and the uri → mount memo.
 struct Connection {
     shared: Arc<Shared>,
     tenant: String,
-    options: EngineOptions,
     engine: Engine,
     mounts: HashMap<String, MountMemo>,
 }
@@ -296,18 +313,10 @@ enum Reply {
 
 impl Connection {
     fn new(shared: Arc<Shared>) -> Connection {
-        // Workers are pool-level; the per-engine knobs only matter for
-        // engines that spawn their own pool, which these never do.
-        let options = EngineOptions {
-            eval_workers: shared.config.eval_workers,
-            eval_stack_bytes: shared.config.eval_stack_bytes,
-            ..EngineOptions::default()
-        };
-        let engine = Engine::with_pool(options.clone(), Arc::clone(&shared.pool));
+        let engine = Engine::with_pool(EngineOptions::default(), Arc::clone(&shared.pool));
         Connection {
             shared,
             tenant: "anon".to_string(),
-            options,
             engine,
             mounts: HashMap::new(),
         }
@@ -388,7 +397,7 @@ impl Connection {
         let (Some(name), Some(value)) = (frame.words.get(1), frame.words.get(2)) else {
             return Reply::Err(WireError::new("PROTO", "OPTION needs a name and a value"));
         };
-        let mut options = self.options.clone();
+        let mut options = self.engine.options().clone();
         let parsed = match name.as_str() {
             "preset" => match value.as_str() {
                 "galax" => Some(EngineOptions::galax()),
@@ -419,15 +428,12 @@ impl Connection {
                 format!("bad value {value:?} for option {name:?}"),
             ));
         }
-        options.eval_workers = self.shared.config.eval_workers;
-        options.eval_stack_bytes = self.shared.config.eval_stack_bytes;
         self.rebuild_engine(options);
-        Reply::Ok(self.options.cache_key().into_bytes())
+        Reply::Ok(self.engine.options().cache_key().into_bytes())
     }
 
     fn rebuild_engine(&mut self, options: EngineOptions) {
-        self.options = options;
-        self.engine = Engine::with_pool(self.options.clone(), Arc::clone(&self.shared.pool));
+        self.engine = Engine::with_pool(options, Arc::clone(&self.shared.pool));
         self.mounts.clear();
     }
 
@@ -449,7 +455,7 @@ impl Connection {
         let snapshot = {
             let mut scratch = Store::new();
             // Big documents can out-recurse a default stack; parse on a
-            // pool worker like the engines do. The catch_unwind is the
+            // pool worker as `Engine::compile` does. The catch_unwind is the
             // connection's survival guarantee: a panic anywhere in the
             // parse/snapshot path (worker or store) must come back as a
             // structured `ERR PANIC`, never a dropped connection.
@@ -566,8 +572,9 @@ impl Connection {
     }
 
     /// The one evaluate step, taken by QUERY and by every BATCH job: run
-    /// the plan on this connection's engine (which hands it to a pool
-    /// worker) under `catch_unwind`, fold its counters into the tenant, and
+    /// the plan on this connection's engine (on this thread or a pool
+    /// worker, as the plan's route says, under one of the pool's permits)
+    /// under `catch_unwind`, fold its counters into the tenant, and
     /// serialize. A failure counts as a tenant error.
     fn evaluate(
         &mut self,
@@ -600,7 +607,7 @@ impl Connection {
     /// inserting on a miss. Compile errors count as misses (the text reached
     /// the compiler) and are never cached.
     fn cached_plan(&mut self, text: &str) -> Result<CompiledQuery, WireError> {
-        let key = PlanCache::key(text, &self.options.cache_key());
+        let key = PlanCache::key(text, &self.engine.options().cache_key());
         let cached = lock(&self.shared.plans).get(&key);
         if let Some(plan) = cached {
             self.with_tenant(|t| t.plan_hits += 1);
@@ -733,7 +740,7 @@ impl Connection {
     /// re-adopt lazily on the next request that needs them.
     fn maybe_reset_store(&mut self) {
         if self.engine.store().len() > self.shared.config.store_reset_slots {
-            self.rebuild_engine(self.options.clone());
+            self.rebuild_engine(self.engine.options().clone());
         }
     }
 }
@@ -817,5 +824,27 @@ mod tests {
         // emptied the buffer.
         conn.engine.evaluate_str(text, None).unwrap();
         assert_eq!(conn.engine.take_trace_events().len(), 1);
+    }
+
+    /// The accept loop's reap joins every finished connection thread and
+    /// keeps the live ones.
+    #[test]
+    fn reap_leaves_no_finished_thread_behind() {
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let mut handlers = vec![std::thread::spawn(move || {
+            let _ = held.recv();
+        })];
+        handlers.extend((0..100).map(|_| std::thread::spawn(|| {})));
+        while !handlers[1..].iter().all(|h| h.is_finished()) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reap(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the live thread is left");
+        release.send(()).unwrap();
+        while !handlers[0].is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reap(&mut handlers);
+        assert!(handlers.is_empty());
     }
 }

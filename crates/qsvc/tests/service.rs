@@ -187,6 +187,56 @@ fn every_config_differential_through_the_service() {
     assert_eq!(entries_after, 5 * 8, "one plan per (text, config) pair");
 }
 
+/// OPTION answers the connection engine's fingerprint, byte for byte as
+/// pinned here, and the plan cache keys on that same fingerprint: a
+/// connection that reaches the default options by another route shares the
+/// default connection's plan, and one on other options does not.
+#[test]
+fn option_replies_and_plan_keys_are_the_engine_fingerprint() {
+    let service = Service::spawn(test_config()).unwrap();
+    let default_key = "gq=0 opt=1 dup=KeepFirst rec=2048 st=0 ropt=1";
+    let mut other = Client::connect(service.addr(), Some("other")).unwrap();
+    assert_eq!(
+        other.set_option("preset", "galax").unwrap(),
+        "gq=1 opt=1 dup=KeepBoth rec=2048 st=0 ropt=1"
+    );
+    assert_eq!(
+        other.set_option("recursion_limit", "64").unwrap(),
+        "gq=1 opt=1 dup=KeepBoth rec=64 st=0 ropt=1"
+    );
+    assert_eq!(
+        other.set_option("runtime_opt", "false").unwrap(),
+        "gq=1 opt=1 dup=KeepBoth rec=64 st=0 ropt=0"
+    );
+    assert_eq!(EngineOptions::default().cache_key(), default_key);
+    let mut plain = Client::connect(service.addr(), Some("plain")).unwrap();
+    let mut rerouted = Client::connect(service.addr(), Some("rerouted")).unwrap();
+    rerouted.set_option("static_typing", "true").unwrap();
+    assert_eq!(
+        rerouted.set_option("static_typing", "false").unwrap(),
+        default_key
+    );
+
+    let text = "string-join(('a', 'b'), '-')";
+    for client in [&mut other, &mut plain, &mut rerouted] {
+        assert_eq!(client.query("-", text).unwrap(), "a-b");
+    }
+    let (hits, misses, _, entries) = service.plan_cache_counters();
+    assert_eq!(
+        (hits, misses, entries),
+        (1, 2, 2),
+        "one plan per fingerprint"
+    );
+    for tenant in ["other", "plain"] {
+        assert_eq!(
+            service.tenant_stats(tenant).unwrap().plan_misses,
+            1,
+            "{tenant}"
+        );
+    }
+    assert_eq!(service.tenant_stats("rerouted").unwrap().plan_hits, 1);
+}
+
 /// The paper-motivated number: a service looping over a small hot set of
 /// prepared statements must answer >90% of plan lookups from cache.
 #[test]

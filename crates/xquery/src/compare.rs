@@ -239,48 +239,45 @@ pub fn deep_equal(left: &Sequence, right: &Sequence, store: &Store) -> bool {
     })
 }
 
+/// Walks both trees together with an explicit stack of node pairs still to
+/// compare, not by recursion: documents nest thousands of levels deep and
+/// an inline plan runs on the caller's stack.
 fn nodes_deep_equal(a: xmlstore::NodeId, b: xmlstore::NodeId, store: &Store) -> bool {
     use xmlstore::NodeKind;
-    match (store.kind(a), store.kind(b)) {
-        (NodeKind::Text(x), NodeKind::Text(y)) | (NodeKind::Comment(x), NodeKind::Comment(y)) => {
-            x == y
-        }
-        (NodeKind::Attribute(nx, vx), NodeKind::Attribute(ny, vy)) => nx == ny && vx == vy,
-        (NodeKind::Pi(tx, dx), NodeKind::Pi(ty, dy)) => tx == ty && dx == dy,
-        (NodeKind::Element(nx), NodeKind::Element(ny)) => {
-            if nx != ny {
-                return false;
-            }
-            let attrs_a = store.attributes(a);
-            let attrs_b = store.attributes(b);
-            if attrs_a.len() != attrs_b.len() {
-                return false;
-            }
-            // Attribute order is not significant.
-            for &x in attrs_a {
-                if !attrs_b.iter().any(|&y| nodes_deep_equal(x, y, store)) {
+    let mut pending = vec![(a, b)];
+    while let Some((a, b)) = pending.pop() {
+        match (store.kind(a), store.kind(b)) {
+            (NodeKind::Element(nx), NodeKind::Element(ny)) => {
+                let attrs_a = store.attributes(a);
+                let attrs_b = store.attributes(b);
+                // Attribute order is not significant; attributes are
+                // leaves, so they compare here, off the stack.
+                if nx != ny
+                    || attrs_a.len() != attrs_b.len()
+                    || !attrs_a
+                        .iter()
+                        .all(|&x| attrs_b.iter().any(|&y| store.kind(x) == store.kind(y)))
+                {
                     return false;
                 }
             }
-            let ka = store.children(a);
-            let kb = store.children(b);
-            ka.len() == kb.len()
-                && ka
-                    .iter()
-                    .zip(kb.iter())
-                    .all(|(&x, &y)| nodes_deep_equal(x, y, store))
+            (NodeKind::Document, NodeKind::Document) => {}
+            // Leaves (and mismatched kinds): equal names and content.
+            (x, y) => {
+                if x != y {
+                    return false;
+                }
+                continue;
+            }
         }
-        (NodeKind::Document, NodeKind::Document) => {
-            let ka = store.children(a);
-            let kb = store.children(b);
-            ka.len() == kb.len()
-                && ka
-                    .iter()
-                    .zip(kb.iter())
-                    .all(|(&x, &y)| nodes_deep_equal(x, y, store))
+        let ka = store.children(a);
+        let kb = store.children(b);
+        if ka.len() != kb.len() {
+            return false;
         }
-        _ => false,
+        pending.extend(ka.iter().copied().zip(kb.iter().copied()));
     }
+    true
 }
 
 #[cfg(test)]

@@ -1013,26 +1013,33 @@ proptest! {
     /// The counter block is a property of the query, not of the pool: the
     /// same evaluation on 1-, 2-, and 4-worker engines reports identical
     /// counters (timing excluded via `counters()`) and identical values,
-    /// with the runtime passes on and off.
+    /// with the runtime passes on and off, run inline and, behind a
+    /// recursive identity function, on the pool.
     #[test]
     fn eval_stats_counters_invariant_across_worker_counts(
         outer in prop::collection::vec(atom(), 0..6),
         inner in prop::collection::vec(atom(), 0..8),
     ) {
-        let src = format!(
+        let join = format!(
             "for $n in {} for $r in {} where $r = $n return ($r, '|')",
             atom_list(&outer),
             atom_list(&inner),
         );
-        for runtime_opt in [true, false] {
+        let pooled = format!(
+            "declare function local:id($k, $x) {{ if ($k = 0) then $x else local:id($k - 1, $x) }};
+             local:id(1, {join})"
+        );
+        for (src, runtime_opt) in [(&join, true), (&join, false), (&pooled, true), (&pooled, false)] {
             let mut baseline: Option<(String, crate::obs::EvalStats)> = None;
             for workers in [1usize, 2, 4] {
-                let mut e = Engine::with_options(EngineOptions {
-                    eval_workers: workers,
-                    runtime_opt,
-                    ..Default::default()
-                });
-                let out = e.evaluate_str(&src, None).unwrap();
+                let mut e = Engine::with_pool(
+                    EngineOptions {
+                        runtime_opt,
+                        ..Default::default()
+                    },
+                    Arc::new(StackPool::new(workers, 64 * 1024 * 1024)),
+                );
+                let out = e.evaluate_str(src, None).unwrap();
                 let display = e.display_sequence(&out);
                 let counters = e.last_stats().counters();
                 match &baseline {
@@ -1040,11 +1047,11 @@ proptest! {
                     Some((d, c)) => {
                         prop_assert_eq!(
                             d, &display,
-                            "values diverged at {} workers, runtime_opt {}", workers, runtime_opt
+                            "values diverged at {} workers, runtime_opt {}: {}", workers, runtime_opt, src
                         );
                         prop_assert_eq!(
                             *c, counters,
-                            "counters diverged at {} workers, runtime_opt {}", workers, runtime_opt
+                            "counters diverged at {} workers, runtime_opt {}: {}", workers, runtime_opt, src
                         );
                     }
                 }
@@ -1389,6 +1396,95 @@ fn eval_outcome(e: &mut Engine, q: &CompiledQuery, doc: Option<NodeId>) -> Strin
         Ok(v) => format!("ok: {}", e.display_sequence(&v)),
         Err(err) => format!("err: {:?} {} at {:?}", err.code, err.message, err.position),
     }
+}
+
+/// Runs `f` on a thread spawned with std's default 2 MiB stack, the least
+/// an inline plan's caller is promised (see [`crate::lower::INLINE_DEPTH`]).
+fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn_scoped(scope, f)
+            .unwrap()
+            .join()
+            .unwrap()
+    })
+}
+
+/// `levels` nested FLWORs walking down [`DEEP_DOC`], alternating `for`
+/// and `let`, one nesting level each.
+fn nested_flwor(levels: usize) -> String {
+    let mut src = String::from("count(");
+    for i in 0..levels {
+        let seq = match i {
+            0 => "//level".to_string(),
+            _ => format!("($v{p}/*, $v{p})[1]", p = i - 1),
+        };
+        let binder = if i % 2 == 0 { "for" } else { "let" };
+        let op = if i % 2 == 0 { "in" } else { ":=" };
+        src.push_str(&format!("{binder} $v{i} {op} {seq} return "));
+    }
+    src.push_str(&format!("string($v{}/@a))", levels - 1));
+    src
+}
+
+/// A plan at the nesting bound runs inline and, from a 2 MiB thread in a
+/// debug build, gives the reference walker's result under every config.
+#[test]
+fn small_stack_runs_a_plan_at_the_inline_bound() {
+    use crate::lower::{Route, INLINE_DEPTH};
+    for (name, options) in engine_configs() {
+        let compiler = Engine::with_options(options.clone());
+        let depth = |levels| {
+            compiler
+                .compile(&nested_flwor(levels))
+                .unwrap()
+                .program
+                .route
+        };
+        let levels = (1..)
+            .take_while(|&n| matches!(depth(n), Route::Inline { .. }))
+            .last()
+            .unwrap();
+        assert_eq!(
+            depth(levels),
+            Route::Inline {
+                depth: INLINE_DEPTH
+            },
+            "{name}"
+        );
+        assert!(matches!(depth(levels + 1), Route::Deep(_)), "{name}");
+        let outcome = on_small_stack(|| {
+            let mut e = Engine::with_options(options.clone());
+            let doc = e.load_document(DEEP_DOC).unwrap();
+            assert_equivalent(&mut e, &nested_flwor(levels), Some(doc))
+        });
+        assert_eq!(outcome, Ok("ok: 4".to_string()), "{name}");
+    }
+}
+
+/// `deep-equal` walks a 9,000-level document with its own work stack, so
+/// the plan runs inline, from a 2 MiB thread.
+#[test]
+fn small_stack_runs_deep_equal_over_a_deep_document() {
+    let deep = |leaf: &str| format!("{}{leaf}{}", "<d>".repeat(9_000), "</d>".repeat(9_000));
+    let outcome = on_small_stack(|| {
+        let mut e = Engine::new();
+        for (uri, leaf) in [("a", "x"), ("b", "x"), ("c", "y")] {
+            let doc = e.load_document(&deep(leaf)).unwrap();
+            e.register_document(uri, doc);
+        }
+        let q = e
+            .compile("(deep-equal(doc('a'), doc('b')), deep-equal(doc('a'), doc('c')))")
+            .unwrap();
+        assert!(matches!(
+            q.program.route,
+            crate::lower::Route::Inline { .. }
+        ));
+        let out = e.evaluate(&q, None).unwrap();
+        e.display_sequence(&out)
+    });
+    assert_eq!(outcome, "true false");
 }
 
 #[test]

@@ -5,14 +5,14 @@ use crate::context::{DynamicContext, Focus, StaticContext};
 use crate::error::{Error, Result};
 use crate::eval::{eval, EvalEnv};
 use crate::functions::display_sequence;
-use crate::lower::{lower_module, Program};
+use crate::lower::{lower_module, Program, Route};
 use crate::obs::{EvalStats, PoolTiming, ReuseStats, TraceEvent, TraceSink};
 use crate::optimizer::{optimize_module, OptimizerOptions, OptimizerStats};
 use crate::parser::parse_module;
 use crate::run::{run, Frame, Memo, RunEnv};
 use crate::value::{Item, Sequence};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 use xmlstore::parser::ParseOptions;
 use xmlstore::{intern, NodeId, Store, Sym};
@@ -53,16 +53,6 @@ pub struct EngineOptions {
     /// avoiding the type system entirely" — and turning it on is how the
     /// metastasis experiment (E8) bites.
     pub static_typing: bool,
-    /// Stack size of each evaluation worker thread. XQuery-style programs
-    /// recurse instead of looping (the document generator's per-sibling
-    /// recursion is the paper's own idiom), so the evaluator runs on its own
-    /// thread with room to spare.
-    pub eval_stack_bytes: usize,
-    /// Number of big-stack evaluation workers in the engine's pool. A single
-    /// query still runs on exactly one worker, so the default of 1 keeps the
-    /// single-query path observably identical to the pre-pool engine; batch
-    /// drivers ([`StackPool::run_batch`]) raise this to overlap documents.
-    pub eval_workers: usize,
     /// Enable the runtime optimisation layer: the loop-invariant hoisting
     /// pass over the lowered [`Program`], the hash join and hashed
     /// existential general comparison, literal positional picks, and the
@@ -90,8 +80,6 @@ impl Default for EngineOptions {
             dup_attr_policy: DupAttrPolicy::KeepFirst,
             recursion_limit: 2048,
             static_typing: false,
-            eval_stack_bytes: 256 * 1024 * 1024,
-            eval_workers: 1,
             runtime_opt: true,
         }
     }
@@ -110,15 +98,13 @@ impl EngineOptions {
     /// A stable fingerprint of every option that can change what a compiled
     /// plan *is* (`galax_quirks` steers the AST optimizer, `optimize`,
     /// `static_typing`, and `runtime_opt` gate whole passes) or what running
-    /// it observably does (`dup_attr_policy`, `recursion_limit`).
-    /// A plan cache MUST key on this next to the query text: two tenants
-    /// submitting identical text under different configurations would
-    /// otherwise share one plan and leak each other's semantics.
-    ///
-    /// `eval_workers` and `eval_stack_bytes` are deliberately excluded: a
-    /// compiled query is pool-shape-independent (one evaluation always runs
-    /// on exactly one worker), and sharing plans across differently sized
-    /// pools is the point of caching them.
+    /// it observably does (`dup_attr_policy`, `recursion_limit`) — that is,
+    /// of every field. A plan cache MUST key on this next to the query
+    /// text: two tenants submitting identical text under different
+    /// configurations would otherwise share one plan and leak each other's
+    /// semantics. The pool a plan runs on is not an option: its route is
+    /// part of the plan, and sharing plans across engines and pools is the
+    /// point of caching them.
     pub fn cache_key(&self) -> String {
         format!(
             "gq={} opt={} dup={:?} rec={} st={} ropt={}",
@@ -161,29 +147,36 @@ std::thread_local! {
     /// worker runs inline instead of re-enqueueing: the stack is already the
     /// big one, and a rendezvous hop from inside the pool would deadlock a
     /// fully busy pool (every worker waiting on a job only a worker could
-    /// run).
+    /// run). It takes no permit either: the worker already holds one.
     static IS_EVAL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A fixed-size pool of persistent worker threads with large stacks, reused
-/// across `Engine::compile`/`Engine::evaluate` calls instead of spawning a
-/// fresh scoped thread per query. XQuery-style programs recurse where
-/// imperative code loops, so evaluation needs the big stack — but paying
-/// thread spawn and teardown per query dominated short queries (the XSLT
-/// driver and the calculus evaluator issue thousands).
+/// A fixed-size pool of persistent worker threads with large stacks, and
+/// the cap on how many evaluations run at once. XQuery-style programs
+/// recurse where imperative code loops, so a plan that recurses (see
+/// [`Route`]) runs on a worker's big stack — reused across calls, since
+/// spawning a thread per query dominated short queries. A plan that cannot
+/// recurse runs on the caller's thread instead, skipping the hop.
+///
+/// Either way a run holds one of `workers` permits while it runs, so a
+/// pool of `workers` threads also bounds the inline runs of every engine
+/// sharing it: at most `workers` evaluations are in flight, whichever
+/// thread they are on. Workers take their permit as they start a job, so
+/// the jobs of [`StackPool::run_batch`] count too.
 ///
 /// Every engine owns an `Arc<StackPool>`; by default a private one with a
-/// single worker, which keeps one query at a time flowing through one thread
-/// exactly like the old single-worker engine. Batch drivers share one pool
-/// across many engines ([`Engine::with_pool`]) and fan independent jobs over
-/// it with [`StackPool::run_batch`].
+/// single worker. Batch drivers and the query service share one pool
+/// across many engines ([`Engine::with_pool`]) and fan independent jobs
+/// over it with [`StackPool::run_batch`].
 ///
-/// Workers are spawned lazily on first use: a pool that only ever services
-/// calls made *from* another pool's worker (the nested-engine case in batch
-/// document generation) never starts a thread at all.
+/// Workers are spawned lazily on first use: a pool that only ever runs
+/// inline plans, or calls made *from* another pool's worker (the
+/// nested-engine case in batch document generation), never starts a
+/// thread at all.
 pub struct StackPool {
     workers: usize,
     stack_bytes: usize,
+    permits: Arc<Permits>,
     inner: Mutex<PoolInner>,
 }
 
@@ -192,13 +185,47 @@ struct PoolInner {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
+/// The free share of a pool's cap on runs in flight.
+struct Permits {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Permits {
+    /// Blocks until a permit is free and takes it. The guard gives it back
+    /// when dropped, unwinding included.
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
+        while *free == 0 {
+            free = self.freed.wait(free).unwrap_or_else(|e| e.into_inner());
+        }
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.0.freed.notify_one();
+    }
+}
+
 impl StackPool {
     /// A pool of `workers` threads (at least one), each with `stack_bytes`
-    /// of stack. Threads are not started until the first job needs one.
+    /// of stack, capping runs in flight at `workers`. Threads are not
+    /// started until the first job needs one.
     pub fn new(workers: usize, stack_bytes: usize) -> StackPool {
+        let workers = workers.max(1);
         StackPool {
-            workers: workers.max(1),
+            workers,
             stack_bytes,
+            permits: Arc::new(Permits {
+                free: Mutex::new(workers),
+                freed: Condvar::new(),
+            }),
             inner: Mutex::new(PoolInner {
                 sender: None,
                 handles: Vec::new(),
@@ -206,7 +233,8 @@ impl StackPool {
         }
     }
 
-    /// The number of worker threads this pool runs at capacity.
+    /// The number of worker threads this pool runs at capacity, which is
+    /// also its cap on evaluations in flight.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -221,6 +249,7 @@ impl StackPool {
         let receiver = Arc::new(Mutex::new(receiver));
         for i in 0..self.workers {
             let receiver = Arc::clone(&receiver);
+            let permits = Arc::clone(&self.permits);
             let handle = std::thread::Builder::new()
                 .name(format!("xquery-eval-{i}"))
                 .stack_size(self.stack_bytes)
@@ -234,7 +263,12 @@ impl StackPool {
                             queue.recv()
                         };
                         match job {
-                            Ok(job) => job(),
+                            // Jobs catch their own panics, so the permit
+                            // goes back before the next dequeue.
+                            Ok(job) => {
+                                let _permit = permits.acquire();
+                                job()
+                            }
                             Err(_) => break,
                         }
                     }
@@ -263,31 +297,35 @@ impl StackPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        self.run_timed(f).0
+        self.run_timed(false, f).0
     }
 
-    /// [`StackPool::run`] plus the pool's own timing observations: how long
-    /// the job sat in the queue before a worker dequeued it, and how long it
-    /// ran on the worker. A call issued from a worker runs inline with zero
-    /// queue wait (there was no queue hop to measure).
-    pub fn run_timed<T, F>(&self, f: F) -> (T, PoolTiming)
+    /// Runs `f` under one of the pool's permits — on this thread when
+    /// `inline`, else on a worker as [`StackPool::run`] does — with the
+    /// pool's timing of it: how long it waited for a permit and a worker,
+    /// and how long it ran. A call issued from a worker runs inline with
+    /// no permit and zero wait. `inline` is for closures that never wait on
+    /// this pool themselves: an inline run holds a permit a worker may need.
+    pub(crate) fn run_timed<T, F>(&self, inline: bool, f: F) -> (T, PoolTiming)
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        if IS_EVAL_WORKER.with(|flag| flag.get()) {
+        let submitted = Instant::now();
+        let on_worker = IS_EVAL_WORKER.with(|flag| flag.get());
+        if on_worker || inline {
+            let _permit = (!on_worker).then(|| self.permits.acquire());
             let started = Instant::now();
             let value = f();
             return (
                 value,
                 PoolTiming {
-                    queue_wait_ns: 0,
+                    queue_wait_ns: started.duration_since(submitted).as_nanos() as u64,
                     on_worker_ns: started.elapsed().as_nanos() as u64,
                 },
             );
         }
         let (tx, rx) = mpsc::channel();
-        let submitted = Instant::now();
         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
             let started = Instant::now();
             let queue_wait_ns = started.duration_since(submitted).as_nanos() as u64;
@@ -415,6 +453,14 @@ impl Drop for StackPool {
     }
 }
 
+/// Workers in the pool an engine makes for itself: one, so its pooled
+/// runs queue one at a time, as its inline runs do.
+const OWN_POOL_WORKERS: usize = 1;
+
+/// Stack of each worker in an engine's own pool: room for the user-function
+/// recursion a pooled plan may do, up to a generous `recursion_limit`.
+const OWN_POOL_STACK_BYTES: usize = 256 * 1024 * 1024;
+
 /// An XQuery engine instance owning a node store, registered documents,
 /// external variable bindings, the trace sink, and a handle to its
 /// evaluation pool (private by default, shareable via
@@ -474,11 +520,9 @@ impl Engine {
         Engine::with_options(EngineOptions::galax())
     }
 
+    /// An engine with its own pool: one worker, 256 MiB of stack.
     pub fn with_options(options: EngineOptions) -> Self {
-        let pool = Arc::new(StackPool::new(
-            options.eval_workers,
-            options.eval_stack_bytes,
-        ));
+        let pool = Arc::new(StackPool::new(OWN_POOL_WORKERS, OWN_POOL_STACK_BYTES));
         Engine::with_pool(options, pool)
     }
 
@@ -600,22 +644,40 @@ impl Engine {
 
     /// Evaluates a compiled query (through the lowered program).
     /// `context_node`, when given, becomes the context item (focus position
-    /// 1 of 1).
-    ///
-    /// Evaluation runs on one of the engine's persistent pool workers with
-    /// [`EngineOptions::eval_stack_bytes`] of stack: functional-style XQuery
-    /// recurses where imperative code loops, and the per-sibling recursion
-    /// of realistic programs outgrows default thread stacks. The threads are
-    /// reused across calls — no spawn per query.
+    /// 1 of 1). See [`Engine::evaluate_with_focus`] for where it runs.
     pub fn evaluate(
         &mut self,
         query: &CompiledQuery,
         context_node: Option<NodeId>,
     ) -> Result<Sequence> {
+        self.evaluate_with_focus(query, context_node.map(|node| (Item::Node(node), 1, 1)))
+    }
+
+    /// Evaluates a compiled query with `focus` as its context item,
+    /// position and size — what an XSLT template's XPath sees.
+    ///
+    /// The plan's [`Route`] picks the thread. A plan that cannot recurse
+    /// (no user function on a call cycle, at most
+    /// [`crate::lower::INLINE_DEPTH`] nesting levels) runs on the caller's
+    /// thread; any other runs on one of the pool's big-stack workers,
+    /// because functional-style XQuery recurses where imperative code
+    /// loops. Either way it holds one of the pool's permits while it runs.
+    /// An inline run needs about 1 MiB of the caller's stack in a debug
+    /// build, well under the 2 MiB std gives a spawned thread.
+    pub fn evaluate_with_focus(
+        &mut self,
+        query: &CompiledQuery,
+        focus: Option<(Item, usize, usize)>,
+    ) -> Result<Sequence> {
+        let inline = matches!(query.program.route, Route::Inline { .. });
+        let focus = focus.map(|(item, position, size)| Focus {
+            item,
+            position,
+            size,
+        });
         let pool = Arc::clone(&self.pool);
         let this = &mut *self;
-        let (result, timing) =
-            pool.run_timed(move || this.evaluate_on_this_thread(query, context_node));
+        let (result, timing) = pool.run_timed(inline, move || this.evaluate_impl(query, focus));
         self.record_timing(timing);
         result
     }
@@ -631,7 +693,7 @@ impl Engine {
     ) -> Result<Sequence> {
         let pool = Arc::clone(&self.pool);
         let this = &mut *self;
-        let (result, timing) = pool.run_timed(move || {
+        let (result, timing) = pool.run_timed(false, move || {
             this.evaluate_reference_impl(
                 query,
                 context_node.map(|node| Focus {
@@ -643,40 +705,6 @@ impl Engine {
         });
         self.record_timing(timing);
         result
-    }
-
-    /// Evaluates **on the caller's thread** — no big-stack spawn. Suitable
-    /// for shallow expressions called at high frequency (XPath selects in an
-    /// XSLT transform); deep XQuery-style recursion should go through
-    /// [`Engine::evaluate`] instead.
-    pub fn evaluate_inline(
-        &mut self,
-        query: &CompiledQuery,
-        focus: Option<(Item, usize, usize)>,
-    ) -> Result<Sequence> {
-        self.evaluate_impl(
-            query,
-            focus.map(|(item, position, size)| Focus {
-                item,
-                position,
-                size,
-            }),
-        )
-    }
-
-    fn evaluate_on_this_thread(
-        &mut self,
-        query: &CompiledQuery,
-        context_node: Option<NodeId>,
-    ) -> Result<Sequence> {
-        self.evaluate_impl(
-            query,
-            context_node.map(|node| Focus {
-                item: Item::Node(node),
-                position: 1,
-                size: 1,
-            }),
-        )
     }
 
     /// Folds a pool timing into the stats of the evaluation that just
@@ -1152,6 +1180,102 @@ mod tests {
         );
     }
 
+    /// 4 threads, each alternating inline and pooled runs on a 2-worker
+    /// pool: the permits keep at most 2 runs in flight, whichever thread
+    /// runs them. The threads start each run together, and a run stays in
+    /// flight for a few milliseconds, so an uncapped route would show 3 or
+    /// 4 at once.
+    #[test]
+    fn permits_cap_runs_in_flight_across_routes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = StackPool::new(2, TEST_STACK);
+        let round = std::sync::Barrier::new(4);
+        let (in_flight, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let work = || {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            most.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        };
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (pool, round, work) = (&pool, &round, &work);
+                scope.spawn(move || {
+                    for i in 0..8 {
+                        round.wait();
+                        pool.run_timed((t + i) % 2 == 0, work);
+                    }
+                });
+            }
+        });
+        assert_eq!(most.load(Ordering::SeqCst), 2, "runs in flight");
+    }
+
+    /// The permit of an inline run that panics goes back as it unwinds: a
+    /// leak would leave this 1-worker pool with no permit for the next run.
+    #[test]
+    fn permits_survive_a_panicking_inline_run() {
+        let pool = Arc::new(StackPool::new(1, TEST_STACK));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_timed(true, || panic!("inline boom"))
+        }))
+        .unwrap_err();
+        assert_eq!(payload_text(caught.as_ref()), "inline boom");
+        // On its own thread, so a leaked permit fails the test instead of
+        // hanging it.
+        let (done, wait) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = done.send((pool.run_timed(true, || 3).0, pool.run(|| 4)));
+        });
+        assert_eq!(
+            wait.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok((3, 4)),
+            "the permit leaked"
+        );
+        runner.join().unwrap();
+    }
+
+    /// A plan with a function on a call cycle, direct or mutual, takes the
+    /// pool and names that function; one without runs inline. Reaching
+    /// `recursion_limit` on the pool is still the structured error.
+    #[test]
+    fn recursive_plans_route_to_the_pool() {
+        let e = Engine::new();
+        let route = |src: &str| e.compile(src).unwrap().program.route;
+        assert_eq!(
+            route("declare function local:f($n) { if ($n = 0) then 0 else local:f($n - 1) }; local:f(3)"),
+            Route::Recursive(intern("local:f"))
+        );
+        assert_eq!(
+            route(
+                "declare function local:even($n) { if ($n = 0) then true() else local:odd($n - 1) };
+                 declare function local:odd($n) { if ($n = 0) then false() else local:even($n - 1) };
+                 declare function local:main() { local:even(4) };
+                 local:main()"
+            ),
+            Route::Recursive(intern("local:even"))
+        );
+        // An unreachable cycle does not count.
+        assert!(matches!(
+            route("declare function local:loop() { local:loop() }; 1 + 1"),
+            Route::Inline { .. }
+        ));
+        let plan = e
+            .compile("declare function local:loop($n) { local:loop($n + 1) }; local:loop(0)")
+            .unwrap();
+        assert!(e
+            .explain(&plan)
+            .contains("route: pool (local:loop recurses)"));
+        let mut limited = Engine::with_options(EngineOptions {
+            recursion_limit: 64,
+            ..Default::default()
+        });
+        let err = limited.evaluate(&plan, None).unwrap_err();
+        assert_eq!(err.code, crate::error::ErrorCode::Internal, "{err}");
+        assert_eq!(err.message, "recursion limit of 64 exceeded");
+        assert!(err.position.is_some(), "the error keeps its call site");
+    }
+
     #[test]
     fn engines_share_a_pool_and_compiled_queries() {
         let pool = Arc::new(StackPool::new(2, TEST_STACK));
@@ -1173,10 +1297,10 @@ mod tests {
         let mut plain = Engine::new();
         let out = plain.evaluate_str(src, None).unwrap();
         let expected = plain.display_sequence(&out);
-        let mut pooled = Engine::with_options(EngineOptions {
-            eval_workers: 4,
-            ..Default::default()
-        });
+        let mut pooled = Engine::with_pool(
+            EngineOptions::default(),
+            Arc::new(StackPool::new(4, TEST_STACK)),
+        );
         let out = pooled.evaluate_str(src, None).unwrap();
         let got = pooled.display_sequence(&out);
         assert_eq!(expected, got);
@@ -1199,13 +1323,6 @@ mod tests {
                 }
             }
         }
-        // Pool shape is NOT part of the key: plans are shared across pools.
-        let wide = EngineOptions {
-            eval_workers: 8,
-            eval_stack_bytes: TEST_STACK,
-            ..Default::default()
-        };
-        assert_eq!(wide.cache_key(), EngineOptions::default().cache_key());
     }
 
     #[test]

@@ -44,6 +44,95 @@ pub struct Program {
     pub body: LExpr,
     /// Number of slots the main body needs.
     pub body_frame: usize,
+    /// Which thread [`crate::Engine::evaluate`] runs this plan on, decided
+    /// here from the lowered shape and left alone by [`crate::lopt`], so
+    /// both `runtime_opt` values route a query the same way.
+    pub route: Route,
+}
+
+/// Nesting levels, counted through calls, up to which a plan with no
+/// recursive function runs on the caller's thread. In a debug build, nine
+/// query shapes nested this deep needed 319–958 KiB of stack (about 30 KiB
+/// per `for` level): well inside std's default 2 MiB thread stack.
+pub const INLINE_DEPTH: usize = 32;
+
+/// Where a plan runs. Document depth plays no part: every builtin and store
+/// walk over a tree uses an explicit work stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// On the caller's thread: no reachable user function is on a call
+    /// cycle, and the plan nests `depth` ≤ [`INLINE_DEPTH`] levels.
+    Inline { depth: usize },
+    /// On a big-stack pool worker, because this reachable function is on a
+    /// call cycle.
+    Recursive(Sym),
+    /// On a big-stack pool worker, because the plan nests this many levels.
+    Deep(usize),
+}
+
+impl std::fmt::Display for Route {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Route::Inline { depth } => write!(f, "inline (nests {depth} of {INLINE_DEPTH} levels)"),
+            Route::Recursive(name) => write!(f, "pool ({name} recurses)"),
+            Route::Deep(depth) => write!(f, "pool (nests {depth} levels, over {INLINE_DEPTH})"),
+        }
+    }
+}
+
+/// Routes a program by its body and global initializers (`roots`): to the
+/// pool at the first reachable function on a call cycle; otherwise by the
+/// longest nesting path through the roots and the now acyclic call graph.
+fn route(functions: &[CompiledFunction], roots: &[&LExpr]) -> Route {
+    let mut visits = vec![Visit::New; functions.len()];
+    let mut depth = 0;
+    for root in roots {
+        match nesting(root, functions, &mut visits) {
+            Ok(d) => depth = depth.max(d),
+            Err(f) => return Route::Recursive(functions[f].name),
+        }
+    }
+    if depth <= INLINE_DEPTH {
+        Route::Inline { depth }
+    } else {
+        Route::Deep(depth)
+    }
+}
+
+/// A function's state in the [`route`] walk.
+#[derive(Clone, Copy)]
+enum Visit {
+    New,
+    Open,
+    Done(usize),
+}
+
+/// `e`'s nesting depth counted through the functions it calls, or the
+/// index of a function met again while still open: one on a call cycle.
+fn nesting(
+    e: &LExpr,
+    functions: &[CompiledFunction],
+    visits: &mut [Visit],
+) -> std::result::Result<usize, usize> {
+    let mut deepest = 0;
+    if let LExpr::CallUser { index, .. } = e {
+        let i = *index as usize;
+        deepest = match visits[i] {
+            Visit::Done(d) => d,
+            Visit::Open => return Err(i),
+            Visit::New => {
+                visits[i] = Visit::Open;
+                let d = nesting(&functions[i].body, functions, visits)?;
+                visits[i] = Visit::Done(d);
+                d
+            }
+        };
+    }
+    let mut result = Ok(deepest);
+    e.for_each_child(&mut |c| {
+        result = result.and_then(|d| Ok(d.max(nesting(c, functions, visits)?)));
+    });
+    result.map(|d| d + 1)
 }
 
 /// One user-declared function, body lowered against its own frame. Functions
@@ -581,7 +670,7 @@ pub fn lower_module(module: &Module) -> Result<Program> {
     }
     let lowerer = Lowerer { functions: index };
 
-    let functions = module
+    let functions: Vec<CompiledFunction> = module
         .functions
         .iter()
         .map(|f| {
@@ -609,7 +698,7 @@ pub fn lower_module(module: &Module) -> Result<Program> {
         })
         .collect();
 
-    let globals = module
+    let globals: Vec<CompiledGlobal> = module
         .variables
         .iter()
         .map(|v| {
@@ -628,11 +717,14 @@ pub fn lower_module(module: &Module) -> Result<Program> {
 
     let mut r = Resolver::default();
     let body = lowerer.lower(&module.body, &mut r);
+    let roots: Vec<&LExpr> = globals.iter().map(|g| &g.expr).chain([&body]).collect();
+    let route = route(&functions, &roots);
     Ok(Program {
         functions,
         globals,
         body,
         body_frame: r.frame_size(),
+        route,
     })
 }
 

@@ -8,7 +8,7 @@
 //! one of them observable:
 //!
 //! * [`EvalStats`] — a per-query counter block filled in by the runner as
-//!   it executes. One evaluation runs on exactly one pool worker, so the
+//!   it executes. One evaluation runs on exactly one thread, so the
 //!   counters are plain `u64`s threaded by `&mut` — lock-free by
 //!   construction, merged into [`Engine::last_stats`](crate::Engine) when
 //!   the evaluation completes.
@@ -83,10 +83,12 @@ pub struct EvalStats {
     /// positional filter, or existential compare decided it needed no more
     /// items while the walk still had frames left.
     pub cursor_early_exits: u64,
-    /// Nanoseconds the evaluation job waited in the pool queue before a
-    /// worker picked it up. Zero when run inline on a worker.
+    /// Nanoseconds the evaluation waited before it started: for a pool
+    /// permit, plus the hand-off to a worker when its plan is pooled. Zero
+    /// when issued from a worker.
     pub queue_wait_ns: u64,
-    /// Nanoseconds the job spent running on its worker.
+    /// Nanoseconds the evaluation ran, on whichever thread ran it (the
+    /// caller's for an inline plan).
     pub on_worker_ns: u64,
 }
 
@@ -168,8 +170,8 @@ impl ReuseStats {
     }
 }
 
-/// Time one pool job spent queued and running, as measured by the pool
-/// itself (see [`StackPool::run_timed`](crate::StackPool)).
+/// Time one pool run spent waiting and running, as measured by the pool
+/// itself (see [`StackPool`](crate::StackPool)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolTiming {
     pub queue_wait_ns: u64,
@@ -249,8 +251,8 @@ enum ResetKind {
 /// `[impure: why]`, and calls that the runner will stream or answer from an
 /// index are flagged. A program compiled with `runtime_opt` off
 /// renders the same tree with none of the rewrite annotations (the purity
-/// marks, an analysis rather than a rewrite, appear in both) — diffing the
-/// two is the intended way to see what the layer did.
+/// marks and the `route:` line, analyses rather than rewrites, appear in
+/// both) — diffing the two is the intended way to see what the layer did.
 pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
@@ -269,6 +271,7 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
         plan_stats.cached_per_tuple,
         plan_stats.streamable_bindings
     );
+    out.push_str(&format!("route: {}\n", program.route));
     let purity = Purity::analyse(&program.functions);
     let cx = ExplainCx {
         program,

@@ -21,9 +21,10 @@
 //! `Arc<Program>` may be evaluated concurrently from any number of engines
 //! and pool workers (see `engine::StackPool`). All mutable state — the
 //! frame, the dynamic context, trace output — is created per evaluation and
-//! never escapes it; the runner itself recurses deeply, which is why
-//! evaluation always happens on a big-stack pool worker rather than the
-//! caller's thread.
+//! never escapes it. The runner recurses once per nesting level and per
+//! user-function call, which is why a plan that may recurse runs on a
+//! big-stack pool worker and only a shallow one on the caller's thread
+//! (see `lower::Route`).
 
 use crate::ast::{Axis, CmpOp, NodeCmpOp, Quantifier, SetOp};
 use crate::compare::{

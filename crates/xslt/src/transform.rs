@@ -86,7 +86,7 @@ impl Transformer<'_> {
     fn eval(&mut self, expr: &str, ctx: Ctx) -> Result<xquery::Sequence, XsltError> {
         let q = self.compiled(expr)?;
         self.engine
-            .evaluate_inline(&q, Some((Item::Node(ctx.node), ctx.position, ctx.size)))
+            .evaluate_with_focus(&q, Some((Item::Node(ctx.node), ctx.position, ctx.size)))
             .map_err(|e| XsltError(format!("evaluating {expr:?}: {e}")))
     }
 
