@@ -47,8 +47,6 @@ const RENDER: usize = 21;
 const ROUNDS: usize = 5;
 /// Scenario runs per scenario row.
 const RUNS: usize = 3;
-/// Stack size of the batch rows' pool workers (XQuery recursion is deep).
-const POOL_STACK: usize = 256 * 1024 * 1024;
 
 /// Which layer of the system a row's time is spent in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -753,10 +751,10 @@ fn e1_batch_row(name: String, n: usize, docs: usize, workers: usize, per_doc_com
                     .collect();
                 pool.run_batch(jobs)
             };
-            let pool = StackPool::new(workers, POOL_STACK);
+            let pool = StackPool::new(workers);
             assert_eq!(
                 run(&pool),
-                run(&StackPool::new(1, POOL_STACK)),
+                run(&StackPool::new(1)),
                 "E1 batch results diverged at {workers} workers"
             );
             Box::new(move || {
@@ -821,10 +819,10 @@ fn docgen_batch_row(
                     .map(|r| r.expect("batch job generates").xml)
                     .collect()
             };
-            let pool = StackPool::new(workers, POOL_STACK);
+            let pool = StackPool::new(workers);
             assert_eq!(
                 run(&pool),
-                run(&StackPool::new(1, POOL_STACK)),
+                run(&StackPool::new(1)),
                 "docgen batch diverged at {workers} workers"
             );
             Box::new(move || {
@@ -1466,7 +1464,6 @@ fn qps_rows(rows: &mut Vec<Row>) {
             ..row(name, Layer::Service, workload, ROUNDS, gate, move || {
                 let service = Service::spawn(ServiceConfig {
                     eval_workers: 2,
-                    eval_stack_bytes: 32 * 1024 * 1024,
                     ..Default::default()
                 })
                 .expect("qps service spawns");

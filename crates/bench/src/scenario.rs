@@ -294,7 +294,7 @@ fn run_in_process(cfg: &ScenarioConfig) -> ScenarioReport {
     let batch_workload = it_workload(60, cfg.seed);
     let template = batch_template();
     let pipeline = CompiledPipeline::standard().expect("docgen pipeline compiles");
-    let pool = StackPool::new(2, 64 * 1024 * 1024);
+    let pool = StackPool::new(2);
 
     let mut samples = Vec::with_capacity(schedule.len());
     let mut edit_serial = 0usize;
@@ -381,7 +381,6 @@ fn run_service(cfg: &ScenarioConfig) -> ScenarioReport {
 
     let service = Service::spawn(ServiceConfig {
         eval_workers: 2,
-        eval_stack_bytes: 64 * 1024 * 1024,
         ..Default::default()
     })
     .expect("scenario service spawns");

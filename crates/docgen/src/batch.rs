@@ -209,7 +209,7 @@ mod tests {
                 },
             })
             .collect();
-        let pool = StackPool::new(4, 64 * 1024 * 1024);
+        let pool = StackPool::new(4);
         let got = generate_batch(&jobs, &pool).unwrap();
 
         assert_eq!(got.len(), expected.len());
@@ -246,7 +246,7 @@ mod tests {
                 },
             },
         ];
-        let pool = StackPool::new(2, 64 * 1024 * 1024);
+        let pool = StackPool::new(2);
         let got = generate_batch(&jobs, &pool).unwrap();
         assert!(got[0].is_ok());
         let err = got[1].as_ref().unwrap_err();

@@ -165,17 +165,15 @@ impl XqGenerator {
         let mut phase_reports = Vec::with_capacity(1 + self.pipeline.phases.len());
 
         let gen_query = self.pipeline.generator.clone();
-        let doc = self.timed_phase("generate", &gen_query, None, &mut phase_reports)?;
-        phase_sizes.push(self.engine.store().to_xml(doc).len());
-
-        let mut current = doc;
+        let mut current = self.timed_phase("generate", &gen_query, None, &mut phase_reports)?;
         for i in 0..self.pipeline.phases.len() {
+            phase_sizes.push(self.engine.store().to_xml(current).len());
             let (phase, query) = self.pipeline.phases[i].clone();
             current = self.timed_phase(phase.name(), &query, Some(current), &mut phase_reports)?;
-            phase_sizes.push(self.engine.store().to_xml(current).len());
         }
-
+        // The finished document is serialized once, for its size and text.
         let xml = self.engine.store().to_xml(current);
+        phase_sizes.push(xml.len());
         let trouble_count = xml.matches("class=\"gen-error\"").count();
         Ok(XqOutput {
             xml,

@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store, TreeSnapshot};
+use xquery::engine::MAX_RECURSION_LIMIT;
 use xquery::{CompiledQuery, DupAttrPolicy, Engine, EngineOptions, StackPool};
 
 use crate::cache::{DocCache, PlanCache};
@@ -61,8 +62,6 @@ pub struct ServiceConfig {
     /// cap on evaluations in flight across all connections, inline ones
     /// included.
     pub eval_workers: usize,
-    /// Stack bytes per worker.
-    pub eval_stack_bytes: usize,
     /// Plan-cache capacity in entries.
     pub plan_cache_capacity: usize,
     /// Document-cache budget in retained bytes.
@@ -89,7 +88,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             eval_workers: 2,
-            eval_stack_bytes: 64 * 1024 * 1024,
             plan_cache_capacity: 256,
             doc_cache_bytes: 256 * 1024 * 1024,
             enable_crash_verb: false,
@@ -132,7 +130,7 @@ struct Shared {
 impl Shared {
     fn new(config: ServiceConfig) -> Shared {
         Shared {
-            pool: Arc::new(StackPool::new(config.eval_workers, config.eval_stack_bytes)),
+            pool: Arc::new(StackPool::new(config.eval_workers)),
             plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
             docs: Mutex::new(DocCache::new(config.doc_cache_bytes)),
             tenants: Mutex::new(HashMap::new()),
@@ -422,7 +420,8 @@ impl Connection {
             .is_some(),
             _ => return Reply::Err(WireError::new("PROTO", format!("unknown option {name:?}"))),
         };
-        if !parsed {
+        // A limit the engine would lower is refused instead.
+        if !parsed || options.recursion_limit > MAX_RECURSION_LIMIT {
             return Reply::Err(WireError::new(
                 "PROTO",
                 format!("bad value {value:?} for option {name:?}"),
@@ -454,19 +453,20 @@ impl Connection {
         parse_options.max_nodes = self.shared.config.load_max_nodes;
         let snapshot = {
             let mut scratch = Store::new();
-            // Big documents can out-recurse a default stack; parse on a
-            // pool worker as `Engine::compile` does. The catch_unwind is the
+            // The parser is iterative, so it runs on this thread, under a
+            // pool permit like an inline evaluation. The catch_unwind is the
             // connection's survival guarantee: a panic anywhere in the
-            // parse/snapshot path (worker or store) must come back as a
-            // structured `ERR PANIC`, never a dropped connection.
+            // parse/snapshot path must come back as a structured
+            // `ERR PANIC`, never a dropped connection.
             let parsed = catch_unwind(AssertUnwindSafe(|| {
-                self.shared.pool.run(|| {
+                let (parsed, _) = self.shared.pool.run_timed(true, || {
                     scratch.parse_str(&xml, &parse_options).map(|doc| {
                         scratch
                             .snapshot(doc)
                             .expect("a fresh parse lands in a frozen mount")
                     })
-                })
+                });
+                parsed
             }));
             match parsed {
                 Ok(Ok(snapshot)) => snapshot,
@@ -804,7 +804,6 @@ mod tests {
     fn trace_events_are_drained_after_every_request() {
         let mut conn = Connection::new(Arc::new(Shared::new(ServiceConfig {
             eval_workers: 1,
-            eval_stack_bytes: 16 * 1024 * 1024,
             ..ServiceConfig::default()
         })));
         let text = "trace('x', 1) + 1";

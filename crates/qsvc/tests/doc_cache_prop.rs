@@ -153,7 +153,7 @@ proptest! {
         // Concurrent epilogue: every uri still in the cache is evaluated on
         // pool workers in parallel, each job adopting the shared snapshot
         // into its own engine. All must agree with the model.
-        let pool = Arc::new(StackPool::new(3, 16 * 1024 * 1024));
+        let pool = Arc::new(StackPool::new(3));
         let live: Vec<(&str, usize, TreeSnapshot)> = model
             .iter()
             .map(|(&uri, &version)| (uri, version, cache.get(uri).unwrap()))

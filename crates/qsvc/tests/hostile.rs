@@ -10,7 +10,6 @@ const SMALL: &str = r#"<doc><item n="1"/><item n="2"/></doc>"#;
 fn hostile_config() -> ServiceConfig {
     ServiceConfig {
         eval_workers: 2,
-        eval_stack_bytes: 32 * 1024 * 1024,
         doc_cache_bytes: 64 * 1024,
         load_max_depth: Some(1_000),
         load_max_nodes: Some(10_000),
@@ -179,25 +178,41 @@ fn entity_heavy_document_round_trips_with_escaping() {
 
 /// The default configuration accepts what the parser's own defaults accept:
 /// no service-level cap means the 10k depth default still applies and a
-/// document under it loads fine.
+/// document at it loads fine. `LOAD` parses on the connection thread, whose
+/// stack is 2 MiB: the parser and the snapshot walk keep their own work
+/// stacks.
 #[test]
 fn default_config_defers_to_parser_defaults() {
-    let service = Service::spawn(ServiceConfig {
-        eval_workers: 2,
-        eval_stack_bytes: 32 * 1024 * 1024,
-        ..Default::default()
-    })
-    .unwrap();
+    let service = Service::spawn(ServiceConfig::default()).unwrap();
     let mut client = Client::connect(service.addr(), Some("def")).unwrap();
-    let depth = 2_000;
-    let mut xml = String::new();
-    for _ in 0..depth {
-        xml.push_str("<a>");
-    }
-    xml.push('x');
-    for _ in 0..depth {
-        xml.push_str("</a>");
-    }
+    let depth = xmlstore::parser::DEFAULT_MAX_DEPTH;
+    let xml = format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
     client.load("deep-ok", &xml).unwrap();
     assert_eq!(client.query("deep-ok", "string(/a/a/a)").unwrap(), "x");
+    assert_eq!(
+        client.query("deep-ok", "count(//a)").unwrap(),
+        depth.to_string()
+    );
+}
+
+/// Queries that nest deeper than the parser's budget, each a different way
+/// of building one tree level per repeat, come back as `XPST0003` on a
+/// connection that keeps serving.
+#[test]
+fn deeply_nested_queries_are_rejected_and_the_connection_survives() {
+    let service = Service::spawn(ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(service.addr(), Some("nest")).unwrap();
+    let n = 200_000;
+    for query in [
+        format!("{}1", "-".repeat(n)),
+        format!("1{}", "+1".repeat(n)),
+        format!("1{}", " and 1".repeat(n)),
+        format!("{}{}", "<a>".repeat(n), "</a>".repeat(n)),
+    ] {
+        let err = client.query("-", &query).unwrap_err();
+        let err = err.service().expect("structured error, not a dead socket");
+        assert_eq!(err.code, "XPST0003");
+        assert!(err.message.contains("nesting deeper than"), "{err:?}");
+    }
+    assert_eq!(client.query("-", "1+1").unwrap(), "2");
 }

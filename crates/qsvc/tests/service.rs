@@ -11,7 +11,6 @@ const DOC: &str = r#"<doc><item n="1"/><item n="2"/><item n="3"/></doc>"#;
 fn test_config() -> ServiceConfig {
     ServiceConfig {
         eval_workers: 2,
-        eval_stack_bytes: 32 * 1024 * 1024,
         plan_cache_capacity: 128,
         doc_cache_bytes: 16 * 1024 * 1024,
         enable_crash_verb: true,
@@ -185,6 +184,39 @@ fn every_config_differential_through_the_service() {
     );
     // Five cacheable queries under eight mutually distinct fingerprints.
     assert_eq!(entries_after, 5 * 8, "one plan per (text, config) pair");
+}
+
+/// A default service's pool holds the default `recursion_limit`: a query
+/// recursing past it gets the structured error with its call site, and the
+/// connection answers the next query.
+#[test]
+fn default_service_answers_a_recursion_past_the_limit() {
+    let service = Service::spawn(ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(service.addr(), Some("deep")).unwrap();
+    let query = "declare function local:f($n) { if ($n = 0) then 0 else local:f($n - 1) };
+                 local:f(3000)";
+    let err = client.query("-", query).unwrap_err();
+    let err = err.service().expect("structured error, not a dead socket");
+    assert_eq!(err.code, "LOPS0000");
+    assert_eq!(err.message, "recursion limit of 2048 exceeded");
+    assert!(err.position.is_some(), "the error keeps its call site");
+    assert_eq!(client.query("-", "1+1").unwrap(), "2");
+}
+
+/// The worker stack is sized for the default `recursion_limit`, so
+/// `OPTION` refuses a higher one and keeps the connection's options.
+#[test]
+fn recursion_limit_above_the_default_is_refused() {
+    let service = Service::spawn(test_config()).unwrap();
+    let mut client = Client::connect(service.addr(), Some("limit")).unwrap();
+    let err = client.set_option("recursion_limit", "2049").unwrap_err();
+    let err = err.service().expect("structured error, not a dead socket");
+    assert_eq!(err.code, "PROTO");
+    assert!(err.message.contains("2049"), "{err:?}");
+    assert_eq!(
+        client.set_option("recursion_limit", "2048").unwrap(),
+        EngineOptions::default().cache_key()
+    );
 }
 
 /// OPTION answers the connection engine's fingerprint, byte for byte as

@@ -19,11 +19,18 @@
 //! `pre(a) < pre(b) && post(b) < post(a)`, and document order is just the
 //! `pre` comparison — both O(1) once a tree is numbered, where the previous
 //! implementation re-walked parent chains with linear sibling-position scans
-//! on every comparison. Structural mutations drop the owning tree's index;
-//! the next order query renumbers that tree in one pass. Value-only edits
-//! (attribute overwrite, `set_text`) keep the index. The walk-based
-//! comparison survives as [`Store::doc_order_by_walk`], the reference
-//! implementation the property tests check the index against.
+//! on every comparison. A structural edit of a tree whose index is built
+//! patches the numbering in place (the inserted or removed fragment's rank
+//! interval, the shifted suffix, the ancestors' exit ranks, each touched
+//! name's vector) and counts `index_repatches`; a fragment of half the tree
+//! or more, or a stale entry, drops the tree's index instead and counts
+//! `index_full_rebuilds`, and the next order query renumbers the tree in one
+//! pass. Either way the tree's attribute-value maps are cleared. A value
+//! overwrite keeps the numbering: on a thawed tree it clears the tree's
+//! attribute-value maps, and on a frozen one only the written name's map.
+//! `set_text` touches no map. The walk-based comparison survives as
+//! [`Store::doc_order_by_walk`], the reference implementation the property
+//! tests check the index against.
 //!
 //! ## Editing a frozen tree
 //!

@@ -1037,7 +1037,7 @@ proptest! {
                         runtime_opt,
                         ..Default::default()
                     },
-                    Arc::new(StackPool::new(workers, 64 * 1024 * 1024)),
+                    Arc::new(StackPool::new(workers)),
                 );
                 let out = e.evaluate_str(src, None).unwrap();
                 let display = e.display_sequence(&out);
@@ -1202,7 +1202,7 @@ fn case_outcome(
 
 #[test]
 fn pooled_corpus_is_byte_identical_to_serial_under_all_configs() {
-    let pool = Arc::new(StackPool::new(4, 64 * 1024 * 1024));
+    let pool = Arc::new(StackPool::new(4));
     let cases = corpus_cases();
     for (name, options) in engine_configs() {
         let serial: Vec<String> = cases

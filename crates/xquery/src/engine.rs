@@ -46,7 +46,8 @@ pub struct EngineOptions {
     pub optimize: bool,
     /// Duplicate-attribute handling in constructors.
     pub dup_attr_policy: DupAttrPolicy,
-    /// Maximum user-function recursion depth.
+    /// Maximum user-function recursion depth; [`Engine::with_pool`] lowers
+    /// it to at most [`MAX_RECURSION_LIMIT`].
     pub recursion_limit: usize,
     /// Run the static type checker at compile time and reject programs with
     /// diagnostics. Off by default — "we used XQuery in the untyped mode,
@@ -78,7 +79,7 @@ impl Default for EngineOptions {
             galax_quirks: false,
             optimize: true,
             dup_attr_policy: DupAttrPolicy::KeepFirst,
-            recursion_limit: 2048,
+            recursion_limit: MAX_RECURSION_LIMIT,
             static_typing: false,
             runtime_opt: true,
         }
@@ -139,6 +140,13 @@ pub struct CompiledQuery {
     pub plan_stats: crate::lopt::PlanStats,
 }
 
+/// Stack of every pool worker. It holds `MAX_RECURSION_LIMIT` calls: with a
+/// limit that never fires, a debug build overflows it past 2,745 levels of
+/// a `for` returning `<a>{ … recursive call … }</a>`, 5,870 of an `if`.
+const WORKER_STACK_BYTES: usize = 256 * 1024 * 1024;
+/// The deepest `recursion_limit` an engine runs with, and the default.
+pub const MAX_RECURSION_LIMIT: usize = 2048;
+
 /// A job shipped to a big-stack worker thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -175,7 +183,6 @@ std::thread_local! {
 /// thread at all.
 pub struct StackPool {
     workers: usize,
-    stack_bytes: usize,
     permits: Arc<Permits>,
     inner: Mutex<PoolInner>,
 }
@@ -214,14 +221,13 @@ impl Drop for Permit<'_> {
 }
 
 impl StackPool {
-    /// A pool of `workers` threads (at least one), each with `stack_bytes`
-    /// of stack, capping runs in flight at `workers`. Threads are not
-    /// started until the first job needs one.
-    pub fn new(workers: usize, stack_bytes: usize) -> StackPool {
+    /// A pool of `workers` threads (at least one), each with the engine's
+    /// one worker stack, capping runs in flight at `workers`. Threads are
+    /// not started until the first job needs one.
+    pub fn new(workers: usize) -> StackPool {
         let workers = workers.max(1);
         StackPool {
             workers,
-            stack_bytes,
             permits: Arc::new(Permits {
                 free: Mutex::new(workers),
                 freed: Condvar::new(),
@@ -252,7 +258,7 @@ impl StackPool {
             let permits = Arc::clone(&self.permits);
             let handle = std::thread::Builder::new()
                 .name(format!("xquery-eval-{i}"))
-                .stack_size(self.stack_bytes)
+                .stack_size(WORKER_STACK_BYTES)
                 .spawn(move || {
                     IS_EVAL_WORKER.with(|flag| flag.set(true));
                     loop {
@@ -306,7 +312,7 @@ impl StackPool {
     /// and how long it ran. A call issued from a worker runs inline with
     /// no permit and zero wait. `inline` is for closures that never wait on
     /// this pool themselves: an inline run holds a permit a worker may need.
-    pub(crate) fn run_timed<T, F>(&self, inline: bool, f: F) -> (T, PoolTiming)
+    pub fn run_timed<T, F>(&self, inline: bool, f: F) -> (T, PoolTiming)
     where
         T: Send,
         F: FnOnce() -> T + Send,
@@ -453,14 +459,6 @@ impl Drop for StackPool {
     }
 }
 
-/// Workers in the pool an engine makes for itself: one, so its pooled
-/// runs queue one at a time, as its inline runs do.
-const OWN_POOL_WORKERS: usize = 1;
-
-/// Stack of each worker in an engine's own pool: room for the user-function
-/// recursion a pooled plan may do, up to a generous `recursion_limit`.
-const OWN_POOL_STACK_BYTES: usize = 256 * 1024 * 1024;
-
 /// An XQuery engine instance owning a node store, registered documents,
 /// external variable bindings, the trace sink, and a handle to its
 /// evaluation pool (private by default, shareable via
@@ -520,17 +518,18 @@ impl Engine {
         Engine::with_options(EngineOptions::galax())
     }
 
-    /// An engine with its own pool: one worker, 256 MiB of stack.
+    /// An engine with its own pool of one worker, so its pooled runs queue
+    /// one at a time, as its inline runs do.
     pub fn with_options(options: EngineOptions) -> Self {
-        let pool = Arc::new(StackPool::new(OWN_POOL_WORKERS, OWN_POOL_STACK_BYTES));
-        Engine::with_pool(options, pool)
+        Engine::with_pool(options, Arc::new(StackPool::new(1)))
     }
 
     /// An engine running its evaluations on an existing (typically shared)
     /// pool. Batch drivers create one pool and many engines: the engines'
     /// stores and traces stay private, while the big-stack threads — the
     /// expensive part — are shared.
-    pub fn with_pool(options: EngineOptions, pool: Arc<StackPool>) -> Self {
+    pub fn with_pool(mut options: EngineOptions, pool: Arc<StackPool>) -> Self {
+        options.recursion_limit = options.recursion_limit.min(MAX_RECURSION_LIMIT);
         Engine {
             store: Store::new(),
             options,
@@ -1079,8 +1078,6 @@ mod tests {
         assert_eq!(e.serialize_sequence(&out), "a&lt;b");
     }
 
-    const TEST_STACK: usize = 4 * 1024 * 1024;
-
     /// The text of a caught panic payload, whether the compiler produced a
     /// formatted `String` or const-folded the format into a `&'static str`.
     fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -1093,7 +1090,7 @@ mod tests {
 
     #[test]
     fn panic_payload_survives_the_worker_hop() {
-        let pool = StackPool::new(1, TEST_STACK);
+        let pool = StackPool::new(1);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run(|| panic!("original message {}", 42))
         }))
@@ -1107,7 +1104,7 @@ mod tests {
     fn runtime_formatted_panic_payload_survives_too() {
         // A runtime value in the format args forces a heap `String` payload;
         // the exact text must still survive the hop.
-        let pool = StackPool::new(1, TEST_STACK);
+        let pool = StackPool::new(1);
         let dynamic: usize = std::env::args().count().max(1);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run(|| panic!("dynamic message {}", dynamic * 10))
@@ -1121,7 +1118,7 @@ mod tests {
 
     #[test]
     fn batch_results_come_back_in_submission_order() {
-        let pool = StackPool::new(4, TEST_STACK);
+        let pool = StackPool::new(4);
         let jobs: Vec<_> = (0..32).map(|i| move || i * i).collect();
         assert_eq!(
             pool.run_batch(jobs),
@@ -1134,7 +1131,7 @@ mod tests {
         // A handshake only two simultaneously running jobs can complete:
         // with a single worker (or serialized execution) this would hang,
         // so passing proves the pool genuinely overlaps jobs.
-        let pool = StackPool::new(2, TEST_STACK);
+        let pool = StackPool::new(2);
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let jobs: Vec<_> = (0..2)
             .map(|i| {
@@ -1150,7 +1147,7 @@ mod tests {
 
     #[test]
     fn batch_panic_is_reraised_after_the_batch_drains() {
-        let pool = StackPool::new(2, TEST_STACK);
+        let pool = StackPool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let jobs: Vec<Box<dyn FnOnce() -> i64 + Send>> = vec![
                 Box::new(|| 1),
@@ -1170,7 +1167,7 @@ mod tests {
     fn nested_run_from_a_worker_runs_inline() {
         // One worker: a true re-enqueue would deadlock, so returning at all
         // proves the nested call ran inline on the worker thread.
-        let pool = Arc::new(StackPool::new(1, TEST_STACK));
+        let pool = Arc::new(StackPool::new(1));
         let inner = Arc::clone(&pool);
         let batch_inner = Arc::clone(&pool);
         assert_eq!(pool.run(move || inner.run(|| 5)), 5);
@@ -1188,7 +1185,7 @@ mod tests {
     #[test]
     fn permits_cap_runs_in_flight_across_routes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let pool = StackPool::new(2, TEST_STACK);
+        let pool = StackPool::new(2);
         let round = std::sync::Barrier::new(4);
         let (in_flight, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let work = || {
@@ -1215,7 +1212,7 @@ mod tests {
     /// leak would leave this 1-worker pool with no permit for the next run.
     #[test]
     fn permits_survive_a_panicking_inline_run() {
-        let pool = Arc::new(StackPool::new(1, TEST_STACK));
+        let pool = Arc::new(StackPool::new(1));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run_timed(true, || panic!("inline boom"))
         }))
@@ -1276,9 +1273,60 @@ mod tests {
         assert!(err.position.is_some(), "the error keeps its call site");
     }
 
+    /// The worker stack holds the default `recursion_limit` in a debug
+    /// build: both probe shapes (see `WORKER_STACK_BYTES`) answer 2,040
+    /// levels deep and return the structured error at 3,000, with the
+    /// runtime optimiser on and off.
+    #[test]
+    fn worker_stack_holds_the_default_recursion_limit() {
+        let pool = Arc::new(StackPool::new(1));
+        let shapes = [
+            (
+                "declare function local:f($n) { if ($n = 0) then 0 else local:f($n - 1) };
+                 local:f(LEVELS)",
+                "0",
+            ),
+            (
+                "declare function local:g($n) {
+                   for $i in 1 return <a>{ if ($n = 0) then () else local:g($n - 1) }</a>
+                 };
+                 count(local:g(LEVELS)/descendant-or-self::a)",
+                "2041",
+            ),
+        ];
+        for runtime_opt in [true, false] {
+            let options = EngineOptions {
+                runtime_opt,
+                ..Default::default()
+            };
+            let mut e = Engine::with_pool(options, Arc::clone(&pool));
+            for (shape, answer) in shapes {
+                let out = e
+                    .evaluate_str(&shape.replace("LEVELS", "2040"), None)
+                    .unwrap();
+                assert_eq!(e.display_sequence(&out), answer);
+                let err = e
+                    .evaluate_str(&shape.replace("LEVELS", "3000"), None)
+                    .unwrap_err();
+                assert_eq!(err.message, "recursion limit of 2048 exceeded");
+                assert!(err.position.is_some(), "the error keeps its call site");
+            }
+        }
+        // A deeper limit than the stack holds is lowered to the one it holds.
+        let mut e = Engine::with_options(EngineOptions {
+            recursion_limit: 100_000_000,
+            ..Default::default()
+        });
+        assert_eq!(e.options().recursion_limit, MAX_RECURSION_LIMIT);
+        let err = e
+            .evaluate_str(&shapes[0].0.replace("LEVELS", "3000"), None)
+            .unwrap_err();
+        assert_eq!(err.message, "recursion limit of 2048 exceeded");
+    }
+
     #[test]
     fn engines_share_a_pool_and_compiled_queries() {
-        let pool = Arc::new(StackPool::new(2, TEST_STACK));
+        let pool = Arc::new(StackPool::new(2));
         let compiler = Engine::with_pool(EngineOptions::default(), Arc::clone(&pool));
         let query = compiler.compile("for $i in 1 to 3 return $i * $i").unwrap();
         // A clone of the compiled query shares the same lowered program.
@@ -1297,10 +1345,7 @@ mod tests {
         let mut plain = Engine::new();
         let out = plain.evaluate_str(src, None).unwrap();
         let expected = plain.display_sequence(&out);
-        let mut pooled = Engine::with_pool(
-            EngineOptions::default(),
-            Arc::new(StackPool::new(4, TEST_STACK)),
-        );
+        let mut pooled = Engine::with_pool(EngineOptions::default(), Arc::new(StackPool::new(4)));
         let out = pooled.evaluate_str(src, None).unwrap();
         let got = pooled.display_sequence(&out);
         assert_eq!(expected, got);

@@ -18,6 +18,7 @@ pub fn parse_module(source: &str) -> Result<Module> {
     let mut p = Parser {
         cur: Cursor::new(source),
         depth: 0,
+        deepest: 0,
     };
     let module = p.module()?;
     p.cur.skip_ws()?;
@@ -32,6 +33,7 @@ pub fn parse_expr(source: &str) -> Result<Expr> {
     let mut p = Parser {
         cur: Cursor::new(source),
         depth: 0,
+        deepest: 0,
     };
     let e = p.expr()?;
     p.cur.skip_ws()?;
@@ -56,13 +58,18 @@ const RESERVED_FN_NAMES: &[&str] = &[
     "item",
 ];
 
-/// Guard against adversarially deep nesting (`((((((…`): the parser is
-/// recursive, so unbounded input depth would exhaust the stack.
-const MAX_NESTING: u32 = 200;
+/// Guard against adversarially deep nesting (`((((((…`, `- - - 1`,
+/// `1+1+…`, `<a><a>…`): the parser, every later pass, the runner and `Drop`
+/// recurse over the tree, so its depth is bounded, not only the parser's.
+const MAX_NESTING: usize = 200;
 
 struct Parser<'a> {
     cur: Cursor<'a>,
-    depth: u32,
+    /// Tree levels charged along the current parse path (see `descend`).
+    depth: usize,
+    /// The deepest tree level reached since the innermost open operator
+    /// chain began (see `chain_start`).
+    deepest: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,16 +208,51 @@ impl<'a> Parser<'a> {
     }
 
     fn expr_single(&mut self) -> Result<Expr> {
-        self.depth += 1;
-        if self.depth > MAX_NESTING {
-            self.depth -= 1;
-            return Err(self.cur.error(format!(
-                "expression nesting deeper than {MAX_NESTING} levels"
-            )));
-        }
+        self.descend(1)?;
         let result = self.expr_single_inner();
         self.depth -= 1;
         result
+    }
+
+    /// Charges `levels` tree levels to the nesting budget; the caller gives
+    /// them back when the construct is parsed.
+    fn descend(&mut self, levels: usize) -> Result<()> {
+        let depth = self.depth.saturating_add(levels);
+        if depth > MAX_NESTING {
+            return Err(self.nesting_error());
+        }
+        self.depth = depth;
+        self.deepest = self.deepest.max(depth);
+        Ok(())
+    }
+
+    fn nesting_error(&self) -> Error {
+        self.cur.error(format!(
+            "expression nesting deeper than {MAX_NESTING} levels"
+        ))
+    }
+
+    /// Starts a left-associative operator chain (`a + b + c`); returns the
+    /// deepest level reached before it, for `chain_end`.
+    fn chain_start(&mut self) -> usize {
+        std::mem::replace(&mut self.deepest, self.depth)
+    }
+
+    /// Parses the right operand of one chain operator. The operator's node
+    /// sits one level above the deeper of the chain so far and this operand,
+    /// so the chain is charged the height of the tree it builds.
+    fn chain_operand(&mut self, operand: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        let left = std::mem::replace(&mut self.deepest, self.depth);
+        let right = operand(self)?;
+        self.deepest = left.max(self.deepest) + 1;
+        if self.deepest > MAX_NESTING {
+            return Err(self.nesting_error());
+        }
+        Ok(right)
+    }
+
+    fn chain_end(&mut self, outer: usize) {
+        self.deepest = self.deepest.max(outer);
     }
 
     fn expr_single_inner(&mut self) -> Result<Expr> {
@@ -490,20 +532,24 @@ impl<'a> Parser<'a> {
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.and_expr()?;
         while self.cur.take_keyword("or")? {
-            let right = self.and_expr()?;
+            let right = self.chain_operand(Self::and_expr)?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
+        self.chain_end(outer);
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.comparison_expr()?;
         while self.cur.take_keyword("and")? {
-            let right = self.comparison_expr()?;
+            let right = self.chain_operand(Self::comparison_expr)?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
+        self.chain_end(outer);
         Ok(left)
     }
 
@@ -576,37 +622,41 @@ impl<'a> Parser<'a> {
     }
 
     fn additive_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.multiplicative_expr()?;
         loop {
             if self.cur.take_symbol("+")? {
-                let right = self.multiplicative_expr()?;
+                let right = self.chain_operand(Self::multiplicative_expr)?;
                 left = Expr::Arith(ArithOp::Add, Box::new(left), Box::new(right));
             } else if self.cur.take_symbol("-")? {
-                let right = self.multiplicative_expr()?;
+                let right = self.chain_operand(Self::multiplicative_expr)?;
                 left = Expr::Arith(ArithOp::Sub, Box::new(left), Box::new(right));
             } else {
+                self.chain_end(outer);
                 return Ok(left);
             }
         }
     }
 
     fn multiplicative_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.union_expr()?;
         loop {
             // `div`, `idiv`, `mod` are *names*: `/` means "go to a child".
             if self.cur.take_symbol("*")? {
-                let right = self.union_expr()?;
+                let right = self.chain_operand(Self::union_expr)?;
                 left = Expr::Arith(ArithOp::Mul, Box::new(left), Box::new(right));
             } else if self.cur.take_keyword("div")? {
-                let right = self.union_expr()?;
+                let right = self.chain_operand(Self::union_expr)?;
                 left = Expr::Arith(ArithOp::Div, Box::new(left), Box::new(right));
             } else if self.cur.take_keyword("idiv")? {
-                let right = self.union_expr()?;
+                let right = self.chain_operand(Self::union_expr)?;
                 left = Expr::Arith(ArithOp::IDiv, Box::new(left), Box::new(right));
             } else if self.cur.take_keyword("mod")? {
-                let right = self.union_expr()?;
+                let right = self.chain_operand(Self::union_expr)?;
                 left = Expr::Arith(ArithOp::Mod, Box::new(left), Box::new(right));
             } else {
+                self.chain_end(outer);
                 return Ok(left);
             }
         }
@@ -614,27 +664,31 @@ impl<'a> Parser<'a> {
 
     /// UnionExpr := IntersectExceptExpr (("union" | "|") IntersectExceptExpr)*
     fn union_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.intersect_except_expr()?;
         loop {
             if self.cur.take_keyword("union")? || self.cur.take_symbol("|")? {
-                let right = self.intersect_except_expr()?;
+                let right = self.chain_operand(Self::intersect_except_expr)?;
                 left = Expr::SetExpr(SetOp::Union, Box::new(left), Box::new(right));
             } else {
+                self.chain_end(outer);
                 return Ok(left);
             }
         }
     }
 
     fn intersect_except_expr(&mut self) -> Result<Expr> {
+        let outer = self.chain_start();
         let mut left = self.instanceof_expr()?;
         loop {
             if self.cur.take_keyword("intersect")? {
-                let right = self.instanceof_expr()?;
+                let right = self.chain_operand(Self::instanceof_expr)?;
                 left = Expr::SetExpr(SetOp::Intersect, Box::new(left), Box::new(right));
             } else if self.cur.take_keyword("except")? {
-                let right = self.instanceof_expr()?;
+                let right = self.chain_operand(Self::instanceof_expr)?;
                 left = Expr::SetExpr(SetOp::Except, Box::new(left), Box::new(right));
             } else {
+                self.chain_end(outer);
                 return Ok(left);
             }
         }
@@ -686,7 +740,9 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        self.descend(negations)?;
         let mut e = self.path_expr()?;
+        self.depth -= negations;
         for _ in 0..negations {
             e = Expr::Neg(Box::new(e));
         }
@@ -1100,7 +1156,9 @@ impl<'a> Parser<'a> {
         if !self.cur.eat(">") {
             return Err(self.cur.error("expected '>' or '/>'"));
         }
+        self.descend(1)?;
         let content = self.element_content(&name)?;
+        self.depth -= 1;
         Ok(Expr::DirectElement {
             name,
             attrs,

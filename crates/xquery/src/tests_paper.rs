@@ -680,13 +680,51 @@ fn typeswitch_requires_case_and_default() {
 #[test]
 fn deep_nesting_is_rejected_not_fatal() {
     let mut e = engine();
-    let deep = format!("{}1{}", "(".repeat(2000), ")".repeat(2000));
-    let err = e.evaluate_str(&deep, None).unwrap_err();
-    assert!(err.message.contains("nesting"), "{}", err.message);
+    // Each shape builds one tree level per repeat: parentheses, a run of
+    // unary minus, left-associative operator chains, nested constructors.
+    // The last nests `k` parentheses, each closing into a chain of `k`
+    // operators: at `k` = 90 neither count reaches the budget, but the
+    // tree is 8,190 levels deep.
+    let shapes = |n: usize| {
+        let k = n.isqrt().min(90);
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "-".repeat(n)),
+            format!("1{}", "+1".repeat(n)),
+            format!("1{}", " and 1".repeat(n)),
+            format!("count({}{})", "<a>".repeat(n), "</a>".repeat(n)),
+            format!(
+                "{}1{}",
+                "(".repeat(k),
+                format!("){}", "+1".repeat(k)).repeat(k)
+            ),
+        ]
+    };
+    for deep in shapes(1_000_000) {
+        let err = e.evaluate_str(&deep, None).unwrap_err();
+        assert_eq!(err.code, ErrorCode::XPST0003, "{err}");
+        assert!(
+            err.message.starts_with("expression nesting deeper than"),
+            "{}",
+            err.message
+        );
+    }
     // Within the limit still works.
-    let ok = format!("{}1{}", "(".repeat(100), ")".repeat(100));
-    let out = e.evaluate_str(&ok, None).unwrap();
-    assert_eq!(e.display_sequence(&out), "1");
+    let within: Vec<String> = shapes(100)
+        .iter()
+        .map(|src| {
+            let out = e.evaluate_str(src, None).unwrap();
+            e.display_sequence(&out)
+        })
+        .collect();
+    assert_eq!(within, ["1", "1", "101", "true", "1", "101"]);
+    // A chain is charged the height of its tree, not the sum of its
+    // operands' depths: 60 three-call-deep terms stay well within budget.
+    let term = "abs(abs(abs(1)))";
+    for (op, answer) in [(" + ", "60"), (" or ", "true")] {
+        let out = e.evaluate_str(&vec![term; 60].join(op), None).unwrap();
+        assert_eq!(e.display_sequence(&out), answer);
+    }
 }
 
 /// Sequences passed in from Rust behave identically to constructed ones.

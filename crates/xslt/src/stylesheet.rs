@@ -3,8 +3,10 @@
 
 use crate::pattern::Pattern;
 use std::fmt;
+use std::sync::Arc;
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store};
+use xquery::StackPool;
 
 /// An XSLT compilation or execution failure.
 #[derive(Debug, Clone)]
@@ -37,6 +39,8 @@ pub struct CompiledStylesheet {
     pub(crate) rules: Vec<TemplateRule>,
     /// Named templates for `<xsl:call-template>`.
     pub(crate) named: Vec<(String, NodeId)>,
+    /// The one-worker pool every transform runs on.
+    pub(crate) pool: Arc<StackPool>,
 }
 
 impl CompiledStylesheet {
@@ -94,6 +98,7 @@ impl CompiledStylesheet {
             store,
             rules,
             named,
+            pool: Arc::new(StackPool::new(1)),
         })
     }
 

@@ -14,23 +14,15 @@ pub fn transform_str(stylesheet_xml: &str, input_xml: &str) -> Result<String, Xs
 impl CompiledStylesheet {
     /// Transforms an input document; returns the serialized result.
     ///
-    /// Runs on a dedicated thread with a generous stack: template recursion
-    /// is bounded (`MAX_DEPTH`), but each level costs many interpreter
-    /// frames, more than small default stacks hold in debug builds.
+    /// Runs on the stylesheet's pool worker, as do its XPath compiles and
+    /// evaluations: template recursion is bounded (`MAX_DEPTH`), but each
+    /// level costs more interpreter frames than small stacks hold.
     pub fn transform(&self, input_xml: &str) -> Result<String, XsltError> {
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("xslt-transform".to_string())
-                .stack_size(256 * 1024 * 1024)
-                .spawn_scoped(scope, || self.transform_on_this_thread(input_xml))
-                .expect("spawning the transform thread")
-                .join()
-                .expect("the transform thread panicked")
-        })
+        self.pool.run(|| self.transform_on_this_thread(input_xml))
     }
 
     fn transform_on_this_thread(&self, input_xml: &str) -> Result<String, XsltError> {
-        let mut engine = Engine::new();
+        let mut engine = Engine::with_pool(Default::default(), self.pool.clone());
         let input_doc = engine
             .load_document(input_xml)
             .map_err(|e| XsltError(format!("input is not well-formed: {e}")))?;
