@@ -390,6 +390,10 @@ fn check_obs() {
         on.keyed_split_probes > 0 && on.memo_hits > 0,
         "the System Context render took no keyed split probe or memo hit: {on:?}"
     );
+    assert!(
+        on.pushed_nodes > 0,
+        "the System Context render built no node in place: {on:?}"
+    );
     for (counter, value) in system_context_reuse(false).counters() {
         assert_eq!(
             value, 0,
@@ -825,7 +829,8 @@ fn e1_calculus() {
 fn e2_phases() {
     header(
         "E2 — multi-phase copying vs. in-place mutation (§Mutability vs. Functionality)\n     \
-            xq_pN: the XQuery pipeline with its first N copying phases",
+            xq_pN: the XQuery pipeline with its first N copying phases;\n     \
+            xq_runtime_off: all four phases with the runtime passes off, as Galax ran",
     );
     timed_table("e2", "bytes after each phase", |i, _| {
         let f = rows::e2_fixture(rows::E2_SECTIONS[i]);

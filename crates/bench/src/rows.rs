@@ -1119,6 +1119,19 @@ fn paper_rows(rows: &mut Vec<Row>) {
                 Agree::Runs,
             ));
         }
+        rows.push(render_row(
+            format!("e2_s{s}_xq_runtime_off"),
+            workload(&format!(
+                "XQuery pipeline with {all} copying phases, runtime passes off"
+            )),
+            move || e2_fixture(s),
+            Generator::Xq {
+                source: GEN_XQ,
+                phases: all,
+                runtime_opt: false,
+            },
+            Agree::Runs,
+        ));
     }
     for p in E3_FAULTS {
         let workload =
@@ -1236,6 +1249,7 @@ pub fn paper_tables() -> Vec<PaperTable> {
             E2_SECTIONS.iter().map(|s| format!("s{s}")).collect(),
             std::iter::once("native".to_string())
                 .chain(phases)
+                .chain(std::iter::once("xq_runtime_off".to_string()))
                 .collect(),
         ),
         table(

@@ -678,4 +678,66 @@ mod tests {
         assert!(out.xml.contains("<td>1</td>"), "{}", out.xml);
         assert!(out.xml.contains("<td/>"), "{}", out.xml);
     }
+
+    /// The store slots of the tree under `node`: every node, attributes
+    /// included.
+    fn tree_slots(store: &xmlstore::Store, node: NodeId) -> usize {
+        1 + store.attributes(node).len()
+            + store
+                .children(node)
+                .iter()
+                .map(|&c| tree_slots(store, c))
+                .sum::<usize>()
+    }
+
+    /// Each copy phase builds its output once: element content runs in
+    /// push mode, so the recursive `local:copy` builds every element
+    /// directly under its parent instead of copying it once per ancestor.
+    /// On System Context n=100 each copy phase allocates at most 1.2× the
+    /// store slots of the document it outputs; with the runtime passes off,
+    /// every phase copies per ancestor and allocates several times that.
+    #[test]
+    fn copy_phases_allocate_about_one_output() {
+        let meta = meta();
+        let m = awb::workload::it_architecture(awb::workload::ItScale::about(100), 7);
+        let template = Template::parse(crate::template::SYSTEM_CONTEXT).unwrap();
+        let inputs = GenInputs {
+            model: &m,
+            meta: &meta,
+            template: &template,
+        };
+        for runtime_opt in [true, false] {
+            let options = EngineOptions {
+                runtime_opt,
+                ..Default::default()
+            };
+            let pipeline = CompiledPipeline::new(GEN_XQ, &Phase::ALL, options).unwrap();
+            let mut g = XqGenerator::with_compiled(&inputs, &pipeline).unwrap();
+            let mut reports = Vec::new();
+            let generator = pipeline.generator.clone();
+            let mut current = g
+                .timed_phase("generate", &generator, None, &mut reports)
+                .unwrap();
+            for (phase, query) in &pipeline.phases {
+                let before = g.engine.store().len();
+                current = g
+                    .timed_phase(phase.name(), query, Some(current), &mut reports)
+                    .unwrap();
+                let allocated = g.engine.store().len() - before;
+                let output = tree_slots(g.engine.store(), current);
+                let name = phase.name();
+                if runtime_opt {
+                    assert!(
+                        allocated * 5 <= output * 6,
+                        "{name}: {allocated} slots for an output of {output}"
+                    );
+                } else {
+                    assert!(
+                        allocated >= 2 * output,
+                        "{name}: {allocated} slots for an output of {output} with the runtime passes off"
+                    );
+                }
+            }
+        }
+    }
 }

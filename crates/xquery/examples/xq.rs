@@ -119,7 +119,7 @@ fn main() -> ExitCode {
                 let s = engine.last_stats();
                 let r = engine.last_reuse_stats();
                 eprintln!(
-                    "runtime: {} index hit(s)/{} miss(es), {} join build(s)/{} probe(s)/{} fallback(s), {} cache hit(s)/{} reset(s), {} keyed split probe(s), {} memo hit(s), {} streamed, {} item(s), {} µs queued + {} µs on worker",
+                    "runtime: {} index hit(s)/{} miss(es), {} join build(s)/{} probe(s)/{} fallback(s), {} cache hit(s)/{} reset(s), {} keyed split probe(s), {} memo hit(s), {} pushed node(s), {} streamed, {} item(s), {} µs queued + {} µs on worker",
                     s.index_hits,
                     s.index_misses,
                     s.join_builds,
@@ -129,6 +129,7 @@ fn main() -> ExitCode {
                     s.cache_resets,
                     r.keyed_split_probes,
                     r.memo_hits,
+                    r.pushed_nodes,
                     s.streamed_existence,
                     s.items_allocated,
                     s.queue_wait_ns / 1_000,

@@ -155,6 +155,52 @@ const CORPUS: &[&str] = &[
     "trace(\"a\", trace(\"b\", 1) + 1)",
 ];
 
+/// Element constructors whose content the runner evaluates in push mode,
+/// run against [`DOC`]: a constructor in each position that passes push
+/// mode down (sequence, `if` branch, FLWOR `return`, the body of an
+/// untyped impure call), the positions that must still copy, and the
+/// folding errors, which must fire as when the whole content is evaluated
+/// first.
+const CONSTRUCT_CORPUS: &[&str] = &[
+    // Pass-through positions.
+    "<a>{(<b/>, <c>t</c>, \"x\", 1, 2)}</a>",
+    "<a>{if (//note) then <b/> else <c/>}</a>",
+    "<a>{for $b in //book let $t := $b/title where $b/@year > 1985 return <t y=\"{$b/@year}\">{string($t)}</t>}</a>",
+    "declare function local:w($x) { <w>{$x}</w> }; <a>{local:w(1), local:w(<i/>), local:w(())}</a>",
+    "<a>{text {\"x\"}, \"y\", text {()}, <b/>, text {\"\"}, \"z\"}</a>",
+    "count(<a>{\"p\", text {\"y\"}, <b/>, text {\"\"}, \"q\", 1}</a>/node())",
+    "element a { element b { attribute k {1}, \"t\" }, element {concat(\"c\", \"d\")} {} }",
+    "declare function local:copy($n) { if ($n instance of element()) then element {name($n)} { $n/@*, for $c in $n/node() return local:copy($c) } else $n }; local:copy(/lib)",
+    "declare function local:copy($n) { if ($n instance of element()) then element {name($n)} { $n/@*, for $c in $n/node() return local:copy($c) } else $n }; count(local:copy(/lib)//node())",
+    // Positions that copy.
+    "let $b := <b><c/></b> return <a>{$b, $b}</a>",
+    "let $b := <b/> return (count(<a>{$b, $b}</a>/b), <a>{$b}</a>/b is $b)",
+    "<a>{//book[1]/@*, //book[1]/title}</a>",
+    "declare function local:p($x) { $x/title }; <a>{local:p(//book[1]), local:p(//book[1])}</a>",
+    "<a>{try { <b/> } catch ($e) { <c/> }}</a>",
+    "<a>{try { (<b/>, error()) } catch ($e) { <c>{$e}</c> }}</a>",
+    "<a>{for $b in //book order by number($b/@year) return <y>{string($b/@year)}</y>}</a>",
+    "<a>{for $b in //book for $t in //title where $t = $b/title return <m>{string($t)}</m>}</a>",
+    "declare function local:t($x) as element() { <t>{$x}</t> }; <a>{local:t(1)}</a>",
+    "declare function local:t($x) as xs:integer { <t/> }; <a>{local:t(1)}</a>",
+    "declare function local:t($x as xs:integer) { <t/> }; <a>{local:t(\"s\")}</a>",
+    "typeswitch (1) case xs:integer return <a>{<b/>}</a> default return ()",
+    // Folding errors are held until the enclosed expression ends.
+    "<a>{(<b/>, attribute x {1}, error())}</a>",
+    "<a>{(<b/>, attribute x {1}, trace(\"after\", 1))}</a>",
+    "<a>{trace(\"t1\", <b/>), attribute x {1}, trace(\"t2\", 2)}</a>",
+    "<a>{<b/>, attribute x {1}}</a>",
+    "<a>{<b/>}{attribute x {1}}</a>",
+    "<a>{for $i in 1 to 2 return (<b/>, attribute x {$i})}</a>",
+    "declare function local:w() { <w/> }; <a>{local:w(), attribute x {1}}</a>",
+    "<a>{(<x/>, attribute q {1}, <b>{attribute y {1}, \"t\", attribute z {2}}</b>)}</a>",
+    "<a>{attribute x {1}, attribute x {2}, <c/>}</a>",
+    "<a>{attribute x {1}, for $i in 1 to 2 return attribute y {$i}, <b/>}</a>",
+    "<a>{attribute x {1}, attribute x {2}, error()}</a>",
+    "<a x=\"0\">{attribute x {1}, <b/>}</a>",
+    "declare function local:r($n) { <r>{local:r($n + 1)}</r> }; <a>{local:r(0)}</a>",
+];
+
 /// A deeper document for the axis-heavy corpus: nested `level` chains, an
 /// element *named* `k` next to attributes named `k`, numeric-looking
 /// attribute values, and a prefixed attribute sharing a local name.
@@ -1172,6 +1218,7 @@ fn corpus_cases() -> Vec<(Option<&'static str>, String)> {
         (CURSOR_DOC, CURSOR_CORPUS),
         (xmark_mini_doc(), XMARK_CORPUS),
         (deep_chain_doc(), DEEP_CHAIN_CORPUS),
+        (DOC, CONSTRUCT_CORPUS),
     ] {
         for src in corpus {
             cases.push((Some(doc), src.to_string()));

@@ -141,8 +141,10 @@ pub struct CompiledQuery {
 }
 
 /// Stack of every pool worker. It holds `MAX_RECURSION_LIMIT` calls: with a
-/// limit that never fires, a debug build overflows it past 2,745 levels of
-/// a `for` returning `<a>{ … recursive call … }</a>`, 5,870 of an `if`.
+/// limit that never fires, a debug build overflows it past 2,992 levels of
+/// a `for` returning `<a>{ … recursive call … }</a>` with the runtime
+/// passes off, 11,698 with them on (constructor content in push mode), and
+/// 6,784 of an `if`.
 const WORKER_STACK_BYTES: usize = 256 * 1024 * 1024;
 /// The deepest `recursion_limit` an engine runs with, and the default.
 pub const MAX_RECURSION_LIMIT: usize = 2048;
@@ -923,7 +925,7 @@ impl Engine {
         &self.last_stats
     }
 
-    /// The reuse counters (keyed split probes, memo hits) of the same
+    /// The reuse counters (keyed split probes, memo hits, pushed nodes) of the same
     /// evaluation as [`Engine::last_stats`].
     pub fn last_reuse_stats(&self) -> &ReuseStats {
         &self.last_reuse
@@ -931,10 +933,11 @@ impl Engine {
 
     /// Renders the lowered-and-optimised plan for `query` as an annotated
     /// tree: which FLWOR clauses became hash-join build sides, why a join
-    /// was refused, where loop-invariant caches sit, and which calls stream
-    /// or answer from the store indexes.
+    /// was refused, where loop-invariant caches sit, which calls stream
+    /// or answer from the store indexes, and — with this engine's
+    /// `runtime_opt` on — which element content runs in push mode.
     pub fn explain(&self, query: &CompiledQuery) -> String {
-        crate::obs::explain(&query.program, &query.plan_stats)
+        crate::obs::explain(&query.program, &query.plan_stats, self.options.runtime_opt)
     }
 }
 
@@ -1322,6 +1325,44 @@ mod tests {
             .evaluate_str(&shapes[0].0.replace("LEVELS", "3000"), None)
             .unwrap_err();
         assert_eq!(err.message, "recursion limit of 2048 exceeded");
+    }
+
+    /// A recursive `local:copy`, the shape of the docgen copy phases, over
+    /// a 2,000-level document answers on the worker stack in a debug
+    /// build, with constructor content in push mode and without; over a
+    /// 3,000-level one it returns the structured recursion-limit error.
+    #[test]
+    fn recursive_copy_of_a_deep_document_fits_the_recursion_limit() {
+        let copy = "declare function local:copy($n) {
+                      if ($n instance of element())
+                      then element {name($n)} { $n/@*, for $c in $n/node() return local:copy($c) }
+                      else $n
+                    };
+                    count(local:copy(/*)/descendant-or-self::l)";
+        let pool = Arc::new(StackPool::new(1));
+        for runtime_opt in [true, false] {
+            let options = EngineOptions {
+                runtime_opt,
+                ..Default::default()
+            };
+            let mut e = Engine::with_pool(options, Arc::clone(&pool));
+            let q = e.compile(copy).unwrap();
+            for (levels, answer) in [(2000, Some("2000")), (3000, None)] {
+                let xml = format!("{}t{}", "<l k='v'>".repeat(levels), "</l>".repeat(levels));
+                let doc = e.load_document(&xml).unwrap();
+                match answer {
+                    Some(answer) => {
+                        let out = e.evaluate(&q, Some(doc)).unwrap();
+                        assert_eq!(e.display_sequence(&out), answer);
+                    }
+                    None => {
+                        let err = e.evaluate(&q, Some(doc)).unwrap_err();
+                        assert_eq!(err.message, "recursion limit of 2048 exceeded");
+                        assert!(err.position.is_some(), "the error keeps its call site");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

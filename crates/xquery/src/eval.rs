@@ -1118,10 +1118,24 @@ fn construct_element(
     Ok(el)
 }
 
-/// Implements the element-content construction rules, including attribute
-/// folding. One builder per constructed element. Shared by the tree-walking
-/// reference evaluator and the lowered runner: it deals only in values and
-/// the store, never in expressions.
+/// Implements the element-content construction rules (XQuery 1.0
+/// §3.7.1.3), including attribute folding. One builder per constructed
+/// element. Shared by the tree-walking reference evaluator and the lowered
+/// runner: it deals only in values and the store, never in expressions.
+///
+/// Adjacent text merges into one text node, whether it comes from literal
+/// text, atomic values or text nodes, and a zero-length text node is never
+/// built (its content still counts as content for attribute folding, as an
+/// empty atomic's does).
+///
+/// An enclosed expression's value reaches the builder as one sequence
+/// ([`ContentBuilder::push_sequence`]) or, from the runner's push mode, in
+/// pieces ([`ContentBuilder::push_items`], [`ContentBuilder::push_built`],
+/// [`ContentBuilder::push_text`]) closed by
+/// [`ContentBuilder::end_enclosed`]. A folding error (`XQTY0024`,
+/// `XQDY0025`) is held until that close, and the pieces after it are
+/// dropped, so an error the rest of the expression raises wins, as it does
+/// when the whole value is evaluated before any of it is folded.
 pub(crate) struct ContentBuilder {
     element: NodeId,
     position: (u32, u32),
@@ -1131,6 +1145,8 @@ pub(crate) struct ContentBuilder {
     content_started: bool,
     /// Atomic values awaiting space-joining into one text node.
     pending: Vec<String>,
+    /// The folding error of the enclosed expression being pushed.
+    held: Option<Error>,
 }
 
 impl ContentBuilder {
@@ -1145,6 +1161,7 @@ impl ContentBuilder {
             dup_attr_policy,
             content_started: false,
             pending: Vec::new(),
+            held: None,
         }
     }
 
@@ -1154,19 +1171,16 @@ impl ContentBuilder {
         }
         let text = self.pending.join(" ");
         self.pending.clear();
-        if text.is_empty() {
-            // Zero-length text nodes are never constructed (XQuery data
-            // model), but the atomic content still counts as content for
-            // attribute-folding purposes.
-            self.content_started = true;
-            return Ok(());
-        }
         self.append_text_node(text, store)
     }
 
+    /// Appends text, merged into a preceding text node; zero-length text
+    /// builds no node but still starts the content.
     fn append_text_node(&mut self, text: String, store: &mut Store) -> Result<()> {
         self.content_started = true;
-        // Merge with a preceding text node (adjacent text nodes coalesce).
+        if text.is_empty() {
+            return Ok(());
+        }
         if let Some(&last) = store.children(self.element).last() {
             if store.is_text(last) {
                 let merged = format!("{}{}", store.string_value(last), text);
@@ -1179,55 +1193,98 @@ impl ContentBuilder {
         Ok(())
     }
 
-    /// Literal text from the constructor body.
+    /// Literal text from the constructor body, or the content of a text
+    /// node pushed without building the node.
     pub(crate) fn push_text(&mut self, text: String, store: &mut Store) -> Result<()> {
+        if self.held.is_some() {
+            return Ok(());
+        }
         self.flush_pending(store)?;
         self.append_text_node(text, store)
     }
 
     /// An evaluated `{expr}` (or computed-constructor content) sequence.
     pub(crate) fn push_sequence(&mut self, seq: Sequence, store: &mut Store) -> Result<()> {
+        self.push_items(seq, store)?;
+        self.end_enclosed(store)
+    }
+
+    /// Part of an enclosed expression's value, in order. Nodes are copied.
+    pub(crate) fn push_items(&mut self, seq: Sequence, store: &mut Store) -> Result<()> {
         for item in seq.into_items() {
+            if self.held.is_some() {
+                break;
+            }
             match item {
                 Item::Atomic(a) => self.pending.push(a.to_text()),
-                Item::Node(n) => {
-                    match store.kind(n).clone() {
-                        NodeKind::Attribute(..) => {
-                            // Folding: leading attributes become attributes
-                            // of the parent; after content it is an error.
-                            self.flush_pending(store)?;
-                            if self.content_started {
-                                return Err(Error::new(
-                                    ErrorCode::XQTY0024,
-                                    "attribute node encountered after non-attribute content",
-                                )
-                                .at(self.position.0, self.position.1));
-                            }
-                            let copy = store.deep_copy(n).map_err(internal)?;
-                            self.add_attribute(copy, store)?;
-                        }
-                        NodeKind::Document => {
-                            self.flush_pending(store)?;
-                            // Documents splice their children.
-                            for child in store.children(n).to_vec() {
-                                let copy = store.deep_copy(child).map_err(internal)?;
-                                store.append_child(self.element, copy).map_err(internal)?;
-                            }
-                            self.content_started = true;
-                        }
-                        _ => {
-                            self.flush_pending(store)?;
-                            let copy = store.deep_copy(n).map_err(internal)?;
-                            store.append_child(self.element, copy).map_err(internal)?;
-                            self.content_started = true;
-                        }
-                    }
-                }
+                Item::Node(n) => self.push_node(n, store)?,
             }
         }
-        // Pending atomics are joined lazily; a following text part must not
-        // be glued into the same join group, so flush at sequence end.
-        self.flush_pending(store)
+        Ok(())
+    }
+
+    fn push_node(&mut self, n: NodeId, store: &mut Store) -> Result<()> {
+        self.flush_pending(store)?;
+        match store.kind(n) {
+            NodeKind::Attribute(..) => {
+                // Folding: leading attributes become attributes of the
+                // parent; after content it is an error.
+                if self.content_started {
+                    self.held = Some(
+                        Error::new(
+                            ErrorCode::XQTY0024,
+                            "attribute node encountered after non-attribute content",
+                        )
+                        .at(self.position.0, self.position.1),
+                    );
+                    return Ok(());
+                }
+                let copy = store.deep_copy(n).map_err(internal)?;
+                match self.add_attribute(copy, store) {
+                    Err(e) if e.code != ErrorCode::Internal => self.held = Some(e),
+                    other => other?,
+                }
+            }
+            NodeKind::Document => {
+                // Documents splice their children.
+                for child in store.children(n).to_vec() {
+                    self.push_node(child, store)?;
+                }
+                self.content_started = true;
+            }
+            NodeKind::Text(text) => {
+                let text = text.to_string();
+                self.append_text_node(text, store)?;
+            }
+            _ => {
+                let copy = store.deep_copy(n).map_err(internal)?;
+                self.push_built(copy, store)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A detached node no one else refers to, appended as it is: the
+    /// runner's push mode builds a constructor in a pass-through position
+    /// this way instead of copying its result.
+    pub(crate) fn push_built(&mut self, node: NodeId, store: &mut Store) -> Result<()> {
+        if self.held.is_some() {
+            return Ok(());
+        }
+        self.flush_pending(store)?;
+        store.append_child(self.element, node).map_err(internal)?;
+        self.content_started = true;
+        Ok(())
+    }
+
+    /// Closes an enclosed expression: raises the folding error it held, or
+    /// joins its trailing atomics (a following text part must not be glued
+    /// into the same join group).
+    pub(crate) fn end_enclosed(&mut self, store: &mut Store) -> Result<()> {
+        match self.held.take() {
+            Some(e) => Err(e),
+            None => self.flush_pending(store),
+        }
     }
 
     /// Adds an attribute node (already detached, owned) under the duplicate

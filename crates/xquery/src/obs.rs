@@ -31,9 +31,9 @@
 use crate::ast::Axis;
 use crate::cursor::{classify_steps, int_literal};
 use crate::lopt::{self, PlanStats, Purity};
-use crate::lower::{LExpr, LFlworClause, Program, SplitKey};
-use crate::run::name_index_step;
-use std::collections::HashMap;
+use crate::lower::{LContentPart, LExpr, LFlworClause, Program, SplitKey};
+use crate::run::{call_pushes, flwor_pushes, name_index_step};
+use std::collections::{HashMap, HashSet};
 
 // ----------------------------------------------------------------------
 // Per-query counters
@@ -152,6 +152,9 @@ pub struct ReuseStats {
     pub keyed_split_probes: u64,
     /// Pure user-function calls answered from the evaluation's memo.
     pub memo_hits: u64,
+    /// Nodes that constructor content in push mode built in place under
+    /// the enclosing element, each a deep copy the plain path makes.
+    pub pushed_nodes: u64,
 }
 
 impl ReuseStats {
@@ -159,13 +162,15 @@ impl ReuseStats {
     pub fn merge(&mut self, other: &ReuseStats) {
         self.keyed_split_probes += other.keyed_split_probes;
         self.memo_hits += other.memo_hits;
+        self.pushed_nodes += other.pushed_nodes;
     }
 
     /// The counters by name, as [`EvalStats::opt_counters`] lists its own.
-    pub fn counters(&self) -> [(&'static str, u64); 2] {
+    pub fn counters(&self) -> [(&'static str, u64); 3] {
         [
             ("keyed_split_probes", self.keyed_split_probes),
             ("memo_hits", self.memo_hits),
+            ("pushed_nodes", self.pushed_nodes),
         ]
     }
 }
@@ -248,12 +253,25 @@ enum ResetKind {
 /// candidate), `CacheOnce` cells say whether they are loop-invariant hoists
 /// or per-tuple caches, split steps show their cached prefix apart from
 /// their per-read suffix, each user function is marked `[pure]` or
-/// `[impure: why]`, and calls that the runner will stream or answer from an
-/// index are flagged. A program compiled with `runtime_opt` off
+/// `[impure: why]`, calls that the runner will stream or answer from an
+/// index are flagged, and with `push` (the engine's `runtime_opt`, which
+/// switches the runner's push mode) element content in push mode is
+/// marked, with the constructors it builds in place and the calls whose
+/// bodies it runs in push mode. A program compiled with `runtime_opt` off
 /// renders the same tree with none of the rewrite annotations (the purity
 /// marks and the `route:` line, analyses rather than rewrites, appear in
 /// both) — diffing the two is the intended way to see what the layer did.
-pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
+pub fn explain(program: &Program, plan_stats: &PlanStats, push: bool) -> String {
+    let mut pushed = HashSet::new();
+    if push {
+        for f in &program.functions {
+            collect_pushed(&f.body, program, &mut pushed);
+        }
+        for g in &program.globals {
+            collect_pushed(&g.expr, program, &mut pushed);
+        }
+        collect_pushed(&program.body, program, &mut pushed);
+    }
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
     for f in &program.functions {
@@ -277,6 +295,8 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
         program,
         resets: &resets,
         purity: &purity,
+        push,
+        pushed: &pushed,
     };
     for (i, f) in program.functions.iter().enumerate() {
         match purity.reason(&program.functions, i) {
@@ -297,6 +317,54 @@ struct ExplainCx<'a> {
     program: &'a Program,
     resets: &'a HashMap<u32, ResetKind>,
     purity: &'a Purity,
+    /// Whether element content runs in push mode.
+    push: bool,
+    /// The expressions push mode reaches that build in place or pass it
+    /// into a function body (see [`collect_pushed`]).
+    pushed: &'a HashSet<*const LExpr>,
+}
+
+/// Collects, under every element constructor in `e`, the expressions the
+/// runner's push mode (`run::run_content`) builds in place or calls in
+/// push mode: it passes through sequences, `if` branches and the `return`
+/// of a FLWOR that pushes.
+fn collect_pushed(e: &LExpr, program: &Program, out: &mut HashSet<*const LExpr>) {
+    fn reach(e: &LExpr, program: &Program, out: &mut HashSet<*const LExpr>) {
+        match e {
+            LExpr::Comma(parts) => parts.iter().for_each(|p| reach(p, program, out)),
+            LExpr::If(_, t, f) => {
+                reach(t, program, out);
+                reach(f, program, out);
+            }
+            LExpr::Flwor {
+                clauses,
+                order_by,
+                return_,
+                ..
+            } if flwor_pushes(clauses, order_by) => reach(return_, program, out),
+            LExpr::CallUser { index, .. } if call_pushes(&program.functions[*index as usize]) => {
+                out.insert(e);
+            }
+            LExpr::DirectElement { .. } | LExpr::CompElement { .. } | LExpr::CompText(_) => {
+                out.insert(e);
+            }
+            _ => {}
+        }
+    }
+    match e {
+        LExpr::DirectElement { content, .. } => {
+            for part in content {
+                if let LContentPart::Enclosed(c) | LContentPart::Node(c) = part {
+                    reach(c, program, out);
+                }
+            }
+        }
+        LExpr::CompElement {
+            content: Some(c), ..
+        } => reach(c, program, out),
+        _ => {}
+    }
+    e.for_each_child(&mut |c| collect_pushed(c, program, out));
 }
 
 fn collect_resets(e: &LExpr, map: &mut HashMap<u32, ResetKind>) {
@@ -388,7 +456,24 @@ fn label(e: &LExpr, cx: &ExplainCx) -> String {
 /// will actually be attempted.
 fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
     let mut out = Vec::new();
+    if cx.pushed.contains(&(e as *const LExpr)) {
+        out.push(match e {
+            LExpr::CallUser { .. } => "push mode: the body builds in place".to_string(),
+            _ => "pushed: built in place under the enclosing element".to_string(),
+        });
+    }
     match e {
+        LExpr::DirectElement { content, .. }
+            if cx.push
+                && content
+                    .iter()
+                    .any(|p| !matches!(p, LContentPart::Literal(_))) =>
+        {
+            out.push("content in push mode".to_string())
+        }
+        LExpr::CompElement {
+            content: Some(_), ..
+        } if cx.push => out.push("content in push mode".to_string()),
         LExpr::CacheOnce { slot, .. } => match cx.resets.get(slot) {
             Some(ResetKind::Entry) => {
                 out.push("hoisted loop-invariant: refills once per loop entry".to_string())
@@ -694,6 +779,39 @@ mod tests {
         assert!(plan.contains("0 hash join(s)"), "{plan}");
         assert!(!plan.contains("hash join: build side"), "{plan}");
         assert!(!plan.contains("cache-once"), "{plan}");
+        assert!(!plan.contains("push mode"), "{plan}");
+        assert!(!plan.contains("pushed"), "{plan}");
+    }
+
+    #[test]
+    fn explain_marks_push_mode() {
+        let e = Engine::new();
+        let q = e
+            .compile(
+                "declare function local:w($x) { <w>{$x}</w> }; \
+                 let $b := <b/> \
+                 return <a>{$b, if (1) then <i/> else text {\"t\"}, local:w(1), \
+                            for $n in (2, 1) order by $n return <o/>}</a>",
+            )
+            .unwrap();
+        let plan = e.explain(&q);
+        assert!(
+            plan.contains("element <a>  [content in push mode]"),
+            "{plan}"
+        );
+        for pushed in ["element <i>", "computed text"] {
+            assert!(
+                plan.contains(&format!("{pushed}  [pushed: built in place")),
+                "{pushed}: {plan}"
+            );
+        }
+        assert!(
+            plan.contains("call local:w  [push mode: the body builds in place]"),
+            "{plan}"
+        );
+        // A `let`-bound constructor and an `order by` return are copied.
+        assert!(plan.contains("element <b>\n"), "{plan}");
+        assert!(plan.contains("element <o>\n"), "{plan}");
     }
 
     #[test]

@@ -84,11 +84,13 @@ pub struct RunEnv<'a> {
 /// A function [`crate::lopt`] proved pure (no trace, `fn:doc`, `fn:error`,
 /// constructor or unresolved call, and calls to pure functions only) sees
 /// only its arguments and the globals, and trees never change during an
-/// evaluation (construction deep-copies). So within one [`RunEnv`] a call
-/// with equal arguments returns an equal result, and the memo answers it.
-/// Only calls whose every argument is empty or a single item are memoized,
-/// keyed on the item: a node by id, an atomic by type and value. Errors are
-/// never stored, and the table stops growing at `MEMO_CAP` entries.
+/// evaluation (construction copies its content, or builds in place only a
+/// node no expression can see, see [`run_content`]). So within one
+/// [`RunEnv`] a call with equal arguments returns an equal result, and the
+/// memo answers it. Only calls whose every argument is empty or a single
+/// item are memoized, keyed on the item: a node by id, an atomic by type
+/// and value. Errors are never stored, and the table stops growing at
+/// `MEMO_CAP` entries.
 ///
 /// The one thing a call observes besides its arguments is the recursion
 /// depth it runs at: each entry records how deep below its own level the
@@ -517,57 +519,8 @@ pub fn run(
             .at(position.0, position.1))
         }
 
-        LExpr::DirectElement {
-            name,
-            attrs,
-            content,
-            position,
-        } => {
-            let el = env.store.create_element(*name).map_err(internal)?;
-            let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
-            for (aname, parts) in attrs {
-                let mut value = String::new();
-                for part in parts {
-                    match part {
-                        LAttrPart::Literal(t) => value.push_str(t),
-                        LAttrPart::Enclosed(e) => {
-                            let seq = run(e, env, frame, ctx)?;
-                            value.push_str(&join_atomized(&seq, env.store));
-                        }
-                    }
-                }
-                let attr = env
-                    .store
-                    .create_attribute(*aname, value)
-                    .map_err(internal)?;
-                builder.add_attribute(attr, env.store)?;
-            }
-            for part in content {
-                match part {
-                    LContentPart::Literal(t) => builder.push_text(t.clone(), env.store)?,
-                    LContentPart::Enclosed(e) | LContentPart::Node(e) => {
-                        let seq = run(e, env, frame, ctx)?;
-                        builder.push_sequence(seq, env.store)?;
-                    }
-                }
-            }
-            builder.finish(env.store)?;
-            Ok(Sequence::singleton(Item::Node(el)))
-        }
-
-        LExpr::CompElement {
-            name,
-            content,
-            position,
-        } => {
-            let name = constructor_qname(name, env, frame, ctx, *position)?;
-            let el = env.store.create_element(name).map_err(internal)?;
-            let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
-            if let Some(content) = content {
-                let seq = run(content, env, frame, ctx)?;
-                builder.push_sequence(seq, env.store)?;
-            }
-            builder.finish(env.store)?;
+        LExpr::DirectElement { .. } | LExpr::CompElement { .. } => {
+            let el = construct_element(expr, env, frame, ctx)?;
             Ok(Sequence::singleton(Item::Node(el)))
         }
 
@@ -826,12 +779,15 @@ fn join_build_invariant(seq: &LExpr) -> bool {
 /// sink: `return` is still evaluated per tuple — its errors, traces, and
 /// constructed nodes are the tuple's own — but the result items are tallied
 /// and dropped instead of being collected (and counted as allocated).
-enum FlworOut {
+enum FlworOut<'b> {
     Collect(Sequence),
     Count(u64),
+    /// Push mode (see [`run_content`]): each tuple's `return` runs in
+    /// push mode into the enclosing constructor's builder.
+    Push(&'b mut ContentBuilder),
 }
 
-impl FlworOut {
+impl FlworOut<'_> {
     fn push(&mut self, value: Sequence, stats: &mut EvalStats) {
         match self {
             FlworOut::Collect(seq) => {
@@ -842,6 +798,7 @@ impl FlworOut {
                 stats.items_streamed += value.len() as u64;
                 *n += value.len() as u64;
             }
+            FlworOut::Push(_) => unreachable!("a pushing FLWOR pushes its return values itself"),
         }
     }
 }
@@ -939,7 +896,7 @@ fn flwor_tuples(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
     keyed: &mut Vec<(Vec<Option<Atomic>>, Sequence)>,
-    out: &mut FlworOut,
+    out: &mut FlworOut<'_>,
     jstate: &mut Option<JoinState>,
 ) -> Result<()> {
     if idx == clauses.len() {
@@ -948,7 +905,9 @@ fn flwor_tuples(
                 return Ok(());
             }
         }
-        if order_by.is_empty() {
+        if let FlworOut::Push(builder) = out {
+            run_content(return_, builder, env, frame, ctx)?;
+        } else if order_by.is_empty() {
             let value = run(return_, env, frame, ctx)?;
             out.push(value, env.stats);
         } else {
@@ -1148,7 +1107,7 @@ fn join_for(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
     keyed: &mut Vec<(Vec<Option<Atomic>>, Sequence)>,
-    out: &mut FlworOut,
+    out: &mut FlworOut<'_>,
     jstate: &mut Option<JoinState>,
 ) -> Result<()> {
     if items.is_empty() {
@@ -2244,6 +2203,27 @@ fn call_user(
     position: (u32, u32),
     env: &mut RunEnv,
 ) -> Result<Sequence> {
+    let value = call_with(func, args, position, env, |env, frame, ctx| {
+        run(&func.body, env, frame, ctx)
+    })?;
+    if let Some(ty) = &func.return_type {
+        ty.check(&value, env.store, &format!("result of {}", func.name))?;
+    }
+    Ok(value)
+}
+
+/// What every user-function call does around its body: the recursion
+/// limit, the parameter type checks, a fresh frame holding the arguments,
+/// and `env.depth` one deeper while `body` runs. A call in push mode (see
+/// [`run_content`]) passes a body that pushes; [`call_user`] one that
+/// returns the value and then checks it against the declared return type.
+fn call_with<'a, T>(
+    func: &CompiledFunction,
+    args: Vec<Sequence>,
+    position: (u32, u32),
+    env: &mut RunEnv<'a>,
+    body: impl FnOnce(&mut RunEnv<'a>, &mut Frame, &mut DynamicContext) -> Result<T>,
+) -> Result<T> {
     env.memo.peak = env.memo.peak.max(env.depth);
     if env.depth >= env.options.recursion_limit {
         return Err(Error::new(
@@ -2272,13 +2252,9 @@ fn call_user(
     }
     let mut inner_ctx = DynamicContext::new();
     env.depth += 1;
-    let result = run(&func.body, env, &mut inner, &mut inner_ctx);
+    let result = body(env, &mut inner, &mut inner_ctx);
     env.depth -= 1;
-    let value = result?;
-    if let Some(ty) = &func.return_type {
-        ty.check(&value, env.store, &format!("result of {}", func.name))?;
-    }
-    Ok(value)
+    result
 }
 
 // ----------------------------------------------------------------------
@@ -2313,4 +2289,185 @@ fn constructor_qname(
             Ok(QName::from(text.as_str()))
         }
     }
+}
+
+/// Builds the element of a direct or computed element constructor.
+fn construct_element(
+    expr: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<NodeId> {
+    match expr {
+        LExpr::DirectElement {
+            name,
+            attrs,
+            content,
+            position,
+        } => {
+            let el = env.store.create_element(*name).map_err(internal)?;
+            let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
+            for (aname, parts) in attrs {
+                let mut value = String::new();
+                for part in parts {
+                    match part {
+                        LAttrPart::Literal(t) => value.push_str(t),
+                        LAttrPart::Enclosed(e) => {
+                            let seq = run(e, env, frame, ctx)?;
+                            value.push_str(&join_atomized(&seq, env.store));
+                        }
+                    }
+                }
+                let attr = env
+                    .store
+                    .create_attribute(*aname, value)
+                    .map_err(internal)?;
+                builder.add_attribute(attr, env.store)?;
+            }
+            for part in content {
+                match part {
+                    LContentPart::Literal(t) => builder.push_text(t.clone(), env.store)?,
+                    LContentPart::Enclosed(e) | LContentPart::Node(e) => {
+                        enclosed(e, &mut builder, env, frame, ctx)?
+                    }
+                }
+            }
+            builder.finish(env.store)?;
+            Ok(el)
+        }
+        LExpr::CompElement {
+            name,
+            content,
+            position,
+        } => {
+            let name = constructor_qname(name, env, frame, ctx, *position)?;
+            let el = env.store.create_element(name).map_err(internal)?;
+            let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
+            if let Some(content) = content {
+                enclosed(content, &mut builder, env, frame, ctx)?;
+            }
+            builder.finish(env.store)?;
+            Ok(el)
+        }
+        _ => Err(Error::internal("construct_element on a non-element")),
+    }
+}
+
+/// One enclosed expression of an element's content: in push mode with
+/// the runtime passes on, else evaluated whole and copied in.
+fn enclosed(
+    e: &LExpr,
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    if env.options.runtime_opt {
+        run_content(e, builder, env, frame, ctx)?;
+        builder.end_enclosed(env.store)
+    } else {
+        let seq = run(e, env, frame, ctx)?;
+        builder.push_sequence(seq, env.store)
+    }
+}
+
+/// Evaluates constructor content in *push mode*: its items go straight
+/// into `builder`, the enclosing element's. Sequences, `if` branches, a
+/// FLWOR's `return` (see [`flwor_pushes`]) and the body of a call (see
+/// [`call_pushes`]) pass push mode down; a node constructor reached
+/// through them builds its node directly under the enclosing element,
+/// because nothing else can refer to it. Anything else is evaluated with
+/// [`run`] and its nodes copied, as a variable, a path or a memo hit may
+/// return nodes that live elsewhere too.
+///
+/// Evaluation order, errors and traces are those of [`run`]: items reach
+/// the builder in the order `run` would have produced them, and the
+/// builder holds a folding error until the caller ends the enclosed
+/// expression (see [`ContentBuilder`]).
+fn run_content(
+    expr: &LExpr,
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    match expr {
+        LExpr::Comma(parts) => {
+            for p in parts {
+                run_content(p, builder, env, frame, ctx)?;
+            }
+            Ok(())
+        }
+        LExpr::If(c, t, e) => {
+            let branch = if run_ebv(c, env, frame, ctx)? { t } else { e };
+            run_content(branch, builder, env, frame, ctx)
+        }
+        LExpr::Flwor {
+            clauses,
+            where_,
+            order_by,
+            return_,
+        } if flwor_pushes(clauses, order_by) => flwor_tuples(
+            clauses,
+            0,
+            where_.as_deref(),
+            order_by,
+            return_,
+            env,
+            frame,
+            ctx,
+            &mut Vec::new(),
+            &mut FlworOut::Push(builder),
+            &mut None,
+        ),
+        LExpr::CallUser {
+            index,
+            args,
+            position,
+        } if call_pushes(&env.program.functions[*index as usize]) => {
+            let mut values = Vec::with_capacity(args.len());
+            for a in args {
+                values.push(run(a, env, frame, ctx)?);
+            }
+            let func = &env.program.functions[*index as usize];
+            call_with(func, values, *position, env, |env, frame, ctx| {
+                run_content(&func.body, builder, env, frame, ctx)
+            })
+        }
+        LExpr::DirectElement { .. } | LExpr::CompElement { .. } => {
+            let el = construct_element(expr, env, frame, ctx)?;
+            env.reuse.pushed_nodes += 1;
+            builder.push_built(el, env.store)
+        }
+        LExpr::CompText(e) => {
+            let seq = run(e, env, frame, ctx)?;
+            if seq.is_empty() {
+                return Ok(());
+            }
+            env.reuse.pushed_nodes += 1;
+            let text = join_atomized(&seq, env.store);
+            builder.push_text(text, env.store)
+        }
+        _ => {
+            let seq = run(expr, env, frame, ctx)?;
+            builder.push_items(seq, env.store)
+        }
+    }
+}
+
+/// Whether a FLWOR passes push mode to its `return`: not when it sorts
+/// (`order by` needs every tuple's value first) nor when its last `for`
+/// may run as a hash join.
+pub(crate) fn flwor_pushes(clauses: &[LFlworClause], order_by: &[LOrderSpec]) -> bool {
+    order_by.is_empty()
+        && !clauses
+            .iter()
+            .any(|c| matches!(c, LFlworClause::For { join: Some(_), .. }))
+}
+
+/// Whether a call passes push mode to the function's body: not for a pure
+/// function (it constructs nothing, and its calls may be answered from
+/// the memo) nor for one whose result is checked against a declared type.
+pub(crate) fn call_pushes(func: &CompiledFunction) -> bool {
+    !func.pure && func.return_type.is_none()
 }

@@ -165,6 +165,35 @@ fn duplicate_attributes_three_ways() {
     );
 }
 
+/// Element content merges adjacent text into one text node and drops
+/// zero-length text nodes (XQuery 1.0 §3.7.1.3), whether the text comes
+/// from literal text, atomic values or text nodes — through the lowered
+/// runner with its push mode on and off, and through the reference walker.
+#[test]
+fn content_merges_adjacent_text_and_drops_empty_text() {
+    let cases = [
+        ("count(<a>x{text{\"y\"}}</a>/node())", "1"),
+        ("count(<a>{text{\"x\"}, text{\"y\"}}</a>/node())", "1"),
+        ("count(<a>{\"p\", text{\"y\"}, \"q\"}</a>/node())", "1"),
+        ("count(<a>{<b/>/text(), text{\"\"}}</a>/node())", "0"),
+        ("string(<a>{\"p\", text{\"y\"}, \"q\"}</a>)", "pyq"),
+        ("count(element a {text{\"x\"}, \"z\"}/node())", "1"),
+    ];
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        for (src, expected) in cases {
+            let q = e.compile(src).unwrap();
+            let lowered = e.evaluate(&q, None).unwrap();
+            assert_eq!(e.display_sequence(&lowered), expected, "{src}");
+            let reference = e.evaluate_reference(&q, None).unwrap();
+            assert_eq!(e.display_sequence(&reference), expected, "{src}");
+        }
+    }
+}
+
 /// §Syntactic Quirks item 4 — run through the engine end to end.
 #[test]
 fn existential_equals_end_to_end() {
