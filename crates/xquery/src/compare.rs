@@ -114,9 +114,30 @@ fn ordering_satisfies(op: CmpOp, ord: Ordering) -> bool {
 /// tree walker uses. The lowered runner goes through
 /// [`general_compare_hashed`], which must stay observably identical.
 pub fn general_compare(op: CmpOp, left: &Sequence, right: &Sequence, store: &Store) -> bool {
+    if let Some(hit) = general_compare_singletons(op, left, right, store) {
+        return hit;
+    }
     let ls = atomize(left, store);
     let rs = atomize(right, store);
     scan_atoms(op, &ls, &rs)
+}
+
+/// The general comparison of two operands of at most one item each, with
+/// no atom `Vec` — or `None` when either operand holds more.
+fn general_compare_singletons(
+    op: CmpOp,
+    left: &Sequence,
+    right: &Sequence,
+    store: &Store,
+) -> Option<bool> {
+    if left.len() > 1 || right.len() > 1 {
+        return None;
+    }
+    let (Some(a), Some(b)) = (left.as_singleton(), right.as_singleton()) else {
+        return Some(false);
+    };
+    let (a, b) = (atomize_item(a, store), atomize_item(b, store));
+    Some(compare_atomics(&a, &b).is_some_and(|ord| ordering_satisfies(op, ord)))
 }
 
 /// The existential double loop over already-atomized operands.
@@ -157,6 +178,9 @@ pub(crate) fn string_family(a: &Atomic) -> Option<&str> {
 /// return the same boolean, which the differential corpus and the proptest
 /// below enforce.
 pub fn general_compare_hashed(op: CmpOp, left: &Sequence, right: &Sequence, store: &Store) -> bool {
+    if let Some(hit) = general_compare_singletons(op, left, right, store) {
+        return hit;
+    }
     let ls = atomize(left, store);
     let rs = atomize(right, store);
     if matches!(op, CmpOp::Eq | CmpOp::Ne)
@@ -201,6 +225,15 @@ pub fn value_compare(
     right: &Sequence,
     store: &Store,
 ) -> Result<Option<bool>> {
+    // Atomizing yields one atom per item, so operands of at most one item
+    // each compare without an atom `Vec`.
+    if left.len() <= 1 && right.len() <= 1 {
+        let (Some(a), Some(b)) = (left.as_singleton(), right.as_singleton()) else {
+            return Ok(None);
+        };
+        let (a, b) = (atomize_item(a, store), atomize_item(b, store));
+        return value_compare_atoms(op, &a, &b).map(Some);
+    }
     let ls = atomize(left, store);
     let rs = atomize(right, store);
     if ls.len() > 1 || rs.len() > 1 {
@@ -216,13 +249,18 @@ pub fn value_compare(
     let (Some(a), Some(b)) = (ls.first(), rs.first()) else {
         return Ok(None);
     };
+    value_compare_atoms(op, a, b).map(Some)
+}
+
+/// A value comparison of two atoms; incomparable types are `XPTY0004`.
+fn value_compare_atoms(op: CmpOp, a: &Atomic, b: &Atomic) -> Result<bool> {
     let ord = compare_atomics(a, b).ok_or_else(|| {
         Error::new(
             ErrorCode::XPTY0004,
             format!("cannot compare {} with {}", a.type_name(), b.type_name()),
         )
     })?;
-    Ok(Some(ordering_satisfies(op, ord)))
+    Ok(ordering_satisfies(op, ord))
 }
 
 /// `fn:deep-equal` on two sequences: pairwise, atomics by equality, nodes by

@@ -9,7 +9,7 @@ use crate::lower::{lower_module, Program, Route};
 use crate::obs::{EvalStats, PoolTiming, ReuseStats, TraceEvent, TraceSink};
 use crate::optimizer::{optimize_module, OptimizerOptions, OptimizerStats};
 use crate::parser::parse_module;
-use crate::run::{run, Frame, Memo, RunEnv};
+use crate::run::{run, Frame, FramePool, Memo, RunEnv};
 use crate::value::{Item, Sequence};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -140,11 +140,13 @@ pub struct CompiledQuery {
     pub plan_stats: crate::lopt::PlanStats,
 }
 
-/// Stack of every pool worker. It holds `MAX_RECURSION_LIMIT` calls: with a
-/// limit that never fires, a debug build overflows it past 2,992 levels of
-/// a `for` returning `<a>{ … recursive call … }</a>` with the runtime
-/// passes off, 11,698 with them on (constructor content in push mode), and
-/// 6,784 of an `if`.
+/// Stack of every pool worker. It holds `MAX_RECURSION_LIMIT` calls: in a
+/// debug build a level of a `for` returning `<a>{ … recursive call … }</a>`
+/// takes about 36 KB with the runtime passes off and 16 KB with them on
+/// (constructor content in push mode), a level of an `if` 14 KB, and a
+/// level of the recursive copy of
+/// `recursive_copy_of_a_deep_document_fits_the_recursion_limit` 43 KB off
+/// and 18 KB on, so 2,048 levels need at most about 88 MB.
 const WORKER_STACK_BYTES: usize = 256 * 1024 * 1024;
 /// The deepest `recursion_limit` an engine runs with, and the default.
 pub const MAX_RECURSION_LIMIT: usize = 2048;
@@ -769,6 +771,7 @@ impl Engine {
                     reuse: &mut *reuse,
                     depth: 0,
                     memo: Memo::default(),
+                    frames: FramePool::default(),
                 };
                 let mut frame = Frame::new(decl.frame);
                 run(&decl.expr, &mut env, &mut frame, &mut ctx)?
@@ -794,6 +797,7 @@ impl Engine {
             reuse,
             depth: 0,
             memo: Memo::default(),
+            frames: FramePool::default(),
         };
         let mut frame = Frame::new(program.body_frame);
         run(&program.body, &mut env, &mut frame, &mut ctx)

@@ -590,7 +590,7 @@ fn flwor_tuples(
     match &clauses[idx] {
         FlworClause::For { var, at, seq } => {
             let items = eval(seq, env, ctx)?;
-            for (i, item) in items.into_items().into_iter().enumerate() {
+            for (i, item) in items.into_iter().enumerate() {
                 let mark = ctx.vars.mark();
                 ctx.vars.bind(var.clone(), Sequence::singleton(item));
                 if let Some(at_var) = at {
@@ -653,7 +653,7 @@ fn quantified(
     }
     let (var, seq_expr) = &bindings[idx];
     let items = eval(seq_expr, env, ctx)?;
-    for item in items.into_items() {
+    for item in items {
         let mark = ctx.vars.mark();
         ctx.vars.bind(var.clone(), Sequence::singleton(item));
         let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, ctx);
@@ -1124,9 +1124,9 @@ fn construct_element(
 /// runner: it deals only in values and the store, never in expressions.
 ///
 /// Adjacent text merges into one text node, whether it comes from literal
-/// text, atomic values or text nodes, and a zero-length text node is never
-/// built (its content still counts as content for attribute folding, as an
-/// empty atomic's does).
+/// text, atomic values or text nodes. Zero-length text is deleted before
+/// the attribute check (§3.7.1.3): it builds no node and does not start
+/// the content, so `<a>{"", attribute x {1}}</a>` is `<a x="1"/>`.
 ///
 /// An enclosed expression's value reaches the builder as one sequence
 /// ([`ContentBuilder::push_sequence`]) or, from the runner's push mode, in
@@ -1175,12 +1175,12 @@ impl ContentBuilder {
     }
 
     /// Appends text, merged into a preceding text node; zero-length text
-    /// builds no node but still starts the content.
+    /// is dropped.
     fn append_text_node(&mut self, text: String, store: &mut Store) -> Result<()> {
-        self.content_started = true;
         if text.is_empty() {
             return Ok(());
         }
+        self.content_started = true;
         if let Some(&last) = store.children(self.element).last() {
             if store.is_text(last) {
                 let merged = format!("{}{}", store.string_value(last), text);
@@ -1211,7 +1211,7 @@ impl ContentBuilder {
 
     /// Part of an enclosed expression's value, in order. Nodes are copied.
     pub(crate) fn push_items(&mut self, seq: Sequence, store: &mut Store) -> Result<()> {
-        for item in seq.into_items() {
+        for item in seq {
             if self.held.is_some() {
                 break;
             }

@@ -22,6 +22,8 @@ use crate::obs::{TraceEvent, TraceSink};
 use crate::value::{Atomic, Item, Sequence};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::mem::take;
+use std::sync::Arc;
 use xmlstore::{NodeId, Store};
 
 /// A builtin function, resolved once (at lowering time) so that every call
@@ -181,7 +183,7 @@ pub struct CallCtx<'a> {
 /// runner resolves the name once and calls [`dispatch_builtin`] directly.
 pub fn call_builtin(
     name: &str,
-    args: Vec<Sequence>,
+    mut args: Vec<Sequence>,
     env: &mut EvalEnv,
     ctx: &DynamicContext,
     position: (u32, u32),
@@ -199,7 +201,7 @@ pub fn call_builtin(
         docs: env.docs,
         trace: &mut *env.trace,
     };
-    dispatch_builtin(builtin, args, &mut cx, ctx, position)
+    dispatch_builtin(builtin, &mut args, &mut cx, ctx, position)
 }
 
 /// Calls a resolved builtin: direct enum dispatch, no string matching.
@@ -208,9 +210,13 @@ pub fn call_builtin(
 /// (unless a more precise one is already attached). Galax-quirk errors —
 /// `ErrorCode::Internal` — are left untouched: the paper's complaint is
 /// precisely that those came with no line number.
+///
+/// The builtin may take its argument values out of `args` (leaving empty
+/// sequences behind): the caller owns the storage, so a call with few
+/// arguments needs no heap.
 pub fn dispatch_builtin(
     builtin: Builtin,
-    args: Vec<Sequence>,
+    args: &mut [Sequence],
     cx: &mut CallCtx,
     ctx: &DynamicContext,
     position: (u32, u32),
@@ -226,7 +232,7 @@ pub fn dispatch_builtin(
 
 fn dispatch_builtin_inner(
     builtin: Builtin,
-    args: Vec<Sequence>,
+    args: &mut [Sequence],
     cx: &mut CallCtx,
     ctx: &DynamicContext,
     position: (u32, u32),
@@ -275,18 +281,12 @@ fn dispatch_builtin_inner(
                     None => None,
                 }
             };
-            let text = node
-                .and_then(|id| {
-                    store.name(id).map(|q| {
-                        if builtin == B::LocalName {
-                            q.local().to_string()
-                        } else {
-                            q.to_string()
-                        }
-                    })
-                })
-                .unwrap_or_default();
-            Ok(Atomic::Str(text.into()).into())
+            let text: Arc<str> = match node.and_then(|id| store.name(id)) {
+                Some(q) if builtin == B::LocalName || q.prefix_sym().is_none() => q.local().into(),
+                Some(q) => q.to_string().into(),
+                None => "".into(),
+            };
+            Ok(Atomic::Str(text).into())
         }
         (B::NodeName, 1) => match args[0].as_singleton() {
             Some(Item::Node(id)) => Ok(store
@@ -353,17 +353,14 @@ fn dispatch_builtin_inner(
             Ok(kept.into_iter().map(Item::Atomic).collect())
         }
         (B::Reverse, 1) => {
-            let mut items = args.into_iter().next().unwrap().into_items();
+            let mut items = take(&mut args[0]).into_items();
             items.reverse();
             Ok(Sequence::from_items(items))
         }
         (B::InsertBefore, 3) => {
-            let mut iter = args.into_iter();
-            let target = iter.next().unwrap();
-            let pos_seq = iter.next().unwrap();
-            let inserts = iter.next().unwrap();
-            let pos = integer_arg(&pos_seq, store)?.max(1) as usize;
-            let mut items = target.into_items();
+            let pos = integer_arg(&args[1], store)?.max(1) as usize;
+            let inserts = take(&mut args[2]);
+            let mut items = take(&mut args[0]).into_items();
             let at = (pos - 1).min(items.len());
             let tail = items.split_off(at);
             items.extend(inserts.into_items());
@@ -372,8 +369,7 @@ fn dispatch_builtin_inner(
         }
         (B::Remove, 2) => {
             let pos = integer_arg(&args[1], store)?;
-            let items = args.into_iter().next().unwrap().into_items();
-            Ok(items
+            Ok(take(&mut args[0])
                 .into_iter()
                 .enumerate()
                 .filter(|(i, _)| (i + 1) as i64 != pos)
@@ -385,8 +381,7 @@ fn dispatch_builtin_inner(
             let len = (n == 3)
                 .then(|| double_arg(&args[2], store).map(xpath_round))
                 .transpose()?;
-            let items = args.into_iter().next().unwrap().into_items();
-            Ok(items
+            Ok(take(&mut args[0])
                 .into_iter()
                 .enumerate()
                 .filter(|(i, _)| {
@@ -426,7 +421,7 @@ fn dispatch_builtin_inner(
         },
         (B::ZeroOrOne, 1) => {
             if args[0].len() <= 1 {
-                Ok(args.into_iter().next().unwrap())
+                Ok(take(&mut args[0]))
             } else {
                 Err(Error::new(
                     ErrorCode::FORG0004,
@@ -436,7 +431,7 @@ fn dispatch_builtin_inner(
         }
         (B::OneOrMore, 1) => {
             if !args[0].is_empty() {
-                Ok(args.into_iter().next().unwrap())
+                Ok(take(&mut args[0]))
             } else {
                 Err(Error::new(
                     ErrorCode::FORG0004,
@@ -446,7 +441,7 @@ fn dispatch_builtin_inner(
         }
         (B::ExactlyOne, 1) => {
             if args[0].len() == 1 {
-                Ok(args.into_iter().next().unwrap())
+                Ok(take(&mut args[0]))
             } else {
                 Err(Error::new(
                     ErrorCode::FORG0004,
@@ -488,7 +483,7 @@ fn dispatch_builtin_inner(
             let atoms = atomize(&args[0], store);
             if atoms.is_empty() {
                 return if n == 2 {
-                    Ok(args.into_iter().nth(1).unwrap())
+                    Ok(take(&mut args[1]))
                 } else {
                     Ok(Item::integer(0).into())
                 };
@@ -538,7 +533,7 @@ fn dispatch_builtin_inner(
         // ---------------- strings ----------------
         (B::Concat, _) => {
             let mut out = String::new();
-            for a in &args {
+            for a in args.iter() {
                 if a.len() > 1 {
                     return Err(Error::new(
                         ErrorCode::XPTY0004,
@@ -676,7 +671,7 @@ fn dispatch_builtin_inner(
             };
             let mut err = Error::new(ErrorCode::FOER0000, message).at(position.0, position.1);
             if n >= 1 {
-                err = err.with_value(args.into_iter().next().unwrap());
+                err = err.with_value(take(&mut args[0]));
             }
             Err(err)
         }
@@ -693,7 +688,7 @@ fn dispatch_builtin_inner(
                 value,
                 position,
             });
-            Ok(args.into_iter().next_back().unwrap())
+            Ok(take(args.last_mut().expect("fn:trace has an argument")))
         }
 
         _ => Err(Error::new(

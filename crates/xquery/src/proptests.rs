@@ -2,7 +2,7 @@
 //! and optimizer soundness on generated expression trees.
 
 use crate::ast::CmpOp;
-use crate::compare::{compare_atomics, general_compare};
+use crate::compare::{compare_atomics, general_compare, general_compare_hashed, value_compare};
 use crate::engine::{Engine, EngineOptions};
 use crate::value::{Atomic, Item, Sequence};
 use proptest::prelude::*;
@@ -20,6 +20,34 @@ fn atomic_strategy() -> impl Strategy<Value = Atomic> {
 
 fn seq_strategy() -> impl Strategy<Value = Sequence> {
     prop::collection::vec(atomic_strategy(), 0..6)
+        .prop_map(|v| v.into_iter().map(Item::Atomic).collect())
+}
+
+fn cmp_op_strategy() -> impl Strategy<Value = CmpOp> {
+    prop::sample::select(vec![
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ])
+}
+
+/// Does `ord` satisfy `op`? Spelled out here, apart from `compare.rs`.
+fn holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
+    }
+}
+
+fn short_seq_strategy() -> impl Strategy<Value = Sequence> {
+    prop::collection::vec(atomic_strategy(), 0..3)
         .prop_map(|v| v.into_iter().map(Item::Atomic).collect())
 }
 
@@ -48,6 +76,42 @@ proptest! {
             })
         });
         prop_assert_eq!(general_compare(CmpOp::Eq, &a, &b, &store), expected);
+    }
+
+    /// Operands of at most one item take the comparisons' fast path, with
+    /// no atom `Vec`: every operator of both families agrees with the
+    /// existential scan over all pairs, and value comparisons still raise
+    /// on a longer operand.
+    #[test]
+    fn short_operands_compare_like_the_pair_scan(
+        op in cmp_op_strategy(),
+        a in short_seq_strategy(),
+        b in short_seq_strategy(),
+    ) {
+        let store = Store::new();
+        let atom = |i: &Item| match i {
+            Item::Atomic(x) => x.clone(),
+            Item::Node(_) => unreachable!("atomic operands only"),
+        };
+        let expected = a.iter().any(|x| {
+            b.iter()
+                .any(|y| compare_atomics(&atom(x), &atom(y)).is_some_and(|o| holds(op, o)))
+        });
+        prop_assert_eq!(general_compare(op, &a, &b, &store), expected);
+        prop_assert_eq!(general_compare_hashed(op, &a, &b, &store), expected);
+        let value = value_compare(op, &a, &b, &store).map_err(|e| e.code);
+        let expected = if a.len() > 1 || b.len() > 1 {
+            Err(crate::error::ErrorCode::XPTY0004)
+        } else {
+            match (a.as_singleton(), b.as_singleton()) {
+                (Some(x), Some(y)) => match compare_atomics(&atom(x), &atom(y)) {
+                    Some(o) => Ok(Some(holds(op, o))),
+                    None => Err(crate::error::ErrorCode::XPTY0004),
+                },
+                _ => Ok(None),
+            }
+        };
+        prop_assert_eq!(value, expected);
     }
 
     /// General comparison is symmetric for `=` and antisymmetric-ish for

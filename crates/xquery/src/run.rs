@@ -49,6 +49,7 @@ use crate::obs::{EvalStats, ReuseStats};
 use crate::types::{cast_atomic, ItemType, SeqType};
 use crate::value::{Atomic, Item, Sequence};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use xmlstore::{NodeId, NodeKind, QName, Store, Sym};
 
@@ -77,6 +78,8 @@ pub struct RunEnv<'a> {
     /// fresh one: a declaration can override an external binding, so a
     /// call's result may differ between them.
     pub memo: Memo,
+    /// Slot vectors for the frames of user-function calls.
+    pub frames: FramePool,
 }
 
 /// The per-evaluation memo of pure user-function calls.
@@ -99,7 +102,7 @@ pub struct RunEnv<'a> {
 /// is never answered from the memo.
 #[derive(Default)]
 pub struct Memo {
-    table: HashMap<(u32, Vec<MemoArg>), (Sequence, usize)>,
+    table: HashMap<MemoKey, (Sequence, usize), BuildHasherDefault<FxHasher>>,
     /// The deepest recursion depth a call was made at since the innermost
     /// memoizable call began (see [`call_pure`]).
     peak: usize,
@@ -107,6 +110,43 @@ pub struct Memo {
 
 /// Entries past which a [`Memo`] stops inserting.
 const MEMO_CAP: usize = 1 << 14;
+
+/// A memoized call: the function and its arguments. Arguments of a
+/// function of up to [`MEMO_INLINE_ARGS`] parameters sit in the key itself,
+/// padded with [`MemoArg::Empty`] (a function's arity is fixed, so padding
+/// cannot make two calls of one function look alike); a probe then
+/// allocates nothing.
+#[derive(PartialEq, Eq, Hash)]
+struct MemoKey {
+    function: u32,
+    args: MemoArgs,
+}
+
+const MEMO_INLINE_ARGS: usize = 3;
+
+#[derive(PartialEq, Eq, Hash)]
+enum MemoArgs {
+    Inline([MemoArg; MEMO_INLINE_ARGS]),
+    Spilled(Box<[MemoArg]>),
+}
+
+impl MemoKey {
+    /// The key of a call whose arguments sit in `args`, or `None` when one
+    /// of them holds more than one item.
+    fn of(function: u32, args: &[Option<Sequence>]) -> Option<MemoKey> {
+        let arg = |slot: &Option<Sequence>| MemoArg::of(slot.as_ref()?);
+        let args = if args.len() <= MEMO_INLINE_ARGS {
+            let mut inline: [MemoArg; MEMO_INLINE_ARGS] = std::array::from_fn(|_| MemoArg::Empty);
+            for (key, slot) in inline.iter_mut().zip(args) {
+                *key = arg(slot)?;
+            }
+            MemoArgs::Inline(inline)
+        } else {
+            MemoArgs::Spilled(args.iter().map(arg).collect::<Option<_>>()?)
+        };
+        Some(MemoKey { function, args })
+    }
+}
 
 /// One argument of a memoized call, in a hashable form that tells apart
 /// exactly what the function could tell apart: node identity, or an
@@ -140,11 +180,66 @@ impl MemoArg {
     }
 }
 
+/// The multiply-rotate hash of the Rust compiler ("Fx"), for the memo's
+/// small keys: a probe hashes a function index and a few words, where
+/// SipHash's per-hash setup costs more than the lookup. It resists no
+/// collision attack, and string arguments come from documents; but whoever
+/// supplies the documents also supplies the query, which can ask for as
+/// much work outright, and the memo stops growing at [`MEMO_CAP`] entries,
+/// which bounds what colliding keys can cost.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// A flat frame of variable slots. Slot indices were resolved at lowering
 /// time; scopes never pop at runtime because a slot is only ever read by
 /// references its binder dominates.
 pub struct Frame {
-    slots: Vec<Option<Arc<Sequence>>>,
+    slots: Vec<Option<Sequence>>,
     /// Key tables of keyed [`LExpr::SplitPath`]s, by
     /// [`SplitKey::table`]: each over the sequence the prefix cell held
     /// when it was built.
@@ -159,11 +254,29 @@ impl Frame {
         }
     }
 
-    fn set(&mut self, slot: u32, value: Arc<Sequence>) {
+    /// A frame of `size` empty slots, on a slot vector a finished call
+    /// gave back when there is one.
+    fn pooled(pool: &mut FramePool, size: usize) -> Frame {
+        let mut slots = pool.0.pop().unwrap_or_default();
+        slots.resize(size, None);
+        Frame {
+            slots,
+            keyed: Vec::new(),
+        }
+    }
+
+    /// Empties the frame and gives its slot vector back to `pool`.
+    fn recycle(self, pool: &mut FramePool) {
+        let mut slots = self.slots;
+        slots.clear();
+        pool.0.push(slots);
+    }
+
+    fn set(&mut self, slot: u32, value: Sequence) {
         self.slots[slot as usize] = Some(value);
     }
 
-    fn get(&self, slot: u32) -> Option<&Arc<Sequence>> {
+    fn get(&self, slot: u32) -> Option<&Sequence> {
         self.slots[slot as usize].as_ref()
     }
 
@@ -173,7 +286,20 @@ impl Frame {
     }
 }
 
+/// The slot vectors of finished calls, reused by later calls' frames: a
+/// call in steady state allocates no frame. It holds at most as many
+/// vectors as calls were ever in progress at once.
+#[derive(Default)]
+pub struct FramePool(Vec<Vec<Option<Sequence>>>);
+
 /// Evaluates a lowered expression to a sequence.
+///
+/// Every recursion level passes through here, several times over (a call,
+/// its body, each constructor and FLWOR on the way), so the dispatcher
+/// keeps only the arms whose locals are a few words: the rest run in their
+/// own functions, whose frames exist only while their arm runs. A debug
+/// build gives every local of every arm its own stack slot, so an arm kept
+/// inline costs every level its locals, whether it runs or not.
 pub fn run(
     expr: &LExpr,
     env: &mut RunEnv,
@@ -182,186 +308,48 @@ pub fn run(
 ) -> Result<Sequence> {
     match expr {
         LExpr::Literal(a) => Ok(Sequence::singleton(Item::Atomic(a.clone()))),
-
         LExpr::LocalRef(slot) => match frame.get(*slot) {
-            Some(v) => Ok((**v).clone()),
+            Some(v) => Ok(v.clone()),
             // Unreachable for a correct lowering: every LocalRef is
             // dominated by its binder.
-            None => Err(Error::internal(format!("unbound frame slot {slot}"))),
+            None => Err(unbound_slot(*slot)),
         },
-
-        LExpr::GlobalRef(name, position) => match env.globals.get(name) {
-            Some(v) => Ok((**v).clone()),
-            None => {
-                if env.options.galax_quirks {
-                    Err(Error::new(
-                        ErrorCode::Internal,
-                        format!("Internal_Error: Variable '${name}' not found."),
-                    ))
-                } else {
-                    Err(Error::new(
-                        ErrorCode::XPST0008,
-                        format!("variable ${name} is not bound"),
-                    )
-                    .at(position.0, position.1))
-                }
-            }
-        },
-
-        LExpr::ContextItem(position) => {
-            let item = ctx
-                .context_item(env.options.galax_quirks, *position)?
-                .clone();
-            Ok(Sequence::singleton(item))
-        }
-
-        LExpr::Comma(parts) => {
-            let mut out = Sequence::empty();
-            for p in parts {
-                out.push_seq(run(p, env, frame, ctx)?);
-            }
-            Ok(out)
-        }
-
-        LExpr::Range(lo, hi) => {
-            let lo = run(lo, env, frame, ctx)?;
-            let hi = run(hi, env, frame, ctx)?;
-            let (Some(lo), Some(hi)) = (
-                singleton_integer(&lo, env.store)?,
-                singleton_integer(&hi, env.store)?,
-            ) else {
-                return Ok(Sequence::empty());
-            };
-            Ok((lo..=hi).map(Item::integer).collect())
-        }
-
+        LExpr::GlobalRef(name, position) => global_ref(*name, *position, env),
+        LExpr::ContextItem(position) => Ok(Sequence::singleton(
+            ctx.context_item(env.options.galax_quirks, *position)?
+                .clone(),
+        )),
+        LExpr::Comma(parts) => run_comma(parts, env, frame, ctx),
+        LExpr::Range(lo, hi) => run_range(lo, hi, env, frame, ctx),
         LExpr::Arith(op, l, r) => {
             let l = run(l, env, frame, ctx)?;
             let r = run(r, env, frame, ctx)?;
             arith(*op, &l, &r, env.store)
         }
-
-        LExpr::Neg(e) => {
-            let v = run(e, env, frame, ctx)?;
-            let Some(n) = singleton_number(&v, env.store)? else {
-                return Ok(Sequence::empty());
-            };
-            Ok(match n {
-                NumOperand::Int(i) => Atomic::Int(-i).into(),
-                NumOperand::Dbl(d) => Atomic::Dbl(-d).into(),
-            })
-        }
-
-        LExpr::GeneralCmp(op, l, r) => {
-            if env.options.runtime_opt {
-                if let Some(b) = stream_general_cmp(*op, l, r, env, frame, ctx)? {
-                    return Ok(Atomic::Bool(b).into());
-                }
-            }
-            let l = run(l, env, frame, ctx)?;
-            let r = run(r, env, frame, ctx)?;
-            // Both operands are fully evaluated before the comparison and
-            // the comparison itself never raises, so swapping in the hash
-            // join can only change how the same boolean is found.
-            let b = if env.options.runtime_opt {
-                general_compare_hashed(*op, &l, &r, env.store)
-            } else {
-                general_compare(*op, &l, &r, env.store)
-            };
-            Ok(Atomic::Bool(b).into())
-        }
-
+        LExpr::Neg(e) => run_neg(e, env, frame, ctx),
+        LExpr::GeneralCmp(op, l, r) => run_general_cmp(*op, l, r, env, frame, ctx),
         LExpr::ValueCmp(op, l, r) => {
             let l = run(l, env, frame, ctx)?;
             let r = run(r, env, frame, ctx)?;
-            match value_compare(*op, &l, &r, env.store)? {
-                Some(b) => Ok(Atomic::Bool(b).into()),
-                None => Ok(Sequence::empty()),
-            }
+            Ok(match value_compare(*op, &l, &r, env.store)? {
+                Some(b) => Atomic::Bool(b).into(),
+                None => Sequence::empty(),
+            })
         }
-
-        LExpr::NodeCmp(op, l, r) => {
-            let l = run(l, env, frame, ctx)?;
-            let r = run(r, env, frame, ctx)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(Sequence::empty());
-            }
-            let (Some(Item::Node(a)), Some(Item::Node(b))) = (l.as_singleton(), r.as_singleton())
-            else {
-                return Err(Error::new(
-                    ErrorCode::XPTY0004,
-                    "node comparison requires singleton nodes",
-                ));
-            };
-            let result = match op {
-                NodeCmpOp::Is => a == b,
-                NodeCmpOp::Precedes | NodeCmpOp::Follows => {
-                    let ord = env.store.doc_order(*a, *b).ok_or_else(|| {
-                        Error::new(
-                            ErrorCode::XPTY0004,
-                            "document-order comparison of nodes in different trees",
-                        )
-                    })?;
-                    match op {
-                        NodeCmpOp::Precedes => ord == std::cmp::Ordering::Less,
-                        _ => ord == std::cmp::Ordering::Greater,
-                    }
-                }
-            };
-            Ok(Atomic::Bool(result).into())
-        }
-
-        LExpr::SetExpr(op, l, r) => {
-            let l = run(l, env, frame, ctx)?;
-            let r = run(r, env, frame, ctx)?;
-            let (Some(ls), Some(rs)) = (l.all_nodes(), r.all_nodes()) else {
-                return Err(Error::new(
-                    ErrorCode::XPTY0004,
-                    "union/intersect/except operands must be node sequences",
-                ));
-            };
-            // Union never consults the membership set (dedup_sorted below
-            // removes duplicates anyway), so only build it for the
-            // filtering operators.
-            let combined: Vec<NodeId> = match op {
-                SetOp::Union => ls.into_iter().chain(rs).collect(),
-                SetOp::Intersect => {
-                    let right_set: HashSet<NodeId> = rs.iter().copied().collect();
-                    ls.into_iter().filter(|n| right_set.contains(n)).collect()
-                }
-                SetOp::Except => {
-                    let right_set: HashSet<NodeId> = rs.iter().copied().collect();
-                    ls.into_iter().filter(|n| !right_set.contains(n)).collect()
-                }
-            };
-            Ok(dedup_sorted(combined, env.store)
-                .into_iter()
-                .map(Item::Node)
-                .collect())
-        }
-
+        LExpr::NodeCmp(op, l, r) => run_node_cmp(*op, l, r, env, frame, ctx),
+        LExpr::SetExpr(op, l, r) => run_set(*op, l, r, env, frame, ctx),
         LExpr::And(l, r) => {
-            if !run_ebv(l, env, frame, ctx)? {
-                return Ok(Atomic::Bool(false).into());
-            }
-            Ok(Atomic::Bool(run_ebv(r, env, frame, ctx)?).into())
+            let b = run_ebv(l, env, frame, ctx)? && run_ebv(r, env, frame, ctx)?;
+            Ok(Atomic::Bool(b).into())
         }
-
         LExpr::Or(l, r) => {
-            if run_ebv(l, env, frame, ctx)? {
-                return Ok(Atomic::Bool(true).into());
-            }
-            Ok(Atomic::Bool(run_ebv(r, env, frame, ctx)?).into())
+            let b = run_ebv(l, env, frame, ctx)? || run_ebv(r, env, frame, ctx)?;
+            Ok(Atomic::Bool(b).into())
         }
-
         LExpr::If(c, t, e) => {
-            if run_ebv(c, env, frame, ctx)? {
-                run(t, env, frame, ctx)
-            } else {
-                run(e, env, frame, ctx)
-            }
+            let branch = if run_ebv(c, env, frame, ctx)? { t } else { e };
+            run(branch, env, frame, ctx)
         }
-
         LExpr::Flwor {
             clauses,
             where_,
@@ -376,154 +364,422 @@ pub fn run(
             frame,
             ctx,
         ),
-
         LExpr::Quantified {
             quantifier,
             bindings,
             satisfies,
         } => quantified(*quantifier, bindings, satisfies, 0, env, frame, ctx)
             .map(|b| Atomic::Bool(b).into()),
-
-        LExpr::Root(position) => {
-            let item = ctx
-                .context_item(env.options.galax_quirks, *position)?
-                .clone();
-            match item {
-                Item::Node(n) => Ok(Sequence::singleton(Item::Node(env.store.root(n)))),
-                Item::Atomic(_) => Err(Error::new(
-                    ErrorCode::XPTY0019,
-                    "'/' requires a node context item",
-                )
-                .at(position.0, position.1)),
-            }
-        }
-
-        LExpr::AxisStep {
-            axis,
-            test,
-            predicates,
-            position,
-        } => {
-            let item = ctx
-                .context_item(env.options.galax_quirks, *position)?
-                .clone();
-            let node = match item {
-                Item::Node(n) => n,
-                Item::Atomic(_) => {
-                    return Err(Error::new(
-                        ErrorCode::XPTY0019,
-                        "axis step applied to an atomic value",
-                    )
-                    .at(position.0, position.1))
-                }
-            };
-            if let Some(step) = fused_attr_eq_step(*axis, test, predicates) {
-                // Same shape as the generic path: no candidates → empty,
-                // predicates (and their errors) never reached.
-                if !has_child_element_named(env.store, node, &step.child) {
-                    return Ok(Sequence::empty());
-                }
-                let rhs = run(step.rhs, env, frame, ctx)?;
-                if let Some(matched) = fused_attr_eq_candidates(node, &step, &rhs, env.store) {
-                    env.stats.index_hits += 1;
-                    let filtered = apply_predicates_nodes(matched, step.rest, env, frame, ctx)?;
-                    return Ok(filtered.into_iter().map(Item::Node).collect());
-                }
-                env.stats.index_misses += 1;
-            }
-            let candidates = axis_candidates(*axis, node, env.store);
-            let tested: Vec<NodeId> = candidates
-                .into_iter()
-                .filter(|&n| node_test_matches(test, *axis, n, env.store))
-                .collect();
-            let filtered = apply_predicates_nodes(tested, predicates, env, frame, ctx)?;
-            Ok(filtered.into_iter().map(Item::Node).collect())
-        }
-
-        LExpr::Path { start, steps } => {
-            if env.options.runtime_opt {
-                if let Some(out) = stream_positional_path(start, steps, env, frame, ctx)? {
-                    return Ok(out);
-                }
-            }
-            let start_seq = run(start, env, frame, ctx)?;
-            finish_path_from(start_seq, steps, env, frame, ctx)
-        }
-
-        LExpr::Filter(base, predicates) => {
-            if env.options.runtime_opt {
-                if let Some(out) = stream_filter_positional(base, predicates, env, frame, ctx)? {
-                    return Ok(out);
-                }
-            }
-            let seq = run(base, env, frame, ctx)?;
-            apply_predicates_items(seq, predicates, env, frame, ctx)
-        }
-
+        LExpr::Root(position) => run_root(*position, env, ctx),
+        LExpr::AxisStep { .. } => run_axis_step(expr, env, frame, ctx),
+        LExpr::Path { start, steps } => run_path(start, steps, env, frame, ctx),
+        LExpr::Filter(base, predicates) => run_filter(base, predicates, env, frame, ctx),
         LExpr::CallBuiltin {
             builtin,
             args,
             position,
-        } => {
-            if env.options.runtime_opt
-                && matches!(args.first(), Some(LExpr::Path { .. } | LExpr::Flwor { .. }))
-            {
-                if let Some(out) = stream_builtin(*builtin, args, env, frame, ctx)? {
-                    return Ok(out);
-                }
-            }
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(run(a, env, frame, ctx)?);
-            }
-            let mut cx = CallCtx {
-                store: env.store,
-                galax_quirks: env.options.galax_quirks,
-                docs: env.docs,
-                trace: &mut *env.trace,
-            };
-            dispatch_builtin(*builtin, values, &mut cx, ctx, *position)
-        }
-
+        } => call_builtin(*builtin, args, *position, env, frame, ctx),
         LExpr::CallUser {
             index,
             args,
             position,
         } => {
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(run(a, env, frame, ctx)?);
-            }
             let func = &env.program.functions[*index as usize];
+            let inner = bind_args(func, args, env, frame, ctx)?;
             if func.pure {
-                return call_pure(*index, func, values, *position, env);
+                call_pure(*index, func, inner, *position, env)
+            } else {
+                call_user(func, inner, *position, env)
             }
-            call_user(func, values, *position, env)
         }
-
         LExpr::CallUnknown {
             name,
             args,
             position,
-        } => {
-            // The walker evaluates arguments before discovering the call
-            // resolves to nothing; preserve that (argument errors and
-            // traces fire first).
-            for a in args {
-                run(a, env, frame, ctx)?;
-            }
-            Err(Error::new(
-                ErrorCode::XPST0017,
-                format!("unknown function {name}#{}", args.len()),
-            )
-            .at(position.0, position.1))
-        }
-
+        } => call_unknown(*name, args, *position, env, frame, ctx),
         LExpr::DirectElement { .. } | LExpr::CompElement { .. } => {
             let el = construct_element(expr, env, frame, ctx)?;
             Ok(Sequence::singleton(Item::Node(el)))
         }
+        LExpr::CompAttribute { .. }
+        | LExpr::CompText(_)
+        | LExpr::CompComment(_)
+        | LExpr::TryCatch { .. }
+        | LExpr::TypeSwitch { .. }
+        | LExpr::InstanceOf(..)
+        | LExpr::CastableAs(..)
+        | LExpr::CastAs(..) => run_cold(expr, env, frame, ctx),
+        LExpr::CacheOnce { slot, expr } => {
+            if let Some(v) = frame.get(*slot) {
+                env.stats.cache_hits += 1;
+                return Ok(v.clone());
+            }
+            // First read in this cache window: evaluate in place (errors
+            // and traces fire exactly where the unhoisted program fired
+            // them) and memoize only on success.
+            let v = run(expr, env, frame, ctx)?;
+            frame.set(*slot, v.clone());
+            Ok(v)
+        }
+        LExpr::SplitPath {
+            prefix,
+            suffix,
+            key,
+            unsplit,
+        } => run_split_path(prefix, suffix, *key, unsplit, env, frame, ctx),
+    }
+}
 
+#[cold]
+fn unbound_slot(slot: u32) -> Error {
+    Error::internal(format!("unbound frame slot {slot}"))
+}
+
+fn global_ref(name: Sym, position: (u32, u32), env: &RunEnv) -> Result<Sequence> {
+    if let Some(v) = env.globals.get(&name) {
+        return Ok((**v).clone());
+    }
+    if env.options.galax_quirks {
+        Err(Error::new(
+            ErrorCode::Internal,
+            format!("Internal_Error: Variable '${name}' not found."),
+        ))
+    } else {
+        Err(Error::new(
+            ErrorCode::XPST0008,
+            format!("variable ${name} is not bound"),
+        )
+        .at(position.0, position.1))
+    }
+}
+
+fn run_comma(
+    parts: &[LExpr],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let mut out = Sequence::empty();
+    for p in parts {
+        out.push_seq(run(p, env, frame, ctx)?);
+    }
+    Ok(out)
+}
+
+#[inline(never)]
+fn run_range(
+    lo: &LExpr,
+    hi: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let lo = run(lo, env, frame, ctx)?;
+    let hi = run(hi, env, frame, ctx)?;
+    let (Some(lo), Some(hi)) = (
+        singleton_integer(&lo, env.store)?,
+        singleton_integer(&hi, env.store)?,
+    ) else {
+        return Ok(Sequence::empty());
+    };
+    Ok((lo..=hi).map(Item::integer).collect())
+}
+
+#[inline(never)]
+fn run_neg(
+    e: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let v = run(e, env, frame, ctx)?;
+    let Some(n) = singleton_number(&v, env.store)? else {
+        return Ok(Sequence::empty());
+    };
+    Ok(match n {
+        NumOperand::Int(i) => Atomic::Int(-i).into(),
+        NumOperand::Dbl(d) => Atomic::Dbl(-d).into(),
+    })
+}
+
+fn run_general_cmp(
+    op: CmpOp,
+    l: &LExpr,
+    r: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    if env.options.runtime_opt {
+        if let Some(b) = stream_general_cmp(op, l, r, env, frame, ctx)? {
+            return Ok(Atomic::Bool(b).into());
+        }
+    }
+    let l = run(l, env, frame, ctx)?;
+    let r = run(r, env, frame, ctx)?;
+    // Both operands are fully evaluated before the comparison and
+    // the comparison itself never raises, so swapping in the hash
+    // join can only change how the same boolean is found.
+    let b = if env.options.runtime_opt {
+        general_compare_hashed(op, &l, &r, env.store)
+    } else {
+        general_compare(op, &l, &r, env.store)
+    };
+    Ok(Atomic::Bool(b).into())
+}
+
+#[inline(never)]
+fn run_node_cmp(
+    op: NodeCmpOp,
+    l: &LExpr,
+    r: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let l = run(l, env, frame, ctx)?;
+    let r = run(r, env, frame, ctx)?;
+    if l.is_empty() || r.is_empty() {
+        return Ok(Sequence::empty());
+    }
+    let (Some(Item::Node(a)), Some(Item::Node(b))) = (l.as_singleton(), r.as_singleton()) else {
+        return Err(Error::new(
+            ErrorCode::XPTY0004,
+            "node comparison requires singleton nodes",
+        ));
+    };
+    let result = match op {
+        NodeCmpOp::Is => a == b,
+        NodeCmpOp::Precedes | NodeCmpOp::Follows => {
+            let ord = env.store.doc_order(*a, *b).ok_or_else(|| {
+                Error::new(
+                    ErrorCode::XPTY0004,
+                    "document-order comparison of nodes in different trees",
+                )
+            })?;
+            match op {
+                NodeCmpOp::Precedes => ord == std::cmp::Ordering::Less,
+                _ => ord == std::cmp::Ordering::Greater,
+            }
+        }
+    };
+    Ok(Atomic::Bool(result).into())
+}
+
+#[inline(never)]
+fn run_set(
+    op: SetOp,
+    l: &LExpr,
+    r: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let l = run(l, env, frame, ctx)?;
+    let r = run(r, env, frame, ctx)?;
+    let (Some(ls), Some(rs)) = (l.all_nodes(), r.all_nodes()) else {
+        return Err(Error::new(
+            ErrorCode::XPTY0004,
+            "union/intersect/except operands must be node sequences",
+        ));
+    };
+    // Union never consults the membership set (dedup_sorted below
+    // removes duplicates anyway), so only build it for the
+    // filtering operators.
+    let combined: Vec<NodeId> = match op {
+        SetOp::Union => ls.into_iter().chain(rs).collect(),
+        SetOp::Intersect => {
+            let right_set: HashSet<NodeId> = rs.iter().copied().collect();
+            ls.into_iter().filter(|n| right_set.contains(n)).collect()
+        }
+        SetOp::Except => {
+            let right_set: HashSet<NodeId> = rs.iter().copied().collect();
+            ls.into_iter().filter(|n| !right_set.contains(n)).collect()
+        }
+    };
+    Ok(dedup_sorted(combined, env.store)
+        .into_iter()
+        .map(Item::Node)
+        .collect())
+}
+
+#[inline(never)]
+fn run_root(position: (u32, u32), env: &mut RunEnv, ctx: &DynamicContext) -> Result<Sequence> {
+    match ctx.context_item(env.options.galax_quirks, position)? {
+        Item::Node(n) => Ok(Sequence::singleton(Item::Node(env.store.root(*n)))),
+        Item::Atomic(_) => Err(
+            Error::new(ErrorCode::XPTY0019, "'/' requires a node context item")
+                .at(position.0, position.1),
+        ),
+    }
+}
+
+#[inline(never)]
+fn run_axis_step(
+    expr: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let LExpr::AxisStep {
+        axis,
+        test,
+        predicates,
+        position,
+    } = expr
+    else {
+        unreachable!("run_axis_step on a non-step");
+    };
+    let node = match ctx.context_item(env.options.galax_quirks, *position)? {
+        Item::Node(n) => *n,
+        Item::Atomic(_) => {
+            return Err(
+                Error::new(ErrorCode::XPTY0019, "axis step applied to an atomic value")
+                    .at(position.0, position.1),
+            )
+        }
+    };
+    if let Some(step) = fused_attr_eq_step(*axis, test, predicates) {
+        // Same shape as the generic path: no candidates → empty,
+        // predicates (and their errors) never reached.
+        if !has_child_element_named(env.store, node, &step.child) {
+            return Ok(Sequence::empty());
+        }
+        let rhs = run(step.rhs, env, frame, ctx)?;
+        if let Some(matched) = fused_attr_eq_candidates(node, &step, &rhs, env.store) {
+            env.stats.index_hits += 1;
+            let filtered = apply_predicates_nodes(matched, step.rest, env, frame, ctx)?;
+            return Ok(filtered.into_iter().map(Item::Node).collect());
+        }
+        env.stats.index_misses += 1;
+    }
+    let candidates = axis_candidates(*axis, node, env.store);
+    let tested: Vec<NodeId> = candidates
+        .into_iter()
+        .filter(|&n| node_test_matches(test, *axis, n, env.store))
+        .collect();
+    let filtered = apply_predicates_nodes(tested, predicates, env, frame, ctx)?;
+    Ok(filtered.into_iter().map(Item::Node).collect())
+}
+
+fn run_path(
+    start: &LExpr,
+    steps: &[LPathStep],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    if env.options.runtime_opt {
+        if let Some(out) = stream_positional_path(start, steps, env, frame, ctx)? {
+            return Ok(out);
+        }
+    }
+    let start_seq = run(start, env, frame, ctx)?;
+    finish_path_from(start_seq, steps, env, frame, ctx)
+}
+
+fn run_filter(
+    base: &LExpr,
+    predicates: &[LExpr],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    if env.options.runtime_opt {
+        if let Some(out) = stream_filter_positional(base, predicates, env, frame, ctx)? {
+            return Ok(out);
+        }
+    }
+    let seq = run(base, env, frame, ctx)?;
+    apply_predicates_items(seq, predicates, env, frame, ctx)
+}
+
+/// Builtin calls of up to this many arguments keep their argument values
+/// on the stack.
+const INLINE_BUILTIN_ARGS: usize = 3;
+
+/// A builtin call: the cursor runtime's takeover (see [`stream_builtin`]),
+/// or the arguments evaluated in order and the builtin dispatched on them.
+#[inline(never)]
+fn call_builtin(
+    builtin: Builtin,
+    args: &[LExpr],
+    position: (u32, u32),
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    if env.options.runtime_opt
+        && matches!(args.first(), Some(LExpr::Path { .. } | LExpr::Flwor { .. }))
+    {
+        if let Some(out) = stream_builtin(builtin, args, env, frame, ctx)? {
+            return Ok(out);
+        }
+    }
+    let mut inline: [Sequence; INLINE_BUILTIN_ARGS] = Default::default();
+    let mut spilled = Vec::new();
+    let values: &mut [Sequence] = if args.len() <= INLINE_BUILTIN_ARGS {
+        &mut inline[..args.len()]
+    } else {
+        spilled.resize(args.len(), Sequence::empty());
+        &mut spilled
+    };
+    for (value, a) in values.iter_mut().zip(args) {
+        *value = run(a, env, frame, ctx)?;
+    }
+    dispatch(builtin, values, position, env, ctx)
+}
+
+/// Dispatches a builtin on already evaluated arguments.
+fn dispatch(
+    builtin: Builtin,
+    values: &mut [Sequence],
+    position: (u32, u32),
+    env: &mut RunEnv,
+    ctx: &DynamicContext,
+) -> Result<Sequence> {
+    let mut cx = CallCtx {
+        store: env.store,
+        galax_quirks: env.options.galax_quirks,
+        docs: env.docs,
+        trace: &mut *env.trace,
+    };
+    dispatch_builtin(builtin, values, &mut cx, ctx, position)
+}
+
+#[inline(never)]
+fn call_unknown(
+    name: Sym,
+    args: &[LExpr],
+    position: (u32, u32),
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    // The walker evaluates arguments before discovering the call
+    // resolves to nothing; preserve that (argument errors and
+    // traces fire first).
+    for a in args {
+        run(a, env, frame, ctx)?;
+    }
+    Err(Error::new(
+        ErrorCode::XPST0017,
+        format!("unknown function {name}#{}", args.len()),
+    )
+    .at(position.0, position.1))
+}
+
+/// The arms of [`run`] no recursion level of a typical plan passes
+/// through: non-element constructors, `try`, `typeswitch` and the type
+/// operators.
+#[inline(never)]
+fn run_cold(
+    expr: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    match expr {
         LExpr::CompAttribute {
             name,
             value,
@@ -567,10 +823,7 @@ pub fn run(
             Err(e) if e.code == ErrorCode::Internal => Err(e),
             Err(e) => {
                 if let Some(slot) = var {
-                    frame.set(
-                        *slot,
-                        Arc::new(Sequence::singleton(Item::string(e.message.clone()))),
-                    );
+                    frame.set(*slot, Sequence::singleton(Item::string(e.message.clone())));
                 }
                 run(catch, env, frame, ctx)
             }
@@ -586,13 +839,13 @@ pub fn run(
             for case in cases {
                 if case.ty.matches(&value, env.store) {
                     if let Some(slot) = &case.var {
-                        frame.set(*slot, Arc::new(value.clone()));
+                        frame.set(*slot, value.clone());
                     }
                     return run(&case.body, env, frame, ctx);
                 }
             }
             if let Some(slot) = default_var {
-                frame.set(*slot, Arc::new(value));
+                frame.set(*slot, value);
             }
             run(default, env, frame, ctx)
         }
@@ -642,35 +895,28 @@ pub fn run(
             Ok(cast_atomic(&a, *target)?.into())
         }
 
-        LExpr::CacheOnce { slot, expr } => {
-            if let Some(v) = frame.get(*slot) {
-                env.stats.cache_hits += 1;
-                return Ok((**v).clone());
-            }
-            // First read in this cache window: evaluate in place (errors
-            // and traces fire exactly where the unhoisted program fired
-            // them) and memoize only on success.
-            let v = run(expr, env, frame, ctx)?;
-            frame.set(*slot, Arc::new(v.clone()));
-            Ok(v)
-        }
-
-        LExpr::SplitPath {
-            prefix,
-            suffix,
-            key,
-            unsplit,
-        } => {
-            // Both halves are pure: on error, the unsplit path decides
-            // which error the program raises, and where.
-            run(prefix, env, frame, ctx)
-                .and_then(|seq| match key {
-                    Some(key) => keyed_filter(seq, *key, suffix, env, frame, ctx),
-                    None => apply_predicates_items(seq, suffix, env, frame, ctx),
-                })
-                .or_else(|_| run(unsplit, env, frame, ctx))
-        }
+        _ => Err(Error::internal("run_cold on a hot expression")),
     }
+}
+
+#[inline(never)]
+fn run_split_path(
+    prefix: &LExpr,
+    suffix: &[LExpr],
+    key: Option<SplitKey>,
+    unsplit: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    // Both halves are pure: on error, the unsplit path decides
+    // which error the program raises, and where.
+    run(prefix, env, frame, ctx)
+        .and_then(|seq| match key {
+            Some(key) => keyed_filter(seq, key, suffix, env, frame, ctx),
+            None => apply_predicates_items(seq, suffix, env, frame, ctx),
+        })
+        .or_else(|_| run(unsplit, env, frame, ctx))
 }
 
 /// Effective boolean value of an expression; a streamable path answers
@@ -885,6 +1131,10 @@ fn run_flwor_count(
     Ok(n)
 }
 
+/// Runs clause `idx` of a FLWOR and, through it, every later clause, once
+/// per tuple; past the last clause, `where` and `return` (see
+/// [`flwor_return`]). The clauses run in functions of their own, so a
+/// recursion level pays only for the one it passes through.
 #[allow(clippy::too_many_arguments)]
 fn flwor_tuples(
     clauses: &[LFlworClause],
@@ -899,164 +1149,22 @@ fn flwor_tuples(
     out: &mut FlworOut<'_>,
     jstate: &mut Option<JoinState>,
 ) -> Result<()> {
-    if idx == clauses.len() {
-        if let Some(w) = where_ {
-            if !run_ebv(w, env, frame, ctx)? {
-                return Ok(());
-            }
-        }
-        if let FlworOut::Push(builder) = out {
-            run_content(return_, builder, env, frame, ctx)?;
-        } else if order_by.is_empty() {
-            let value = run(return_, env, frame, ctx)?;
-            out.push(value, env.stats);
-        } else {
-            let mut keys = Vec::with_capacity(order_by.len());
-            for spec in order_by {
-                let kv = run(&spec.key, env, frame, ctx)?;
-                let atoms = atomize(&kv, env.store);
-                if atoms.len() > 1 {
-                    return Err(Error::new(
-                        ErrorCode::XPTY0004,
-                        "order by key must be a singleton",
-                    ));
-                }
-                keys.push(atoms.into_iter().next());
-            }
-            let value = run(return_, env, frame, ctx)?;
-            env.stats.items_allocated += value.len() as u64;
-            keyed.push((keys, value));
-        }
-        return Ok(());
-    }
-    match &clauses[idx] {
-        LFlworClause::For {
-            var,
-            at,
-            seq,
-            reset_entry,
-            reset_iter,
-            join,
-        } => {
-            // Entry caches hold values invariant across this loop: clear
-            // before `seq` is evaluated (a cache read inside `seq` itself
-            // must see fresh outer bindings) and refill at most once per
-            // (re-)entry.
-            env.stats.cache_resets += reset_entry.len() as u64;
-            for slot in reset_entry {
-                frame.clear(*slot);
-            }
-            // A bare streamable path binds its tuples straight off the
-            // cursor: the binding sequence is never built. Clauses claimed
-            // by the hash join keep materialising — the join's table build
-            // and `same_alloc` reuse check want the whole sequence — as do
-            // `CacheOnce`-wrapped sequences (the cell holds the
-            // materialised value by design).
-            let items = 'materialized: {
-                // A marked join whose build side is a context-rooted pure
-                // path re-evaluates it per outer tuple (the hoister leaves
-                // context-rooted paths put), so every entry made a fresh
-                // allocation, `same_alloc` failed, and the table was
-                // rebuilt for every tuple — 100 builds for a 100-tuple
-                // probe in BENCH_5/6. Such a path cannot raise, trace, or
-                // see loop bindings, and mid-query construction only grows
-                // new trees, so the first build's sequence is reused
-                // outright: one build, every later tuple probes.
-                if env.options.runtime_opt && idx + 1 == clauses.len() && join.is_some() {
-                    if let Some(state) = jstate.as_ref() {
-                        if join_build_invariant(seq) {
-                            break 'materialized state.seq.clone();
-                        }
-                    }
-                }
-                if join.is_none() {
-                    if let LExpr::Path { start, steps } = seq {
-                        if let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                            let mut i = 0i64;
-                            while let Some(item) = stream.next(env) {
-                                env.stats.cache_resets += reset_iter.len() as u64;
-                                for slot in reset_iter {
-                                    frame.clear(*slot);
-                                }
-                                frame.set(*var, Arc::new(Sequence::singleton(item)));
-                                if let Some(at_slot) = at {
-                                    frame.set(
-                                        *at_slot,
-                                        Arc::new(Sequence::singleton(Item::integer(i + 1))),
-                                    );
-                                }
-                                flwor_tuples(
-                                    clauses,
-                                    idx + 1,
-                                    where_,
-                                    order_by,
-                                    return_,
-                                    env,
-                                    frame,
-                                    ctx,
-                                    keyed,
-                                    out,
-                                    jstate,
-                                )?;
-                                i += 1;
-                            }
-                            return Ok(());
-                        }
-                    }
-                }
-                run(seq, env, frame, ctx)?
-            };
-            if env.options.runtime_opt && idx + 1 == clauses.len() {
-                if let (Some(side), Some(LExpr::GeneralCmp(CmpOp::Eq, l, r))) = (join, where_) {
-                    let (key_e, probe_e) = match side {
-                        JoinSide::Left => (&**l, &**r),
-                        JoinSide::Right => (&**r, &**l),
-                    };
-                    return join_for(
-                        items, *var, reset_iter, key_e, probe_e, clauses, idx, where_, order_by,
-                        return_, env, frame, ctx, keyed, out, jstate,
-                    );
-                }
-            }
-            for (i, item) in items.into_items().into_iter().enumerate() {
-                env.stats.cache_resets += reset_iter.len() as u64;
-                for slot in reset_iter {
-                    frame.clear(*slot);
-                }
-                frame.set(*var, Arc::new(Sequence::singleton(item)));
-                if let Some(at_slot) = at {
-                    frame.set(
-                        *at_slot,
-                        Arc::new(Sequence::singleton(Item::integer(i as i64 + 1))),
-                    );
-                }
-                flwor_tuples(
-                    clauses,
-                    idx + 1,
-                    where_,
-                    order_by,
-                    return_,
-                    env,
-                    frame,
-                    ctx,
-                    keyed,
-                    out,
-                    jstate,
-                )?;
-            }
-            Ok(())
-        }
-        LFlworClause::Let {
+    match clauses.get(idx) {
+        None => flwor_return(where_, order_by, return_, env, frame, ctx, keyed, out),
+        Some(LFlworClause::For { .. }) => flwor_for(
+            clauses, idx, where_, order_by, return_, env, frame, ctx, keyed, out, jstate,
+        ),
+        Some(LFlworClause::Let {
             var,
             name,
             ty,
             expr,
-        } => {
+        }) => {
             let value = run(expr, env, frame, ctx)?;
             if let Some(ty) = ty {
                 ty.check(&value, env.store, &format!("let ${name}"))?;
             }
-            frame.set(*var, Arc::new(value));
+            frame.set(*var, value);
             flwor_tuples(
                 clauses,
                 idx + 1,
@@ -1071,6 +1179,214 @@ fn flwor_tuples(
                 jstate,
             )
         }
+    }
+}
+
+/// One tuple past the last clause: `where`, then `return` into `out`, or
+/// into `keyed` with its order keys when the FLWOR sorts.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn flwor_return(
+    where_: Option<&LExpr>,
+    order_by: &[LOrderSpec],
+    return_: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+    keyed: &mut Vec<(Vec<Option<Atomic>>, Sequence)>,
+    out: &mut FlworOut<'_>,
+) -> Result<()> {
+    if let Some(w) = where_ {
+        if !run_ebv(w, env, frame, ctx)? {
+            return Ok(());
+        }
+    }
+    if let FlworOut::Push(builder) = out {
+        return run_content(return_, builder, env, frame, ctx);
+    }
+    if order_by.is_empty() {
+        let value = run(return_, env, frame, ctx)?;
+        out.push(value, env.stats);
+        return Ok(());
+    }
+    let mut keys = Vec::with_capacity(order_by.len());
+    for spec in order_by {
+        let kv = run(&spec.key, env, frame, ctx)?;
+        let atoms = atomize(&kv, env.store);
+        if atoms.len() > 1 {
+            return Err(Error::new(
+                ErrorCode::XPTY0004,
+                "order by key must be a singleton",
+            ));
+        }
+        keys.push(atoms.into_iter().next());
+    }
+    let value = run(return_, env, frame, ctx)?;
+    env.stats.items_allocated += value.len() as u64;
+    keyed.push((keys, value));
+    Ok(())
+}
+
+/// A `for` clause: binds each item of its sequence in turn and runs the
+/// later clauses per binding.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn flwor_for(
+    clauses: &[LFlworClause],
+    idx: usize,
+    where_: Option<&LExpr>,
+    order_by: &[LOrderSpec],
+    return_: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+    keyed: &mut Vec<(Vec<Option<Atomic>>, Sequence)>,
+    out: &mut FlworOut<'_>,
+    jstate: &mut Option<JoinState>,
+) -> Result<()> {
+    let LFlworClause::For {
+        var,
+        seq,
+        reset_entry,
+        reset_iter,
+        join,
+        ..
+    } = &clauses[idx]
+    else {
+        unreachable!("flwor_for on a `let` clause");
+    };
+    // Entry caches hold values invariant across this loop: clear
+    // before `seq` is evaluated (a cache read inside `seq` itself
+    // must see fresh outer bindings) and refill at most once per
+    // (re-)entry.
+    env.stats.cache_resets += reset_entry.len() as u64;
+    for slot in reset_entry {
+        frame.clear(*slot);
+    }
+    // A bare streamable path binds its tuples straight off the
+    // cursor: the binding sequence is never built. Clauses claimed
+    // by the hash join keep materialising — the join's table build
+    // and `same_alloc` reuse check want the whole sequence — as do
+    // `CacheOnce`-wrapped sequences (the cell holds the
+    // materialised value by design).
+    let items = 'materialized: {
+        // A marked join whose build side is a context-rooted pure
+        // path re-evaluates it per outer tuple (the hoister leaves
+        // context-rooted paths put), so every entry made a fresh
+        // allocation, `same_alloc` failed, and the table was
+        // rebuilt for every tuple — 100 builds for a 100-tuple
+        // probe in BENCH_5/6. Such a path cannot raise, trace, or
+        // see loop bindings, and mid-query construction only grows
+        // new trees, so the first build's sequence is reused
+        // outright: one build, every later tuple probes.
+        if env.options.runtime_opt && idx + 1 == clauses.len() && join.is_some() {
+            if let Some(state) = jstate.as_ref() {
+                if join_build_invariant(seq) {
+                    break 'materialized state.seq.clone();
+                }
+            }
+        }
+        if join.is_none() {
+            if let LExpr::Path { start, steps } = seq {
+                if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
+                    return flwor_for_streamed(
+                        stream, clauses, idx, where_, order_by, return_, env, frame, ctx, keyed,
+                        out, jstate,
+                    );
+                }
+            }
+        }
+        run(seq, env, frame, ctx)?
+    };
+    if env.options.runtime_opt && idx + 1 == clauses.len() {
+        if let (Some(side), Some(LExpr::GeneralCmp(CmpOp::Eq, l, r))) = (join, where_) {
+            let (key_e, probe_e) = match side {
+                JoinSide::Left => (&**l, &**r),
+                JoinSide::Right => (&**r, &**l),
+            };
+            return join_for(
+                items, *var, reset_iter, key_e, probe_e, clauses, idx, where_, order_by, return_,
+                env, frame, ctx, keyed, out, jstate,
+            );
+        }
+    }
+    for (i, item) in items.into_iter().enumerate() {
+        bind_for(frame, env.stats, &clauses[idx], item, i);
+        flwor_tuples(
+            clauses,
+            idx + 1,
+            where_,
+            order_by,
+            return_,
+            env,
+            frame,
+            ctx,
+            keyed,
+            out,
+            jstate,
+        )?;
+    }
+    Ok(())
+}
+
+/// A `for` clause over a path read off its cursor (see
+/// [`open_path_stream`]).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn flwor_for_streamed(
+    mut stream: PathStream,
+    clauses: &[LFlworClause],
+    idx: usize,
+    where_: Option<&LExpr>,
+    order_by: &[LOrderSpec],
+    return_: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+    keyed: &mut Vec<(Vec<Option<Atomic>>, Sequence)>,
+    out: &mut FlworOut<'_>,
+    jstate: &mut Option<JoinState>,
+) -> Result<()> {
+    let mut i = 0;
+    while let Some(item) = stream.next(env) {
+        bind_for(frame, env.stats, &clauses[idx], item, i);
+        flwor_tuples(
+            clauses,
+            idx + 1,
+            where_,
+            order_by,
+            return_,
+            env,
+            frame,
+            ctx,
+            keyed,
+            out,
+            jstate,
+        )?;
+        i += 1;
+    }
+    Ok(())
+}
+
+/// Binds the `i`th item (0-based) of a `for` clause: clears the clause's
+/// per-iteration caches, then sets its variable and its `at` position.
+fn bind_for(frame: &mut Frame, stats: &mut EvalStats, clause: &LFlworClause, item: Item, i: usize) {
+    let LFlworClause::For {
+        var,
+        at,
+        reset_iter,
+        ..
+    } = clause
+    else {
+        unreachable!("bind_for on a `let` clause");
+    };
+    stats.cache_resets += reset_iter.len() as u64;
+    for slot in reset_iter {
+        frame.clear(*slot);
+    }
+    frame.set(*var, Sequence::singleton(item));
+    if let Some(at_slot) = at {
+        frame.set(*at_slot, Sequence::singleton(Item::integer(i as i64 + 1)));
     }
 }
 
@@ -1118,7 +1434,7 @@ fn join_for(
         for slot in reset_iter {
             frame.clear(*slot);
         }
-        frame.set(var, Arc::new(Sequence::singleton(item.clone())));
+        frame.set(var, Sequence::singleton(item.clone()));
     };
     let rebuild = !matches!(jstate, Some(s) if s.seq.same_alloc(&items));
     let mut first_key_atoms = None;
@@ -1214,7 +1530,7 @@ fn quantified(
     if let LExpr::Path { start, steps } = seq_expr {
         if let Some(mut stream) = open_path_stream(start, steps, env, frame, ctx)? {
             while let Some(item) = stream.next(env) {
-                frame.set(*slot, Arc::new(Sequence::singleton(item)));
+                frame.set(*slot, Sequence::singleton(item));
                 let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
                 match quantifier {
                     Quantifier::Some if hit => {
@@ -1232,8 +1548,8 @@ fn quantified(
         }
     }
     let items = run(seq_expr, env, frame, ctx)?;
-    for item in items.into_items() {
-        frame.set(*slot, Arc::new(Sequence::singleton(item)));
+    for item in items {
+        frame.set(*slot, Sequence::singleton(item));
         let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
         match quantifier {
             Quantifier::Some if hit => return Ok(true),
@@ -2163,6 +2479,28 @@ fn predicate_holds(
 // Function calls
 // ----------------------------------------------------------------------
 
+/// The frame of a call of `func`: its arguments evaluated in order into
+/// the parameter slots of a pooled frame.
+fn bind_args(
+    func: &CompiledFunction,
+    args: &[LExpr],
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Frame> {
+    let mut inner = Frame::pooled(&mut env.frames, func.frame);
+    for (i, a) in args.iter().enumerate() {
+        match run(a, env, frame, ctx) {
+            Ok(value) => inner.set(i as u32, value),
+            Err(e) => {
+                inner.recycle(&mut env.frames);
+                return Err(e);
+            }
+        }
+    }
+    Ok(inner)
+}
+
 /// A call of a pure function, answered from the evaluation's [`Memo`]
 /// when an earlier call with the same arguments succeeded and would not
 /// reach `recursion_limit` from this depth; otherwise run and, on success,
@@ -2170,23 +2508,24 @@ fn predicate_holds(
 fn call_pure(
     index: u32,
     func: &CompiledFunction,
-    args: Vec<Sequence>,
+    inner: Frame,
     position: (u32, u32),
     env: &mut RunEnv,
 ) -> Result<Sequence> {
-    let Some(key) = args.iter().map(MemoArg::of).collect::<Option<Vec<_>>>() else {
-        return call_user(func, args, position, env);
+    let Some(key) = MemoKey::of(index, &inner.slots[..func.params.len()]) else {
+        return call_user(func, inner, position, env);
     };
-    let key = (index, key);
     if let Some((value, nested)) = env.memo.table.get(&key) {
         if env.depth + nested < env.options.recursion_limit {
             env.reuse.memo_hits += 1;
             env.memo.peak = env.memo.peak.max(env.depth + nested);
-            return Ok(value.clone());
+            let value = value.clone();
+            inner.recycle(&mut env.frames);
+            return Ok(value);
         }
     }
     let outer_peak = std::mem::replace(&mut env.memo.peak, env.depth);
-    let result = call_user(func, args, position, env);
+    let result = call_user(func, inner, position, env);
     let nested = env.memo.peak - env.depth;
     env.memo.peak = env.memo.peak.max(outer_peak);
     if let Ok(value) = &result {
@@ -2199,11 +2538,11 @@ fn call_pure(
 
 fn call_user(
     func: &CompiledFunction,
-    args: Vec<Sequence>,
+    inner: Frame,
     position: (u32, u32),
     env: &mut RunEnv,
 ) -> Result<Sequence> {
-    let value = call_with(func, args, position, env, |env, frame, ctx| {
+    let value = call_with(func, inner, position, env, |env, frame, ctx| {
         run(&func.body, env, frame, ctx)
     })?;
     if let Some(ty) = &func.return_type {
@@ -2213,18 +2552,45 @@ fn call_user(
 }
 
 /// What every user-function call does around its body: the recursion
-/// limit, the parameter type checks, a fresh frame holding the arguments,
-/// and `env.depth` one deeper while `body` runs. A call in push mode (see
-/// [`run_content`]) passes a body that pushes; [`call_user`] one that
+/// limit, the parameter type checks, and `env.depth` one deeper while
+/// `body` runs on `inner`, the frame holding the arguments (see
+/// [`bind_args`]), which goes back to the pool after. A call in push mode
+/// (see [`run_content`]) passes a body that pushes; [`call_user`] one that
 /// returns the value and then checks it against the declared return type.
 fn call_with<'a, T>(
     func: &CompiledFunction,
-    args: Vec<Sequence>,
+    mut inner: Frame,
     position: (u32, u32),
     env: &mut RunEnv<'a>,
     body: impl FnOnce(&mut RunEnv<'a>, &mut Frame, &mut DynamicContext) -> Result<T>,
 ) -> Result<T> {
     env.memo.peak = env.memo.peak.max(env.depth);
+    let result = match check_call(func, &inner, position, env) {
+        // Closure-free frames: the function body sees exactly its
+        // parameters (slots 0..arity) plus the globals, never the caller's
+        // slots or focus.
+        Ok(()) => {
+            let mut inner_ctx = DynamicContext::new();
+            env.depth += 1;
+            let result = body(env, &mut inner, &mut inner_ctx);
+            env.depth -= 1;
+            result
+        }
+        Err(e) => Err(e),
+    };
+    inner.recycle(&mut env.frames);
+    result
+}
+
+/// The checks before a call's body runs: the recursion limit, then each
+/// declared parameter type against its argument.
+#[inline(never)]
+fn check_call(
+    func: &CompiledFunction,
+    inner: &Frame,
+    position: (u32, u32),
+    env: &RunEnv,
+) -> Result<()> {
     if env.depth >= env.options.recursion_limit {
         return Err(Error::new(
             ErrorCode::Internal,
@@ -2235,8 +2601,9 @@ fn call_with<'a, T>(
         )
         .at(position.0, position.1));
     }
-    for (param, arg) in func.params.iter().zip(args.iter()) {
+    for (i, param) in func.params.iter().enumerate() {
         if let Some(ty) = &param.ty {
+            let arg = inner.get(i as u32).expect("arguments are bound");
             ty.check(
                 arg,
                 env.store,
@@ -2244,17 +2611,7 @@ fn call_with<'a, T>(
             )?;
         }
     }
-    // Closure-free frames: the function body sees exactly its parameters
-    // (slots 0..arity) plus the globals, never the caller's slots or focus.
-    let mut inner = Frame::new(func.frame);
-    for (i, arg) in args.into_iter().enumerate() {
-        inner.set(i as u32, Arc::new(arg));
-    }
-    let mut inner_ctx = DynamicContext::new();
-    env.depth += 1;
-    let result = body(env, &mut inner, &mut inner_ctx);
-    env.depth -= 1;
-    result
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -2263,6 +2620,13 @@ fn call_with<'a, T>(
 
 /// Resolves a (possibly computed) constructor name to a `QName`. Literal
 /// names were resolved at lowering time.
+///
+/// `element {name($n)} {…}`, the copy idiom, takes the name of `$n`'s node
+/// as it is, where the general rule would render it with `fn:name` and
+/// parse the text back. The argument is evaluated once either way: any
+/// other value of it goes through `fn:name`, so its errors and result are
+/// the builtin's.
+#[inline(never)]
 fn constructor_qname(
     name: &LConstructorName,
     env: &mut RunEnv,
@@ -2270,25 +2634,47 @@ fn constructor_qname(
     ctx: &mut DynamicContext,
     position: (u32, u32),
 ) -> Result<QName> {
-    match name {
-        LConstructorName::Literal(q) => Ok(*q),
-        LConstructorName::Computed(e) => {
-            let seq = run(e, env, frame, ctx)?;
-            let Some(item) = seq.as_singleton() else {
-                return Err(Error::new(
-                    ErrorCode::XPTY0004,
-                    "a computed constructor name must be a single value",
-                )
-                .at(position.0, position.1));
-            };
-            let text = atomize_item(item, env.store).to_text();
-            if text.is_empty() {
-                return Err(Error::new(ErrorCode::FORG0001, "empty constructor name")
-                    .at(position.0, position.1));
+    let e = match name {
+        LConstructorName::Literal(q) => return Ok(*q),
+        LConstructorName::Computed(e) => e,
+    };
+    let seq = match &**e {
+        LExpr::CallBuiltin {
+            builtin: Builtin::Name,
+            args,
+            position: call,
+        } if args.len() == 1 => {
+            let mut arg = [run(&args[0], env, frame, ctx)?];
+            if let Some(Item::Node(n)) = arg[0].as_singleton() {
+                if let Some(q) = env.store.name(*n).filter(|q| reparses_to_itself(q)) {
+                    return Ok(*q);
+                }
             }
-            Ok(QName::from(text.as_str()))
+            dispatch(Builtin::Name, &mut arg, *call, env, ctx)?
         }
+        e => run(e, env, frame, ctx)?,
+    };
+    let Some(item) = seq.as_singleton() else {
+        return Err(Error::new(
+            ErrorCode::XPTY0004,
+            "a computed constructor name must be a single value",
+        )
+        .at(position.0, position.1));
+    };
+    let text = atomize_item(item, env.store).to_text();
+    if text.is_empty() {
+        return Err(
+            Error::new(ErrorCode::FORG0001, "empty constructor name").at(position.0, position.1)
+        );
     }
+    Ok(QName::from(text.as_str()))
+}
+
+/// Whether `QName::from(&q.to_string())` is `q`: both parts are non-empty
+/// and hold no colon.
+fn reparses_to_itself(q: &QName) -> bool {
+    let part = |s: &str| !s.is_empty() && !s.contains(':');
+    part(q.local()) && q.prefix().is_none_or(part)
 }
 
 /// Builds the element of a direct or computed element constructor.
@@ -2307,23 +2693,7 @@ fn construct_element(
         } => {
             let el = env.store.create_element(*name).map_err(internal)?;
             let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
-            for (aname, parts) in attrs {
-                let mut value = String::new();
-                for part in parts {
-                    match part {
-                        LAttrPart::Literal(t) => value.push_str(t),
-                        LAttrPart::Enclosed(e) => {
-                            let seq = run(e, env, frame, ctx)?;
-                            value.push_str(&join_atomized(&seq, env.store));
-                        }
-                    }
-                }
-                let attr = env
-                    .store
-                    .create_attribute(*aname, value)
-                    .map_err(internal)?;
-                builder.add_attribute(attr, env.store)?;
-            }
+            direct_attributes(attrs, &mut builder, env, frame, ctx)?;
             for part in content {
                 match part {
                     LContentPart::Literal(t) => builder.push_text(t.clone(), env.store)?,
@@ -2351,6 +2721,36 @@ fn construct_element(
         }
         _ => Err(Error::internal("construct_element on a non-element")),
     }
+}
+
+/// The attributes of a direct element constructor, each value's parts
+/// evaluated in order and joined.
+#[inline(never)]
+fn direct_attributes(
+    attrs: &[(QName, Vec<LAttrPart>)],
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    for (aname, parts) in attrs {
+        let mut value = String::new();
+        for part in parts {
+            match part {
+                LAttrPart::Literal(t) => value.push_str(t),
+                LAttrPart::Enclosed(e) => {
+                    let seq = run(e, env, frame, ctx)?;
+                    value.push_str(&join_atomized(&seq, env.store));
+                }
+            }
+        }
+        let attr = env
+            .store
+            .create_attribute(*aname, value)
+            .map_err(internal)?;
+        builder.add_attribute(attr, env.store)?;
+    }
+    Ok(())
 }
 
 /// One enclosed expression of an element's content: in push mode with
@@ -2403,56 +2803,99 @@ fn run_content(
             run_content(branch, builder, env, frame, ctx)
         }
         LExpr::Flwor {
-            clauses,
-            where_,
-            order_by,
-            return_,
-        } if flwor_pushes(clauses, order_by) => flwor_tuples(
-            clauses,
-            0,
-            where_.as_deref(),
-            order_by,
-            return_,
-            env,
-            frame,
-            ctx,
-            &mut Vec::new(),
-            &mut FlworOut::Push(builder),
-            &mut None,
-        ),
-        LExpr::CallUser {
-            index,
-            args,
-            position,
-        } if call_pushes(&env.program.functions[*index as usize]) => {
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(run(a, env, frame, ctx)?);
-            }
-            let func = &env.program.functions[*index as usize];
-            call_with(func, values, *position, env, |env, frame, ctx| {
-                run_content(&func.body, builder, env, frame, ctx)
-            })
+            clauses, order_by, ..
+        } if flwor_pushes(clauses, order_by) => push_flwor(expr, builder, env, frame, ctx),
+        LExpr::CallUser { index, .. } if call_pushes(&env.program.functions[*index as usize]) => {
+            push_call(expr, builder, env, frame, ctx)
         }
         LExpr::DirectElement { .. } | LExpr::CompElement { .. } => {
             let el = construct_element(expr, env, frame, ctx)?;
             env.reuse.pushed_nodes += 1;
             builder.push_built(el, env.store)
         }
-        LExpr::CompText(e) => {
-            let seq = run(e, env, frame, ctx)?;
-            if seq.is_empty() {
-                return Ok(());
-            }
-            env.reuse.pushed_nodes += 1;
-            let text = join_atomized(&seq, env.store);
-            builder.push_text(text, env.store)
-        }
-        _ => {
-            let seq = run(expr, env, frame, ctx)?;
-            builder.push_items(seq, env.store)
-        }
+        _ => push_value(expr, builder, env, frame, ctx),
     }
+}
+
+/// A pushing FLWOR (see [`flwor_pushes`]): its tuples push their `return`.
+#[inline(never)]
+fn push_flwor(
+    expr: &LExpr,
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    let LExpr::Flwor {
+        clauses,
+        where_,
+        order_by,
+        return_,
+    } = expr
+    else {
+        unreachable!("push_flwor on a non-FLWOR");
+    };
+    flwor_tuples(
+        clauses,
+        0,
+        where_.as_deref(),
+        order_by,
+        return_,
+        env,
+        frame,
+        ctx,
+        &mut Vec::new(),
+        &mut FlworOut::Push(builder),
+        &mut None,
+    )
+}
+
+/// A pushing call (see [`call_pushes`]): its body runs in push mode.
+#[inline(never)]
+fn push_call(
+    expr: &LExpr,
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    let LExpr::CallUser {
+        index,
+        args,
+        position,
+    } = expr
+    else {
+        unreachable!("push_call on a non-call");
+    };
+    let func = &env.program.functions[*index as usize];
+    let inner = bind_args(func, args, env, frame, ctx)?;
+    call_with(func, inner, *position, env, |env, frame, ctx| {
+        run_content(&func.body, builder, env, frame, ctx)
+    })
+}
+
+/// Content that does not pass push mode down: a `text {}` constructor
+/// pushes its text without building the node; anything else is evaluated
+/// and its items pushed, nodes copied.
+#[inline(never)]
+fn push_value(
+    expr: &LExpr,
+    builder: &mut ContentBuilder,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<()> {
+    if let LExpr::CompText(e) = expr {
+        let seq = run(e, env, frame, ctx)?;
+        if seq.is_empty() {
+            return Ok(());
+        }
+        env.reuse.pushed_nodes += 1;
+        let text = join_atomized(&seq, env.store);
+        return builder.push_text(text, env.store);
+    }
+    let seq = run(expr, env, frame, ctx)?;
+    builder.push_items(seq, env.store)
 }
 
 /// Whether a FLWOR passes push mode to its `return`: not when it sorts

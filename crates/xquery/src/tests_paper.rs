@@ -194,6 +194,107 @@ fn content_merges_adjacent_text_and_drops_empty_text() {
     }
 }
 
+/// XQuery 1.0 §3.7.1.3 deletes zero-length text nodes before it checks
+/// for an attribute after other content, so empty text ahead of an
+/// attribute does not make it an error; non-empty text still does.
+#[test]
+fn zero_length_text_before_an_attribute_is_not_content() {
+    let cases = [
+        (r#"<a>{"", attribute x {1}}</a>"#, Ok(r#"<a x="1"/>"#)),
+        (
+            r#"<a>{text {""}, attribute x {1}}</a>"#,
+            Ok(r#"<a x="1"/>"#),
+        ),
+        (r#"<a>{""}{attribute x {1}}</a>"#, Ok(r#"<a x="1"/>"#)),
+        (
+            r#"element a {"", attribute x {1}, "b"}"#,
+            Ok(r#"<a x="1">b</a>"#),
+        ),
+        (r#"<a>{" ", attribute x {1}}</a>"#, Err(ErrorCode::XQTY0024)),
+        (
+            r#"<a>{"", "", attribute x {1}}</a>"#,
+            Err(ErrorCode::XQTY0024),
+        ),
+    ];
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        for (src, expected) in cases {
+            let q = e.compile(src).unwrap();
+            for lowered in [true, false] {
+                let out = if lowered {
+                    e.evaluate(&q, None)
+                } else {
+                    e.evaluate_reference(&q, None)
+                };
+                let got = out.map(|v| e.display_sequence(&v)).map_err(|err| err.code);
+                assert_eq!(
+                    got,
+                    expected.map(str::to_string),
+                    "{src} (runtime_opt {runtime_opt}, lowered {lowered})"
+                );
+            }
+        }
+    }
+}
+
+/// `element {name($n)}` takes the node's name as it is, and any other
+/// argument of `fn:name` gives the builtin's own result or error: the
+/// lowered runner (both `runtime_opt` values) and the reference walker
+/// agree on each.
+#[test]
+fn computed_names_from_fn_name_match_the_builtin() {
+    let doc = r#"<r><p:x xmlns:p="u" p:k="1"/><y k="2"/>t</r>"#;
+    let cases = [
+        (
+            "for $n in /r/* return element {name($n)} {}",
+            Ok("<p:x/> <y/>"),
+        ),
+        (
+            "for $a in /r/*/@* return element {name($a)} {}",
+            Ok("<xmlns:p/> <p:k/> <k/>"),
+        ),
+        (
+            "for $n in /r/* return attribute {name($n)} {1}",
+            Ok(r#"p:x="1" y="1""#),
+        ),
+        (
+            "element {name(/r/y)} {element {local-name(/r/*[1])} {}}",
+            Ok("<y><x/></y>"),
+        ),
+        ("element {name(())} {}", Err(ErrorCode::FORG0001)),
+        ("element {name(/r/text())} {}", Err(ErrorCode::FORG0001)),
+        ("element {name(/r/*)} {}", Err(ErrorCode::FORG0001)),
+        ("element {name(1)} {}", Err(ErrorCode::XPTY0004)),
+        ("element {name(error())} {}", Err(ErrorCode::FOER0000)),
+    ];
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        let root = e.load_document(doc).unwrap();
+        for (src, expected) in cases {
+            let q = e.compile(src).unwrap();
+            for lowered in [true, false] {
+                let out = if lowered {
+                    e.evaluate(&q, Some(root))
+                } else {
+                    e.evaluate_reference(&q, Some(root))
+                };
+                let got = out.map(|v| e.display_sequence(&v)).map_err(|err| err.code);
+                assert_eq!(
+                    got,
+                    expected.map(str::to_string),
+                    "{src} (runtime_opt {runtime_opt}, lowered {lowered})"
+                );
+            }
+        }
+    }
+}
+
 /// §Syntactic Quirks item 4 — run through the engine end to end.
 #[test]
 fn existential_equals_end_to_end() {

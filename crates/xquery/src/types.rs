@@ -134,13 +134,11 @@ impl ItemType {
             (_, Item::Atomic(_)) => false,
             (ItemType::AnyNode, Item::Node(_)) => true,
             (ItemType::Element(name), Item::Node(n)) => match store.kind(*n) {
-                NodeKind::Element(q) => name.as_deref().is_none_or(|want| q.to_string() == want),
+                NodeKind::Element(q) => name.as_deref().is_none_or(|want| q.display_is(want)),
                 _ => false,
             },
             (ItemType::Attribute(name), Item::Node(n)) => match store.kind(*n) {
-                NodeKind::Attribute(q, _) => {
-                    name.as_deref().is_none_or(|want| q.to_string() == want)
-                }
+                NodeKind::Attribute(q, _) => name.as_deref().is_none_or(|want| q.display_is(want)),
                 _ => false,
             },
             (ItemType::Text, Item::Node(n)) => matches!(store.kind(*n), NodeKind::Text(_)),
