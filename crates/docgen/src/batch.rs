@@ -12,10 +12,15 @@
 //! evaluations therefore run inline on the worker's big stack (no
 //! thread-per-job, no re-enqueue), and nothing is shared between jobs but
 //! the immutable compiled programs.
+//!
+//! Outside a batch, a generator's engine runs on its pipeline's own
+//! one-worker pool, whose thread starts with the first render and serves
+//! every later one (as a stylesheet's pool does for XSLT transforms).
 
 use crate::trouble::GenTrouble;
 use crate::xq::{Phase, XqGenerator, GEN_XQ};
 use crate::{native, GenInputs};
+use std::sync::Arc;
 use xquery::{CompiledQuery, Engine, EngineOptions, EvalStats, StackPool};
 
 /// Which generator implementation a batch job runs.
@@ -56,6 +61,11 @@ pub struct CompiledPipeline {
     /// The options the programs were compiled with; every engine that runs
     /// them is built with the same ones.
     pub(crate) options: EngineOptions,
+    /// The one-worker pool the pipeline was compiled on and every
+    /// generator's engine runs on. Shared, so a render reuses its thread
+    /// instead of spawning and joining one. Batch jobs run on the batch's
+    /// workers, which evaluate inline and never wait on this pool.
+    pub(crate) pool: Arc<StackPool>,
 }
 
 impl CompiledPipeline {
@@ -74,7 +84,8 @@ impl CompiledPipeline {
         phases: &[Phase],
         options: EngineOptions,
     ) -> Result<Self, GenTrouble> {
-        let engine = Engine::with_options(options.clone());
+        let pool = Arc::new(StackPool::new(1));
+        let engine = Engine::with_pool(options.clone(), Arc::clone(&pool));
         let generator = engine
             .compile(generator_source)
             .map_err(|e| GenTrouble::new(format!("the generator source failed to compile: {e}")))?;
@@ -91,6 +102,7 @@ impl CompiledPipeline {
             generator,
             phases,
             options,
+            pool,
         })
     }
 }
@@ -251,6 +263,105 @@ mod tests {
         assert!(got[0].is_ok());
         let err = got[1].as_ref().unwrap_err();
         assert!(err.message.contains("no focus"), "{}", err.message);
+    }
+
+    /// A batch's jobs run on the batch pool's workers: they finish while
+    /// the pipeline's own pool is held busy by another thread, so nothing
+    /// funnels them through its one worker.
+    #[test]
+    fn batch_jobs_fan_out_on_the_batch_pool() {
+        use std::sync::mpsc;
+        let meta = awb::workload::it_metamodel();
+        let template = Template::parse(TEMPLATE).unwrap();
+        let models: Vec<Model> = (0..4).map(|i| tiny_model(&format!("f{i}"))).collect();
+        let pipeline = CompiledPipeline::standard().unwrap();
+        let expected: Vec<String> = models
+            .iter()
+            .map(|model| {
+                let inputs = GenInputs {
+                    model,
+                    meta: &meta,
+                    template: &template,
+                };
+                XqGenerator::with_compiled(&inputs, &pipeline)
+                    .unwrap()
+                    .run()
+                    .unwrap()
+                    .xml
+            })
+            .collect();
+
+        let (entered, started) = mpsc::channel();
+        let (release, held) = mpsc::channel::<()>();
+        let busy = Arc::clone(&pipeline.pool);
+        let holder = std::thread::spawn(move || {
+            busy.run(move || {
+                entered.send(()).unwrap();
+                let _ = held.recv();
+            })
+        });
+        started.recv().unwrap();
+        let (done, finished) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let jobs: Vec<BatchJob<'_>> = models
+                    .iter()
+                    .map(|model| BatchJob {
+                        kind: GeneratorKind::Xquery,
+                        inputs: GenInputs {
+                            model,
+                            meta: &meta,
+                            template: &template,
+                        },
+                    })
+                    .collect();
+                let got = generate_batch_with(&jobs, &pipeline, &StackPool::new(2));
+                let _ = done.send(got.into_iter().map(|r| r.unwrap().xml).collect::<Vec<_>>());
+            });
+            let got = finished.recv_timeout(std::time::Duration::from_secs(120));
+            release.send(()).unwrap();
+            assert_eq!(
+                got.expect("the batch waited on the pipeline's pool"),
+                expected
+            );
+        });
+        holder.join().unwrap();
+    }
+
+    /// Two threads rendering from one pipeline share its one worker, one
+    /// render at a time, and both finish with the same document.
+    #[test]
+    fn two_threads_render_from_one_pipeline() {
+        let meta = awb::workload::it_metamodel();
+        let template = Template::parse(TEMPLATE).unwrap();
+        let model = tiny_model("shared");
+        let inputs = GenInputs {
+            model: &model,
+            meta: &meta,
+            template: &template,
+        };
+        let pipeline = CompiledPipeline::standard().unwrap();
+        let expected = xq::generate(&inputs).unwrap().xml;
+        std::thread::scope(|scope| {
+            let renders: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..3)
+                            .map(|_| {
+                                XqGenerator::with_compiled(&inputs, &pipeline)
+                                    .unwrap()
+                                    .run()
+                                    .unwrap()
+                                    .xml
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for render in renders {
+                assert_eq!(render.join().unwrap(), vec![expected.clone(); 3]);
+            }
+        });
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::batch::CompiledPipeline;
 use crate::trouble::GenTrouble;
 use crate::GenInputs;
+use std::sync::Arc;
 use xmlstore::NodeId;
 use xquery::{CompiledQuery, Engine, EvalStats, Item, ReuseStats, TraceEvent, TraceSink};
 
@@ -132,12 +133,12 @@ impl XqGenerator {
     /// and its documents are per-generator, the programs are the pipeline's
     /// `Arc`-shared ones — no compilation at all. The engine takes the
     /// options the pipeline was compiled with, so its plans run on the
-    /// runtime they were lowered for.
+    /// runtime they were lowered for, and runs on the pipeline's pool.
     pub fn with_compiled(
         inputs: &GenInputs,
         pipeline: &CompiledPipeline,
     ) -> Result<Self, GenTrouble> {
-        let mut engine = Engine::with_options(pipeline.options.clone());
+        let mut engine = Engine::with_pool(pipeline.options.clone(), Arc::clone(&pipeline.pool));
         let model_doc = awb::xmlio::export_to_store(inputs.model, engine.store_mut());
         engine.register_document("awb-model", model_doc);
         let meta_doc = awb::xmlio::export_metamodel_to_store(inputs.meta, engine.store_mut());

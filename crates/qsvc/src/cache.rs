@@ -19,26 +19,30 @@
 //!   *future* lookups miss.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use xmlstore::TreeSnapshot;
 use xquery::CompiledQuery;
 
-/// A plan-cache key: owned `(query text, options fingerprint)`. Both halves
-/// are client-controlled and unbounded, so the key owns its strings —
-/// eviction frees them. Interning here would leak every distinct query a
-/// client ever sent into the global never-freed interner.
-pub type PlanKey = (String, String);
-
 /// LRU cache of compiled plans, keyed `(query text, options fingerprint)`.
+///
+/// Entries are grouped by text, and each text holds one plan per
+/// fingerprint it was compiled under (usually one). A lookup borrows both
+/// halves, so a hit builds no key. The text is client-controlled and
+/// unbounded, so the cache owns it and eviction frees it; interning it
+/// would leak every distinct query a client ever sent into the global
+/// never-freed interner. The fingerprint is the connection's, shared.
 pub struct PlanCache {
     capacity: usize,
     tick: u64,
-    entries: HashMap<PlanKey, PlanEntry>,
+    len: usize,
+    entries: HashMap<String, Vec<PlanEntry>>,
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
 }
 
 struct PlanEntry {
+    fingerprint: Arc<str>,
     plan: CompiledQuery,
     last_used: u64,
 }
@@ -49,6 +53,7 @@ impl PlanCache {
         PlanCache {
             capacity: capacity.max(1),
             tick: 0,
+            len: 0,
             entries: HashMap::new(),
             hits: 0,
             misses: 0,
@@ -56,58 +61,83 @@ impl PlanCache {
         }
     }
 
-    /// Builds an owned key from the two halves.
-    pub fn key(text: &str, fingerprint: &str) -> PlanKey {
-        (text.to_string(), fingerprint.to_string())
+    fn entry_mut(&mut self, text: &str, fingerprint: &str) -> Option<&mut PlanEntry> {
+        self.entries
+            .get_mut(text)?
+            .iter_mut()
+            .find(|e| &*e.fingerprint == fingerprint)
     }
 
     /// Looks a plan up, counting a hit or a miss and refreshing recency.
     /// The returned `CompiledQuery` is two `Arc` bumps.
-    pub fn get(&mut self, key: &PlanKey) -> Option<CompiledQuery> {
+    pub fn get(&mut self, text: &str, fingerprint: &str) -> Option<CompiledQuery> {
         self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = self.tick;
-                self.hits += 1;
-                Some(e.plan.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let tick = self.tick;
+        let plan = self.entry_mut(text, fingerprint).map(|e| {
+            e.last_used = tick;
+            e.plan.clone()
+        });
+        match plan {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        plan
     }
 
     /// Inserts a plan, evicting the least-recently-used entry when full.
-    pub fn insert(&mut self, key: PlanKey, plan: CompiledQuery) {
+    pub fn insert(&mut self, text: &str, fingerprint: Arc<str>, plan: CompiledQuery) {
         self.tick += 1;
         let tick = self.tick;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
+        if let Some(e) = self.entry_mut(text, &fingerprint) {
+            e.plan = plan;
+            e.last_used = tick;
+            return;
+        }
+        if self.len >= self.capacity {
+            self.evict_coldest();
+        }
+        self.len += 1;
+        let entry = PlanEntry {
+            fingerprint,
+            plan,
+            last_used: tick,
+        };
+        match self.entries.get_mut(text) {
+            Some(plans) => plans.push(entry),
+            None => {
+                self.entries.insert(text.to_string(), vec![entry]);
             }
         }
-        self.entries.insert(
-            key,
-            PlanEntry {
-                plan,
-                last_used: tick,
-            },
-        );
+    }
+
+    fn evict_coldest(&mut self) {
+        let Some((text, index)) = self
+            .entries
+            .iter()
+            .flat_map(|(text, plans)| plans.iter().enumerate().map(move |(i, e)| (e, text, i)))
+            .min_by_key(|(e, _, _)| e.last_used)
+            .map(|(_, text, i)| (text.clone(), i))
+        else {
+            return;
+        };
+        let plans = self
+            .entries
+            .get_mut(&text)
+            .expect("the victim's text is cached");
+        plans.swap_remove(index);
+        if plans.is_empty() {
+            self.entries.remove(&text);
+        }
+        self.len -= 1;
+        self.evictions += 1;
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -283,34 +313,34 @@ mod tests {
         let e = Engine::new();
         let plan = e.compile("1 + 1").unwrap();
         let mut c = PlanCache::new(8);
-        let strict = PlanCache::key("1 + 1", "cfg-a");
-        let quirks = PlanCache::key("1 + 1", "cfg-b");
-        c.insert(strict.clone(), plan.clone());
-        assert!(c.get(&strict).is_some());
+        c.insert("1 + 1", Arc::from("cfg-a"), plan.clone());
+        assert!(c.get("1 + 1", "cfg-a").is_some());
         assert!(
-            c.get(&quirks).is_none(),
+            c.get("1 + 1", "cfg-b").is_none(),
             "same text under another config must MISS"
         );
         assert_eq!((c.hits, c.misses), (1, 1));
+        c.insert("1 + 1", Arc::from("cfg-b"), plan.clone());
+        c.insert("1 + 1", Arc::from("cfg-b"), plan);
+        assert_eq!(c.len(), 2, "one plan per (text, fingerprint)");
+        assert!(c.get("1 + 1", "cfg-b").is_some());
     }
 
     #[test]
     fn plan_cache_evicts_the_coldest() {
         let e = Engine::new();
         let plan = e.compile("1").unwrap();
-        let mut c = PlanCache::new(2);
-        let (a, b, d) = (
-            PlanCache::key("a", "f"),
-            PlanCache::key("b", "f"),
-            PlanCache::key("d", "f"),
-        );
-        c.insert(a.clone(), plan.clone());
-        c.insert(b.clone(), plan.clone());
-        assert!(c.get(&a).is_some()); // refresh a; b is now coldest
-        c.insert(d, plan.clone());
-        assert_eq!(c.len(), 2);
-        assert!(c.get(&a).is_some());
-        assert!(c.get(&b).is_none(), "b was the LRU victim");
+        let f: Arc<str> = Arc::from("f");
+        let mut c = PlanCache::new(3);
+        c.insert("a", Arc::clone(&f), plan.clone());
+        c.insert("b", Arc::clone(&f), plan.clone());
+        c.insert("b", Arc::from("g"), plan.clone());
+        assert!(c.get("a", "f").is_some()); // refresh a; (b, f) is now coldest
+        c.insert("d", Arc::clone(&f), plan.clone());
+        assert_eq!(c.len(), 3);
+        assert!(c.get("a", "f").is_some());
+        assert!(c.get("b", "f").is_none(), "(b, f) was the LRU victim");
+        assert!(c.get("b", "g").is_some(), "b's other plan stays");
         assert_eq!(c.evictions, 1);
     }
 

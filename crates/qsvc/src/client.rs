@@ -1,7 +1,7 @@
 //! A blocking client for the query service — the other end of
 //! [`crate::proto`], used by the integration tests and the QPS benchmark.
 
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use crate::proto::{encode_subframes, read_frame, write_frame, WireError};
@@ -46,18 +46,34 @@ impl ClientError {
 /// One connection to the service.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
+}
+
+/// The client's write half. Buffered, so [`write_frame`] hands the socket
+/// a frame that fits the buffer (every request but a large `LOAD` or
+/// `BATCH`) in one `write`: one segment, one wake-up of the server.
+fn frame_writer<W: Write>(inner: W) -> BufWriter<W> {
+    BufWriter::new(inner)
+}
+
+/// A response payload as text, moved rather than copied when it is valid
+/// UTF-8 (lossy otherwise).
+fn into_text(payload: Vec<u8>) -> String {
+    String::from_utf8(payload)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 impl Client {
     /// Connects and (optionally) identifies as `tenant`.
     pub fn connect(addr: SocketAddr, tenant: Option<&str>) -> Result<Client, ClientError> {
-        let writer = TcpStream::connect(addr)?;
-        // Header and payload go out as two writes; without this, Nagle
-        // holds the payload behind the server's delayed ACK (~40 ms per
-        // request — the benchmark caught exactly that).
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
+        let stream = TcpStream::connect(addr)?;
+        // A frame too big for the write buffer leaves in more than one
+        // write; without this, Nagle holds the tail behind the server's
+        // delayed ACK (~40 ms per request — the benchmark caught exactly
+        // that when every frame took two writes).
+        stream.set_nodelay(true)?;
+        let reader = BufReader::new(stream.try_clone()?);
+        let writer = frame_writer(stream);
         let mut client = Client { reader, writer };
         if let Some(tenant) = tenant {
             client.request(&["HELLO", tenant], b"")?;
@@ -91,7 +107,7 @@ impl Client {
     /// Sets an engine option; returns the new options fingerprint.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<String, ClientError> {
         let payload = self.request(&["OPTION", name, value], b"")?;
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        Ok(into_text(payload))
     }
 
     /// Loads an XML document into the shared cache under `uri`; returns the
@@ -110,13 +126,13 @@ impl Client {
     /// none); returns the serialized result.
     pub fn query(&mut self, uri: &str, query: &str) -> Result<String, ClientError> {
         let payload = self.request(&["QUERY", uri], query.as_bytes())?;
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        Ok(into_text(payload))
     }
 
     /// The cached-plan explanation for `query`.
     pub fn explain(&mut self, query: &str) -> Result<String, ClientError> {
         let payload = self.request(&["EXPLAIN", "-"], query.as_bytes())?;
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        Ok(into_text(payload))
     }
 
     /// Runs several queries as one batch; returns one result per job, in
@@ -136,7 +152,7 @@ impl Client {
         let mut out = Vec::with_capacity(queries.len());
         for _ in 0..queries.len() {
             out.push(match self.read_response() {
-                Ok(payload) => Ok(String::from_utf8_lossy(&payload).into_owned()),
+                Ok(payload) => Ok(into_text(payload)),
                 Err(ClientError::Service(e)) => Err(e),
                 Err(e) => return Err(e),
             });
@@ -170,5 +186,43 @@ impl Client {
     pub fn quit(mut self) -> Result<(), ClientError> {
         self.request(&["QUIT"], b"")?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records the length of every `write` it is handed.
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A request's header and payload reach the socket in one `write`, so
+    /// a `TCP_NODELAY` connection sends one segment per request, not two.
+    #[test]
+    fn a_small_frame_reaches_the_socket_in_one_write() {
+        let mut writer = frame_writer(Writes(Vec::new()));
+        let query = b"string(/site/people/person[@id = \"person7\"]/name)";
+        write_frame(&mut writer, &["QUERY", "xmark"], query).unwrap();
+        let header = format!("QUERY xmark {}\n", query.len());
+        assert_eq!(writer.get_ref().0, vec![header.len() + query.len()]);
+        write_frame(&mut writer, &["STATS"], b"").unwrap();
+        assert_eq!(writer.get_ref().0.len(), 2, "one write per frame");
+    }
+
+    #[test]
+    fn invalid_utf8_payloads_decode_lossily() {
+        assert_eq!(into_text(b"caf\xc3\xa9".to_vec()), "café");
+        assert_eq!(into_text(b"a\xffb".to_vec()), "a\u{fffd}b");
     }
 }

@@ -34,7 +34,7 @@ pub mod proto;
 pub mod server;
 pub mod stats;
 
-pub use cache::{AdmitError, DocCache, PlanCache, PlanKey};
+pub use cache::{AdmitError, DocCache, PlanCache};
 pub use client::{Client, ClientError};
 pub use proto::{Frame, WireError};
 pub use server::{Service, ServiceConfig};

@@ -43,6 +43,7 @@
 //! each is `<len>\n<bytes>`, concatenated. [`encode_subframes`] and
 //! [`decode_subframes`] are the two ends of that.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Read, Write};
 use xquery::error::Error;
 
@@ -69,21 +70,28 @@ impl Frame {
         self.words.first().map(String::as_str).unwrap_or("")
     }
 
-    /// Payload as UTF-8 (lossy — the protocol itself is byte-clean).
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.payload).into_owned()
+    /// Payload as UTF-8 (lossy — the protocol itself is byte-clean). A
+    /// valid payload is borrowed, not copied.
+    pub fn text(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.payload)
     }
 }
 
-/// Writes one frame. `words` must be non-empty and space/newline-free.
+/// Writes one frame and flushes. `words` must be non-empty and
+/// space/newline-free.
+///
+/// The header goes out piece by piece and the frame leaves on the final
+/// flush, so `w` should be buffered (a `BufWriter`, or a `Vec`): a frame
+/// that fits the buffer then reaches the socket in one `write`, one
+/// segment on a `TCP_NODELAY` connection. Formatting allocates nothing.
 pub fn write_frame(w: &mut impl Write, words: &[&str], payload: &[u8]) -> io::Result<()> {
     debug_assert!(!words.is_empty());
     debug_assert!(words.iter().all(|s| !s.contains([' ', '\n', '\r'])));
-    let mut header = words.join(" ");
-    header.push(' ');
-    header.push_str(&payload.len().to_string());
-    header.push('\n');
-    w.write_all(header.as_bytes())?;
+    for word in words {
+        w.write_all(word.as_bytes())?;
+        w.write_all(b" ")?;
+    }
+    writeln!(w, "{}", payload.len())?;
     w.write_all(payload)?;
     w.flush()
 }

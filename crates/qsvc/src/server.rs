@@ -27,8 +27,10 @@
 //!
 //! Every QUERY/EXPLAIN/BATCH job resolves its plan through the shared
 //! [`PlanCache`], keyed `(query text, EngineOptions::cache_key())` — never
-//! text alone. Documents resolve through the shared [`DocCache`] and are
-//! mounted into the connection's engine via [`Store::adopt`]; a per-uri
+//! text alone. The connection computes its fingerprint once per engine, so
+//! a lookup formats nothing and a hit builds no key. Documents resolve
+//! through the shared [`DocCache`] and are mounted into the connection's
+//! engine via [`Store::adopt`]; a per-uri
 //! memo keeps the mount alive across requests and is invalidated by
 //! snapshot identity ([`TreeSnapshot::ptr_eq`]), so a re-`LOAD` of a uri is
 //! picked up while an unchanged document costs nothing. Evicting a cache
@@ -38,6 +40,10 @@
 //! QUERY and every BATCH job take one evaluate step on the connection's
 //! engine; a BATCH shares one document resolve and one store-reset check.
 //! `doc()` sees every uri this connection has resolved as a context.
+//!
+//! A request counts what it does (queries, plan and document hits, errors,
+//! evaluation counters) on the connection and folds the lot into its
+//! tenant's stats with one lock as it ends, before the reply is written.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -49,7 +55,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xmlstore::parser::ParseOptions;
 use xmlstore::{NodeId, Store, TreeSnapshot};
 use xquery::engine::MAX_RECURSION_LIMIT;
-use xquery::{CompiledQuery, DupAttrPolicy, Engine, EngineOptions, StackPool};
+use xquery::{CompiledQuery, DupAttrPolicy, Engine, EngineOptions, EvalStats, StackPool};
 
 use crate::cache::{DocCache, PlanCache};
 use crate::proto::{read_frame, write_frame, Frame, WireError};
@@ -200,10 +206,11 @@ impl Service {
                         break;
                     }
                     let Ok(stream) = stream else { break };
-                    // A request is a header write followed by a payload
-                    // write; with Nagle on, the second write can sit
-                    // behind the peer's delayed ACK for ~40 ms. A framed
-                    // request/response protocol wants its bytes out now.
+                    // A framed request/response protocol wants its bytes
+                    // out now: with Nagle on, a frame that leaves in two
+                    // writes (one too big for the buffer, or a batch of
+                    // replies) can sit behind the peer's delayed ACK for
+                    // ~40 ms.
                     let _ = stream.set_nodelay(true);
                     let conn_id = accept_shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
                     if let Ok(clone) = stream.try_clone() {
@@ -292,12 +299,66 @@ struct MountMemo {
 }
 
 /// Per-connection state: tenant identity, the engine (its options are the
-/// connection's, its pool the service's), and the uri → mount memo.
+/// connection's, its pool the service's) and their fingerprint, the uri →
+/// mount memo, and the current request's tally.
 struct Connection {
     shared: Arc<Shared>,
     tenant: String,
     engine: Engine,
+    /// `self.engine.options().cache_key()`, the plan-cache key's second half.
+    fingerprint: Arc<str>,
     mounts: HashMap<String, MountMemo>,
+    tally: Tally,
+}
+
+/// What the current request adds to its tenant's [`TenantStats`], kept on
+/// the connection and folded in with one lock as the request ends.
+#[derive(Default, PartialEq)]
+struct Tally {
+    queries: u64,
+    errors: u64,
+    plan_hits: u64,
+    plan_misses: u64,
+    doc_hits: u64,
+    doc_misses: u64,
+    doc_evictions: u64,
+    /// The uri the request loaded or resolved, empty for none. The buffer
+    /// is reused from request to request.
+    doc_uri: String,
+    eval: EvalStats,
+}
+
+impl Tally {
+    fn is_empty(&self) -> bool {
+        *self == Tally::default()
+    }
+
+    /// Adds the counts to `t`, recording the uri only if it is new, and
+    /// zeroes them, keeping the uri buffer.
+    fn drain_into(&mut self, t: &mut TenantStats) {
+        t.queries += self.queries;
+        t.errors += self.errors;
+        t.plan_hits += self.plan_hits;
+        t.plan_misses += self.plan_misses;
+        t.doc_hits += self.doc_hits;
+        t.doc_misses += self.doc_misses;
+        t.doc_evictions += self.doc_evictions;
+        t.absorb_eval(&self.eval);
+        if !self.doc_uri.is_empty() && !t.doc_uris.contains(&self.doc_uri) {
+            t.doc_uris.insert(self.doc_uri.clone());
+        }
+        let doc_uri = std::mem::take(&mut self.doc_uri);
+        *self = Tally {
+            doc_uri,
+            ..Tally::default()
+        };
+        self.doc_uri.clear();
+    }
+
+    fn record_uri(&mut self, uri: &str) {
+        self.doc_uri.clear();
+        self.doc_uri.push_str(uri);
+    }
 }
 
 /// What one request produced: a payload to send under `OK`/`ERR`, or for
@@ -311,12 +372,14 @@ enum Reply {
 
 impl Connection {
     fn new(shared: Arc<Shared>) -> Connection {
-        let engine = Engine::with_pool(EngineOptions::default(), Arc::clone(&shared.pool));
+        let options = EngineOptions::default();
         Connection {
+            fingerprint: options.cache_key().into(),
+            engine: Engine::with_pool(options, Arc::clone(&shared.pool)),
             shared,
             tenant: "anon".to_string(),
-            engine,
             mounts: HashMap::new(),
+            tally: Tally::default(),
         }
     }
 
@@ -377,7 +440,24 @@ impl Connection {
         // The wire has no channel for `fn:trace` events, so they go with
         // the request instead of accreting for the connection's life.
         self.engine.take_trace_events();
+        self.settle();
         reply
+    }
+
+    /// Folds the request's tally into its tenant: the one tenant lock a
+    /// request takes, and no copy of the tenant's name once it has an entry.
+    fn settle(&mut self) {
+        if self.tally.is_empty() {
+            return;
+        }
+        let mut tenants = lock(&self.shared.tenants);
+        if let Some(stats) = tenants.get_mut(&self.tenant) {
+            self.tally.drain_into(stats);
+            return;
+        }
+        let mut stats = TenantStats::default();
+        self.tally.drain_into(&mut stats);
+        tenants.insert(self.tenant.clone(), stats);
     }
 
     fn do_hello(&mut self, frame: &Frame) -> Reply {
@@ -428,10 +508,11 @@ impl Connection {
             ));
         }
         self.rebuild_engine(options);
-        Reply::Ok(self.engine.options().cache_key().into_bytes())
+        Reply::Ok(self.fingerprint.as_bytes().to_vec())
     }
 
     fn rebuild_engine(&mut self, options: EngineOptions) {
+        self.fingerprint = options.cache_key().into();
         self.engine = Engine::with_pool(options, Arc::clone(&self.shared.pool));
         self.mounts.clear();
     }
@@ -493,10 +574,8 @@ impl Connection {
         };
         match admitted {
             Ok(bytes) => {
-                self.with_tenant(|t| {
-                    t.doc_evictions += evicted;
-                    t.doc_uris.insert(uri.to_string());
-                });
+                self.tally.doc_evictions += evicted;
+                self.tally.record_uri(uri);
                 Reply::Ok(bytes.to_string().into_bytes())
             }
             Err(e) => self.fail(WireError::new("ADMIT", e.to_string())),
@@ -513,16 +592,14 @@ impl Connection {
         }
         let snapshot = lock(&self.shared.docs).get(uri);
         let Some(snapshot) = snapshot else {
-            self.with_tenant(|t| t.doc_misses += 1);
+            self.tally.doc_misses += 1;
             return Err(WireError::new(
                 "NODOC",
                 format!("no document loaded under uri {uri:?}"),
             ));
         };
-        self.with_tenant(|t| {
-            t.doc_hits += 1;
-            t.doc_uris.insert(uri.to_string());
-        });
+        self.tally.doc_hits += 1;
+        self.tally.record_uri(uri);
         if let Some(memo) = self.mounts.get(uri) {
             if TreeSnapshot::ptr_eq(&memo.snapshot, &snapshot) {
                 return Ok(Some(memo.root));
@@ -547,19 +624,18 @@ impl Connection {
     /// The shared QUERY/EXPLAIN path: plan through the cache, document
     /// through the cache, then evaluate (or explain).
     fn do_query(&mut self, frame: &Frame, mode: QueryMode) -> Reply {
-        let Some(uri) = frame.words.get(1).cloned() else {
+        let Some(uri) = frame.words.get(1) else {
             return Reply::Err(WireError::new("PROTO", "QUERY/EXPLAIN needs a uri or -"));
         };
-        self.with_tenant(|t| t.queries += 1);
-        let text = frame.text();
-        let plan = match self.cached_plan(&text) {
+        self.tally.queries += 1;
+        let plan = match self.cached_plan(&frame.text()) {
             Ok(plan) => plan,
             Err(err) => return self.fail(err),
         };
         if let QueryMode::Explain = mode {
             return Reply::Ok(self.engine.explain(&plan).into_bytes());
         }
-        let context = match self.resolve_doc(&uri) {
+        let context = match self.resolve_doc(uri) {
             Ok(context) => context,
             Err(err) => return self.fail(err),
         };
@@ -574,7 +650,7 @@ impl Connection {
     /// The one evaluate step, taken by QUERY and by every BATCH job: run
     /// the plan on this connection's engine (on this thread or a pool
     /// worker, as the plan's route says, under one of the pool's permits)
-    /// under `catch_unwind`, fold its counters into the tenant, and
+    /// under `catch_unwind`, add its counters to the request's tally, and
     /// serialize. A failure counts as a tenant error.
     fn evaluate(
         &mut self,
@@ -587,8 +663,7 @@ impl Connection {
         };
         // Even a failed evaluation's counters feed the tenant aggregate —
         // they are often the diagnostic.
-        let stats = *self.engine.last_stats();
-        self.with_tenant(|t| t.absorb_eval(&stats));
+        self.tally.eval.merge(self.engine.last_stats());
         // Serialized here, before any caller runs the store-reset guard:
         // the sequence's NodeIds point into this engine's store, and
         // rebuild_engine would drop the mounts they reference.
@@ -598,7 +673,7 @@ impl Connection {
             Err(payload) => Err(WireError::new("PANIC", panic_text(payload.as_ref()))),
         };
         if result.is_err() {
-            self.with_tenant(|t| t.errors += 1);
+            self.tally.errors += 1;
         }
         result
     }
@@ -607,18 +682,17 @@ impl Connection {
     /// inserting on a miss. Compile errors count as misses (the text reached
     /// the compiler) and are never cached.
     fn cached_plan(&mut self, text: &str) -> Result<CompiledQuery, WireError> {
-        let key = PlanCache::key(text, &self.engine.options().cache_key());
-        let cached = lock(&self.shared.plans).get(&key);
+        let cached = lock(&self.shared.plans).get(text, &self.fingerprint);
         if let Some(plan) = cached {
-            self.with_tenant(|t| t.plan_hits += 1);
+            self.tally.plan_hits += 1;
             return Ok(plan);
         }
-        self.with_tenant(|t| t.plan_misses += 1);
+        self.tally.plan_misses += 1;
         let plan = self
             .engine
             .compile(text)
             .map_err(|e| WireError::from_engine(&e))?;
-        lock(&self.shared.plans).insert(key, plan.clone());
+        lock(&self.shared.plans).insert(text, Arc::clone(&self.fingerprint), plan.clone());
         Ok(plan)
     }
 
@@ -647,7 +721,7 @@ impl Connection {
                 ),
             ));
         }
-        self.with_tenant(|t| t.queries += count as u64);
+        self.tally.queries += count as u64;
 
         // Every job's plan goes through the shared cache (hits counted per
         // job), then the document resolves once for the whole batch.
@@ -658,7 +732,7 @@ impl Connection {
         let context = match self.resolve_doc(uri) {
             Ok(context) => context,
             Err(err) => {
-                self.with_tenant(|t| t.errors += count as u64);
+                self.tally.errors += count as u64;
                 return Reply::Batch((0..count).map(|i| Err(job_error(i, err.clone()))).collect());
             }
         };
@@ -669,7 +743,7 @@ impl Connection {
                 let result = match plan {
                     Ok(plan) => self.evaluate(&plan, context),
                     Err(err) => {
-                        self.with_tenant(|t| t.errors += 1);
+                        self.tally.errors += 1;
                         Err(err)
                     }
                 };
@@ -725,13 +799,8 @@ impl Connection {
     }
 
     fn fail(&mut self, err: WireError) -> Reply {
-        self.with_tenant(|t| t.errors += 1);
+        self.tally.errors += 1;
         Reply::Err(err)
-    }
-
-    fn with_tenant(&self, f: impl FnOnce(&mut TenantStats)) {
-        let mut tenants = lock(&self.shared.tenants);
-        f(tenants.entry(self.tenant.clone()).or_default())
     }
 
     /// The store growth guard: adopted mounts accrete (release_mount retires

@@ -303,6 +303,11 @@ pub enum Expr {
     CompText(Box<Expr>),
     /// `<!-- … -->` in a constructor, or `comment { value }`.
     CompComment(Box<Expr>),
+    /// `document { content }`
+    CompDocument {
+        content: Box<Expr>,
+        position: (u32, u32),
+    },
     /// `try { e } catch ($v)? { e }` — the paper's moral #4 ("a little
     /// language should provide exception handling"), which XQuery 3.0
     /// eventually adopted. The catch variable receives the error message.
@@ -361,7 +366,10 @@ impl Expr {
             f(a);
             f(b);
         }
-        Expr::Neg(e) | Expr::CompText(e) | Expr::CompComment(e) => f(e),
+        Expr::Neg(e)
+        | Expr::CompText(e)
+        | Expr::CompComment(e)
+        | Expr::CompDocument { content: e, .. } => f(e),
         Expr::If(c, t, e) => {
             f(c);
             f(t);

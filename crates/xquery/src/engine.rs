@@ -198,19 +198,36 @@ struct PoolInner {
 
 /// The free share of a pool's cap on runs in flight.
 struct Permits {
-    free: Mutex<usize>,
+    count: Mutex<PermitCount>,
     freed: Condvar,
 }
 
+/// Permits free, and threads waiting for one. A release wakes a waiter
+/// only when there is one: `Condvar::notify_one` is a syscall even with
+/// nobody to wake, and most releases have nobody.
+struct PermitCount {
+    free: usize,
+    waiting: usize,
+}
+
 impl Permits {
+    fn new(free: usize) -> Permits {
+        Permits {
+            count: Mutex::new(PermitCount { free, waiting: 0 }),
+            freed: Condvar::new(),
+        }
+    }
+
     /// Blocks until a permit is free and takes it. The guard gives it back
     /// when dropped, unwinding included.
     fn acquire(&self) -> Permit<'_> {
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        while *free == 0 {
-            free = self.freed.wait(free).unwrap_or_else(|e| e.into_inner());
+        let mut count = self.count.lock().unwrap_or_else(|e| e.into_inner());
+        while count.free == 0 {
+            count.waiting += 1;
+            count = self.freed.wait(count).unwrap_or_else(|e| e.into_inner());
+            count.waiting -= 1;
         }
-        *free -= 1;
+        count.free -= 1;
         Permit(self)
     }
 }
@@ -219,8 +236,13 @@ struct Permit<'a>(&'a Permits);
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        *self.0.free.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.0.freed.notify_one();
+        let mut count = self.0.count.lock().unwrap_or_else(|e| e.into_inner());
+        count.free += 1;
+        let wake = count.waiting > 0;
+        drop(count);
+        if wake {
+            self.0.freed.notify_one();
+        }
     }
 }
 
@@ -232,10 +254,7 @@ impl StackPool {
         let workers = workers.max(1);
         StackPool {
             workers,
-            permits: Arc::new(Permits {
-                free: Mutex::new(workers),
-                freed: Condvar::new(),
-            }),
+            permits: Arc::new(Permits::new(workers)),
             inner: Mutex::new(PoolInner {
                 sender: None,
                 handles: Vec::new(),
@@ -1237,6 +1256,55 @@ mod tests {
             "the permit leaked"
         );
         runner.join().unwrap();
+    }
+
+    /// 8 threads, each mixing inline and pooled runs on a 2-worker pool, so
+    /// most acquires wait: a release that skipped a waiter would leave it
+    /// asleep beside a free permit and the runs would never all finish. The
+    /// cap holds too: never more than 2 runs in flight.
+    #[test]
+    fn permits_wake_every_waiter_under_contention() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const THREADS: usize = 8;
+        const RUNS: usize = 200;
+        let pool = Arc::new(StackPool::new(2));
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let (done, finished) = mpsc::channel();
+        let runners: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (pool, in_flight, most, done) = (
+                    Arc::clone(&pool),
+                    Arc::clone(&in_flight),
+                    Arc::clone(&most),
+                    done.clone(),
+                );
+                std::thread::spawn(move || {
+                    for i in 0..RUNS {
+                        let work = || {
+                            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                            most.fetch_max(now, Ordering::SeqCst);
+                            std::thread::yield_now();
+                            in_flight.fetch_sub(1, Ordering::SeqCst);
+                        };
+                        pool.run_timed((t + i) % 3 != 0, work);
+                    }
+                    let _ = done.send(t);
+                })
+            })
+            .collect();
+        drop(done);
+        // Bounded, so a sleeping waiter fails the test instead of hanging it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        for _ in 0..THREADS {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(finished.recv_timeout(left).is_ok(), "a run never finished");
+        }
+        for runner in runners {
+            runner.join().unwrap();
+        }
+        assert!(most.load(Ordering::SeqCst) <= 2, "runs in flight");
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
     }
 
     /// A plan with a function on a call cycle, direct or mutual, takes the

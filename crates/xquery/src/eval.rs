@@ -381,6 +381,15 @@ pub fn eval(expr: &Expr, env: &mut EvalEnv, ctx: &mut DynamicContext) -> Result<
             Ok(Sequence::singleton(Item::Node(node)))
         }
 
+        Expr::CompDocument { content, position } => {
+            let doc = env.store.create_document().map_err(internal)?;
+            let mut builder = ContentBuilder::new(doc, *position, env.options.dup_attr_policy);
+            let seq = eval(content, env, ctx)?;
+            builder.push_sequence(seq, env.store)?;
+            builder.finish(env.store)?;
+            Ok(Sequence::singleton(Item::Node(doc)))
+        }
+
         Expr::TryCatch { try_, var, catch } => match eval(try_, env, ctx) {
             Ok(v) => Ok(v),
             Err(e) if e.code == ErrorCode::Internal => Err(e),
@@ -1228,7 +1237,18 @@ impl ContentBuilder {
         match store.kind(n) {
             NodeKind::Attribute(..) => {
                 // Folding: leading attributes become attributes of the
-                // parent; after content it is an error.
+                // parent; after content it is an error, and a document
+                // takes none.
+                if matches!(store.kind(self.element), NodeKind::Document) {
+                    self.held = Some(
+                        Error::new(
+                            ErrorCode::XPTY0004,
+                            "an attribute node cannot be the content of a document",
+                        )
+                        .at(self.position.0, self.position.1),
+                    );
+                    return Ok(());
+                }
                 if self.content_started {
                     self.held = Some(
                         Error::new(

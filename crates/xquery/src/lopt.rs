@@ -219,7 +219,8 @@ fn scan_effects(e: &LExpr, found: &mut Option<Impurity>, calls: &mut Vec<u32>) {
         | LExpr::CompElement { .. }
         | LExpr::CompAttribute { .. }
         | LExpr::CompText(_)
-        | LExpr::CompComment(_) => {
+        | LExpr::CompComment(_)
+        | LExpr::CompDocument { .. } => {
             *found = Some(Impurity::Constructs);
             return;
         }
@@ -889,7 +890,8 @@ impl<'t, 'a> Collect<'t, 'a> {
             | LExpr::CompElement { .. }
             | LExpr::CompAttribute { .. }
             | LExpr::CompText(_)
-            | LExpr::CompComment(_) => false,
+            | LExpr::CompComment(_)
+            | LExpr::CompDocument { .. } => false,
             _ => all(|i| i.pure),
         };
         let positional = matches!(

@@ -257,6 +257,10 @@ pub enum LExpr {
     },
     CompText(Box<LExpr>),
     CompComment(Box<LExpr>),
+    CompDocument {
+        content: Box<LExpr>,
+        position: (u32, u32),
+    },
     TryCatch {
         try_: Box<LExpr>,
         var: Option<u32>,
@@ -334,6 +338,7 @@ impl LExpr {
         LExpr::Neg(a)
         | LExpr::CompText(a)
         | LExpr::CompComment(a)
+        | LExpr::CompDocument { content: a, .. }
         | LExpr::InstanceOf(a, _)
         | LExpr::CastAs(a, _, _)
         | LExpr::CastableAs(a, _)
@@ -970,6 +975,10 @@ impl Lowerer {
 
             Expr::CompText(e) => LExpr::CompText(self.lower_box(e, r)),
             Expr::CompComment(e) => LExpr::CompComment(self.lower_box(e, r)),
+            Expr::CompDocument { content, position } => LExpr::CompDocument {
+                content: self.lower_box(content, r),
+                position: *position,
+            },
 
             Expr::TryCatch { try_, var, catch } => {
                 let try_ = self.lower_box(try_, r);

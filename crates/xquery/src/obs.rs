@@ -361,7 +361,8 @@ fn collect_pushed(e: &LExpr, program: &Program, out: &mut HashSet<*const LExpr>)
         }
         LExpr::CompElement {
             content: Some(c), ..
-        } => reach(c, program, out),
+        }
+        | LExpr::CompDocument { content: c, .. } => reach(c, program, out),
         _ => {}
     }
     e.for_each_child(&mut |c| collect_pushed(c, program, out));
@@ -441,6 +442,7 @@ fn label(e: &LExpr, cx: &ExplainCx) -> String {
         LExpr::CompAttribute { .. } => "computed attribute".to_string(),
         LExpr::CompText(_) => "computed text".to_string(),
         LExpr::CompComment(_) => "computed comment".to_string(),
+        LExpr::CompDocument { .. } => "computed document".to_string(),
         LExpr::TryCatch { .. } => "try/catch".to_string(),
         LExpr::TypeSwitch { .. } => "typeswitch".to_string(),
         LExpr::InstanceOf(..) => "instance-of".to_string(),
@@ -473,7 +475,12 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
         }
         LExpr::CompElement {
             content: Some(_), ..
-        } if cx.push => out.push("content in push mode".to_string()),
+        }
+        | LExpr::CompDocument { .. }
+            if cx.push =>
+        {
+            out.push("content in push mode".to_string())
+        }
         LExpr::CacheOnce { slot, .. } => match cx.resets.get(slot) {
             Some(ResetKind::Entry) => {
                 out.push("hoisted loop-invariant: refills once per loop entry".to_string())

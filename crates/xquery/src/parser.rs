@@ -902,7 +902,7 @@ impl<'a> Parser<'a> {
             }
 
             // Computed constructors: `element name {…}`, `attribute name {…}`,
-            // `text {…}`, `comment {…}`.
+            // `text {…}`, `comment {…}`, `document {…}`.
             if name == "element" || name == "attribute" {
                 let mark2 = self.cur.clone();
                 let cname: Option<ConstructorName> = if self.cur.peek_name_start()? {
@@ -958,14 +958,16 @@ impl<'a> Parser<'a> {
                 }
                 self.cur = mark2;
             }
-            if (name == "text" || name == "comment") && self.cur.peek_symbol("{")? {
+            if matches!(name.as_str(), "text" | "comment" | "document")
+                && self.cur.peek_symbol("{")?
+            {
                 self.expect_symbol("{")?;
-                let content = self.expr()?;
+                let content = Box::new(self.expr()?);
                 self.expect_symbol("}")?;
-                let e = if name == "text" {
-                    Expr::CompText(Box::new(content))
-                } else {
-                    Expr::CompComment(Box::new(content))
+                let e = match name.as_str() {
+                    "text" => Expr::CompText(content),
+                    "comment" => Expr::CompComment(content),
+                    _ => Expr::CompDocument { content, position },
                 };
                 return Ok(e);
             }
@@ -1685,6 +1687,14 @@ mod tests {
             parse_expr("text {\"hi\"}").unwrap(),
             Expr::CompText(_)
         ));
+        assert!(matches!(
+            parse_expr("document {<d/>}").unwrap(),
+            Expr::CompDocument { .. }
+        ));
+        assert!(
+            parse_expr("document {}").is_err(),
+            "the content is required"
+        );
     }
 
     #[test]

@@ -404,6 +404,7 @@ pub fn run(
         LExpr::CompAttribute { .. }
         | LExpr::CompText(_)
         | LExpr::CompComment(_)
+        | LExpr::CompDocument { .. }
         | LExpr::TryCatch { .. }
         | LExpr::TypeSwitch { .. }
         | LExpr::InstanceOf(..)
@@ -816,6 +817,14 @@ fn run_cold(
                 .create_comment(join_atomized(&seq, env.store))
                 .map_err(internal)?;
             Ok(Sequence::singleton(Item::Node(node)))
+        }
+
+        LExpr::CompDocument { content, position } => {
+            let doc = env.store.create_document().map_err(internal)?;
+            let mut builder = ContentBuilder::new(doc, *position, env.options.dup_attr_policy);
+            enclosed(content, &mut builder, env, frame, ctx)?;
+            builder.finish(env.store)?;
+            Ok(Sequence::singleton(Item::Node(doc)))
         }
 
         LExpr::TryCatch { try_, var, catch } => match run(try_, env, frame, ctx) {

@@ -513,6 +513,10 @@ impl Checker<'_> {
                 self.infer(e, env);
                 SeqType::Of(ItemType::Comment, Occurrence::One)
             }
+            Expr::CompDocument { content, .. } => {
+                self.infer(content, env);
+                SeqType::Of(ItemType::Document, Occurrence::One)
+            }
             Expr::TryCatch { try_, var, catch } => {
                 let tt = self.infer(try_, env);
                 let mark = env.mark();

@@ -240,6 +240,54 @@ fn zero_length_text_before_an_attribute_is_not_content() {
     }
 }
 
+/// `document { … }` builds a document node: its content's documents splice
+/// their children, adjacent text merges, and an attribute is an error.
+/// The lowered runner (both `runtime_opt` values) and the reference walker
+/// agree on each.
+#[test]
+fn computed_document_constructors_build_a_document_node() {
+    let cases = [
+        ("document {<d/>}", Ok("<d/>")),
+        ("document {<d/>} instance of document-node()", Ok("true")),
+        ("count(document {<a/>, <b/>}/*)", Ok("2")),
+        (r#"document {"x", 1, text {"y"}}"#, Ok("x 1y")),
+        ("document {document {<d/>}, <e/>}", Ok("<d/><e/>")),
+        ("count(document {document {<d/>}}/node())", Ok("1")),
+        ("<w>{document {<d/>, \"t\"}}</w>", Ok("<w><d/>t</w>")),
+        (
+            r#"let $d := document { <r><i k="a"/><i k="b"/><i k="a"/></r> } return count($d/r/i[@k = "a"])"#,
+            Ok("2"),
+        ),
+        (r#"document {attribute x {1}}"#, Err(ErrorCode::XPTY0004)),
+        (
+            r#"document {<d/>, attribute x {1}}"#,
+            Err(ErrorCode::XPTY0004),
+        ),
+    ];
+    for runtime_opt in [true, false] {
+        let mut e = Engine::with_options(EngineOptions {
+            runtime_opt,
+            ..Default::default()
+        });
+        for (src, expected) in cases {
+            let q = e.compile(src).unwrap();
+            for lowered in [true, false] {
+                let out = if lowered {
+                    e.evaluate(&q, None)
+                } else {
+                    e.evaluate_reference(&q, None)
+                };
+                let got = out.map(|v| e.display_sequence(&v)).map_err(|err| err.code);
+                assert_eq!(
+                    got,
+                    expected.map(str::to_string),
+                    "{src} (runtime_opt {runtime_opt}, lowered {lowered})"
+                );
+            }
+        }
+    }
+}
+
 /// `element {name($n)}` takes the node's name as it is, and any other
 /// argument of `fn:name` gives the builtin's own result or error: the
 /// lowered runner (both `runtime_opt` values) and the reference walker
